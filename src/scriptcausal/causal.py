@@ -53,10 +53,6 @@ class ConditionalContext:
     text_tokens: list[int] = field(default_factory=list)
     oot_events: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if len(self.in_text_history) > 10:
-            raise ConfigError("in-text history limited to the previous 10 events")
-
 
 def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
                                token_vocab: TokenVocab | None = None,
@@ -419,13 +415,23 @@ class InterventionTable:
             fields = header[len(_ITABLE_HEADER_TAG) + 1:].split(" ")
             if len(fields) < 4:
                 raise DataFormatError("malformed intervention table header")
-            dim, n_samples, seed = int(fields[0]), int(fields[1]), int(fields[2])
+            try:
+                dim, n_samples, seed = (int(x) for x in fields[:3])
+            except ValueError as e:
+                raise DataFormatError("malformed intervention table header") from e
             model_id = " ".join(fields[3:])
-            data = np.frombuffer(f.read(8 * dim * dim), dtype="<f8")
-            if data.size != dim * dim:
-                raise DataFormatError("truncated intervention table")
-        return InterventionTable(data.reshape(dim, dim).copy(), model_id,
-                                 seed, n_samples)
+            body = f.read()
+        if dim < 0 or len(body) != 8 * dim * dim:
+            raise DataFormatError(f"intervention table body has {len(body)} bytes; "
+                                  f"a {dim} x {dim} table needs {8 * dim * dim}")
+        effect = np.frombuffer(body, dtype="<f8").reshape(dim, dim).copy()
+        bad = ~(np.isfinite(effect).all(axis=1) & (effect >= 0).all(axis=1)
+                & (np.abs(effect.sum(axis=1) - 1.0) <= 1e-9))
+        if bad.any():
+            raise DataFormatError(
+                f"intervention table row {int(np.argmax(bad))} is not a "
+                "distribution (non-finite, negative, or not summing to 1)")
+        return InterventionTable(effect, model_id, seed, n_samples)
 
     def export_tsv(self, path, vocab: Vocabulary):
         keys = [vocab.key_of(i) for i in range(self.effect.shape[0])]
@@ -445,7 +451,9 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     Exploits the fact that only the last encoder step depends on the
     intervened event: each sampled history is encoded once, then one extra
     GRU step per intervention value k completes A v_e; the text and
-    out-of-text channels are k-independent.
+    out-of-text channels are k-independent. Per do-row and chunk of at
+    most ``batch_size`` contexts, that step costs one (n, h) x (h, h) GEMM
+    and the logits GEMM, written into buffers allocated once per chunk.
     """
     params = model.params
     contexts = [inst[1] if isinstance(inst, tuple) else inst
@@ -475,16 +483,46 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
             cl = cl + v_o @ params["W_O"].T
         const_logits[start:start + len(chunk)] = cl
 
-    effect = np.empty((V, V))
-    for k in range(V):
-        x_k = np.broadcast_to(params["emb"][k], (N, params["emb"].shape[1]))
-        row_sum = np.zeros(V)
-        for start in range(0, N, batch_size):
-            sl = slice(start, min(start + batch_size, N))
-            v_e, _ = K.gru_step(params, "enc", x_k[sl], h_hist[sl])
-            logits = v_e @ params["A"].T + const_logits[sl]
-            row_sum += K.softmax(logits, axis=1).sum(axis=0)
-        effect[k] = row_sum / N
+    # The last GRU step is K.gru_step with x = emb[k]. Only its input terms
+    # depend on k, so they are projected for every event at once; the z/r
+    # recurrent term depends only on the context and is computed per chunk.
+    W = np.concatenate([params[f"enc.W{g}"] for g in K.GATES])
+    b = np.concatenate([params[f"enc.b{g}"] for g in K.GATES])
+    x_proj = params["emb"] @ W.T + b                      # (V, 3h)
+    U_zr = np.concatenate([params["enc.Uz"], params["enc.Ur"]]).T
+    Uh, A = params["enc.Uh"], params["A"]
+
+    effect = np.zeros((V, V))
+    for start in range(0, N, batch_size):
+        h_prev = h_hist[start:start + batch_size]
+        cl = const_logits[start:start + batch_size]
+        n = len(h_prev)
+        hu_zr = h_prev @ U_zr                             # (n, 2h)
+        zr, tmp = np.empty((n, 2 * h_dim)), np.empty((n, h_dim))
+        hc, logits = np.empty((n, h_dim)), np.empty((n, V))
+        row_max, row_sum = np.empty((n, 1)), np.empty(n)
+        z, r = zr[:, :h_dim], zr[:, h_dim:]
+        for k in range(V):
+            np.add(hu_zr, x_proj[k, :2 * h_dim], out=zr)
+            K.sigmoid(zr, out=zr)
+            np.multiply(r, h_prev, out=tmp)
+            np.matmul(tmp, Uh.T, out=hc)
+            hc += x_proj[k, 2 * h_dim:]
+            np.tanh(hc, out=hc)
+            # v_e = (1 - z) * h_prev + z * hc
+            np.subtract(1.0, z, out=tmp)
+            tmp *= h_prev
+            hc *= z
+            hc += tmp
+            np.matmul(hc, A.T, out=logits)
+            logits += cl
+            np.max(logits, axis=1, keepdims=True, out=row_max)
+            logits -= row_max
+            np.exp(logits, out=logits)
+            np.sum(logits, axis=1, out=row_sum)
+            np.divide(1.0, row_sum, out=row_sum)
+            effect[k] += row_sum @ logits
+    effect /= N
     return InterventionTable(effect, model_id=model_id, seed=adjustment.seed,
                              n_samples=N)
 

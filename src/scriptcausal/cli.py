@@ -29,7 +29,7 @@ from .events import NUM_SPECIALS, Vocabulary, frequency_rank
 
 DEFAULTS = {
     "seed": 0,
-    "threads": 1,            # determinism is guaranteed regardless of value
+    "threads": 1,            # accepted and ignored
     "run_log": "runs.log",
     "min_count": 10,
     "ratios": [0.9, 0.05, 0.05],
@@ -124,9 +124,10 @@ def _cond_config(cfg: RunConfig, seed):
     return {"emb_dim": cfg["emb_dim"], "hidden_dim": cfg["hidden_dim"],
             "text_mode": cfg["text_mode"], "history_window": cfg["history_window"],
             "oot_threshold": cfg["oot_threshold"], "lr": cfg["lr"],
-            "finetune_lr": cfg["finetune_lr"], "clip_norm": cfg["clip_norm"],
-            "batch_size": cfg["batch_size"], "patience": cfg["patience"],
-            "max_epochs": cfg["max_epochs"], "seed": seed}
+            "lr_schedule": cfg["lr_schedule"], "finetune_lr": cfg["finetune_lr"],
+            "clip_norm": cfg["clip_norm"], "batch_size": cfg["batch_size"],
+            "patience": cfg["patience"], "max_epochs": cfg["max_epochs"],
+            "seed": seed}
 
 
 def _instances(corpus_path, vocab, cfg, with_tokens=False):
@@ -447,7 +448,8 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="global random seed")
     parser.add_argument("--threads", type=int,
-                        help="worker hint; results are identical for any value")
+                        help="accepted and ignored; BLAS threads follow "
+                             "OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command")
 
     def add(name, **kw):

@@ -13,6 +13,8 @@ left-padded batches reproduce the unpadded per-example computation exactly.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -51,12 +53,13 @@ def init_gru(rng, prefix, input_dim, hidden_dim, params):
 # primitives
 
 
-def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x, out=None):
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): no overflow for any x
+    and no boolean masks. ``out`` may be ``x`` itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -432,9 +435,17 @@ def save_model(path, kind, config, params):
             f.write(arr.tobytes())
 
 
+def _read_exact(f, n, size):
+    """Exactly ``n`` bytes of ``f``, whose total size is ``size``."""
+    if f.tell() + n > size:
+        raise DataFormatError("truncated model file")
+    return f.read(n)
+
+
 def load_model(path):
     """Inverse of save_model. Returns (kind, config, params)."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         header = f.readline().decode("utf-8").rstrip("\n")
         if not header.startswith(_MODEL_HEADER_TAG + " "):
             raise DataFormatError("missing model file header")
@@ -445,17 +456,11 @@ def load_model(path):
         except json.JSONDecodeError as e:
             raise DataFormatError("malformed model config in header") from e
         params = {}
-        while True:
-            raw = f.read(4)
-            if not raw:
-                break
-            if len(raw) != 4:
-                raise DataFormatError("truncated model file")
-            (name_len,) = struct.unpack("<I", raw)
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
-            params[name] = data.copy()
+        while f.tell() < size:
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4, size))
+            name = _read_exact(f, name_len, size).decode("utf-8")
+            (ndim,) = struct.unpack("<I", _read_exact(f, 4, size))
+            shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, size))
+            raw = _read_exact(f, 8 * math.prod(shape), size)
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return kind, config, params

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scriptcausal import causal, synth
+from scriptcausal import kernel as K
 from scriptcausal.corpus import build_vocab_from
-from scriptcausal.errors import ConfigError
+from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS
 
 TINY = {"emb_dim": 8, "hidden_dim": 12, "text_mode": "mean",
@@ -38,6 +39,30 @@ def test_history_window_is_ten():
     inst = causal.extract_training_instances(corpus, vocab)
     target, ctx = inst[10]  # position i = 11
     assert len(ctx.in_text_history) == 10
+
+
+def test_history_window_beyond_ten():
+    cbn = synth.build_fixture("F-UNIFORM")
+    corpus = cbn.sample_chains(3, seed=0)
+    for chain in corpus.chains:
+        while len(chain.events) < 14:
+            chain.events.append(chain.events[0])
+        del chain.events[14:]
+    vocab = build_vocab_from(corpus, min_count=1)
+    inst = causal.extract_training_instances(corpus, vocab, history_window=12)
+    target, ctx = inst[12]  # position i = 13
+    assert len(ctx.in_text_history) == 12
+    model = causal.ConditionalModel(len(vocab), 1,
+                                    dict(TINY, history_window=12))
+    table = causal.estimate_interventions(
+        model, causal.AdjustmentSet([ctx], seed=0))
+    for k in range(len(vocab)):
+        sub = causal.ConditionalContext(k, ctx.in_text_history)
+        np.testing.assert_allclose(table.row(k), model.distribution(sub),
+                                   atol=1e-12)
+    table = causal.estimate_interventions(
+        model, causal.sample_adjustment_set(inst, 30, seed=1))
+    np.testing.assert_allclose(table.effect.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_first_position_has_empty_history():
@@ -171,6 +196,50 @@ def test_single_sample_equals_substituted_conditional():
                                    atol=1e-12)
 
 
+def test_estimator_matches_per_row_formula():
+    """Every do-row equals mean_j softmax(A gru_step(emb[k], h_j) + B v_t +
+    W_O v_o), computed context by context, across chunk boundaries."""
+    rng = np.random.default_rng(8)
+    V, n_tokens = 11, 6
+    model = causal.ConditionalModel(V, n_tokens, TINY, phase="finetuned")
+    p = model.params
+    p["W_O"] = rng.normal(size=p["W_O"].shape)
+    p["A"] *= 4.0
+    p["B"] *= 4.0
+
+    def ids(low, high, most):
+        return [int(i) for i in rng.integers(low, high, size=rng.integers(0, most))]
+
+    contexts = [causal.ConditionalContext(int(rng.integers(NUM_SPECIALS, V)),
+                                          ids(NUM_SPECIALS, V, 5),
+                                          ids(0, n_tokens, 4),
+                                          ids(NUM_SPECIALS, V, 3))
+                for _ in range(150)]
+    for channel in ("in_text_history", "text_tokens", "oot_events"):
+        lengths = [len(getattr(c, channel)) for c in contexts]
+        assert min(lengths) == 0 < max(lengths)
+
+    table = causal.estimate_interventions(
+        model, causal.AdjustmentSet(contexts, seed=0), batch_size=64)
+
+    h_dim = TINY["hidden_dim"]
+    expected = np.zeros((V, V))
+    for ctx in contexts:
+        h = np.zeros((1, h_dim))
+        for e in ctx.in_text_history:
+            h, _ = K.gru_step(p, "enc", p["emb"][e], h)
+        v_t = (p["text_emb"][ctx.text_tokens].mean(axis=0) if ctx.text_tokens
+               else np.zeros(h_dim))
+        v_o = (p["emb"][ctx.oot_events].mean(axis=0) if ctx.oot_events
+               else np.zeros(TINY["emb_dim"]))
+        for k in range(V):
+            v_e, _ = K.gru_step(p, "enc", p["emb"][k], h)
+            expected[k] += K.softmax(p["A"] @ v_e[0] + p["B"] @ v_t
+                                     + p["W_O"] @ v_o)
+    expected /= len(contexts)
+    np.testing.assert_allclose(table.effect, expected, rtol=0, atol=1e-12)
+
+
 def test_intervention_rows_are_distributions():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, vocab, _ = _instances_for(cbn, 40, seed=4)
@@ -200,6 +269,24 @@ def test_itable_round_trip(tmp_path):
     assert (loaded.seed, loaded.n_samples) == (3, 7)
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0],
+                                 [1.5, -0.5, 0.0], [0.5, 0.5, 1e-6]])
+def test_itable_load_rejects_rows_that_are_not_distributions(tmp_path, row):
+    effect = np.full((3, 3), 1.0 / 3.0)
+    effect[1] = row
+    causal.InterventionTable(effect).save(tmp_path / "t.bin")
+    with pytest.raises(DataFormatError):
+        causal.InterventionTable.load(tmp_path / "t.bin")
+
+
+def test_itable_load_rejects_truncated_body(tmp_path):
+    causal.InterventionTable(np.eye(3)).save(tmp_path / "t.bin")
+    blob = (tmp_path / "t.bin").read_bytes()
+    (tmp_path / "t.bin").write_bytes(blob[:-4])
+    with pytest.raises(DataFormatError):
+        causal.InterventionTable.load(tmp_path / "t.bin")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from scriptcausal import cli
+from scriptcausal import causal, cli
+from scriptcausal.events import NUM_SPECIALS, Vocabulary
 
 TINY_CFG = {"emb_dim": 8, "hidden_dim": 12, "lm_emb_dim": 8,
             "lm_hidden_dim": 12, "max_epochs": 1, "batch_size": 32,
@@ -129,3 +131,48 @@ def test_diversity_command(workdir, capsys):
     assert run("diversity", "--input", "e.tsv") == 0
     out = capsys.readouterr().out
     assert "\t75.0\t" in out
+
+
+def test_config_lr_schedule_runs_every_stage(workdir, capsys):
+    schedule = [[0.01, 1], [0.005, 1]]
+    (workdir / "sched.json").write_text(
+        json.dumps(dict(TINY_CFG, lr_schedule=schedule)))
+    run("--seed", "2", "synth", "--fixture", "F-DET", "--n", "30",
+        "--output", "c.jsonl")
+    run("--config", "sched.json", "vocab", "--input", "c.jsonl",
+        "--output", "v.tsv")
+    capsys.readouterr()
+    assert run("--config", "sched.json", "train-cond", "--train", "c.jsonl",
+               "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 0
+    assert capsys.readouterr().err.count("conditional epoch") == 2
+    assert causal.ConditionalModel.load("m.bin").config["lr_schedule"] == schedule
+
+
+def _vocab_and_model(workdir):
+    run("synth", "--fixture", "F-DET", "--n", "10", "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl",
+        "--output", "v.tsv")
+    vocab = Vocabulary.load("v.tsv")
+    causal.ConditionalModel(len(vocab), 1,
+                            {"emb_dim": 4, "hidden_dim": 5}).save("m.bin")
+    return len(vocab)
+
+
+def test_truncated_model_exit_code(workdir):
+    _vocab_and_model(workdir)
+    blob = (workdir / "m.bin").read_bytes()
+    (workdir / "m.bin").write_bytes(blob[:len(blob) - 16])
+    assert run("--config", "cfg.json", "estimate-do", "--model", "m.bin",
+               "--corpus", "c.jsonl", "--vocab", "v.tsv",
+               "--output", "t.bin") == 2
+    assert not os.path.exists("t.bin")
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.5, 0.5])
+def test_bad_itable_row_exit_code(workdir, value):
+    V = _vocab_and_model(workdir)
+    effect = np.full((V, V), 1.0 / V)
+    effect[NUM_SPECIALS, NUM_SPECIALS] = value
+    causal.InterventionTable(effect).save("t.bin")
+    assert run("--config", "cfg.json", "score", "--itable", "t.bin",
+               "--vocab", "v.tsv", "--target", "e1:x") == 2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scriptcausal.kernel as K
-from scriptcausal.errors import NumericalError
+from scriptcausal.errors import DataFormatError, NumericalError
 
 
 def _zero_gru_params(d_in, d_h):
@@ -132,6 +132,16 @@ def test_cnn_empty_tokens_is_zero():
 
 # ---------------------------------------------------------------------------
 # losses
+
+
+def test_sigmoid_matches_logistic_without_overflow():
+    x = np.linspace(-40.0, 40.0, 801)
+    np.testing.assert_allclose(K.sigmoid(x), 1.0 / (1.0 + np.exp(-x)),
+                               rtol=0, atol=1e-15)
+    with np.errstate(all="raise"):
+        y = np.array([-1000.0, 0.0, 1000.0])
+        assert K.sigmoid(y, out=y) is y
+    np.testing.assert_array_equal(y, [0.0, 0.5, 1.0])
 
 
 def test_xent_uniform_logits():
@@ -284,3 +294,15 @@ def test_model_file_round_trip(tmp_path):
     path2 = tmp_path / "m2.bin"
     K.save_model(path2, kind, config, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_truncated_model_file_is_a_data_error(tmp_path):
+    params = {"a": np.ones((3, 4)), "b": np.arange(7.0)}
+    path = tmp_path / "m.bin"
+    K.save_model(path, "test-kind", {"dim": 4}, params)
+    blob = path.read_bytes()
+    body = blob.index(b"\n") + 1
+    for cut in (body + 2, body + 5, body + 9, body + 20, len(blob) - 1):
+        (tmp_path / "cut.bin").write_bytes(blob[:cut])
+        with pytest.raises(DataFormatError):
+            K.load_model(tmp_path / "cut.bin")
