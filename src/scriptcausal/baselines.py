@@ -143,6 +143,7 @@ class EventLM:
         if config:
             self.config.update(config)
         self.vocab_size = vocab_size
+        self._ws = [K.Workspace() for _ in range(self.config["num_layers"])]
         if params is not None:
             self.params = params
         else:
@@ -179,44 +180,44 @@ class EventLM:
         return inputs, targets, mask
 
     def _forward(self, params, inputs, mask, dropout_masks=None):
-        T, B = inputs.shape
-        x = params["emb"][inputs]          # (T, B, d)
+        """Logits (S, V) of the S unmasked positions of a right-padded
+        (T, B) batch, packed in SeqLayout order, and the caches."""
+        layout = K.SeqLayout(mask.sum(axis=0).astype(np.intp))
+        at = (layout.steps, layout.rows)
+        ids = inputs[at]
+        h = params["emb"][ids]
         if dropout_masks is not None:
-            x = x * dropout_masks[0]
-        caches = {"inputs": inputs, "x": x}
-        h = x
+            h = h * dropout_masks[0][at]
+        caches = {"ids": ids, "layout": layout}
         for layer in range(self.config["num_layers"]):
-            h, c = K.gru_forward(params, f"gru{layer}", h, mask)
-            caches[f"gru{layer}"] = c
-            caches[f"h{layer}"] = h
+            h, caches[f"gru{layer}"] = K.gru_forward(
+                params, f"gru{layer}", h, layout, self._ws[layer])
         if dropout_masks is not None:
-            h = h * dropout_masks[1]
+            h = h * dropout_masks[1][at]
         caches["h_top"] = h
-        logits = h @ params["out.W"].T + params["out.b"]   # (T, B, V)
+        logits = h @ params["out.W"].T + params["out.b"]
         return logits, caches
 
     def _loss_and_grads(self, params, inputs, targets, mask, dropout_masks=None):
-        T, B = inputs.shape
         logits, caches = self._forward(params, inputs, mask, dropout_masks)
-        flat_logits = logits.reshape(T * B, -1)
-        loss_sum, dflat = K.softmax_xent_batch(flat_logits, targets.reshape(-1),
-                                               weights=mask.reshape(-1))
-        n_tokens = float(mask.sum())
+        layout = caches["layout"]
+        at = (layout.steps, layout.rows)
+        loss_sum, dlogits = K.softmax_xent_batch(logits, targets[at])
+        n_tokens = float(len(logits))
         loss = loss_sum / n_tokens
-        dlogits = dflat.reshape(T, B, -1) / n_tokens
+        dlogits /= n_tokens
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        h_top = caches["h_top"]
-        grads["out.W"] += np.einsum("tbv,tbh->vh", dlogits, h_top)
-        grads["out.b"] += dlogits.sum(axis=(0, 1))
-        dh = np.einsum("tbv,vh->tbh", dlogits, params["out.W"])
+        grads["out.W"] += dlogits.T @ caches["h_top"]
+        grads["out.b"] += dlogits.sum(axis=0)
+        dh = dlogits @ params["out.W"]
         if dropout_masks is not None:
-            dh = dh * dropout_masks[1]
+            dh *= dropout_masks[1][at]
         for layer in range(self.config["num_layers"] - 1, -1, -1):
             dh = K.gru_backward(params, f"gru{layer}", caches[f"gru{layer}"],
-                                dh, grads, mask)
+                                dh, grads)
         if dropout_masks is not None:
-            dh = dh * dropout_masks[0]
-        np.add.at(grads["emb"], inputs, dh)
+            dh = dh * dropout_masks[0][at]
+        np.add.at(grads["emb"], caches["ids"], dh)
         return loss, grads
 
     def loss_and_grads(self, sequences, dropout_rng=None):
@@ -238,27 +239,25 @@ class EventLM:
 
     def mean_loss(self, sequences, batch_size=256):
         """Evaluation loss (no dropout) averaged per token."""
-        total, tokens = 0.0, 0.0
+        total, tokens = 0.0, 0
         for start in range(0, len(sequences), batch_size):
-            batch = sequences[start:start + batch_size]
-            inputs, targets, mask = self._pad_batch(batch)
-            logits, _ = self._forward(self.params, inputs, mask)
-            T, B = inputs.shape
-            loss_sum, _ = K.softmax_xent_batch(logits.reshape(T * B, -1),
-                                               targets.reshape(-1),
-                                               weights=mask.reshape(-1))
-            total += loss_sum
-            tokens += mask.sum()
+            inputs, targets, mask = self._pad_batch(sequences[start:start + batch_size])
+            logits, caches = self._forward(self.params, inputs, mask)
+            layout = caches["layout"]
+            total += K.softmax_xent_batch(logits,
+                                          targets[layout.steps, layout.rows])[0]
+            tokens += len(logits)
         return total / tokens
 
     def next_distribution(self, history) -> np.ndarray:
         """softmax over the next event given a history of event ids."""
         ids = [START_ID] + list(history)
-        x = self.params["emb"][np.asarray(ids)][:, None, :]
-        h = x
+        layout = K.SeqLayout([len(ids)])
+        h = self.params["emb"][np.asarray(ids)]
         for layer in range(self.config["num_layers"]):
-            h, _ = K.gru_forward(self.params, f"gru{layer}", h)
-        logits = h[-1, 0] @ self.params["out.W"].T + self.params["out.b"]
+            h, _ = K.gru_forward(self.params, f"gru{layer}", h, layout,
+                                 self._ws[layer])
+        logits = h[-1] @ self.params["out.W"].T + self.params["out.b"]
         return K.softmax(logits)
 
     def chain_score(self, context, candidate: int) -> float:

@@ -18,6 +18,7 @@ resampling).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,49 +81,77 @@ def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
 # batching helpers
 
 
+def _right_pad(lists):
+    """Right-padded (B, M) id matrix + lengths for variable-length id lists."""
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    ids = np.zeros((len(lists), lengths.max(initial=0)), dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(lists), dtype=np.intp, count=lengths.sum())
+    return ids, lengths
+
+
 def _pack_sequences(contexts):
-    """Left-padded (T, B) id matrix + mask for [history..., prev] sequences."""
-    seqs = [list(ctx.in_text_history) + [ctx.prev_event] for ctx in contexts]
-    T = max(len(s) for s in seqs)
-    B = len(seqs)
-    ids = np.zeros((T, B), dtype=int)
-    mask = np.zeros((T, B))
-    for b, s in enumerate(seqs):
-        ids[T - len(s):, b] = s
-        mask[T - len(s):, b] = 1.0
-    return ids, mask
+    """Right-padded [history..., prev_event] id sequences + lengths."""
+    return _right_pad([[*ctx.in_text_history, ctx.prev_event] for ctx in contexts])
 
 
 def _pack_sets(lists):
-    """Right-padded (B, M) id matrix + mask for variable-length id sets."""
-    M = max((len(s) for s in lists), default=0)
-    B = len(lists)
-    if M == 0:
-        return np.zeros((B, 0), dtype=int), np.zeros((B, 0))
-    ids = np.zeros((B, M), dtype=int)
-    mask = np.zeros((B, M))
-    for b, s in enumerate(lists):
-        ids[b, :len(s)] = s
-        mask[b, :len(s)] = 1.0
-    return ids, mask
+    """Right-padded text or out-of-text id sets + lengths."""
+    return _right_pad(lists)
 
 
-def _mean_of_sets(emb, ids, mask):
+@dataclass
+class PackedInstances:
+    """Instances as right-padded id arrays plus lengths, built once per
+    instance set, so that a batch is a row gather."""
+
+    seq: np.ndarray         # (N, T) [history..., prev_event]
+    seq_len: np.ndarray
+    text: np.ndarray        # (N, M) text token ids
+    text_len: np.ndarray
+    oot: np.ndarray         # (N, M') out-of-text event ids
+    oot_len: np.ndarray
+    targets: np.ndarray     # (N,)
+
+    @staticmethod
+    def pack(contexts, targets=None) -> "PackedInstances":
+        seq, seq_len = _pack_sequences(contexts)
+        text, text_len = _pack_sets([ctx.text_tokens for ctx in contexts])
+        oot, oot_len = _pack_sets([ctx.oot_events for ctx in contexts])
+        targets = np.zeros(len(contexts), dtype=np.intp) if targets is None \
+            else np.asarray(targets, dtype=np.intp)
+        return PackedInstances(seq, seq_len, text, text_len, oot, oot_len, targets)
+
+    @staticmethod
+    def of(instances) -> "PackedInstances":
+        """Pack a list of (target, context) pairs."""
+        return PackedInstances.pack([c for _, c in instances],
+                                    [t for t, _ in instances])
+
+    def __len__(self):
+        return len(self.targets)
+
+    def take(self, idx) -> "PackedInstances":
+        """Rows ``idx`` (an index array or slice), padding trimmed to them."""
+        def cut(ids, lengths):
+            lengths = lengths[idx]
+            return ids[idx, :lengths.max(initial=0)], lengths
+        return PackedInstances(*cut(self.seq, self.seq_len),
+                               *cut(self.text, self.text_len),
+                               *cut(self.oot, self.oot_len), self.targets[idx])
+
+
+def _mean_of_sets(emb, ids, lengths):
     """Per-row mean of embedding rows; zero vector for empty rows."""
-    if ids.shape[1] == 0:
-        return np.zeros((ids.shape[0], emb.shape[1])), None
-    counts = mask.sum(axis=1, keepdims=True)
-    safe = np.maximum(counts, 1.0)
+    mask = np.arange(ids.shape[1]) < lengths[:, None]
+    safe = np.maximum(lengths, 1)[:, None]
     vec = (emb[ids] * mask[:, :, None]).sum(axis=1) / safe
     return vec, (ids, mask, safe)
 
 
 def _mean_of_sets_backward(d_vec, cache, d_emb):
-    if cache is None:
-        return
     ids, mask, safe = cache
-    contrib = (d_vec[:, None, :] / safe[:, :, None]) * mask[:, :, None]
-    np.add.at(d_emb, ids, contrib)
+    np.add.at(d_emb, ids[mask], (d_vec / safe)[np.nonzero(mask)[0]])
 
 
 class ConditionalModel:
@@ -141,6 +170,7 @@ class ConditionalModel:
         self.vocab_size = vocab_size
         self.token_vocab_size = token_vocab_size
         self.phase = phase
+        self._ws = K.Workspace()
         if params is not None:
             self.params = params
             return
@@ -163,62 +193,70 @@ class ConditionalModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _text_vectors(self, params, contexts):
+    def _encode(self, params, ids, lengths):
+        """Final encoder states (B, h) over right-padded id sequences (zeros
+        for an empty one), and the cache for the backward pass."""
+        layout = K.SeqLayout(lengths)
+        x_ids = ids[layout.rows, layout.steps]
+        H, cache = K.gru_forward(params, "enc", params["emb"][x_ids], layout,
+                                 self._ws)
+        return layout.final(H), (x_ids, layout, cache)
+
+    def _text_vectors(self, params, ids, lengths):
         """(B, h) text-channel vectors + cache for backward."""
-        B = len(contexts)
-        h = self.config["hidden_dim"]
-        if all(not ctx.text_tokens for ctx in contexts):
-            return np.zeros((B, h)), ("empty", None)
+        if not lengths.any():
+            return np.zeros((len(lengths), self.config["hidden_dim"])), ("empty", None)
         if self.config["text_mode"] == "mean":
-            ids, mask = _pack_sets([ctx.text_tokens for ctx in contexts])
-            vec, cache = _mean_of_sets(params["text_emb"], ids, mask)
+            vec, cache = _mean_of_sets(params["text_emb"], ids, lengths)
             return vec, ("mean", cache)
-        vecs = np.zeros((B, h))
+        vecs = np.zeros((len(lengths), self.config["hidden_dim"]))
         caches = []
-        for b, ctx in enumerate(contexts):
-            vec, cache = K.encode_text_cnn(params, "text_cnn",
-                                           params["text_emb"], ctx.text_tokens)
-            vecs[b] = vec
+        for b, n in enumerate(lengths):
+            vecs[b], cache = K.encode_text_cnn(params, "text_cnn",
+                                               params["text_emb"], ids[b, :n])
             caches.append(cache)
         return vecs, ("cnn", caches)
 
-    def _forward(self, params, contexts, want_cache=False):
-        ids, mask = _pack_sequences(contexts)
-        x_seq = params["emb"][ids]
-        h_seq, gru_caches = K.gru_forward(params, "enc", x_seq, mask)
-        v_e = h_seq[-1]
-        v_t, text_cache = self._text_vectors(params, contexts)
-        logits = v_e @ params["A"].T + v_t @ params["B"].T
+    def _context_logits(self, params, batch):
+        """The prev-event-independent logits B v_t (+ W_O v_o) + cache."""
+        v_t, text_cache = self._text_vectors(params, batch.text, batch.text_len)
+        logits = v_t @ params["B"].T
         v_o, oot_cache = None, None
         if self.phase == "finetuned":
-            oot_ids, oot_mask = _pack_sets([ctx.oot_events for ctx in contexts])
-            v_o, oot_cache = _mean_of_sets(params["emb"], oot_ids, oot_mask)
-            logits = logits + v_o @ params["W_O"].T
-        if not want_cache:
-            return logits, None
-        return logits, {"ids": ids, "mask": mask, "gru": gru_caches,
-                        "v_e": v_e, "v_t": v_t, "text": text_cache,
-                        "v_o": v_o, "oot": oot_cache}
+            v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot, batch.oot_len)
+            logits += v_o @ params["W_O"].T
+        return logits, (v_t, text_cache, v_o, oot_cache)
 
-    def _loss_and_grads(self, params, contexts, targets):
-        logits, cache = self._forward(params, contexts, want_cache=True)
-        B = len(contexts)
-        loss_sum, dlogits = K.softmax_xent_batch(logits, np.asarray(targets))
+    def _forward(self, params, batch, want_cache=False):
+        v_e, enc_cache = self._encode(params, batch.seq, batch.seq_len)
+        const, ctx_cache = self._context_logits(params, batch)
+        logits = v_e @ params["A"].T + const
+        return logits, ((v_e, enc_cache, ctx_cache) if want_cache else None)
+
+    def loss_and_grads(self, batch: PackedInstances, params=None):
+        """Mean loss and gradients on a batch, at ``params`` (default: the
+        model's own)."""
+        params = self.params if params is None else params
+        logits, (v_e, enc_cache, ctx_cache) = self._forward(params, batch,
+                                                            want_cache=True)
+        B = len(batch)
+        loss_sum, dlogits = K.softmax_xent_batch(logits, batch.targets)
         loss = loss_sum / B
         dlogits /= B
         grads = {k: np.zeros_like(v) for k, v in params.items()}
 
-        grads["A"] += dlogits.T @ cache["v_e"]
-        grads["B"] += dlogits.T @ cache["v_t"]
+        v_t, text_cache, v_o, oot_cache = ctx_cache
+        grads["A"] += dlogits.T @ v_e
+        grads["B"] += dlogits.T @ v_t
         d_ve = dlogits @ params["A"]
         d_vt = dlogits @ params["B"]
         if self.phase == "finetuned":
-            grads["W_O"] += dlogits.T @ cache["v_o"]
-            d_vo = dlogits @ params["W_O"]
-            _mean_of_sets_backward(d_vo, cache["oot"], grads["emb"])
+            grads["W_O"] += dlogits.T @ v_o
+            _mean_of_sets_backward(dlogits @ params["W_O"], oot_cache,
+                                   grads["emb"])
 
         # text channel
-        mode, tcache = cache["text"]
+        mode, tcache = text_cache
         if mode == "mean":
             _mean_of_sets_backward(d_vt, tcache, grads["text_emb"])
         elif mode == "cnn":
@@ -226,36 +264,35 @@ class ConditionalModel:
                 K.encode_text_cnn_backward(params, "text_cnn", d_vt[b], c,
                                            grads, grads["text_emb"])
 
-        # history encoder
-        T = cache["ids"].shape[0]
-        dh_seq = np.zeros((T, B, self.config["hidden_dim"]))
-        dh_seq[-1] = d_ve
-        dx_seq = K.gru_backward(params, "enc", cache["gru"], dh_seq, grads,
-                                cache["mask"])
-        dx_seq = dx_seq * cache["mask"][:, :, None]
-        np.add.at(grads["emb"], cache["ids"], dx_seq)
+        # history encoder: the gradient enters at each sequence's last step
+        x_ids, layout, gru_cache = enc_cache
+        dh_out = self._ws.get("dh_out", len(x_ids), self.config["hidden_dim"])
+        dh_out.fill(0.0)
+        dh_out[layout.last] = d_ve
+        dx = K.gru_backward(params, "enc", gru_cache, dh_out, grads)
+        np.add.at(grads["emb"], x_ids, dx)
         return loss, grads
 
-    def loss_and_grads(self, batch):
-        contexts = [ctx for _, ctx in batch]
-        targets = [t for t, _ in batch]
-        return self._loss_and_grads(self.params, contexts, targets)
+    def _loss_and_grads(self, params, contexts, targets):
+        """Loss and gradients on a list of contexts (the gradient checks)."""
+        return self.loss_and_grads(PackedInstances.pack(contexts, targets), params)
 
     def distribution_batch(self, contexts) -> np.ndarray:
-        logits, _ = self._forward(self.params, contexts)
+        logits, _ = self._forward(self.params, PackedInstances.pack(contexts))
         return K.softmax(logits, axis=1)
 
     def distribution(self, context: ConditionalContext) -> np.ndarray:
         return self.distribution_batch([context])[0]
 
-    def mean_loss(self, instances, batch_size=1024):
+    def mean_loss(self, instances: PackedInstances):
+        """Mean loss, in batches of the training size so that the GRU
+        workspace does not grow past it."""
         total = 0.0
+        batch_size = self.config["batch_size"]
         for start in range(0, len(instances), batch_size):
-            batch = instances[start:start + batch_size]
-            logits, _ = self._forward(self.params, [c for _, c in batch])
-            loss_sum, _ = K.softmax_xent_batch(logits,
-                                               np.asarray([t for t, _ in batch]))
-            total += loss_sum
+            batch = instances.take(slice(start, start + batch_size))
+            logits, _ = self._forward(self.params, batch)
+            total += K.softmax_xent_batch(logits, batch.targets)[0]
         return total / len(instances)
 
     # -- persistence -----------------------------------------------------------
@@ -277,24 +314,24 @@ class ConditionalModel:
                                 phase)
 
 
-def _train(model: ConditionalModel, train_instances, dev_instances, lr,
-           log=None, max_epochs=None):
+def _train(model: ConditionalModel, train: PackedInstances,
+           dev: PackedInstances, lr, log=None, max_epochs=None):
     cfg = model.config
-    if not train_instances:
+    if not len(train):
         raise ConfigError("empty instance set")
     rng = np.random.default_rng(cfg["seed"] + 1)
     opt = K.AdamState(model.params, lr=lr, clip_norm=cfg["clip_norm"])
     best_loss = float("inf")
     best_params = {k: v.copy() for k, v in model.params.items()}
     stale = 0
-    holdout = dev_instances if dev_instances else train_instances
+    holdout = dev if len(dev) else train
     if max_epochs is None:
         max_epochs = cfg["max_epochs"]
     for epoch in range(max_epochs):
-        order = rng.permutation(len(train_instances))
+        order = rng.permutation(len(train))
         for start in range(0, len(order), cfg["batch_size"]):
-            batch = [train_instances[i] for i in order[start:start + cfg["batch_size"]]]
-            _, grads = model.loss_and_grads(batch)
+            _, grads = model.loss_and_grads(
+                train.take(order[start:start + cfg["batch_size"]]))
             K.adam_update(opt, model.params, grads)
         dev_loss = model.mean_loss(holdout)
         if log:
@@ -322,12 +359,13 @@ def train_conditional(instances, dev_instances, vocab_size: int,
     """
     model = ConditionalModel(vocab_size, token_vocab_size, config,
                              phase="pretrained")
+    train = PackedInstances.of(instances)
+    dev = PackedInstances.of(dev_instances or [])
     schedule = model.config.get("lr_schedule")
     if not schedule:
-        return _train(model, instances, dev_instances, model.config["lr"],
-                      log=log)
+        return _train(model, train, dev, model.config["lr"], log=log)
     for lr, epochs in schedule:
-        model = _train(model, instances, dev_instances, float(lr), log=log,
+        model = _train(model, train, dev, float(lr), log=log,
                        max_epochs=int(epochs))
     return model
 
@@ -349,9 +387,9 @@ def finetune_with_oot(model: ConditionalModel, annotated_instances,
     rng = np.random.default_rng(cfg["seed"] + 2)
     order = rng.permutation(len(annotated_instances))
     n_dev = max(1, len(annotated_instances) // 10)
-    dev = [annotated_instances[i] for i in order[:n_dev]]
-    train = [annotated_instances[i] for i in order[n_dev:]]
-    return _train(tuned, train, dev, cfg["finetune_lr"], log=log)
+    annotated = PackedInstances.of(annotated_instances)
+    return _train(tuned, annotated.take(order[n_dev:]),
+                  annotated.take(order[:n_dev]), cfg["finetune_lr"], log=log)
 
 
 def conditional_distribution(model: ConditionalModel,
@@ -462,26 +500,19 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     V = model.vocab_size
     h_dim = model.config["hidden_dim"]
 
-    # per-context constants
+    # per-context constants, in batches of the training size, which bounds
+    # the encoder's workspace; the history is the packed sequence minus its
+    # last element (the ignored prev_event)
+    packed = PackedInstances.pack(contexts)
     h_hist = np.zeros((N, h_dim))
     const_logits = np.zeros((N, V))
-    for start in range(0, N, batch_size):
-        chunk = contexts[start:start + batch_size]
-        with_hist = [c for c in chunk if c.in_text_history]
-        if with_hist:
-            ids, mask = _pack_sequences(
-                [ConditionalContext(c.in_text_history[-1],
-                                    c.in_text_history[:-1]) for c in with_hist])
-            h_seq, _ = K.gru_forward(params, "enc", params["emb"][ids], mask)
-            rows = [start + i for i, c in enumerate(chunk) if c.in_text_history]
-            h_hist[rows] = h_seq[-1]
-        v_t, _ = model._text_vectors(params, chunk)
-        cl = v_t @ params["B"].T
-        if model.phase == "finetuned":
-            oot_ids, oot_mask = _pack_sets([c.oot_events for c in chunk])
-            v_o, _ = _mean_of_sets(params["emb"], oot_ids, oot_mask)
-            cl = cl + v_o @ params["W_O"].T
-        const_logits[start:start + len(chunk)] = cl
+    step = model.config["batch_size"]
+    for start in range(0, N, step):
+        chunk = packed.take(slice(start, start + step))
+        h_hist[start:start + len(chunk)], _ = model._encode(
+            params, chunk.seq, chunk.seq_len - 1)
+        const_logits[start:start + len(chunk)], _ = model._context_logits(
+            params, chunk)
 
     # The last GRU step is K.gru_step with x = emb[k]. Only its input terms
     # depend on k, so they are projected for every event at once; the z/r

@@ -69,34 +69,56 @@ class ChainCorpus:
         return len(self.chains)
 
 
-def _parse_event(obj, lineno):
-    if "pred" not in obj or "dep" not in obj:
+def _parse_event(obj, lineno, types):
+    """One event object; ``types`` caches the validated EventType of each
+    (pred, dep, fact) triple already seen in the file."""
+    if not isinstance(obj, dict) or "pred" not in obj or "dep" not in obj:
         raise DataFormatError(f"line {lineno}: event missing pred/dep")
-    fact = obj.get("fact", "pos")
-    if fact not in FACTUALITY_LABELS:
-        raise DataFormatError(f"line {lineno}: unknown factuality label {fact!r}")
-    try:
-        ev = EventType(obj["pred"], obj["dep"], fact)
-    except ConfigError as e:
-        raise DataFormatError(f"line {lineno}: {e}") from e
+    triple = (obj["pred"], obj["dep"], obj.get("fact", "pos"))
+    if not all(isinstance(v, str) for v in triple):
+        raise DataFormatError(f"line {lineno}: pred, dep and fact must be strings")
+    ev = types.get(triple)
+    if ev is None:
+        if triple[2] not in FACTUALITY_LABELS:
+            raise DataFormatError(
+                f"line {lineno}: unknown factuality label {triple[2]!r}")
+        try:
+            ev = types[triple] = EventType(*triple)
+        except ConfigError as e:
+            raise DataFormatError(f"line {lineno}: {e}") from e
     text = obj.get("text")
+    if text is not None and not (isinstance(text, list) and text
+                                 and all(isinstance(t, str) for t in text)):
+        raise DataFormatError(
+            f"line {lineno}: text must be a non-empty list of strings")
     oot = obj.get("oot")
     if oot is not None:
-        oot = [(pair[0], int(pair[1])) for pair in oot]
+        if not (isinstance(oot, list) and all(
+                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                and isinstance(p[1], int) and not isinstance(p[1], bool)
+                for p in oot)):
+            raise DataFormatError(
+                f"line {lineno}: oot must be a list of [key, int rating] pairs")
+        oot = [(key, rating) for key, rating in oot]
     try:
         return ChainEvent(ev, text, oot)
     except DataFormatError as e:
         raise DataFormatError(f"line {lineno}: {e}") from e
 
 
-def parse_chain_line(line: str, lineno: int = 0) -> EventChain:
+def parse_chain_line(line: str, lineno: int = 0, types=None) -> EventChain:
+    """One chain line. ``types`` (a dict) may be shared across the lines of
+    a file, so each distinct event type is built and validated once."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"line {lineno}: invalid JSON ({e.msg})") from e
-    if "chain_id" not in obj or "events" not in obj:
+    if not isinstance(obj, dict) or "chain_id" not in obj or "events" not in obj:
         raise DataFormatError(f"line {lineno}: missing chain_id or events")
-    events = [_parse_event(e, lineno) for e in obj["events"]]
+    if not isinstance(obj["events"], list):
+        raise DataFormatError(f"line {lineno}: events must be a list")
+    types = {} if types is None else types
+    events = [_parse_event(e, lineno, types) for e in obj["events"]]
     if not events:
         raise DataFormatError(f"line {lineno}: chain has no events")
     return EventChain(str(obj["chain_id"]), events)
@@ -106,12 +128,13 @@ def load_chains(path, factual_only: bool = False) -> ChainCorpus:
     """Load a chain file; optionally drop events whose factuality != pos."""
     chains = []
     seen = set()
+    types = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            chain = parse_chain_line(line, lineno)
+            chain = parse_chain_line(line, lineno, types)
             if chain.chain_id in seen:
                 raise DataFormatError(
                     f"line {lineno}: duplicate chain_id {chain.chain_id!r}"

@@ -101,16 +101,25 @@ class ClozeReport:
 def run_infrequent_cloze(systems: dict, instances, rank,
                          cutoffs=DEFAULT_CUTOFFS,
                          N: int = DEFAULT_RECALL_N) -> ClozeReport:
-    """Recall@N per system per exclusion cutoff over a fixed instance set."""
+    """Recall@N per system per exclusion cutoff over a fixed instance set.
+
+    Each system ranks each instance once; the cutoffs then select which
+    of those hits count.
+    """
     cutoffs = list(cutoffs)
+    if any(c < 0 for c in cutoffs):
+        raise ConfigError("cutoff must be >= 0")
+    hits = {name: [inst.answer in ranker(inst.context)[:N] for inst in instances]
+            for name, ranker in systems.items()}
     counts = []
     recalls = {name: [] for name in systems}
     for cutoff in cutoffs:
-        kept = filter_by_cutoff(instances, rank, cutoff)
+        frequent = set(rank[:cutoff])
+        kept = [i for i, inst in enumerate(instances) if inst.answer not in frequent]
         counts.append(len(kept))
-        for name, ranker in systems.items():
-            recalls[name].append(recall_at_n(ranker, kept, N) if kept
-                                 else float("nan"))
+        for name in systems:
+            recalls[name].append(100.0 * sum(hits[name][i] for i in kept) / len(kept)
+                                 if kept else float("nan"))
     return ClozeReport(cutoffs, counts, recalls)
 
 
@@ -281,13 +290,16 @@ def lm_ranker(lm, exclude_top: int = 0, rank=None):
 
 def lm_pair_scorer(lm):
     """Joint log p(k, l) of a two-event chain under the LM, as the pairwise
-    score used for abductive queries."""
+    score used for abductive queries. The LM runs once per predecessor k."""
     start_dist = None
+    next_dist = {}
 
     def score(k, l):
         nonlocal start_dist
         if start_dist is None:
             start_dist = np.log(lm.next_distribution([]))
-        return float(start_dist[k]) + lm.chain_score([k], l)
+        if k not in next_dist:
+            next_dist[k] = lm.next_distribution([k])
+        return float(start_dist[k]) + float(np.log(next_dist[k][l]))
 
     return score

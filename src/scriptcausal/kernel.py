@@ -5,9 +5,11 @@ Everything runs in float64 numpy. Parameters live in flat dicts
 no autodiff: every backward pass here is derived by hand and certified by
 ``finite_diff_check``.
 
-Batched convention: sequences are (T, B, dim) with a (T, B) 0/1 mask.
-Masked-out steps carry the previous hidden state through unchanged, so
-left-padded batches reproduce the unpadded per-example computation exactly.
+Sequences of different lengths reach the GRU packed: ``SeqLayout`` orders
+them by decreasing length, so each step runs only the sequences still
+active and no work goes into padding. Parameters keep their per-gate names
+(``enc.Wz``, ``gru0.Uh``, ...); the GRU concatenates the gates in memory and
+splits the gradients back.
 """
 
 from __future__ import annotations
@@ -88,21 +90,14 @@ def softmax_xent(logits, target):
     return -logp[target], grad
 
 
-def softmax_xent_batch(logits, targets, weights=None):
-    """Summed cross entropy over a batch; returns (loss, dlogits).
-
-    ``weights`` (optional, per-row) scales both loss and gradient; used to
-    mask padded positions.
-    """
+def softmax_xent_batch(logits, targets):
+    """Summed cross entropy over a batch; returns (loss, dlogits)."""
     B = logits.shape[0]
     logp = log_softmax(logits, axis=1)
     rows = np.arange(B)
     losses = -logp[rows, targets]
     grad = np.exp(logp)
     grad[rows, targets] -= 1.0
-    if weights is not None:
-        losses = losses * weights
-        grad = grad * weights[:, None]
     return float(np.sum(losses)), grad
 
 
@@ -129,85 +124,182 @@ def gru_step(params, prefix, x, h_prev):
     return h, (x, h_prev, z, r, hc)
 
 
-def gru_step_backward(params, prefix, cache, dh, grads):
-    """Backprop one step; returns (dx, dh_prev). Accumulates into grads."""
-    x, h_prev, z, r, hc = cache
-    Wz, Uz = params[f"{prefix}.Wz"], params[f"{prefix}.Uz"]
-    Wr, Ur = params[f"{prefix}.Wr"], params[f"{prefix}.Ur"]
-    Wh, Uh = params[f"{prefix}.Wh"], params[f"{prefix}.Uh"]
+class Workspace:
+    """Named scratch arrays reused from call to call.
 
-    dz = dh * (hc - h_prev)
-    dhc = dh * z
-    dh_prev = dh * (1.0 - z)
-
-    dah = dhc * (1.0 - hc * hc)
-    grads[f"{prefix}.Wh"] += dah.T @ x
-    grads[f"{prefix}.Uh"] += dah.T @ (r * h_prev)
-    grads[f"{prefix}.bh"] += dah.sum(axis=0)
-    drh = dah @ Uh
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    daz = dz * z * (1.0 - z)
-    dar = dr * r * (1.0 - r)
-    grads[f"{prefix}.Wz"] += daz.T @ x
-    grads[f"{prefix}.Uz"] += daz.T @ h_prev
-    grads[f"{prefix}.bz"] += daz.sum(axis=0)
-    grads[f"{prefix}.Wr"] += dar.T @ x
-    grads[f"{prefix}.Ur"] += dar.T @ h_prev
-    grads[f"{prefix}.br"] += dar.sum(axis=0)
-
-    dx = daz @ Wz + dar @ Wr + dah @ Wh
-    dh_prev = dh_prev + daz @ Uz + dar @ Ur
-    return dx, dh_prev
-
-
-def gru_forward(params, prefix, x_seq, mask=None):
-    """Fold gru_step over a (T, B, in) sequence from h_0 = 0.
-
-    Returns (h_seq (T, B, h), caches). Masked steps pass the hidden state
-    through unchanged.
+    ``get`` returns a view of a grow-only buffer, so a loop over batches of
+    varying shape stops allocating once it has seen the largest one. A view
+    stays valid until the next ``get`` of the same name.
     """
-    T, B, _ = x_seq.shape
-    hidden = params[f"{prefix}.Uz"].shape[0]
-    h = np.zeros((B, hidden))
-    h_seq = np.empty((T, B, hidden))
-    caches = []
-    for t in range(T):
-        h_new, cache = gru_step(params, prefix, x_seq[t], h)
-        if mask is not None:
-            m = mask[t][:, None]
-            h_new = m * h_new + (1.0 - m) * h
-        h_seq[t] = h_new
-        caches.append(cache)
-        h = h_new
-    return h_seq, caches
+
+    def __init__(self):
+        self._bufs = {}
+
+    def get(self, name, *shape):
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
-def gru_backward(params, prefix, caches, dh_seq, grads, mask=None):
-    """Backprop through a gru_forward pass.
+class SeqLayout:
+    """Packed layout of B variable-length sequences for ``gru_forward``.
 
-    ``dh_seq`` (T, B, h) holds the external gradient arriving at each step's
-    output (zeros except the last step when only the final state is used).
-    Returns dx_seq (T, B, in).
+    Sequences are ordered by decreasing length (stable), so the ones still
+    running at step t are a prefix of ``sizes[t]`` of them. Step t occupies
+    packed rows ``offsets[t]:offsets[t + 1]``; packed row p holds step
+    ``steps[p]`` of sequence ``rows[p]``. A sequence may be empty.
     """
-    T = len(caches)
-    B = dh_seq.shape[1]
-    in_dim = params[f"{prefix}.Wz"].shape[1]
-    dx_seq = np.zeros((T, B, in_dim))
-    dh_next = np.zeros_like(dh_seq[0])
-    for t in range(T - 1, -1, -1):
-        dh = dh_seq[t] + dh_next
-        if mask is not None:
-            m = mask[t][:, None]
-            dh_through = dh * (1.0 - m)  # skipped step: gradient bypasses the cell
-            dh = dh * m
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        B = len(self.lengths)
+        T = int(self.lengths.max(initial=0))
+        order = np.argsort(-self.lengths, kind="stable")
+        sizes = B - np.cumsum(np.bincount(self.lengths, minlength=T + 1))[:T]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.steps = np.repeat(np.arange(T), sizes)
+        self.rows = order[np.arange(len(self.steps)) - offsets[self.steps]]
+        # packed row of each sequence's last step (unused for empty ones)
+        self.last = np.empty(B, dtype=np.intp)
+        self.last[order] = (offsets[np.maximum(self.lengths[order] - 1, 0)]
+                            + np.arange(B))
+        self.sizes = sizes.tolist()
+        self.offsets = offsets.tolist()
+
+    def final(self, H):
+        """(B, h) last state of each sequence; zeros for an empty one."""
+        out = np.zeros((len(self.lengths), H.shape[1]))
+        live = self.lengths > 0
+        out[live] = H[self.last[live]]
+        return out
+
+
+def gru_forward(params, prefix, x, layout, ws=None):
+    """Length-aware GRU from h_0 = 0 over packed inputs ``x`` (S, in).
+
+    ``layout`` (a SeqLayout) says which sequence and step each packed row
+    belongs to. Step t runs only the ``layout.sizes[t]`` sequences still
+    active, so no work goes into padding. The input projection of every
+    step is one GEMM against [Wz; Wr; Wh] before the time loop; each step
+    then costs one GEMM for z and r and one for the candidate (none at
+    t = 0, where h_prev = 0). Returns (H, cache): H (S, h) holds the state
+    after each packed row's step, written into ``ws`` (a Workspace; a fresh
+    one when None), so H and the cache live until the next call with the
+    same workspace.
+    """
+    ws = Workspace() if ws is None else ws
+    W = np.concatenate([params[f"{prefix}.W{g}"] for g in GATES])   # (3h, in)
+    b = np.concatenate([params[f"{prefix}.b{g}"] for g in GATES])
+    U_zr = np.concatenate([params[f"{prefix}.Uz"], params[f"{prefix}.Ur"]])
+    Uh = params[f"{prefix}.Uh"]
+    hd = Uh.shape[0]
+    S = len(layout.steps)
+    if x.shape != (S, W.shape[1]):
+        raise ConfigError(f"gru_forward: inputs {x.shape} do not match "
+                          f"{S} packed rows of width {W.shape[1]}")
+    xp = np.matmul(x, W.T, out=ws.get("xp", S, 3 * hd))
+    xp += b
+    zr, hc, hprev, H = (ws.get(name, S, hd * w) for name, w in
+                        (("zr", 2), ("hc", 1), ("hprev", 1), ("h", 1)))
+    tmp = ws.get("tmp", layout.sizes[0] if S else 0, hd)
+    off = layout.offsets
+    for t, n in enumerate(layout.sizes):
+        s = slice(off[t], off[t] + n)
+        zr_t, hc_t, h_t = zr[s], hc[s], H[s]
+        z, r = zr_t[:, :hd], zr_t[:, hd:]
+        if t == 0:
+            sigmoid(xp[s, :2 * hd], out=zr_t)
+            np.tanh(xp[s, 2 * hd:], out=hc_t)
+            np.multiply(z, hc_t, out=h_t)
+            continue
+        hp = hprev[s]
+        np.copyto(hp, H[off[t - 1]:off[t - 1] + n])
+        np.matmul(hp, U_zr.T, out=zr_t)
+        zr_t += xp[s, :2 * hd]
+        sigmoid(zr_t, out=zr_t)
+        np.multiply(r, hp, out=tmp[:n])
+        np.matmul(tmp[:n], Uh.T, out=hc_t)
+        hc_t += xp[s, 2 * hd:]
+        np.tanh(hc_t, out=hc_t)
+        # h = (1 - z) * h_prev + z * hc
+        np.subtract(1.0, z, out=tmp[:n])
+        tmp[:n] *= hp
+        np.multiply(z, hc_t, out=h_t)
+        h_t += tmp[:n]
+    return H, (x, layout, zr, hc, hprev, W, U_zr, Uh, ws)
+
+
+def gru_backward(params, prefix, cache, dh_out, grads):
+    """Backprop through a gru_forward pass; returns dx (S, in).
+
+    ``dh_out`` (S, h) is the external gradient arriving at each packed
+    output row. Each step keeps only the recurrent GEMMs of dh_prev; the
+    weight, bias and input gradients are one GEMM each over all steps after
+    the loop, split back into the per-gate entries of ``grads``. The
+    forward buffers double as scratch, so each forward pass is backpropagated
+    at most once.
+    """
+    x, layout, zr, hc, hprev, W, U_zr, Uh, ws = cache
+    hd = Uh.shape[0]
+    S = len(x)
+    n0 = layout.sizes[0] if S else 0
+    da = ws.get("xp", S, 3 * hd)   # gate pre-activation grads; xp is dead
+    dh_b, carry, drh_b, tmp_b = (ws.get(name, n0, hd)
+                                 for name in ("dh", "carry", "drh", "tmp"))
+    off = layout.offsets
+    n_carry = 0
+    for t in range(len(layout.sizes) - 1, -1, -1):
+        n = layout.sizes[t]
+        s = slice(off[t], off[t] + n)
+        z, r, hc_t = zr[s, :hd], zr[s, hd:], hc[s]
+        daz, dar, dah = da[s, :hd], da[s, hd:2 * hd], da[s, 2 * hd:]
+        dh, tmp = dh_b[:n], tmp_b[:n]
+        np.copyto(dh, dh_out[s])
+        dh[:n_carry] += carry[:n_carry]
+        # dah = dh * z * (1 - hc^2)
+        np.multiply(hc_t, hc_t, out=dah)
+        np.subtract(1.0, dah, out=dah)
+        dah *= z
+        dah *= dh
+        # daz = dh * (hc - h_prev) * z * (1 - z)
+        if t:
+            np.subtract(hc_t, hprev[s], out=daz)
         else:
-            dh_through = 0.0
-        dx, dh_prev = gru_step_backward(params, prefix, caches[t], dh, grads)
-        dx_seq[t] = dx
-        dh_next = dh_prev + dh_through
-    return dx_seq
+            np.copyto(daz, hc_t)
+        daz *= dh
+        daz *= z
+        np.subtract(1.0, z, out=tmp)
+        daz *= tmp
+        if t == 0:
+            dar[...] = 0.0          # r only ever multiplies h_0 = 0
+            break
+        hp, c, drh = hprev[s], carry[:n], drh_b[:n]
+        # dh_prev = dh * (1 - z) + r * drh + [daz dar] @ [Uz; Ur], drh = dah @ Uh
+        np.multiply(dh, tmp, out=c)
+        np.matmul(dah, Uh, out=drh)
+        np.multiply(drh, hp, out=dar)
+        np.subtract(1.0, r, out=tmp)
+        tmp *= r
+        dar *= tmp
+        np.multiply(drh, r, out=tmp)
+        c += tmp
+        np.matmul(da[s, :2 * hd], U_zr, out=tmp)
+        c += tmp
+        n_carry = n
+    dW = da.T @ x
+    dU_zr = da[n0:, :2 * hd].T @ hprev[n0:]   # step 0 rows have h_prev = 0
+    db = da.sum(axis=0)
+    for i, g in enumerate(GATES):
+        rows = slice(i * hd, (i + 1) * hd)
+        grads[f"{prefix}.W{g}"] += dW[rows]
+        grads[f"{prefix}.b{g}"] += db[rows]
+    grads[f"{prefix}.Uz"] += dU_zr[:hd]
+    grads[f"{prefix}.Ur"] += dU_zr[hd:]
+    rh = np.multiply(zr[n0:, hd:], hprev[n0:], out=hc[n0:])   # hc is dead
+    grads[f"{prefix}.Uh"] += da[n0:, 2 * hd:].T @ rh
+    return np.matmul(da, W, out=ws.get("dx", S, W.shape[1]))
 
 
 def encode_sequence(params, prefix, embeddings, id_sequence):
@@ -215,9 +307,9 @@ def encode_sequence(params, prefix, embeddings, id_sequence):
     ids = list(id_sequence)
     if not ids:
         raise ConfigError("encode_sequence requires a non-empty sequence")
-    x_seq = embeddings[np.asarray(ids)][:, None, :]
-    h_seq, _ = gru_forward(params, prefix, x_seq)
-    return h_seq[-1, 0]
+    H, _ = gru_forward(params, prefix, embeddings[np.asarray(ids)],
+                       SeqLayout([len(ids)]))
+    return H[-1].copy()
 
 
 # ---------------------------------------------------------------------------

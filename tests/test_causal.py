@@ -240,6 +240,40 @@ def test_estimator_matches_per_row_formula():
     np.testing.assert_allclose(table.effect, expected, rtol=0, atol=1e-12)
 
 
+def test_batched_forward_matches_per_row_fold():
+    """The length-aware encoder on a ragged, unsorted batch gives every
+    context the distribution of a gru_step fold over its own sequence."""
+    rng = np.random.default_rng(9)
+    V = 10
+    model = causal.ConditionalModel(V, 4, TINY)
+    p = model.params
+    contexts = [causal.ConditionalContext(
+        int(rng.integers(NUM_SPECIALS, V)),
+        [int(e) for e in rng.integers(NUM_SPECIALS, V, size=n)], [], [])
+        for n in (3, 0, 7, 1, 0, 5, 2, 7, 4)]
+    got = model.distribution_batch(contexts)
+    for row, ctx in zip(got, contexts):
+        h = np.zeros((1, TINY["hidden_dim"]))
+        for e in [*ctx.in_text_history, ctx.prev_event]:
+            h, _ = K.gru_step(p, "enc", p["emb"][e], h)
+        want = K.softmax(p["A"] @ h[0])
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+
+def test_packed_batch_is_a_trimmed_row_gather():
+    contexts = [causal.ConditionalContext(3, [4, 5, 6], [1], []),
+                causal.ConditionalContext(7, [], [], [8, 9]),
+                causal.ConditionalContext(5, [4], [2, 3], [])]
+    packed = causal.PackedInstances.pack(contexts, [4, 5, 6])
+    batch = packed.take(np.array([2, 1]))
+    np.testing.assert_array_equal(batch.seq, [[4, 5], [7, 0]])
+    np.testing.assert_array_equal(batch.seq_len, [2, 1])
+    np.testing.assert_array_equal(batch.text, [[2, 3], [0, 0]])
+    np.testing.assert_array_equal(batch.oot, [[0, 0], [8, 9]])
+    np.testing.assert_array_equal(batch.targets, [6, 5])
+    assert len(batch) == 2
+
+
 def test_intervention_rows_are_distributions():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, vocab, _ = _instances_for(cbn, 40, seed=4)

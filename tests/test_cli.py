@@ -176,3 +176,22 @@ def test_bad_itable_row_exit_code(workdir, value):
     causal.InterventionTable(effect).save("t.bin")
     assert run("--config", "cfg.json", "score", "--itable", "t.bin",
                "--vocab", "v.tsv", "--target", "e1:x") == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("oot", [["q:r"]]),                 # a pair without its rating
+    ("oot", [["q:r", "4"]]),            # a rating that is not an int
+    ("oot", "q:r"),
+    ("text", "he ate"),                 # a string where a token list belongs
+    ("text", ["he", 7]),
+    ("text", []),
+])
+def test_bad_chain_field_exit_code(workdir, capsys, field, value):
+    good = {"pred": "eat", "dep": "nsubj", "fact": "pos"}
+    lines = [json.dumps({"chain_id": "c1", "events": [good, good]}),
+             json.dumps({"chain_id": "c2",
+                         "events": [good, dict(good, **{field: value})]})]
+    (workdir / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    assert run("vocab", "--input", "bad.jsonl", "--output", "v.tsv") == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not os.path.exists("v.tsv")

@@ -121,6 +121,52 @@ def test_cloze_report_defaults_and_monotone_counts():
     assert text.startswith("cutoff\t0\t50\t100\t125\t150\t200\t500\n")
 
 
+def test_cloze_ranks_each_instance_once_per_system():
+    rng = np.random.default_rng(4)
+    rank = list(range(NUM_SPECIALS, 40))
+    instances = [_mk([int(rng.integers(NUM_SPECIALS, 40))],
+                     int(rng.integers(NUM_SPECIALS, 40))) for _ in range(60)]
+    calls = {}
+
+    def counting(name, shift):
+        def ranked(context):
+            calls[name] = calls.get(name, 0) + 1
+            return [NUM_SPECIALS + (context[0] * shift + i) % 37 for i in range(37)]
+        return ranked
+
+    systems = {"a": counting("a", 1), "b": counting("b", 7)}
+    cutoffs, N = [0, 5, 17, 30, 37], 9
+    report = evaluation.run_infrequent_cloze(systems, instances, rank,
+                                             cutoffs, N)
+    assert calls == {"a": len(instances), "b": len(instances)}
+    for j, cutoff in enumerate(cutoffs):
+        kept = evaluation.filter_by_cutoff(instances, rank, cutoff)
+        assert report.counts[j] == len(kept)
+        for name, ranker in systems.items():
+            want = (evaluation.recall_at_n(ranker, kept, N) if kept
+                    else float("nan"))
+            np.testing.assert_equal(report.recalls[name][j], want)
+
+
+def test_lm_pair_scorer_runs_the_lm_once_per_predecessor():
+    class CountingLM:
+        calls = 0
+
+        def next_distribution(self, history):
+            self.calls += 1
+            dist = np.arange(1.0, 9.0) + (history[0] if history else 0)
+            return dist / dist.sum()
+
+    lm = CountingLM()
+    score = evaluation.lm_pair_scorer(lm)
+    got = [score(k, l) for l in range(3, 8) for k in range(3, 8)]
+    assert lm.calls == 1 + 5
+    start = np.log(lm.next_distribution([]))
+    want = [float(start[k]) + float(np.log(lm.next_distribution([k])[l]))
+            for l in range(3, 8) for k in range(3, 8)]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # pairwise sheets
 

@@ -250,16 +250,16 @@ def test_gru_sequence_gradients_certify():
     seq = [1, 4, 2, 5]
 
     def loss_fn(params):
-        x = params["emb"][seq][:, None, :]
-        hs, caches = K.gru_forward(params, "g", x)
-        logits = params["out"] @ hs[-1, 0]
+        layout = K.SeqLayout([len(seq)])
+        hs, cache = K.gru_forward(params, "g", params["emb"][seq], layout)
+        logits = params["out"] @ hs[-1]
         loss, dlogits = K.softmax_xent(logits, 2)
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        grads["out"] = np.outer(dlogits, hs[-1, 0])
-        dh = np.zeros((len(seq), 1, 4))
-        dh[-1, 0] = params["out"].T @ dlogits
-        dx = K.gru_backward(params, "g", caches, dh, grads)
-        np.add.at(grads["emb"], seq, dx[:, 0, :])
+        grads["out"] = np.outer(dlogits, hs[-1])
+        dh = np.zeros((len(seq), 4))
+        dh[-1] = params["out"].T @ dlogits
+        dx = K.gru_backward(params, "g", cache, dh, grads)
+        np.add.at(grads["emb"], seq, dx)
         return loss, grads
 
     assert K.finite_diff_check(loss_fn, p,
@@ -270,12 +270,66 @@ def test_masked_gru_ignores_padding():
     rng = np.random.default_rng(10)
     p = {}
     K.init_gru(rng, "g", 3, 4, p)
-    x_full = rng.normal(size=(5, 1, 3))
-    mask = np.ones((5, 1))
-    mask[:2, 0] = 0.0  # left padding
-    hs_masked, _ = K.gru_forward(p, "g", x_full, mask=mask)
-    hs_short, _ = K.gru_forward(p, "g", x_full[2:])
-    np.testing.assert_allclose(hs_masked[-1], hs_short[-1], atol=1e-14)
+    x_full = rng.normal(size=(5, 3))
+    # a length-3 sequence next to a length-5 one: the padding is never read
+    layout = K.SeqLayout([3, 5])
+    padded = np.stack([np.vstack([x_full[2:], np.full((2, 3), 9.0)]), x_full])
+    hs_padded, _ = K.gru_forward(p, "g", padded[layout.rows, layout.steps], layout)
+    hs_short, _ = K.gru_forward(p, "g", x_full[2:], K.SeqLayout([3]))
+    np.testing.assert_allclose(layout.final(hs_padded)[0], hs_short[-1], atol=1e-14)
+
+
+def _fold(p, x_seq):
+    """Per-row reference: gru_step folded over one sequence from h = 0."""
+    h = np.zeros((1, p["g.Uz"].shape[0]))
+    states = np.zeros((len(x_seq), h.shape[1]))
+    for t, x in enumerate(x_seq):
+        h, _ = K.gru_step(p, "g", x, h)
+        states[t] = h[0]
+    return states
+
+
+def test_length_aware_gru_matches_per_row_fold():
+    rng = np.random.default_rng(12)
+    p = {}
+    K.init_gru(rng, "g", 3, 5, p)
+    lengths = [2, 0, 6, 1, 4, 6, 3, 5, 0, 1]   # ragged, unsorted, some empty
+    x = rng.normal(size=(len(lengths), 6, 3))
+    layout = K.SeqLayout(lengths)
+    H, _ = K.gru_forward(p, "g", x[layout.rows, layout.steps], layout,
+                         K.Workspace())
+    final = layout.final(H)
+    for b, n in enumerate(lengths):
+        want = _fold(p, x[b, :n])
+        got = H[(layout.rows == b)]          # packed rows are in step order
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final[b], want[-1] if n else np.zeros(5),
+                                   rtol=0, atol=1e-12)
+
+
+def test_length_aware_gru_gradients_certify_on_a_ragged_batch():
+    rng = np.random.default_rng(13)
+    p = {}
+    K.init_gru(rng, "g", 3, 4, p)
+    p["emb"] = K.init_embedding(rng, 6, 3) * 5
+    p["out"] = K.init_matrix(rng, 5, 4)
+    seqs = [[1, 4], [2, 5, 0, 3], [], [5], [0, 1, 2]]
+    layout = K.SeqLayout([len(s) for s in seqs])
+    ids = np.array([seqs[b][t] for b, t in zip(layout.rows, layout.steps)])
+    ws = K.Workspace()
+
+    def loss_fn(params):
+        hs, cache = K.gru_forward(params, "g", params["emb"][ids], layout, ws)
+        logits = hs @ params["out"].T                 # a loss on every step
+        loss, dlogits = K.softmax_xent_batch(logits, ids % 5)
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads["out"] = dlogits.T @ hs
+        dx = K.gru_backward(params, "g", cache, dlogits @ params["out"], grads)
+        np.add.at(grads["emb"], ids, dx)
+        return loss, grads
+
+    assert K.finite_diff_check(loss_fn, p, max_coords=40,
+                               rng=np.random.default_rng(0)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
