@@ -17,7 +17,7 @@ import numpy as np
 from . import kernel as K
 from .corpus import ChainCorpus, chain_ids
 from .errors import ConfigError, DataFormatError
-from .events import END_ID, START_ID, Vocabulary
+from .events import END_ID, START_ID, Vocabulary, int_fields
 
 NEG_INF = float("-inf")
 
@@ -97,23 +97,29 @@ def load_counts(path, vocab: Vocabulary) -> OrderedCounts:
         header = f.readline().rstrip("\n").split("\t")
         if len(header) != 3 or header[0] != _COUNTS_HEADER_TAG:
             raise DataFormatError("missing skip-bigram counts header")
-        counts = OrderedCounts(window=int(header[1]))
+        window, total = int_fields(header[1:], "counts header")
+        counts = OrderedCounts(window)
         for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise DataFormatError(f"counts line {lineno}: expected 3 fields")
-            counts.add_pair(vocab.id_of(parts[0]), vocab.id_of(parts[1]),
-                            int(parts[2]))
-        if counts.grand_total != int(header[2]):
+            (count,) = int_fields(parts[2:], f"counts line {lineno}")
+            if count < 1:
+                raise DataFormatError(f"counts line {lineno}: count {count} "
+                                      "is not positive")
+            counts.add_pair(vocab.id_of(parts[0]), vocab.id_of(parts[1]), count)
+        if counts.grand_total != total:
             raise DataFormatError("counts header total does not match rows")
     return counts
 
 
-def pmi_pair_scorer(counts: OrderedCounts, discounted: bool = True):
-    """Pairwise score function score(e1, e2) for the eval harness."""
-    def score(e1, e2):
-        return ordered_pmi(counts, e1, e2, discounted)
-    return score
+def pmi_matrix(counts: OrderedCounts, V: int) -> np.ndarray:
+    """Dense (V, V) discounted PMI of every stored pair; -inf where a pair
+    is unseen."""
+    M = np.full((V, V), NEG_INF)
+    for (e1, e2) in counts.pair_counts:
+        M[e1, e2] = ordered_pmi(counts, e1, e2)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -287,42 +293,19 @@ def corpus_sequences(corpus: ChainCorpus, vocab: Vocabulary):
 def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
                    vocab: Vocabulary, config: dict | None = None,
                    log=None) -> EventLM:
-    """Train with Adam + early stopping; returns the best-dev checkpoint."""
+    """Train with Adam + early stopping; returns the best-dev checkpoint.
+    The dropout masks come from the rng that orders the batches."""
     train_seqs = corpus_sequences(train_corpus, vocab)
-    dev_seqs = corpus_sequences(dev_corpus, vocab)
-    if not train_seqs:
-        raise ConfigError("empty training corpus")
+    holdout = corpus_sequences(dev_corpus, vocab) or train_seqs
     lm = EventLM(len(vocab), config)
     cfg = lm.config
     rng = np.random.default_rng(cfg["seed"] + 1)
-    opt = K.AdamState(lm.params, lr=cfg["lr"], clip_norm=cfg["clip_norm"])
-    best_loss = float("inf")
-    best_params = {k: v.copy() for k, v in lm.params.items()}
-    stale = 0
-    for epoch in range(cfg["max_epochs"]):
-        order = rng.permutation(len(train_seqs))
-        for start in range(0, len(order), cfg["batch_size"]):
-            batch = [train_seqs[i] for i in order[start:start + cfg["batch_size"]]]
-            _, grads = lm.loss_and_grads(batch, dropout_rng=rng)
-            K.adam_update(opt, lm.params, grads)
-        dev_loss = lm.mean_loss(dev_seqs) if dev_seqs else lm.mean_loss(train_seqs)
-        if log:
-            log(f"lm epoch {epoch}: dev loss {dev_loss:.4f}")
-        if dev_loss < best_loss:
-            best_loss = dev_loss
-            best_params = {k: v.copy() for k, v in lm.params.items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg["patience"]:
-                break
-    lm.params = best_params
+
+    def batch_grads(idx):
+        return lm.loss_and_grads([train_seqs[i] for i in idx], dropout_rng=rng)[1]
+
+    lm.params = K.fit(lm.params, batch_grads, lambda: lm.mean_loss(holdout),
+                      len(train_seqs), cfg, cfg["lr"], rng,
+                      log=log and (lambda e, loss: log(
+                          f"lm epoch {e}: dev loss {loss:.4f}")))
     return lm
-
-
-def lm_next_distribution(lm: EventLM, history) -> np.ndarray:
-    return lm.next_distribution(history)
-
-
-def lm_chain_score(lm: EventLM, context, candidate: int) -> float:
-    return lm.chain_score(context, candidate)

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernel as K
 from .corpus import ChainCorpus, TokenVocab
 from .errors import ConfigError, DataFormatError
-from .events import NUM_SPECIALS, Vocabulary
+from .events import Vocabulary, ranked_ids
 
 DEFAULT_COND_CONFIG = {
     "emb_dim": 300,
@@ -316,35 +316,16 @@ class ConditionalModel:
 
 def _train(model: ConditionalModel, train: PackedInstances,
            dev: PackedInstances, lr, log=None, max_epochs=None):
+    """Fit ``model`` in place with early stopping on ``dev`` (on ``train``
+    when ``dev`` is empty); every call starts a fresh optimizer and rng."""
     cfg = model.config
-    if not len(train):
-        raise ConfigError("empty instance set")
-    rng = np.random.default_rng(cfg["seed"] + 1)
-    opt = K.AdamState(model.params, lr=lr, clip_norm=cfg["clip_norm"])
-    best_loss = float("inf")
-    best_params = {k: v.copy() for k, v in model.params.items()}
-    stale = 0
     holdout = dev if len(dev) else train
-    if max_epochs is None:
-        max_epochs = cfg["max_epochs"]
-    for epoch in range(max_epochs):
-        order = rng.permutation(len(train))
-        for start in range(0, len(order), cfg["batch_size"]):
-            _, grads = model.loss_and_grads(
-                train.take(order[start:start + cfg["batch_size"]]))
-            K.adam_update(opt, model.params, grads)
-        dev_loss = model.mean_loss(holdout)
-        if log:
-            log(f"conditional epoch {epoch}: dev loss {dev_loss:.4f}")
-        if dev_loss < best_loss:
-            best_loss = dev_loss
-            best_params = {k: v.copy() for k, v in model.params.items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg["patience"]:
-                break
-    model.params = best_params
+    model.params = K.fit(
+        model.params, lambda idx: model.loss_and_grads(train.take(idx))[1],
+        lambda: model.mean_loss(holdout), len(train), cfg, lr,
+        np.random.default_rng(cfg["seed"] + 1), max_epochs,
+        log and (lambda e, loss: log(f"conditional epoch {e}: "
+                                     f"dev loss {loss:.4f}")))
     return model
 
 
@@ -390,11 +371,6 @@ def finetune_with_oot(model: ConditionalModel, annotated_instances,
     annotated = PackedInstances.of(annotated_instances)
     return _train(tuned, annotated.take(order[n_dev:]),
                   annotated.take(order[:n_dev]), cfg["finetune_lr"], log=log)
-
-
-def conditional_distribution(model: ConditionalModel,
-                             context: ConditionalContext) -> np.ndarray:
-    return model.distribution(context)
 
 
 # ---------------------------------------------------------------------------
@@ -580,56 +556,34 @@ def script_score(table: InterventionTable, k: int, l: int) -> float:
     return float(table.effect[k, l] / col)
 
 
-def _excluded_ids(rank, exclude_top: int):
-    if exclude_top < 0:
-        raise ConfigError("exclude_top must be >= 0")
-    if exclude_top and rank is None:
-        raise ConfigError("exclude_top > 0 requires a frequency rank")
-    return set(rank[:exclude_top]) if exclude_top else set()
-
-
 def top_predecessors(table: InterventionTable, target: int, topk: int,
-                     exclude_top: int = 0, rank=None) -> list[int]:
-    """Events k maximizing S(k, target), skipping the most frequent ones."""
+                     exclude_top: int = 0, rank=()) -> list[int]:
+    """Events k maximizing S(k, target), skipping the ``exclude_top`` most
+    frequent ones of ``rank``."""
     S = script_score_matrix(table)
-    excluded = _excluded_ids(rank, exclude_top)
-    candidates = [k for k in range(NUM_SPECIALS, table.effect.shape[0])
-                  if k not in excluded]
-    candidates.sort(key=lambda k: (-S[k, target], k))
-    return candidates[:topk]
-
-
-def complete_chain(score_fn, context, exclude_top: int = 0, rank=None,
-                   candidates=None, vocab_size=None) -> int:
-    """argmax over candidates of the mean pairwise score against the context."""
-    if not context:
-        raise ConfigError("chain completion requires at least one context event")
-    if candidates is None:
-        if vocab_size is None:
-            raise ConfigError("need candidates or vocab_size")
-        candidates = range(NUM_SPECIALS, vocab_size)
-    excluded = _excluded_ids(rank, exclude_top)
-    best, best_score = None, -np.inf
-    for cand in candidates:
-        if cand in excluded:
-            continue
-        score = float(np.mean([score_fn(e, cand) for e in context]))
-        if score > best_score:
-            best, best_score = cand, score
-    return best
+    return ranked_ids(S[:, target], rank[:exclude_top])[:topk]
 
 
 def mean_score_ranker(score_matrix: np.ndarray, exclude_top: int = 0,
-                      rank=None):
+                      rank=()):
     """Cloze-style ranker: candidates l ordered by mean_k score[k, l] over
     the context events. Works for S matrices and dense PMI matrices."""
-    excluded = _excluded_ids(rank, exclude_top)
+    excluded = rank[:exclude_top]
+    return lambda context: ranked_ids(
+        score_matrix[np.asarray(context)].mean(axis=0), excluded)
 
-    def ranked(context):
-        scores = score_matrix[np.asarray(context)].mean(axis=0)
-        order = [l for l in range(NUM_SPECIALS, score_matrix.shape[1])
-                 if l not in excluded]
-        order.sort(key=lambda l: (-scores[l], l))
-        return order
 
-    return ranked
+def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,
+                   rank=()) -> int:
+    """The candidate with the highest mean score[k, candidate] over the
+    context events k; ties go to the lowest id."""
+    if not context:
+        raise ConfigError("chain completion requires at least one context event")
+    scores = score_matrix[np.asarray(context)].mean(axis=0)
+    ranked = ranked_ids(scores, rank[:exclude_top])
+    if not ranked:
+        raise ConfigError(f"no candidate left after excluding the "
+                          f"{exclude_top} most frequent events")
+    if not np.isfinite(scores[ranked[0]]):
+        raise ConfigError("no candidate has a finite score for this context")
+    return ranked[0]

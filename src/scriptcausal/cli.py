@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import baselines, causal, evaluation, kernel, synth
-from .corpus import (TokenVocab, build_token_vocab, build_vocab_from,
-                     load_chains, split_corpus, write_chains)
+from .corpus import (build_token_vocab, build_vocab_from, load_chains,
+                     split_corpus, write_chains)
 from .errors import ConfigError, DataFormatError, NumericalError
-from .events import NUM_SPECIALS, Vocabulary, frequency_rank
+from .events import Vocabulary, frequency_rank
 
 DEFAULTS = {
     "seed": 0,
@@ -62,12 +62,6 @@ DEFAULTS = {
     "factual_only": False,
 }
 
-COMMANDS = ("ingest", "split", "vocab", "count-pmi", "train-lm", "train-cond",
-            "finetune-cond", "estimate-do", "score", "complete", "synth",
-            "oracle", "cloze", "sheet", "score-summary", "diversity",
-            "gradcheck")
-
-
 class RunConfig:
     """Effective settings: CLI > config file > defaults."""
 
@@ -88,6 +82,10 @@ class RunConfig:
         for key, value in (overrides or {}).items():
             if value is not None:
                 self.values[key] = value
+        exclude_top = self.values["exclude_top"]
+        if not isinstance(exclude_top, int) or exclude_top < 0:
+            raise ConfigError(f"exclude_top must be an integer >= 0, "
+                              f"got {exclude_top!r}")
 
     def __getitem__(self, key):
         return self.values[key]
@@ -255,17 +253,11 @@ def cmd_complete(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
     context = [vocab.id_of(k) for k in args.context]
-    if args.itable:
-        table = causal.InterventionTable.load(_require(args.itable, "intervention table"))
-        S = causal.script_score_matrix(table)
-        score_fn = lambda k, l: S[k, l]
-    elif args.counts:
-        counts = baselines.load_counts(_require(args.counts, "PMI counts file"), vocab)
-        score_fn = baselines.pmi_pair_scorer(counts)
-    else:
+    matrices = _score_matrices(args, vocab)
+    if not matrices:
         raise ConfigError("complete requires --itable or --counts")
-    choice = causal.complete_chain(score_fn, context, cfg["exclude_top"], rank,
-                                   vocab_size=len(vocab))
+    choice = causal.complete_chain(next(iter(matrices.values())), context,
+                                   cfg["exclude_top"], rank)
     print(vocab.key_of(choice))
     return []
 
@@ -288,21 +280,28 @@ def cmd_oracle(cfg, args):
     return [args.output]
 
 
-def _cloze_systems(cfg, args, vocab, rank):
-    systems = {}
-    if args.lm:
-        lm = baselines.EventLM.load(_require(args.lm, "LM model file"))
-        systems["lm"] = evaluation.lm_ranker(lm)
+def _score_matrices(args, vocab):
+    """Dense pair-score matrices of the systems given by --itable (causal)
+    and --counts (pmi)."""
+    matrices = {}
     if args.itable:
         table = causal.InterventionTable.load(_require(args.itable, "intervention table"))
-        S = causal.script_score_matrix(table)
-        systems["causal"] = causal.mean_score_ranker(S)
+        matrices["causal"] = causal.script_score_matrix(table)
     if args.counts:
         counts = baselines.load_counts(_require(args.counts, "PMI counts file"), vocab)
-        M = np.full((len(vocab), len(vocab)), -np.inf)
-        for (e1, e2) in counts.pair_counts:
-            M[e1, e2] = baselines.ordered_pmi(counts, e1, e2)
-        systems["pmi"] = causal.mean_score_ranker(M)
+        matrices["pmi"] = baselines.pmi_matrix(counts, len(vocab))
+    return matrices
+
+
+def _systems(args, vocab, lm_system, matrix_system):
+    """The systems named on the command line, in the order lm, causal,
+    pmi: ``lm_system(lm)`` for the LM, ``matrix_system(M)`` for the others."""
+    systems = {}
+    if args.lm:
+        systems["lm"] = lm_system(
+            baselines.EventLM.load(_require(args.lm, "LM model file")))
+    for name, M in _score_matrices(args, vocab).items():
+        systems[name] = matrix_system(M)
     if not systems:
         raise ConfigError("no systems given: pass --lm, --itable, and/or --counts")
     return systems
@@ -312,7 +311,8 @@ def cmd_cloze(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
     corpus = load_chains(_require(args.corpus, "test chain file"))
-    systems = _cloze_systems(cfg, args, vocab, rank)
+    systems = _systems(args, vocab, evaluation.lm_ranker,
+                       causal.mean_score_ranker)
     instances = evaluation.make_cloze_set(corpus, vocab, cfg["cloze_count"],
                                           cfg["seed"])
     report = evaluation.run_infrequent_cloze(systems, instances, rank,
@@ -324,19 +324,8 @@ def cmd_cloze(cfg, args):
 def cmd_sheet(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
-    systems = {}
-    if args.lm:
-        lm = baselines.EventLM.load(_require(args.lm, "LM model file"))
-        systems["lm"] = evaluation.lm_pair_scorer(lm)
-    if args.itable:
-        table = causal.InterventionTable.load(_require(args.itable, "intervention table"))
-        S = causal.script_score_matrix(table)
-        systems["causal"] = lambda k, l: S[k, l]
-    if args.counts:
-        counts = baselines.load_counts(_require(args.counts, "PMI counts file"), vocab)
-        systems["pmi"] = baselines.pmi_pair_scorer(counts)
-    if not systems:
-        raise ConfigError("no systems given: pass --lm, --itable, and/or --counts")
+    systems = _systems(args, vocab, evaluation.lm_pair_scorer,
+                       lambda M: lambda k, l: M[k, l])
     rng = np.random.default_rng(cfg["seed"])
     pool = [i for i in vocab.event_ids()]
     n_targets = min(cfg["sheet_targets"], len(pool))
@@ -396,21 +385,24 @@ def cmd_diversity(cfg, args):
     return []
 
 
-def cmd_gradcheck(cfg, args):
-    rng = np.random.default_rng(cfg["seed"])
+def gradient_errors(seed) -> dict:
+    """Worst relative finite-difference gradient error of the 2-layer event
+    LM and of the conditional model in each text mode and phase, on small
+    models and random batches drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
     results = {}
     lm = baselines.EventLM(10, {"emb_dim": 6, "hidden_dim": 7, "num_layers": 2,
-                                "dropout": 0.0, "seed": cfg["seed"]})
+                                "dropout": 0.0, "seed": seed})
     seqs = [list(rng.integers(3, 10, size=rng.integers(1, 6))) for _ in range(10)]
     inputs, targets, mask = lm._pad_batch(seqs)
     results["event-lm"] = kernel.finite_diff_check(
         lambda p: lm._loss_and_grads(p, inputs, targets, mask), lm.params,
-        rng=np.random.default_rng(cfg["seed"]))
+        rng=np.random.default_rng(seed))
     for mode in ("mean", "cnn"):
         for phase in ("pretrained", "finetuned"):
             m = causal.ConditionalModel(
                 12, 7, {"emb_dim": 5, "hidden_dim": 8, "text_mode": mode,
-                        "seed": cfg["seed"]}, phase=phase)
+                        "seed": seed}, phase=phase)
             if phase == "finetuned":
                 m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * 0.1
             batch = []
@@ -425,14 +417,15 @@ def cmd_gradcheck(cfg, args):
             tgts = [t for t, _ in batch]
             results[f"conditional-{mode}-{phase}"] = kernel.finite_diff_check(
                 lambda p: m._loss_and_grads(p, ctxs, tgts), m.params,
-                rng=np.random.default_rng(cfg["seed"]))
-    failed = False
+                rng=np.random.default_rng(seed))
+    return results
+
+
+def cmd_gradcheck(cfg, args):
+    results = gradient_errors(cfg["seed"])
     for name, err in results.items():
-        status = "ok" if err < 1e-4 else "FAIL"
-        if err >= 1e-4:
-            failed = True
-        print(f"{name}\t{err:.3e}\t{status}")
-    if failed:
+        print(f"{name}\t{err:.3e}\t{'ok' if err < 1e-4 else 'FAIL'}")
+    if not all(err < 1e-4 for err in results.values()):
         raise NumericalError("gradient check exceeded 1e-4 relative error")
     return []
 
@@ -603,6 +596,9 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        print(f"error: {e.strerror}: {e.filename}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import ChainCorpus, chain_ids
 from .errors import ConfigError, DataFormatError
-from .events import NUM_SPECIALS, Vocabulary
+from .events import NUM_SPECIALS, Vocabulary, ranked_ids
 
 DEFAULT_CUTOFFS = (0, 50, 100, 125, 150, 200, 500)
 DEFAULT_RECALL_N = 100
@@ -140,18 +140,19 @@ def pairwise_sheet(systems: dict, targets, vocab: Vocabulary, rank,
     Rows carry the system identity in a hidden key column. Returns a list of
     row dicts; see ``sheet_to_tsv``.
     """
-    excluded = set(rank[:exclude_top]) if exclude_top else set()
+    excluded = set(rank[:exclude_top])
     rng = np.random.default_rng(seed)
     rows = []
     for task_id, target in enumerate(targets):
         task_rows = []
-        for name, score_fn in systems.items():
-            scored = [(k, score_fn(k, target))
-                      for k in range(NUM_SPECIALS, len(vocab))
+        candidates = [k for k in range(NUM_SPECIALS, len(vocab))
                       if k not in excluded and k != target]
-            scored = [(k, s) for k, s in scored if np.isfinite(s)]
-            scored.sort(key=lambda p: (-p[1], p[0]))
-            picks = [k for k, _ in scored[:per_system]]
+        for name, score_fn in systems.items():
+            scores = np.full(len(vocab), -np.inf)
+            for k in candidates:
+                scores[k] = score_fn(k, target)
+            unranked = np.flatnonzero(~np.isfinite(scores))
+            picks = ranked_ids(scores, unranked)[:per_system]
             for k in picks:
                 task_rows.append({"task_id": task_id,
                                   "target_event": vocab.key_of(target),
@@ -274,18 +275,9 @@ def diversity_report(emissions: dict[str, list]) -> dict[str, DiversityStats]:
 # rankers
 
 
-def lm_ranker(lm, exclude_top: int = 0, rank=None):
+def lm_ranker(lm):
     """Ranked candidate list from the LM's next-event distribution."""
-    excluded = set(rank[:exclude_top]) if exclude_top else set()
-
-    def ranked(context):
-        dist = lm.next_distribution(context)
-        order = [l for l in range(NUM_SPECIALS, dist.shape[0])
-                 if l not in excluded]
-        order.sort(key=lambda l: (-dist[l], l))
-        return order
-
-    return ranked
+    return lambda context: ranked_ids(lm.next_distribution(context))
 
 
 def lm_pair_scorer(lm):

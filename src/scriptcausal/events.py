@@ -1,4 +1,5 @@
-"""Atomic event types, vocabulary interning, and frequency statistics.
+"""Atomic event types, vocabulary interning, frequency statistics, and the
+candidate ranking that every system shares.
 
 An atomic event is a (predicate lemma, dependency relation) pair. Its
 canonical string key is ``predicate + ":" + relation``. Factuality is a
@@ -9,6 +10,8 @@ of event identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, DataFormatError
 
@@ -34,6 +37,15 @@ def _check_field(name, value):
         raise ConfigError(f"event {name} {value!r} contains reserved ':'")
     if any(c.isspace() for c in value):
         raise ConfigError(f"event {name} {value!r} contains whitespace")
+
+
+def int_fields(fields, where: str) -> list[int]:
+    """The integer values of a TSV line's numeric fields; ``where`` names
+    the file and line for the error."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError as e:
+        raise DataFormatError(f"{where}: expected integers, got {fields}") from e
 
 
 @dataclass(frozen=True)
@@ -168,7 +180,7 @@ class Vocabulary:
         if len(header) != 3:
             raise DataFormatError("malformed vocabulary header")
         out = Vocabulary()
-        out.min_count = int(header[2])
+        num_events, out.min_count = int_fields(header[1:], "vocabulary header")
         out._id_to_key = []
         out._key_to_id = {}
         out._counts = []
@@ -176,7 +188,8 @@ class Vocabulary:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataFormatError(f"vocabulary line {lineno}: expected 3 fields")
-            key, idx, count = parts[0], int(parts[1]), int(parts[2])
+            key = parts[0]
+            idx, count = int_fields(parts[1:], f"vocabulary line {lineno}")
             if idx != len(out._id_to_key):
                 raise DataFormatError(f"vocabulary line {lineno}: non-dense id {idx}")
             out._key_to_id[key] = idx
@@ -184,7 +197,7 @@ class Vocabulary:
             out._counts.append(count)
         if tuple(out._id_to_key[:NUM_SPECIALS]) != SPECIAL_KEYS:
             raise DataFormatError("vocabulary must list special keys first")
-        if int(header[1]) != out.num_events:
+        if num_events != out.num_events:
             raise DataFormatError("vocabulary header |E| does not match rows")
         out._frozen = True
         return out
@@ -195,18 +208,19 @@ class Vocabulary:
             return Vocabulary.from_tsv(f.read())
 
 
-def intern_event(vocab: Vocabulary, predicate: str, relation: str) -> int:
-    return vocab.intern(predicate, relation)
-
-
-def finalize_vocab(vocab: Vocabulary, min_count: int) -> Vocabulary:
-    return vocab.finalize(min_count)
+def ranked_ids(scores, excluded=()) -> list[int]:
+    """Ids >= NUM_SPECIALS of a score vector, highest score first and ties
+    by ascending id, leaving out ``excluded``. Scores must not be NaN."""
+    order = np.argsort(-np.asarray(scores, dtype=float)[NUM_SPECIALS:],
+                       kind="stable") + NUM_SPECIALS
+    excluded = np.fromiter(excluded, dtype=np.intp)
+    if excluded.size:
+        order = order[~np.isin(order, excluded)]
+    return order.tolist()
 
 
 def frequency_rank(vocab: Vocabulary) -> list[int]:
     """Non-special ids sorted by descending count, ties by ascending id."""
     if not vocab.frozen:
         raise ConfigError("frequency_rank requires a finalized vocabulary")
-    ids = list(vocab.event_ids())
-    ids.sort(key=lambda i: (-vocab.count_of(i), i))
-    return ids
+    return ranked_ids(vocab._counts)

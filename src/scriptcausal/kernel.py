@@ -302,16 +302,6 @@ def gru_backward(params, prefix, cache, dh_out, grads):
     return np.matmul(da, W, out=ws.get("dx", S, W.shape[1]))
 
 
-def encode_sequence(params, prefix, embeddings, id_sequence):
-    """Final GRU hidden state over the embeddings of one id sequence."""
-    ids = list(id_sequence)
-    if not ids:
-        raise ConfigError("encode_sequence requires a non-empty sequence")
-    H, _ = gru_forward(params, prefix, embeddings[np.asarray(ids)],
-                       SeqLayout([len(ids)]))
-    return H[-1].copy()
-
-
 # ---------------------------------------------------------------------------
 # text encoders
 
@@ -328,21 +318,6 @@ def init_cnn(rng, prefix, emb_dim, out_dim, params, filters=None):
     params[f"{prefix}.proj.W"] = init_matrix(rng, out_dim, filters * len(CNN_WINDOWS))
     params[f"{prefix}.proj.b"] = np.zeros(out_dim)
     return params
-
-
-def encode_text_mean(embeddings, token_ids):
-    """Mean of token embeddings; zero vector for an empty token list."""
-    if len(token_ids) == 0:
-        return np.zeros(embeddings.shape[1]), None
-    ids = np.asarray(list(token_ids))
-    return embeddings[ids].mean(axis=0), ids
-
-
-def encode_text_mean_backward(d_out, cache, d_embeddings):
-    if cache is None:
-        return
-    ids = cache
-    np.add.at(d_embeddings, ids, np.tile(d_out / len(ids), (len(ids), 1)))
 
 
 def encode_text_cnn(params, prefix, embeddings, token_ids):
@@ -408,17 +383,6 @@ def encode_text_cnn_backward(params, prefix, d_out, cache, grads, d_embeddings):
         np.add.at(d_embeddings, ids, dX)
 
 
-def encode_text(mode, embeddings, token_ids, params=None, prefix="text_cnn"):
-    """Unified text-encoder entry point. Returns the encoded vector only."""
-    if mode == "mean":
-        vec, _ = encode_text_mean(embeddings, token_ids)
-        return vec
-    if mode == "cnn":
-        vec, _ = encode_text_cnn(params, prefix, embeddings, token_ids)
-        return vec
-    raise ConfigError(f"unknown text-encoder mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -462,6 +426,43 @@ def adam_update(state: AdamState, params, grads):
         v_hat = state.v[name] / (1 - b2 ** t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return params, state
+
+
+def fit(params, batch_grads, holdout_loss, n, cfg, lr, rng, max_epochs=None,
+        log=None):
+    """Adam with early stopping; returns a copy of the best-holdout params.
+
+    Each epoch permutes the ``n`` training items with ``rng`` and updates
+    ``params`` in place with ``batch_grads(index_array)``, one call per
+    batch of ``cfg["batch_size"]``; ``batch_grads`` may draw from ``rng``
+    too. ``holdout_loss()`` is evaluated after every epoch, and training
+    stops after ``cfg["patience"]`` epochs without improvement or after
+    ``max_epochs`` (default ``cfg["max_epochs"]``). ``log(epoch, loss)``
+    is called once per epoch.
+    """
+    if not n:
+        raise ConfigError("empty training set")
+    opt = AdamState(params, lr=lr, clip_norm=cfg["clip_norm"])
+    best_loss = float("inf")
+    best_params = {k: v.copy() for k, v in params.items()}
+    stale = 0
+    batch_size = cfg["batch_size"]
+    for epoch in range(cfg["max_epochs"] if max_epochs is None else max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            adam_update(opt, params, batch_grads(order[start:start + batch_size]))
+        loss = holdout_loss()
+        if log:
+            log(epoch, loss)
+        if loss < best_loss:
+            best_loss = loss
+            best_params = {k: v.copy() for k, v in params.items()}
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg["patience"]:
+                break
+    return best_params
 
 
 # ---------------------------------------------------------------------------

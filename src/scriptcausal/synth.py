@@ -215,19 +215,6 @@ def build_fixture(name: str) -> SyntheticCBN:
     return SyntheticCBN.from_dict(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def exact_do_distribution(cbn: SyntheticCBN, k) -> np.ndarray:
-    return cbn.exact_do_distribution(k)
-
-
-def exact_conditional(cbn: SyntheticCBN, k, position: int) -> np.ndarray:
-    return cbn.exact_conditional(k, position)
-
-
-def sample_chains(cbn: SyntheticCBN, n: int, seed: int,
-                  annotate_scenario: bool = False) -> ChainCorpus:
-    return cbn.sample_chains(n, seed, annotate_scenario)
-
-
 def build_zipf_cbn(num_filler: int = 40, num_scenarios: int = 12,
                    events_per_scenario: int = 25, chain_length: int = 10,
                    filler_prob: float = 0.55, lam: float = 0.05,

@@ -141,39 +141,10 @@ def test_criterion_3_no_confounder_agreement():
 
 
 def test_criterion_4_gradient_certification():
-    rng = np.random.default_rng(0)
-    results = {}
-
-    lm = baselines.EventLM(10, {"emb_dim": 6, "hidden_dim": 7,
-                                "num_layers": 2, "dropout": 0.0, "seed": 0})
-    seqs = [list(rng.integers(3, 10, size=rng.integers(1, 6)))
-            for _ in range(10)]
-    inputs, targets, mask = lm._pad_batch(seqs)
-    results["event-lm"] = kernel.finite_diff_check(
-        lambda p: lm._loss_and_grads(p, inputs, targets, mask), lm.params,
-        rng=np.random.default_rng(0))
-
-    for mode in ("mean", "cnn"):
-        for phase in ("pretrained", "finetuned"):
-            m = causal.ConditionalModel(
-                12, 7, {"emb_dim": 5, "hidden_dim": 8, "text_mode": mode,
-                        "seed": 0}, phase=phase)
-            if phase == "finetuned":
-                m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * 0.1
-            batch = []
-            for _ in range(10):
-                ctx = causal.ConditionalContext(
-                    int(rng.integers(3, 12)),
-                    list(rng.integers(3, 12, size=rng.integers(0, 6))),
-                    list(rng.integers(0, 7, size=rng.integers(0, 5))),
-                    list(rng.integers(3, 12, size=rng.integers(0, 3))))
-                batch.append((int(rng.integers(3, 12)), ctx))
-            ctxs = [c for _, c in batch]
-            tgts = [t for t, _ in batch]
-            results[f"conditional-{mode}-{phase}"] = kernel.finite_diff_check(
-                lambda p: m._loss_and_grads(p, ctxs, tgts), m.params,
-                rng=np.random.default_rng(0))
-
+    results = cli.gradient_errors(0)
+    assert set(results) == {"event-lm"} | {
+        f"conditional-{mode}-{phase}" for mode in ("mean", "cnn")
+        for phase in ("pretrained", "finetuned")}
     for name, err in results.items():
         assert err < 1e-4, f"{name}: max relative gradient error {err:.3e}"
     worst = max(results.values())

@@ -145,6 +145,17 @@ TINY_LM = {"emb_dim": 12, "hidden_dim": 16, "num_layers": 2, "dropout": 0.0,
            "max_epochs": 60, "seed": 0}
 
 
+def test_pmi_matrix_holds_ordered_pmi_of_every_pair():
+    counts = _fixture_counts()
+    V = 6
+    M = baselines.pmi_matrix(counts, V)
+    for e1 in range(V):
+        for e2 in range(V):
+            want = baselines.ordered_pmi(counts, e1, e2)
+            assert M[e1, e2] == want
+            assert (want == -math.inf) == ((e1, e2) not in counts.pair_counts)
+
+
 def _memorization_corpus(pattern, n=40):
     preds = sorted(set(pattern))
     id_chains = [[preds.index(p) + NUM_SPECIALS for p in pattern]] * n

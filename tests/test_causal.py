@@ -368,23 +368,21 @@ def test_top_predecessors_argmax_and_exclusion():
 def test_complete_chain_permutation_invariant():
     rng = np.random.default_rng(9)
     S = rng.random((8, 8))
-    pick1 = causal.complete_chain(lambda k, l: S[k, l], [3, 4, 5],
-                                  vocab_size=8)
-    pick2 = causal.complete_chain(lambda k, l: S[k, l], [5, 3, 4],
-                                  vocab_size=8)
+    pick1 = causal.complete_chain(S, [3, 4, 5])
+    pick2 = causal.complete_chain(S, [5, 3, 4])
     assert pick1 == pick2
 
 
 def test_complete_chain_single_context_matches_argmax():
     rng = np.random.default_rng(10)
     S = rng.random((8, 8))
-    pick = causal.complete_chain(lambda k, l: S[k, l], [4], vocab_size=8)
+    pick = causal.complete_chain(S, [4])
     assert pick == NUM_SPECIALS + int(np.argmax(S[4, NUM_SPECIALS:]))
 
 
 def test_complete_chain_requires_context():
     with pytest.raises(ConfigError):
-        causal.complete_chain(lambda k, l: 0.0, [], vocab_size=8)
+        causal.complete_chain(np.zeros((8, 8)), [])
 
 
 @settings(max_examples=30, deadline=None)

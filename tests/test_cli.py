@@ -195,3 +195,62 @@ def test_bad_chain_field_exit_code(workdir, capsys, field, value):
     assert run("vocab", "--input", "bad.jsonl", "--output", "v.tsv") == 2
     assert "line 2" in capsys.readouterr().err
     assert not os.path.exists("v.tsv")
+
+
+def _counts(workdir, fixture="F-DET"):
+    run("synth", "--fixture", fixture, "--n", "40", "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl",
+        "--output", "v.tsv")
+    run("--config", "cfg.json", "count-pmi", "--input", "c.jsonl",
+        "--vocab", "v.tsv", "--output", "cnt.tsv")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--exclude-top", "20", "eat_popcorn:nsubj"], "no candidate left"),
+    (["--exclude-top", "0", "nosuch:nsubj"], "no candidate has a finite score"),
+])
+def test_complete_without_a_candidate_is_a_config_error(workdir, capsys, argv,
+                                                        message):
+    _counts(workdir, "F-POPCORN")
+    capsys.readouterr()
+    assert run("complete", "--vocab", "v.tsv", "--counts", "cnt.tsv",
+               *argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, lineno, field, value, where", [
+    ("v.tsv", 1, 1, "eight", "vocabulary header"),    # |E|
+    ("v.tsv", 1, 2, "1.0", "vocabulary header"),      # min count
+    ("v.tsv", 5, 1, "x", "vocabulary line 5"),        # id
+    ("v.tsv", 5, 2, "7.5", "vocabulary line 5"),      # count
+    ("cnt.tsv", 1, 1, "two", "counts header"),        # window
+    ("cnt.tsv", 1, 2, "many", "counts header"),       # grand total
+    ("cnt.tsv", 3, 2, "1.5", "counts line 3"),        # pair count
+    ("cnt.tsv", 3, 2, "-2", "counts line 3"),         # a count below 1
+])
+def test_bad_integer_field_exit_code(workdir, capsys, name, lineno, field,
+                                     value, where):
+    _counts(workdir)
+    lines = (workdir / name).read_text().splitlines()
+    parts = lines[lineno - 1].split("\t")
+    parts[field] = value
+    lines[lineno - 1] = "\t".join(parts)
+    (workdir / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("complete", "--vocab", "v.tsv", "--counts", "cnt.tsv",
+               "step1:nsubj") == 2
+    assert where in capsys.readouterr().err
+
+
+def test_output_in_missing_directory_exit_code(workdir, capsys):
+    out = os.path.join("no_such_dir", "c.jsonl")
+    assert run("synth", "--fixture", "F-DET", "--n", "2",
+               "--output", out) == 1
+    assert out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-1, "3", None])
+def test_bad_exclude_top_rejected(workdir, value):
+    (workdir / "bad.json").write_text(json.dumps({"exclude_top": value}))
+    assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
+               "--n", "2", "--output", "c.jsonl") == 1

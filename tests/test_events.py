@@ -1,11 +1,13 @@
 """Event types, vocabulary interning, and frequency ranking."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import (END_ID, NUM_SPECIALS, START_ID, UNK_ID,
-                                 EventType, Vocabulary, frequency_rank)
+                                 EventType, Vocabulary, frequency_rank,
+                                 ranked_ids)
 
 
 def test_event_key_combines_predicate_and_relation():
@@ -123,3 +125,12 @@ def test_interned_counts_match_occurrences(preds):
     frozen = v.finalize(1)
     for p in set(preds):
         assert frozen.count_of(frozen.id_of(f"{p}:x")) == preds.count(p)
+
+
+@given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf]),
+                min_size=NUM_SPECIALS, max_size=12),
+       st.sets(st.integers(0, 14), max_size=5))
+def test_ranked_ids_orders_by_score_then_id(scores, excluded):
+    want = sorted((i for i in range(NUM_SPECIALS, len(scores))
+                   if i not in excluded), key=lambda i: (-scores[i], i))
+    assert ranked_ids(np.array(scores), excluded) == want

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scriptcausal.kernel as K
+from scriptcausal.causal import _mean_of_sets
 from scriptcausal.errors import DataFormatError, NumericalError
 
 
@@ -71,13 +72,19 @@ def test_gru_matches_scalar_reference():
     np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
 
 
+def _final_state(p, emb, ids):
+    """Final GRU state over the embeddings of one id sequence."""
+    H, _ = K.gru_forward(p, "g", emb[ids], K.SeqLayout([len(ids)]))
+    return H[-1]
+
+
 def test_encode_sequence_order_sensitive():
     rng = np.random.default_rng(1)
     p = {}
     K.init_gru(rng, "g", 5, 6, p)
     emb = rng.normal(size=(10, 5))
-    a = K.encode_sequence(p, "g", emb, [3, 4, 5])
-    b = K.encode_sequence(p, "g", emb, [5, 4, 3])
+    a = _final_state(p, emb, [3, 4, 5])
+    b = _final_state(p, emb, [5, 4, 3])
     assert not np.allclose(a, b)
 
 
@@ -87,19 +94,19 @@ def test_encode_sequence_single_step_from_zero_state():
     K.init_gru(rng, "g", 5, 6, p)
     emb = rng.normal(size=(10, 5))
     direct, _ = K.gru_step(p, "g", emb[7], np.zeros(6))
-    np.testing.assert_array_equal(K.encode_sequence(p, "g", emb, [7]), direct[0])
+    np.testing.assert_array_equal(_final_state(p, emb, [7]), direct[0])
 
 
 def test_mean_encoder_identical_tokens():
     emb = np.arange(12, dtype=float).reshape(4, 3)
-    vec, _ = K.encode_text_mean(emb, [2, 2])
-    np.testing.assert_array_equal(vec, emb[2])
+    vec, _ = _mean_of_sets(emb, np.array([[2, 2]]), np.array([2]))
+    np.testing.assert_array_equal(vec[0], emb[2])
 
 
 def test_mean_encoder_empty_is_zero():
     emb = np.ones((4, 3))
-    vec, _ = K.encode_text_mean(emb, [])
-    np.testing.assert_array_equal(vec, np.zeros(3))
+    vec, _ = _mean_of_sets(emb, np.zeros((1, 0), dtype=int), np.array([0]))
+    np.testing.assert_array_equal(vec[0], np.zeros(3))
 
 
 def test_cnn_single_token_matches_scalar_reference():
@@ -212,6 +219,41 @@ def test_adam_rejects_nonfinite():
     state = K.AdamState(params, lr=0.001, clip_norm=10.0)
     with pytest.raises(NumericalError):
         K.adam_update(state, params, {"w": np.array([np.nan])})
+
+
+def test_fit_stops_after_patience_and_returns_best_params():
+    # training pulls w towards 1; the holdout loss is lowest near w = 0.3
+    params = {"w": np.array([0.0])}
+    seen = []
+
+    def log(epoch, loss):
+        seen.append((loss, params["w"][0]))
+
+    cfg = {"batch_size": 1, "patience": 2, "max_epochs": 50, "clip_norm": 10.0}
+    best = K.fit(params, lambda idx: {"w": 2.0 * (params["w"] - 1.0)},
+                 lambda: float((params["w"][0] - 0.3) ** 2), 1, cfg, 0.1,
+                 np.random.default_rng(0), log=log)
+    losses = [loss for loss, _ in seen]
+    best_epoch = int(np.argmin(losses))
+    assert len(seen) == best_epoch + 1 + cfg["patience"] < cfg["max_epochs"]
+    assert all(loss >= losses[best_epoch] for loss in losses[best_epoch + 1:])
+    assert best["w"][0] == seen[best_epoch][1] != params["w"][0]
+
+
+def test_fit_batches_every_item_once_per_epoch_up_to_max_epochs():
+    params = {"w": np.array([0.0])}
+    batches = []
+
+    def batch_grads(idx):
+        batches.append(sorted(idx))
+        return {"w": params["w"] - 1.0}
+
+    # the holdout loss improves every epoch, so only max_epochs stops it
+    cfg = {"batch_size": 2, "patience": 3, "max_epochs": 4, "clip_norm": 10.0}
+    K.fit(params, batch_grads, lambda: -float(params["w"][0]), 5, cfg, 0.1,
+          np.random.default_rng(0), max_epochs=2)
+    assert [len(b) for b in batches] == [2, 2, 1] * 2
+    assert sorted(sum(batches[:3], [])) == list(range(5))
 
 
 # ---------------------------------------------------------------------------
