@@ -195,8 +195,9 @@ class ConditionalModel:
 
     def _encode(self, params, ids, lengths):
         """Final encoder states (B, h) over right-padded id sequences (zeros
-        for an empty one), and the cache for the backward pass."""
-        layout = K.SeqLayout(lengths)
+        for an empty one), and the cache for the backward pass. Sequences
+        that share a prefix share its GRU rows."""
+        layout = K.SeqLayout(lengths, ids)
         x_ids = ids[layout.rows, layout.steps]
         H, cache = K.gru_forward(params, "enc", params["emb"][x_ids], layout,
                                  self._ws)
@@ -264,11 +265,12 @@ class ConditionalModel:
                 K.encode_text_cnn_backward(params, "text_cnn", d_vt[b], c,
                                            grads, grads["text_emb"])
 
-        # history encoder: the gradient enters at each sequence's last step
+        # the gradient enters at each sequence's last row; shared rows add up
         x_ids, layout, gru_cache = enc_cache
         dh_out = self._ws.get("dh_out", len(x_ids), self.config["hidden_dim"])
         dh_out.fill(0.0)
-        dh_out[layout.last] = d_ve
+        live = layout.lengths > 0
+        np.add.at(dh_out, layout.last[live], d_ve[live])
         dx = K.gru_backward(params, "enc", gru_cache, dh_out, grads)
         np.add.at(grads["emb"], x_ids, dx)
         return loss, grads

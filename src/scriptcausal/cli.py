@@ -62,6 +62,21 @@ DEFAULTS = {
     "factual_only": False,
 }
 
+
+def _has_type_of(value, default) -> bool:
+    """Whether ``value`` may stand where ``default`` does: bools are not
+    numbers, and an int may stand for a float. A None default stands for
+    ``lr_schedule``: None or a list of [lr, epochs] pairs."""
+    if default is None:
+        return value is None or isinstance(value, list) and all(
+            isinstance(s, list) and len(s) == 2 and _has_type_of(s[0], 0.0)
+            and _has_type_of(s[1], 0) for s in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float)
+                      else type(default))
+
+
 class RunConfig:
     """Effective settings: CLI > config file > defaults."""
 
@@ -75,6 +90,8 @@ class RunConfig:
                     loaded = json.load(f)
                 except json.JSONDecodeError as e:
                     raise DataFormatError(f"config file is not valid JSON: {e}") from e
+            if not isinstance(loaded, dict):
+                raise DataFormatError("config file must hold one JSON object")
             for key, value in loaded.items():
                 if key not in DEFAULTS:
                     raise ConfigError(f"unknown config key {key!r}")
@@ -82,10 +99,14 @@ class RunConfig:
         for key, value in (overrides or {}).items():
             if value is not None:
                 self.values[key] = value
-        exclude_top = self.values["exclude_top"]
-        if not isinstance(exclude_top, int) or exclude_top < 0:
+        for key, value in self.values.items():
+            if not _has_type_of(value, DEFAULTS[key]):
+                want = ("null or a list of [lr, epochs] pairs" if key == "lr_schedule"
+                        else type(DEFAULTS[key]).__name__)
+                raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+        if self.values["exclude_top"] < 0:
             raise ConfigError(f"exclude_top must be an integer >= 0, "
-                              f"got {exclude_top!r}")
+                              f"got {self.values['exclude_top']!r}")
 
     def __getitem__(self, key):
         return self.values[key]
@@ -116,16 +137,6 @@ def _load_cbn(args):
         return synth.build_fixture(args.fixture)
     path = _require(args.cbn, "CBN spec file")
     return synth.SyntheticCBN.load(path)
-
-
-def _cond_config(cfg: RunConfig, seed):
-    return {"emb_dim": cfg["emb_dim"], "hidden_dim": cfg["hidden_dim"],
-            "text_mode": cfg["text_mode"], "history_window": cfg["history_window"],
-            "oot_threshold": cfg["oot_threshold"], "lr": cfg["lr"],
-            "lr_schedule": cfg["lr_schedule"], "finetune_lr": cfg["finetune_lr"],
-            "clip_norm": cfg["clip_norm"], "batch_size": cfg["batch_size"],
-            "patience": cfg["patience"], "max_epochs": cfg["max_epochs"],
-            "seed": seed}
 
 
 def _instances(corpus_path, vocab, cfg, with_tokens=False):
@@ -192,7 +203,8 @@ def cmd_train_cond(cfg, args):
     dev_inst, _ = _instances(_require(args.dev, "dev chain file"), vocab, cfg)
     model = causal.train_conditional(
         train_inst, dev_inst, len(vocab), len(token_vocab),
-        _cond_config(cfg, cfg["seed"]), log=lambda m: print(m, file=sys.stderr))
+        {key: cfg[key] for key in causal.DEFAULT_COND_CONFIG},
+        log=lambda m: print(m, file=sys.stderr))
     model.save(args.output)
     return [args.output]
 
@@ -253,11 +265,11 @@ def cmd_complete(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
     context = [vocab.id_of(k) for k in args.context]
-    matrices = _score_matrices(args, vocab)
-    if not matrices:
-        raise ConfigError("complete requires --itable or --counts")
-    choice = causal.complete_chain(next(iter(matrices.values())), context,
-                                   cfg["exclude_top"], rank)
+    if bool(args.itable) == bool(args.counts):
+        raise ConfigError("complete answers from one system: pass either "
+                          "--itable or --counts")
+    (matrix,) = _score_matrices(args, vocab).values()
+    choice = causal.complete_chain(matrix, context, cfg["exclude_top"], rank)
     print(vocab.key_of(choice))
     return []
 

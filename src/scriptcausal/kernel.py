@@ -5,11 +5,11 @@ Everything runs in float64 numpy. Parameters live in flat dicts
 no autodiff: every backward pass here is derived by hand and certified by
 ``finite_diff_check``.
 
-Sequences of different lengths reach the GRU packed: ``SeqLayout`` orders
-them by decreasing length, so each step runs only the sequences still
-active and no work goes into padding. Parameters keep their per-gate names
-(``enc.Wz``, ``gru0.Uh``, ...); the GRU concatenates the gates in memory and
-splits the gradients back.
+Sequences of different lengths reach the GRU packed as a prefix tree
+(``SeqLayout``), so each step runs only the sequences still active and no
+work goes into padding or into a shared prefix. Parameters keep their
+per-gate names (``enc.Wz``, ``gru0.Uh``, ...); the GRU concatenates the
+gates in memory and splits the gradients back.
 """
 
 from __future__ import annotations
@@ -146,26 +146,47 @@ class Workspace:
 class SeqLayout:
     """Packed layout of B variable-length sequences for ``gru_forward``.
 
-    Sequences are ordered by decreasing length (stable), so the ones still
-    running at step t are a prefix of ``sizes[t]`` of them. Step t occupies
-    packed rows ``offsets[t]:offsets[t + 1]``; packed row p holds step
-    ``steps[p]`` of sequence ``rows[p]``. A sequence may be empty.
+    The packed rows are the nodes of a prefix tree, grouped by step: step t
+    occupies rows ``offsets[t]:offsets[t + 1]`` (``sizes[t]`` of them); row
+    p runs step ``steps[p]`` of sequence ``rows[p]`` from the state of row
+    ``parent[p]`` (-1 at step 0); ``last[b]`` is sequence b's last row. A
+    sequence may be empty. From ``lengths`` alone every sequence keeps its
+    own rows, ordered by decreasing length (stable). Given the right-padded
+    id matrix ``ids`` too, sequences share the rows of a common prefix: each
+    distinct (parent, id) pair is one row, named by its first sequence, and
+    the children of a row are contiguous.
     """
 
-    def __init__(self, lengths):
+    def __init__(self, lengths, ids=None):
         self.lengths = np.asarray(lengths, dtype=np.intp)
         B = len(self.lengths)
         T = int(self.lengths.max(initial=0))
-        order = np.argsort(-self.lengths, kind="stable")
-        sizes = B - np.cumsum(np.bincount(self.lengths, minlength=T + 1))[:T]
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.steps = np.repeat(np.arange(T), sizes)
-        self.rows = order[np.arange(len(self.steps)) - offsets[self.steps]]
-        # packed row of each sequence's last step (unused for empty ones)
-        self.last = np.empty(B, dtype=np.intp)
-        self.last[order] = (offsets[np.maximum(self.lengths[order] - 1, 0)]
-                            + np.arange(B))
-        self.sizes = sizes.tolist()
+        if ids is None:
+            order = np.argsort(-self.lengths, kind="stable")
+            sizes = B - np.cumsum(np.bincount(self.lengths, minlength=T + 1))[:T]
+            offsets = np.concatenate(([0], np.cumsum(sizes)))
+            self.steps = np.repeat(np.arange(T), sizes)
+            pos = np.arange(len(self.steps)) - offsets[self.steps]
+            self.rows = order[pos]
+            self.parent = np.where(self.steps, offsets[self.steps - 1] + pos, -1)
+            self.last = (offsets[np.maximum(self.lengths - 1, 0)]
+                         + np.argsort(order))
+        else:
+            width = int(ids.max(initial=0)) + 1
+            self.last = np.zeros(B, dtype=np.intp)   # row of the latest step
+            rows, parent, sizes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
+            for t in range(T):
+                live = np.flatnonzero(self.lengths > t)
+                _, first, node = np.unique(self.last[live] * width + ids[live, t],
+                                           return_index=True, return_inverse=True)
+                rows.append(live[first])
+                parent.append(self.last[rows[-1]] if t else -np.ones_like(first))
+                self.last[live] = sum(sizes) + node
+                sizes.append(len(first))
+            self.rows, self.parent = np.concatenate(rows), np.concatenate(parent)
+            self.steps = np.repeat(np.arange(T), sizes)
+            offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        self.sizes = [int(n) for n in sizes]
         self.offsets = offsets.tolist()
 
     def final(self, H):
@@ -179,15 +200,16 @@ class SeqLayout:
 def gru_forward(params, prefix, x, layout, ws=None):
     """Length-aware GRU from h_0 = 0 over packed inputs ``x`` (S, in).
 
-    ``layout`` (a SeqLayout) says which sequence and step each packed row
-    belongs to. Step t runs only the ``layout.sizes[t]`` sequences still
-    active, so no work goes into padding. The input projection of every
-    step is one GEMM against [Wz; Wr; Wh] before the time loop; each step
-    then costs one GEMM for z and r and one for the candidate (none at
-    t = 0, where h_prev = 0). Returns (H, cache): H (S, h) holds the state
-    after each packed row's step, written into ``ws`` (a Workspace; a fresh
-    one when None), so H and the cache live until the next call with the
-    same workspace.
+    ``layout`` (a SeqLayout) says which step each packed row runs and
+    from which row's state. Step t runs only its ``layout.sizes[t]`` rows,
+    so no work goes into padding or into a shared prefix. The input
+    projection of every step is one GEMM against [Wz; Wr; Wh] before the
+    time loop; each step then gathers h_prev by ``layout.parent`` and costs
+    one GEMM for z and r and one for the candidate (none at t = 0, where
+    h_prev = 0). Returns (H, cache): H (S, h) holds the state after each
+    packed row's step, written into ``ws`` (a Workspace; a fresh one when
+    None), so H and the cache live until the next call with the same
+    workspace.
     """
     ws = Workspace() if ws is None else ws
     W = np.concatenate([params[f"{prefix}.W{g}"] for g in GATES])   # (3h, in)
@@ -203,7 +225,7 @@ def gru_forward(params, prefix, x, layout, ws=None):
     xp += b
     zr, hc, hprev, H = (ws.get(name, S, hd * w) for name, w in
                         (("zr", 2), ("hc", 1), ("hprev", 1), ("h", 1)))
-    tmp = ws.get("tmp", layout.sizes[0] if S else 0, hd)
+    tmp = ws.get("tmp", max(layout.sizes, default=0), hd)
     off = layout.offsets
     for t, n in enumerate(layout.sizes):
         s = slice(off[t], off[t] + n)
@@ -215,7 +237,7 @@ def gru_forward(params, prefix, x, layout, ws=None):
             np.multiply(z, hc_t, out=h_t)
             continue
         hp = hprev[s]
-        np.copyto(hp, H[off[t - 1]:off[t - 1] + n])
+        np.take(H, layout.parent[s], axis=0, out=hp, mode="clip")
         np.matmul(hp, U_zr.T, out=zr_t)
         zr_t += xp[s, :2 * hd]
         sigmoid(zr_t, out=zr_t)
@@ -235,7 +257,8 @@ def gru_backward(params, prefix, cache, dh_out, grads):
     """Backprop through a gru_forward pass; returns dx (S, in).
 
     ``dh_out`` (S, h) is the external gradient arriving at each packed
-    output row. Each step keeps only the recurrent GEMMs of dh_prev; the
+    output row. Each step keeps only the recurrent GEMMs of dh_prev, which
+    ``np.add.reduceat`` sums over each row's (contiguous) children; the
     weight, bias and input gradients are one GEMM each over all steps after
     the loop, split back into the per-gate entries of ``grads``. The
     forward buffers double as scratch, so each forward pass is backpropagated
@@ -244,12 +267,11 @@ def gru_backward(params, prefix, cache, dh_out, grads):
     x, layout, zr, hc, hprev, W, U_zr, Uh, ws = cache
     hd = Uh.shape[0]
     S = len(x)
-    n0 = layout.sizes[0] if S else 0
+    n0 = layout.offsets[1] if S else 0        # step-0 rows, with h_prev = 0
     da = ws.get("xp", S, 3 * hd)   # gate pre-activation grads; xp is dead
-    dh_b, carry, drh_b, tmp_b = (ws.get(name, n0, hd)
+    dh_b, carry, drh_b, tmp_b = (ws.get(name, max(layout.sizes, default=0), hd)
                                  for name in ("dh", "carry", "drh", "tmp"))
     off = layout.offsets
-    n_carry = 0
     for t in range(len(layout.sizes) - 1, -1, -1):
         n = layout.sizes[t]
         s = slice(off[t], off[t] + n)
@@ -257,7 +279,10 @@ def gru_backward(params, prefix, cache, dh_out, grads):
         daz, dar, dah = da[s, :hd], da[s, hd:2 * hd], da[s, 2 * hd:]
         dh, tmp = dh_b[:n], tmp_b[:n]
         np.copyto(dh, dh_out[s])
-        dh[:n_carry] += carry[:n_carry]
+        if t + 1 < len(layout.sizes):          # carry holds step t + 1's dh_prev
+            par = layout.parent[off[t + 1]:off[t + 2]] - off[t]
+            heads = np.flatnonzero(np.diff(par, prepend=-1))
+            dh[par[heads]] += np.add.reduceat(carry[:len(par)], heads)
         # dah = dh * z * (1 - hc^2)
         np.multiply(hc_t, hc_t, out=dah)
         np.subtract(1.0, dah, out=dah)
@@ -287,7 +312,6 @@ def gru_backward(params, prefix, cache, dh_out, grads):
         c += tmp
         np.matmul(da[s, :2 * hd], U_zr, out=tmp)
         c += tmp
-        n_carry = n
     dW = da.T @ x
     dU_zr = da[n0:, :2 * hd].T @ hprev[n0:]   # step 0 rows have h_prev = 0
     db = da.sum(axis=0)

@@ -1,5 +1,7 @@
 """Conditional model, intervention estimation, and script scores."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,6 +260,62 @@ def test_batched_forward_matches_per_row_fold():
             h, _ = K.gru_step(p, "enc", p["emb"][e], h)
         want = K.softmax(p["A"] @ h[0])
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+
+def _contexts_from(chains, picks, V):
+    """Contexts whose histories are windows of a few chains, so that many
+    share a prefix or are equal; each gets one text token and, every
+    other one, an out-of-text event."""
+    return [causal.ConditionalContext(
+        NUM_SPECIALS + chains[c][end % len(chains[c])],
+        [NUM_SPECIALS + e for e in chains[c][max(0, end - window):end]],
+        [end % 3], [NUM_SPECIALS + c] if end % 2 else [])
+        for c, end, window in picks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(chains=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6),
+                       min_size=1, max_size=3),
+       picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6),
+                                st.integers(1, 6)), min_size=1, max_size=10),
+       phase=st.sampled_from(["pretrained", "finetuned"]))
+def test_shared_layout_gradients_equal_unshared(chains, picks, phase):
+    V = NUM_SPECIALS + 3
+    picks = [(c % len(chains), end, w) for c, end, w in picks]
+    contexts = _contexts_from(chains, picks, V)
+    targets = [NUM_SPECIALS + (i % 3) for i in range(len(contexts))]
+    model = causal.ConditionalModel(V, 3, TINY, phase=phase)
+    if phase == "finetuned":
+        model.params["W_O"] = np.random.default_rng(1).normal(
+            size=model.params["W_O"].shape) * 0.1
+    batch = causal.PackedInstances.pack(contexts, targets)
+    loss, grads = model.loss_and_grads(batch)
+    unshared = K.SeqLayout
+    with mock.patch.object(K, "SeqLayout",
+                           lambda lengths, ids=None: unshared(lengths)):
+        want_loss, want = model.loss_and_grads(batch)
+    assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+    for name in want:
+        np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-12)
+
+
+def test_gradients_certify_when_instances_end_on_one_node():
+    """Two instances with the same history and prev event but different
+    targets end on one packed row; both gradients must reach it."""
+    V = NUM_SPECIALS + 5
+    model = causal.ConditionalModel(V, 3, TINY)
+    contexts = [causal.ConditionalContext(5, [3, 4], [1], []),
+                causal.ConditionalContext(5, [3, 4], [2], []),
+                causal.ConditionalContext(6, [3], [], []),
+                causal.ConditionalContext(7, [3, 4, 5], [1], [])]
+    targets = [6, 7, 3, 4]
+    packed = causal.PackedInstances.pack(contexts)
+    layout = K.SeqLayout(packed.seq_len, packed.seq)
+    assert layout.last[0] == layout.last[1] and len(layout.steps) == 5
+    err = K.finite_diff_check(
+        lambda p: model._loss_and_grads(p, contexts, targets), model.params,
+        max_coords=40, rng=np.random.default_rng(0))
+    assert err < 1e-4
 
 
 def test_packed_batch_is_a_trimmed_row_gather():

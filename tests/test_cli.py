@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scriptcausal import causal, cli
 from scriptcausal.events import NUM_SPECIALS, Vocabulary
@@ -50,6 +51,14 @@ def test_estimate_do_missing_model_exit_code(workdir):
 def test_malformed_chain_file_exit_code(workdir):
     (workdir / "bad.jsonl").write_text("{not json\n")
     assert run("vocab", "--input", "bad.jsonl", "--output", "v.tsv") == 2
+
+
+@pytest.mark.parametrize("text", ["[1]", "3", "null"])
+def test_config_that_is_not_an_object_exit_code(workdir, capsys, text):
+    (workdir / "bad.json").write_text(text)
+    assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
+               "--n", "2", "--output", "c.jsonl") == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(workdir):
@@ -254,3 +263,44 @@ def test_bad_exclude_top_rejected(workdir, value):
     (workdir / "bad.json").write_text(json.dumps({"exclude_top": value}))
     assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
                "--n", "2", "--output", "c.jsonl") == 1
+
+
+def test_complete_rejects_two_score_files(workdir, capsys):
+    _counts(workdir)
+    V = len(Vocabulary.load("v.tsv"))
+    causal.InterventionTable(np.full((V, V), 1.0 / V)).save("t.bin")
+    capsys.readouterr()
+    assert run("complete", "--vocab", "v.tsv", "--itable", "t.bin",
+               "--counts", "cnt.tsv", "step1:nsubj") == 1
+    err = capsys.readouterr().err
+    assert "--itable" in err and "--counts" in err
+
+
+_JSON_VALUES = [None, True, False, 0, 3, 2.5, "3", [], [1], {"a": 1},
+                [[0.1, 2]], [[0.1, 1.5]], [["a", 1]], [[0.1]], [0.1, 2]]
+
+
+def _fits(key, value):
+    """Whether ``value`` has the type that config key ``key`` takes."""
+    default = cli.DEFAULTS[key]
+    if key == "lr_schedule":
+        return value is None or type(value) is list and all(
+            type(s) is list and len(s) == 2 and type(s[0]) in (int, float)
+            and type(s[1]) is int for s in value)
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_wrong_config_type_is_a_config_error(workdir, capsys, data):
+    key = data.draw(st.sampled_from(sorted(cli.DEFAULTS)))
+    value = data.draw(st.sampled_from(
+        [v for v in _JSON_VALUES if not _fits(key, v)]))
+    (workdir / "bad.json").write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
+               "--n", "2", "--output", "c.jsonl") == 1
+    assert repr(key) in capsys.readouterr().err

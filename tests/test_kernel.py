@@ -349,6 +349,42 @@ def test_length_aware_gru_matches_per_row_fold():
                                    rtol=0, atol=1e-12)
 
 
+@st.composite
+def _shared_prefix_batches(draw):
+    """Histories cut from a few chains over a 4-id vocabulary: prefixes,
+    window-truncated suffixes, duplicates and empty sequences."""
+    chains = draw(st.lists(st.lists(st.integers(0, 3), max_size=7),
+                           min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(chains) - 1),
+                                    st.integers(0, 7), st.integers(1, 7)),
+                          min_size=1, max_size=12))
+    return [chains[c][max(0, end - window):end] for c, end, window in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_prefix_batches())
+def test_prefix_shared_gru_matches_per_row_fold(seqs):
+    rng = np.random.default_rng(14)
+    p = {}
+    K.init_gru(rng, "g", 3, 5, p)
+    emb = rng.normal(size=(4, 3))
+    lengths = [len(s) for s in seqs]
+    ids = np.zeros((len(seqs), max(lengths)), dtype=np.intp)
+    for b, s in enumerate(seqs):
+        ids[b, :len(s)] = s
+    shared = K.SeqLayout(lengths, ids)
+    # one row per distinct non-empty prefix, and a row's inputs are its ids
+    prefixes = {tuple(s[:t + 1]) for s in seqs for t in range(len(s))}
+    assert len(shared.steps) == len(prefixes) == shared.offsets[-1]
+    for layout in (shared, K.SeqLayout(lengths)):
+        H, _ = K.gru_forward(p, "g", emb[ids[layout.rows, layout.steps]],
+                             layout, K.Workspace())
+        final = layout.final(H)
+        for b, s in enumerate(seqs):
+            want = _fold(p, emb[s])[-1] if s else np.zeros(5)
+            np.testing.assert_allclose(final[b], want, rtol=0, atol=1e-12)
+
+
 def test_length_aware_gru_gradients_certify_on_a_ragged_batch():
     rng = np.random.default_rng(13)
     p = {}
