@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as K
-from .corpus import ChainCorpus, chain_ids
+from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
 from .events import END_ID, START_ID, Vocabulary, int_fields
 
@@ -43,28 +43,25 @@ class OrderedCounts:
         self.right_totals[e2] = self.right_totals.get(e2, 0) + count
         self.grand_total += count
 
-    def merge(self, other: "OrderedCounts"):
-        if other.window != self.window:
-            raise ConfigError("cannot merge counts with different windows")
-        for (e1, e2), c in sorted(other.pair_counts.items()):
-            self.add_pair(e1, e2, c)
-        return self
-
 
 def count_skip_bigrams(corpus: ChainCorpus, vocab: Vocabulary,
                        window: int = 2,
                        include_self_pairs: bool = True) -> OrderedCounts:
+    """Every ordered pair (e_i, e_j) of a chain with 0 < j - i <= window,
+    counted from the id array shifted by each gap."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
+    ids = corpus.event_ids(vocab)
+    chain = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
+    V = len(vocab)
+    codes = [(ids[:-d] * V + ids[d:])[chain[:-d] == chain[d:]]
+             for d in range(1, min(window, len(ids) - 1) + 1)]
+    codes = np.concatenate(codes) if codes else ids[:0]
+    if not include_self_pairs:
+        codes = codes[codes // V != codes % V]
     counts = OrderedCounts(window)
-    for chain in corpus.chains:
-        ids = chain_ids(chain, vocab)
-        n = len(ids)
-        for i in range(n):
-            for j in range(i + 1, min(i + window, n - 1) + 1):
-                if not include_self_pairs and ids[i] == ids[j]:
-                    continue
-                counts.add_pair(ids[i], ids[j])
+    for code, c in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
+        counts.add_pair(code // V, code % V, c)
     return counts
 
 
@@ -167,22 +164,15 @@ class EventLM:
 
     # -- forward / backward -------------------------------------------------
 
-    def _frame(self, ids):
-        return [START_ID] + list(ids) + [END_ID]
-
     def _pad_batch(self, sequences):
         """Right-pad framed sequences; returns inputs, targets, mask (T, B)."""
-        framed = [self._frame(s) for s in sequences]
+        framed = [[START_ID, *s, END_ID] for s in sequences]
         T = max(len(s) for s in framed) - 1
-        B = len(framed)
-        inputs = np.zeros((T, B), dtype=int)
-        targets = np.zeros((T, B), dtype=int)
-        mask = np.zeros((T, B))
+        inputs, targets = np.zeros((2, T, len(framed)), dtype=int)
+        mask = np.zeros((T, len(framed)))
         for b, s in enumerate(framed):
             n = len(s) - 1
-            inputs[:n, b] = s[:-1]
-            targets[:n, b] = s[1:]
-            mask[:n, b] = 1.0
+            inputs[:n, b], targets[:n, b], mask[:n, b] = s[:-1], s[1:], 1.0
         return inputs, targets, mask
 
     def _forward(self, params, inputs, mask, dropout_masks=None):
@@ -223,7 +213,7 @@ class EventLM:
                                 dh, grads)
         if dropout_masks is not None:
             dh = dh * dropout_masks[0][at]
-        np.add.at(grads["emb"], caches["ids"], dh)
+        grads["emb"] += K.scatter_rows(caches["ids"], dh, self.vocab_size)
         return loss, grads
 
     def loss_and_grads(self, sequences, dropout_rng=None):
@@ -266,11 +256,6 @@ class EventLM:
         logits = h[-1] @ self.params["out.W"].T + self.params["out.b"]
         return K.softmax(logits)
 
-    def chain_score(self, context, candidate: int) -> float:
-        """log p(candidate | START, context)."""
-        dist = self.next_distribution(context)
-        return float(np.log(dist[candidate]))
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
@@ -287,7 +272,9 @@ class EventLM:
 
 
 def corpus_sequences(corpus: ChainCorpus, vocab: Vocabulary):
-    return [chain_ids(c, vocab) for c in corpus.chains]
+    """Each chain's vocabulary ids, as a list."""
+    ids, off = corpus.event_ids(vocab).tolist(), corpus.offsets.tolist()
+    return [ids[a:b] for a, b in zip(off, off[1:])]
 
 
 def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,

@@ -19,7 +19,7 @@ resampling).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,57 +47,21 @@ DEFAULT_COND_CONFIG = {
 _ITABLE_HEADER_TAG = "#scriptcausal-itable v1"
 
 
-@dataclass
-class ConditionalContext:
-    prev_event: int
-    in_text_history: list[int] = field(default_factory=list)
-    text_tokens: list[int] = field(default_factory=list)
-    oot_events: list[int] = field(default_factory=list)
-
-
-def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
-                               token_vocab: TokenVocab | None = None,
-                               oot_threshold: int = 3,
-                               history_window: int = 10):
-    """(target, context) pairs, one per chain position i >= 1."""
-    instances = []
-    for chain in corpus.chains:
-        ids = [vocab.id_of(ce.event.key) for ce in chain.events]
-        for i in range(1, len(ids)):
-            prev_ce = chain.events[i - 1]
-            history = ids[max(0, i - 1 - history_window):i - 1]
-            text = (token_vocab.encode(prev_ce.text_tokens)
-                    if token_vocab is not None and prev_ce.text_tokens else [])
-            oot = []
-            if prev_ce.oot_candidates:
-                oot = [vocab.id_of(key) for key, rating in prev_ce.oot_candidates
-                       if rating >= oot_threshold]
-            instances.append((ids[i],
-                              ConditionalContext(ids[i - 1], history, text, oot)))
-    return instances
-
-
-# ---------------------------------------------------------------------------
-# batching helpers
-
-
-def _right_pad(lists):
-    """Right-padded (B, M) id matrix + lengths for variable-length id lists."""
-    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    ids = np.zeros((len(lists), lengths.max(initial=0)), dtype=np.intp)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(lists), dtype=np.intp, count=lengths.sum())
+def _pack_sets(values, starts, lengths):
+    """Right-padded (N, M) id matrix whose row r holds
+    ``values[starts[r]:starts[r] + lengths[r]]``, and the lengths."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    ids = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = values[
+        np.arange(ends[-1] if len(ends) else 0)
+        + np.repeat(starts - ends + lengths, lengths)]
     return ids, lengths
 
 
-def _pack_sequences(contexts):
-    """Right-padded [history..., prev_event] id sequences + lengths."""
-    return _right_pad([[*ctx.in_text_history, ctx.prev_event] for ctx in contexts])
-
-
-def _pack_sets(lists):
-    """Right-padded text or out-of-text id sets + lengths."""
-    return _right_pad(lists)
+# A [history..., prev_event] sequence is a window of the flat event ids, so
+# it packs as a set does.
+_pack_sequences = _pack_sets
 
 
 @dataclass
@@ -114,19 +78,20 @@ class PackedInstances:
     targets: np.ndarray     # (N,)
 
     @staticmethod
-    def pack(contexts, targets=None) -> "PackedInstances":
-        seq, seq_len = _pack_sequences(contexts)
-        text, text_len = _pack_sets([ctx.text_tokens for ctx in contexts])
-        oot, oot_len = _pack_sets([ctx.oot_events for ctx in contexts])
-        targets = np.zeros(len(contexts), dtype=np.intp) if targets is None \
+    def pack(seqs, texts=None, oots=None, targets=None) -> "PackedInstances":
+        """Pack instances given as id lists: [history..., prev_event]
+        sequences, and text and out-of-text id sets (all empty when None)."""
+        def rows(lists):
+            lengths = np.fromiter(map(len, lists), np.intp, len(lists))
+            flat = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
+                               lengths.sum())
+            return flat, np.cumsum(lengths) - lengths, lengths
+        empty = [()] * len(seqs)
+        targets = np.zeros(len(seqs), np.intp) if targets is None \
             else np.asarray(targets, dtype=np.intp)
-        return PackedInstances(seq, seq_len, text, text_len, oot, oot_len, targets)
-
-    @staticmethod
-    def of(instances) -> "PackedInstances":
-        """Pack a list of (target, context) pairs."""
-        return PackedInstances.pack([c for _, c in instances],
-                                    [t for t, _ in instances])
+        return PackedInstances(*_pack_sequences(*rows(seqs)),
+                               *_pack_sets(*rows(texts or empty)),
+                               *_pack_sets(*rows(oots or empty)), targets)
 
     def __len__(self):
         return len(self.targets)
@@ -141,6 +106,36 @@ class PackedInstances:
                                *cut(self.oot, self.oot_len), self.targets[idx])
 
 
+def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
+                               token_vocab: TokenVocab | None = None,
+                               oot_threshold: int = 3,
+                               history_window: int = 10) -> PackedInstances:
+    """One instance per chain position i >= 1, by index arithmetic over the
+    chain offsets. Target: event i. Sequence: the up to ``history_window``
+    events before i - 1, then event i - 1 (the prev event). Event i - 1's
+    text ids (none without a token vocabulary) and out-of-text ids rated
+    >= ``oot_threshold``."""
+    ids = corpus.event_ids(vocab)
+    off, n = corpus.offsets, len(ids)
+    pos = np.arange(n) - np.repeat(off[:-1], np.diff(off))
+    at = np.flatnonzero(pos)
+    prev = at - 1
+    seq_len = np.minimum(pos[at], history_window + 1)
+    text_len = (np.diff(corpus.text_off)[prev] if token_vocab is not None
+                else np.zeros_like(prev))
+    keep = corpus.oot_ratings >= oot_threshold
+    oot_len = np.bincount(np.repeat(np.arange(n), np.diff(corpus.oot_off))[keep],
+                          minlength=n)
+    return PackedInstances(
+        *_pack_sequences(ids, at - seq_len, seq_len),
+        *_pack_sets(token_vocab.encode(corpus.tokens)[corpus.text_ids]
+                    if token_vocab is not None else ids[:0],
+                    corpus.text_off[prev], text_len),
+        *_pack_sets(corpus.event_ids(vocab, oot=True)[keep],
+                    (np.cumsum(oot_len) - oot_len)[prev], oot_len[prev]),
+        ids[at])
+
+
 def _mean_of_sets(emb, ids, lengths):
     """Per-row mean of embedding rows; zero vector for empty rows."""
     mask = np.arange(ids.shape[1]) < lengths[:, None]
@@ -149,9 +144,10 @@ def _mean_of_sets(emb, ids, lengths):
     return vec, (ids, mask, safe)
 
 
-def _mean_of_sets_backward(d_vec, cache, d_emb):
+def _mean_of_sets_backward(d_vec, cache):
+    """The (embedding row, gradient row) terms of a _mean_of_sets pass."""
     ids, mask, safe = cache
-    np.add.at(d_emb, ids[mask], (d_vec / safe)[np.nonzero(mask)[0]])
+    return ids[mask], (d_vec / safe)[np.nonzero(mask)[0]]
 
 
 class ConditionalModel:
@@ -251,15 +247,18 @@ class ConditionalModel:
         grads["B"] += dlogits.T @ v_t
         d_ve = dlogits @ params["A"]
         d_vt = dlogits @ params["B"]
+        # embedding-gradient terms: out-of-text ones first, then the GRU's
+        emb_terms = []
         if self.phase == "finetuned":
             grads["W_O"] += dlogits.T @ v_o
-            _mean_of_sets_backward(dlogits @ params["W_O"], oot_cache,
-                                   grads["emb"])
+            emb_terms.append(_mean_of_sets_backward(dlogits @ params["W_O"],
+                                                    oot_cache))
 
         # text channel
         mode, tcache = text_cache
         if mode == "mean":
-            _mean_of_sets_backward(d_vt, tcache, grads["text_emb"])
+            grads["text_emb"] += K.scatter_rows(
+                *_mean_of_sets_backward(d_vt, tcache), self.token_vocab_size)
         elif mode == "cnn":
             for b, c in enumerate(tcache):
                 K.encode_text_cnn_backward(params, "text_cnn", d_vt[b], c,
@@ -267,24 +266,13 @@ class ConditionalModel:
 
         # the gradient enters at each sequence's last row; shared rows add up
         x_ids, layout, gru_cache = enc_cache
-        dh_out = self._ws.get("dh_out", len(x_ids), self.config["hidden_dim"])
-        dh_out.fill(0.0)
         live = layout.lengths > 0
-        np.add.at(dh_out, layout.last[live], d_ve[live])
-        dx = K.gru_backward(params, "enc", gru_cache, dh_out, grads)
-        np.add.at(grads["emb"], x_ids, dx)
+        dh_out = K.scatter_rows(layout.last[live], d_ve[live], len(x_ids))
+        emb_terms.append((x_ids, K.gru_backward(params, "enc", gru_cache,
+                                                dh_out, grads)))
+        grads["emb"] += K.scatter_rows(
+            *map(np.concatenate, zip(*emb_terms)), self.vocab_size)
         return loss, grads
-
-    def _loss_and_grads(self, params, contexts, targets):
-        """Loss and gradients on a list of contexts (the gradient checks)."""
-        return self.loss_and_grads(PackedInstances.pack(contexts, targets), params)
-
-    def distribution_batch(self, contexts) -> np.ndarray:
-        logits, _ = self._forward(self.params, PackedInstances.pack(contexts))
-        return K.softmax(logits, axis=1)
-
-    def distribution(self, context: ConditionalContext) -> np.ndarray:
-        return self.distribution_batch([context])[0]
 
     def mean_loss(self, instances: PackedInstances):
         """Mean loss, in batches of the training size so that the GRU
@@ -331,8 +319,9 @@ def _train(model: ConditionalModel, train: PackedInstances,
     return model
 
 
-def train_conditional(instances, dev_instances, vocab_size: int,
-                      token_vocab_size: int = 1, config: dict | None = None,
+def train_conditional(train: PackedInstances, dev: PackedInstances,
+                      vocab_size: int, token_vocab_size: int = 1,
+                      config: dict | None = None,
                       log=None) -> ConditionalModel:
     """Pretraining phase: out-of-text events are ignored.
 
@@ -342,8 +331,6 @@ def train_conditional(instances, dev_instances, vocab_size: int,
     """
     model = ConditionalModel(vocab_size, token_vocab_size, config,
                              phase="pretrained")
-    train = PackedInstances.of(instances)
-    dev = PackedInstances.of(dev_instances or [])
     schedule = model.config.get("lr_schedule")
     if not schedule:
         return _train(model, train, dev, model.config["lr"], log=log)
@@ -353,12 +340,12 @@ def train_conditional(instances, dev_instances, vocab_size: int,
     return model
 
 
-def finetune_with_oot(model: ConditionalModel, annotated_instances,
+def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
                       config: dict | None = None, log=None) -> ConditionalModel:
     """Add a zero-initialized W_O term and finetune everything at the
     reduced rate. Dev split follows the 9:1 convention over the annotated
     set (seeded shuffle)."""
-    if model.phase != "finetuned" and not annotated_instances:
+    if model.phase != "finetuned" and not len(annotated):
         raise ConfigError("no annotated instances to finetune on")
     cfg = dict(model.config)
     if config:
@@ -368,9 +355,8 @@ def finetune_with_oot(model: ConditionalModel, annotated_instances,
     tuned = ConditionalModel(model.vocab_size, model.token_vocab_size, cfg,
                              params, phase="finetuned")
     rng = np.random.default_rng(cfg["seed"] + 2)
-    order = rng.permutation(len(annotated_instances))
-    n_dev = max(1, len(annotated_instances) // 10)
-    annotated = PackedInstances.of(annotated_instances)
+    order = rng.permutation(len(annotated))
+    n_dev = max(1, len(annotated) // 10)
     return _train(tuned, annotated.take(order[n_dev:]),
                   annotated.take(order[:n_dev]), cfg["finetune_lr"], log=log)
 
@@ -381,19 +367,21 @@ def finetune_with_oot(model: ConditionalModel, annotated_instances,
 
 @dataclass
 class AdjustmentSet:
-    """Sampled (history, text, out-of-text) contexts for the MC expectation.
+    """Sampled contexts for the MC expectation: the rows ``index`` (sorted)
+    of ``instances``. Their prev events are ignored: the intervened value
+    replaces them."""
 
-    prev_event fields are ignored: the intervened value replaces them."""
-
-    contexts: list
+    instances: PackedInstances
+    index: np.ndarray
     seed: int
 
     def __post_init__(self):
-        if not self.contexts:
+        if not len(self.index):
             raise ConfigError("adjustment set must contain at least one context")
 
 
-def sample_adjustment_set(instances, n: int, seed: int) -> AdjustmentSet:
+def sample_adjustment_set(instances: PackedInstances, n: int,
+                          seed: int) -> AdjustmentSet:
     """Seeded subsample (without replacement when possible) of instance contexts."""
     if n < 1:
         raise ConfigError("adjustment set size must be >= 1")
@@ -401,9 +389,8 @@ def sample_adjustment_set(instances, n: int, seed: int) -> AdjustmentSet:
     total = len(instances)
     if total == 0:
         raise ConfigError("no instances to sample an adjustment set from")
-    idx = (rng.choice(total, size=n, replace=False) if n <= total
-           else rng.choice(total, size=n, replace=True))
-    return AdjustmentSet([instances[i] for i in sorted(idx)], seed)
+    idx = rng.choice(total, size=n, replace=n > total)
+    return AdjustmentSet(instances, np.sort(idx), seed)
 
 
 @dataclass
@@ -412,9 +399,6 @@ class InterventionTable:
     model_id: str = ""
     seed: int = 0
     n_samples: int = 0
-
-    def row(self, k: int) -> np.ndarray:
-        return self.effect[k]
 
     def save(self, path):
         with open(path, "wb") as f:
@@ -472,16 +456,14 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     and the logits GEMM, written into buffers allocated once per chunk.
     """
     params = model.params
-    contexts = [inst[1] if isinstance(inst, tuple) else inst
-                for inst in adjustment.contexts]
-    N = len(contexts)
+    packed = adjustment.instances.take(adjustment.index)
+    N = len(packed)
     V = model.vocab_size
     h_dim = model.config["hidden_dim"]
 
     # per-context constants, in batches of the training size, which bounds
     # the encoder's workspace; the history is the packed sequence minus its
     # last element (the ignored prev_event)
-    packed = PackedInstances.pack(contexts)
     h_hist = np.zeros((N, h_dim))
     const_logits = np.zeros((N, V))
     step = model.config["batch_size"]
@@ -546,16 +528,6 @@ def script_score_matrix(table: InterventionTable) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         S = np.where(col > 0, table.effect / col, 0.0)
     return S
-
-
-def script_score(table: InterventionTable, k: int, l: int) -> float:
-    V = table.effect.shape[0]
-    if not (0 <= k < V and 0 <= l < V):
-        raise ConfigError(f"indices ({k}, {l}) out of range for dim {V}")
-    col = table.effect[:, l].sum()
-    if col <= 0:
-        return 0.0
-    return float(table.effect[k, l] / col)
 
 
 def top_predecessors(table: InterventionTable, target: int, topk: int,

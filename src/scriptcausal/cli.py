@@ -62,6 +62,13 @@ DEFAULTS = {
     "factual_only": False,
 }
 
+# the least value of each size, count and window key
+MINIMUM = {**dict.fromkeys(
+    "min_count window adjustment_n emb_dim hidden_dim lm_emb_dim lm_hidden_dim "
+    "lm_layers batch_size lm_batch_size patience max_epochs recall_n "
+    "cloze_count sheet_targets per_system topk".split(), 1),
+    "history_window": 0, "exclude_top": 0}
+
 
 def _has_type_of(value, default) -> bool:
     """Whether ``value`` may stand where ``default`` does: bools are not
@@ -104,9 +111,10 @@ class RunConfig:
                 want = ("null or a list of [lr, epochs] pairs" if key == "lr_schedule"
                         else type(DEFAULTS[key]).__name__)
                 raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
-        if self.values["exclude_top"] < 0:
-            raise ConfigError(f"exclude_top must be an integer >= 0, "
-                              f"got {self.values['exclude_top']!r}")
+        for key, low in MINIMUM.items():
+            if self.values[key] < low:
+                raise ConfigError(f"config key {key!r} must be >= {low}, "
+                                  f"got {self.values[key]!r}")
 
     def __getitem__(self, key):
         return self.values[key]
@@ -130,6 +138,17 @@ def _write_manifest(cfg: RunConfig, command: str, outputs):
                       sort_keys=True, separators=(",", ":"))
     with open(cfg["run_log"], "a", encoding="utf-8") as f:
         f.write(line + "\n")
+
+
+def _emit(text, output):
+    """Write ``text`` to the file ``output``, or to stdout when None; returns
+    the outputs written."""
+    if output is None:
+        sys.stdout.write(text)
+        return []
+    with open(output, "w", encoding="utf-8") as f:
+        f.write(text)
+    return [output]
 
 
 def _load_cbn(args):
@@ -215,7 +234,7 @@ def cmd_finetune_cond(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     annotated, _ = _instances(
         _require(args.annotated, "annotated chain file"), vocab, cfg)
-    annotated = [(t, c) for t, c in annotated if c.oot_events]
+    annotated = annotated.take(np.flatnonzero(annotated.oot_len))
     tuned = causal.finetune_with_oot(
         model, annotated, {"finetune_lr": cfg["finetune_lr"],
                            "max_epochs": cfg["max_epochs"], "seed": cfg["seed"]},
@@ -231,7 +250,7 @@ def cmd_estimate_do(cfg, args):
     instances, _ = _instances(
         _require(args.corpus, "adjustment-sample chain file"), vocab, cfg)
     adjustment = causal.sample_adjustment_set(
-        [c for _, c in instances], cfg["adjustment_n"], cfg["seed"])
+        instances, cfg["adjustment_n"], cfg["seed"])
     table = causal.estimate_interventions(
         model, adjustment, model_id=os.path.basename(args.model))
     table.save(args.output)
@@ -253,12 +272,7 @@ def cmd_score(cfg, args):
     S = causal.script_score_matrix(table)
     lines = [f"{vocab.key_of(k)}\t{S[k, target]:.6f}" for k in preds]
     text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        return [args.output]
-    sys.stdout.write(text)
-    return []
+    return _emit(text, args.output)
 
 
 def cmd_complete(cfg, args):
@@ -360,12 +374,7 @@ def cmd_score_summary(cfg, args):
         lines.append(f"{system}\t{s['avg_score']:.2f}\t{s['avg_rank']:.2f}"
                      f"\t{s['count']}")
     text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        return [args.output]
-    sys.stdout.write(text)
-    return []
+    return _emit(text, args.output)
 
 
 def cmd_diversity(cfg, args):
@@ -389,12 +398,7 @@ def cmd_diversity(cfg, args):
                      f"\t{tops[0][0]}\t{tops[0][1]:.1f}"
                      f"\t{tops[1][0]}\t{tops[1][1]:.1f}")
     text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-        return [args.output]
-    sys.stdout.write(text)
-    return []
+    return _emit(text, args.output)
 
 
 def gradient_errors(seed) -> dict:
@@ -417,18 +421,16 @@ def gradient_errors(seed) -> dict:
                         "seed": seed}, phase=phase)
             if phase == "finetuned":
                 m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * 0.1
-            batch = []
+            seqs, texts, oots, targets = [], [], [], []
             for _ in range(10):
-                ctx = causal.ConditionalContext(
-                    int(rng.integers(3, 12)),
-                    list(rng.integers(3, 12, size=rng.integers(0, 6))),
-                    list(rng.integers(0, 7, size=rng.integers(0, 5))),
-                    list(rng.integers(3, 12, size=rng.integers(0, 3))))
-                batch.append((int(rng.integers(3, 12)), ctx))
-            ctxs = [c for _, c in batch]
-            tgts = [t for t, _ in batch]
+                prev = int(rng.integers(3, 12))
+                seqs.append([*rng.integers(3, 12, size=rng.integers(0, 6)), prev])
+                texts.append(rng.integers(0, 7, size=rng.integers(0, 5)))
+                oots.append(rng.integers(3, 12, size=rng.integers(0, 3)))
+                targets.append(int(rng.integers(3, 12)))
+            batch = causal.PackedInstances.pack(seqs, texts, oots, targets)
             results[f"conditional-{mode}-{phase}"] = kernel.finite_diff_check(
-                lambda p: m._loss_and_grads(p, ctxs, tgts), m.params,
+                lambda p: m.loss_and_grads(batch, p), m.params,
                 rng=np.random.default_rng(seed))
     return results
 
@@ -457,9 +459,7 @@ def build_parser():
                              "OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, **kw):
-        p = sub.add_parser(name, **kw)
-        return p
+    add = sub.add_parser
 
     p = add("ingest", help="normalize a chain file (optional factuality filter)")
     p.add_argument("--input", required=True)

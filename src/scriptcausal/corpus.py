@@ -10,12 +10,17 @@ Chain file format (UTF-8, one JSON object per line):
 ``text`` and ``oot`` are optional. The canonical writer emits keys in the
 order shown with no extra whitespace, so load -> write -> load is
 byte-stable.
+
+In memory a corpus is one integer corpus (``ChainCorpus``): event-type ids
+with chain offsets, and CSR arrays of text tokens and out-of-text (key,
+rating) pairs. Python objects appear only at the JSONL edges.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,146 +34,212 @@ class ChainEvent:
     text_tokens: list[str] | None = None
     oot_candidates: list[tuple[str, int]] | None = None
 
-    def __post_init__(self):
-        if self.text_tokens is not None and not self.text_tokens:
-            raise DataFormatError("text_tokens, when present, must be non-empty")
-        if self.oot_candidates:
-            for key, rating in self.oot_candidates:
-                if not 0 <= rating <= 4:
-                    raise DataFormatError(
-                        f"out-of-text rating {rating} for {key!r} outside [0, 4]"
-                    )
-
 
 @dataclass
 class EventChain:
     chain_id: str
     events: list[ChainEvent]
 
-    def __post_init__(self):
-        if not self.events:
-            raise DataFormatError(f"chain {self.chain_id!r} has no events")
 
-    def __len__(self):
-        return len(self.events)
+def _offsets(lengths) -> np.ndarray:
+    out = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _csr_take(offsets, rows):
+    """Flat indices of the CSR rows ``rows``, and their offsets packed."""
+    lengths = offsets[rows + 1] - offsets[rows]
+    new = _offsets(lengths)
+    return np.arange(new[-1]) + np.repeat(offsets[rows] - new[:-1], lengths), new
 
 
 @dataclass
 class ChainCorpus:
-    chains: list[EventChain]
-    provenance: str = ""
+    """Chain c holds events ``offsets[c]:offsets[c + 1]``. Event j is
+    ``types[type_ids[j]]``, with text ``tokens[text_ids[text_off[j]:text_off[j
+    + 1]]]`` (absent when empty) and out-of-text pairs ``(keys[oot_keys[p]],
+    oot_ratings[p])`` for p in ``oot_off[j]:oot_off[j + 1]`` (absent unless
+    ``has_oot[j]``). The tables list each value once."""
 
-    def __post_init__(self):
-        seen = set()
-        for chain in self.chains:
-            if chain.chain_id in seen:
-                raise DataFormatError(f"duplicate chain_id {chain.chain_id!r}")
-            seen.add(chain.chain_id)
+    chain_ids: list[str]
+    offsets: np.ndarray
+    type_ids: np.ndarray
+    types: list[EventType]
+    text_off: np.ndarray
+    text_ids: np.ndarray
+    tokens: list[str]
+    oot_off: np.ndarray
+    oot_keys: np.ndarray
+    oot_ratings: np.ndarray
+    has_oot: np.ndarray
+    keys: list[str]
 
     def __len__(self):
-        return len(self.chains)
+        return len(self.chain_ids)
+
+    def event_ids(self, vocab: Vocabulary, oot=False) -> np.ndarray:
+        """Vocabulary id of every event, or with ``oot`` of every
+        out-of-text pair's key; flat, unknown -> UNK."""
+        keys = self.keys if oot else [t.key for t in self.types]
+        return np.array([vocab.id_of(k) for k in keys],
+                        dtype=np.intp)[self.oot_keys if oot else self.type_ids]
+
+    def take(self, rows) -> "ChainCorpus":
+        """The chains ``rows`` (an index array), sharing the tables."""
+        ev, offsets = _csr_take(self.offsets, rows)
+        tx, text_off = _csr_take(self.text_off, ev)
+        oo, oot_off = _csr_take(self.oot_off, ev)
+        return ChainCorpus([self.chain_ids[i] for i in rows], offsets,
+                           self.type_ids[ev], self.types, text_off,
+                           self.text_ids[tx], self.tokens, oot_off,
+                           self.oot_keys[oo], self.oot_ratings[oo],
+                           self.has_oot[ev], self.keys)
+
+    @cached_property
+    def chains(self) -> list[EventChain]:
+        """An EventChain view of the corpus, built on first use. The
+        pipeline itself reads only the arrays."""
+        text_off, oot_off = self.text_off.tolist(), self.oot_off.tolist()
+        text = [self.tokens[i] for i in self.text_ids.tolist()]
+        oot = list(zip([self.keys[k] for k in self.oot_keys.tolist()],
+                       self.oot_ratings.tolist()))
+        events = [ChainEvent(self.types[t],
+                             text[text_off[j]:text_off[j + 1]] or None,
+                             oot[oot_off[j]:oot_off[j + 1]] if has else None)
+                  for j, (t, has) in enumerate(zip(self.type_ids.tolist(),
+                                                   self.has_oot.tolist()))]
+        off = self.offsets.tolist()
+        return [EventChain(cid, events[a:b])
+                for cid, a, b in zip(self.chain_ids, off, off[1:])]
 
 
-def _parse_event(obj, lineno, types):
-    """One event object; ``types`` caches the validated EventType of each
-    (pred, dep, fact) triple already seen in the file."""
-    if not isinstance(obj, dict) or "pred" not in obj or "dep" not in obj:
-        raise DataFormatError(f"line {lineno}: event missing pred/dep")
-    triple = (obj["pred"], obj["dep"], obj.get("fact", "pos"))
-    if not all(isinstance(v, str) for v in triple):
-        raise DataFormatError(f"line {lineno}: pred, dep and fact must be strings")
-    ev = types.get(triple)
-    if ev is None:
-        if triple[2] not in FACTUALITY_LABELS:
-            raise DataFormatError(
-                f"line {lineno}: unknown factuality label {triple[2]!r}")
+def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
+    """One pass of validation over chain lines (str or UTF-8 bytes, numbered
+    from 1, blank ones skipped); a fault raises DataFormatError naming its
+    line. ``factual_only`` drops events whose factuality != pos."""
+    types, table, tokens, keys = {}, [], {}, {}   # value -> table id
+    chain_ids, seen, lengths, text_ids, oot_pairs = [], set(), [], [], []
+    rows = []    # 4 per kept event: type id, text length, oot length, has oot
+    for lineno, line in enumerate(lines, start=1):
         try:
-            ev = types[triple] = EventType(*triple)
-        except ConfigError as e:
-            raise DataFormatError(f"line {lineno}: {e}") from e
-    text = obj.get("text")
-    if text is not None and not (isinstance(text, list) and text
-                                 and all(isinstance(t, str) for t in text)):
-        raise DataFormatError(
-            f"line {lineno}: text must be a non-empty list of strings")
-    oot = obj.get("oot")
-    if oot is not None:
-        if not (isinstance(oot, list) and all(
-                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
-                and isinstance(p[1], int) and not isinstance(p[1], bool)
-                for p in oot)):
-            raise DataFormatError(
-                f"line {lineno}: oot must be a list of [key, int rating] pairs")
-        oot = [(key, rating) for key, rating in oot]
-    try:
-        return ChainEvent(ev, text, oot)
-    except DataFormatError as e:
-        raise DataFormatError(f"line {lineno}: {e}") from e
-
-
-def parse_chain_line(line: str, lineno: int = 0, types=None) -> EventChain:
-    """One chain line. ``types`` (a dict) may be shared across the lines of
-    a file, so each distinct event type is built and validated once."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"line {lineno}: invalid JSON ({e.msg})") from e
-    if not isinstance(obj, dict) or "chain_id" not in obj or "events" not in obj:
-        raise DataFormatError(f"line {lineno}: missing chain_id or events")
-    if not isinstance(obj["events"], list):
-        raise DataFormatError(f"line {lineno}: events must be a list")
-    types = {} if types is None else types
-    events = [_parse_event(e, lineno, types) for e in obj["events"]]
-    if not events:
-        raise DataFormatError(f"line {lineno}: chain has no events")
-    return EventChain(str(obj["chain_id"]), events)
+            line = (line.decode("utf-8") if isinstance(line, bytes)
+                    else line).strip()
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"line {lineno}: not UTF-8 ({e.reason})") from e
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"line {lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(obj, dict) or "chain_id" not in obj or "events" not in obj:
+            raise DataFormatError(f"line {lineno}: missing chain_id or events")
+        events = obj["events"]
+        if not isinstance(events, list):
+            raise DataFormatError(f"line {lineno}: events must be a list")
+        if not events:
+            raise DataFormatError(f"line {lineno}: chain has no events")
+        start = len(rows)
+        for ev in events:
+            try:
+                t = types[ev["pred"], ev["dep"], ev.get("fact", "pos")]
+            except (KeyError, TypeError, AttributeError):
+                # a (pred, dep, fact) triple not seen before: validate it
+                if not isinstance(ev, dict) or "pred" not in ev or "dep" not in ev:
+                    raise DataFormatError(f"line {lineno}: event missing pred/dep")
+                triple = (ev["pred"], ev["dep"], ev.get("fact", "pos"))
+                if not all(isinstance(v, str) for v in triple):
+                    raise DataFormatError(
+                        f"line {lineno}: pred, dep and fact must be strings")
+                if triple[2] not in FACTUALITY_LABELS:
+                    raise DataFormatError(
+                        f"line {lineno}: unknown factuality label {triple[2]!r}")
+                try:
+                    table.append(EventType(*triple))
+                except ConfigError as e:
+                    raise DataFormatError(f"line {lineno}: {e}") from e
+                t = types[triple] = len(table) - 1
+            text = ev.get("text")
+            if text is not None and not (type(text) is list and text and all(
+                    [type(x) is str for x in text])):
+                raise DataFormatError(
+                    f"line {lineno}: text must be a non-empty list of strings")
+            oot = ev.get("oot")
+            if oot is not None:
+                if not (type(oot) is list and all(
+                        [type(p) is list and len(p) == 2 and type(p[0]) is str
+                         and type(p[1]) is int for p in oot])):
+                    raise DataFormatError(f"line {lineno}: oot must be a list "
+                                          "of [key, int rating] pairs")
+                for key, rating in oot:
+                    if not 0 <= rating <= 4:
+                        raise DataFormatError(
+                            f"line {lineno}: out-of-text rating {rating} for "
+                            f"{key!r} outside [0, 4]")
+                    if key not in keys:
+                        try:
+                            EventType.from_key(key)
+                        except (ConfigError, DataFormatError) as e:
+                            raise DataFormatError(f"line {lineno}: {e}") from e
+                        keys[key] = len(keys)
+            if factual_only and table[t].factuality != "pos":
+                continue
+            rows += (t, len(text) if text else 0, len(oot) if oot else 0,
+                     oot is not None)
+            if text:
+                text_ids += [tokens.setdefault(x, len(tokens)) for x in text]
+            if oot:
+                oot_pairs += [v for key, r in oot for v in (keys[key], r)]
+        chain_id = str(obj["chain_id"])
+        if chain_id in seen:
+            raise DataFormatError(f"line {lineno}: duplicate chain_id {chain_id!r}")
+        seen.add(chain_id)
+        if len(rows) > start:
+            chain_ids.append(chain_id)
+            lengths.append((len(rows) - start) // 4)
+    type_ids, text_len, oot_len, has_oot = np.array(
+        rows, dtype=np.intp).reshape(-1, 4).T
+    oot_keys, oot_ratings = np.array(oot_pairs, dtype=np.intp).reshape(-1, 2).T
+    return ChainCorpus(chain_ids, _offsets(lengths), type_ids, table,
+                       _offsets(text_len), np.array(text_ids, dtype=np.intp),
+                       list(tokens), _offsets(oot_len), oot_keys, oot_ratings,
+                       has_oot.astype(bool), list(keys))
 
 
 def load_chains(path, factual_only: bool = False) -> ChainCorpus:
     """Load a chain file; optionally drop events whose factuality != pos."""
-    chains = []
-    seen = set()
-    types = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            chain = parse_chain_line(line, lineno, types)
-            if chain.chain_id in seen:
-                raise DataFormatError(
-                    f"line {lineno}: duplicate chain_id {chain.chain_id!r}"
-                )
-            seen.add(chain.chain_id)
-            if factual_only:
-                kept = [e for e in chain.events if e.event.factuality == "pos"]
-                if not kept:
-                    continue
-                chain = EventChain(chain.chain_id, kept)
-            chains.append(chain)
-    return ChainCorpus(chains, provenance=str(path))
+    with open(path, "rb") as f:
+        return parse_chains(f, factual_only)
 
 
-def chain_to_json(chain: EventChain) -> str:
-    events = []
-    for ce in chain.events:
-        obj = {"pred": ce.event.predicate, "dep": ce.event.relation,
-               "fact": ce.event.factuality}
-        if ce.text_tokens is not None:
-            obj["text"] = ce.text_tokens
-        if ce.oot_candidates is not None:
-            obj["oot"] = [[k, r] for k, r in ce.oot_candidates]
-        events.append(obj)
-    return json.dumps({"chain_id": chain.chain_id, "events": events},
-                      separators=(",", ":"))
+def chain_lines(corpus: ChainCorpus):
+    """Each chain's canonical JSON line, as json.dumps writes it compactly."""
+    dumps = json.dumps
+    heads = [f'{{"pred":{dumps(t.predicate)},"dep":{dumps(t.relation)},'
+             f'"fact":{dumps(t.factuality)}' for t in corpus.types]
+    events = [heads[t] for t in corpus.type_ids.tolist()]
+    tokens = [dumps(t) for t in corpus.tokens]
+    text_off = corpus.text_off.tolist()
+    text = [tokens[i] for i in corpus.text_ids.tolist()]
+    for j in np.flatnonzero(np.diff(corpus.text_off)).tolist():
+        events[j] += ',"text":[' + ",".join(text[text_off[j]:text_off[j + 1]]) + "]"
+    keys = [dumps(k) for k in corpus.keys]
+    oot_off = corpus.oot_off.tolist()
+    pairs = [f"[{keys[k]},{r}]" for k, r in zip(corpus.oot_keys.tolist(),
+                                                corpus.oot_ratings.tolist())]
+    for j in np.flatnonzero(corpus.has_oot).tolist():
+        events[j] += ',"oot":[' + ",".join(pairs[oot_off[j]:oot_off[j + 1]]) + "]"
+    off = corpus.offsets.tolist()
+    for chain_id, a, b in zip(corpus.chain_ids, off, off[1:]):
+        yield ('{"chain_id":' + dumps(chain_id) + ',"events":['
+               + "},".join(events[a:b]) + "}]}\n")
 
 
 def write_chains(corpus: ChainCorpus, path):
     """Canonical writer: fixed key order, compact separators, one chain/line."""
     with open(path, "w", encoding="utf-8") as f:
-        for chain in corpus.chains:
-            f.write(chain_to_json(chain))
-            f.write("\n")
+        f.writelines(chain_lines(corpus))
 
 
 def split_corpus(corpus: ChainCorpus, ratios, seed: int):
@@ -178,34 +249,38 @@ def split_corpus(corpus: ChainCorpus, ratios, seed: int):
         raise ConfigError("split ratios must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
-    n = len(corpus.chains)
+    n = len(corpus)
     if n < len(ratios):
         raise ConfigError(f"cannot split {n} chains into {len(ratios)} parts")
     order = np.random.default_rng(seed).permutation(n)
     bounds = [int(round(sum(ratios[: i + 1]) * n)) for i in range(len(ratios))]
     bounds[-1] = n
-    parts = []
-    start = 0
-    for b in bounds:
-        idx = sorted(order[start:b])
-        parts.append(ChainCorpus([corpus.chains[i] for i in idx],
-                                 provenance=corpus.provenance))
-        start = b
-    return tuple(parts)
+    return tuple(corpus.take(np.sort(order[a:b]))
+                 for a, b in zip([0, *bounds], bounds))
 
 
-def build_vocab_from(corpus: ChainCorpus, min_count: int = 10,
-                     include_oot: bool = True) -> Vocabulary:
-    """Intern every chain event (and, by default, out-of-text candidate keys)
-    then finalize at min_count."""
+def _first_seen(ids, size):
+    """The table ids in ``ids`` in order of first appearance, and their
+    counts."""
+    seen, first = np.unique(ids, return_index=True)
+    order = seen[np.argsort(first)]
+    return order.tolist(), np.bincount(ids, minlength=size)[order].tolist()
+
+
+def build_vocab_from(corpus: ChainCorpus, min_count: int = 10) -> Vocabulary:
+    """Intern every chain event and out-of-text candidate key in order of
+    first appearance, then finalize at min_count."""
+    # each event's type followed by its out-of-text keys, as in the file
+    n = len(corpus.type_ids)
+    owner = np.repeat(np.arange(n), np.diff(corpus.oot_off))
+    stream = np.empty(n + len(owner), dtype=np.intp)
+    stream[np.arange(n) + corpus.oot_off[:-1]] = corpus.type_ids
+    stream[owner + np.arange(1, len(owner) + 1)] = corpus.oot_keys + len(corpus.types)
+    keys = [t.key for t in corpus.types] + corpus.keys
     vocab = Vocabulary()
-    for chain in corpus.chains:
-        for ce in chain.events:
-            vocab.intern(ce.event.predicate, ce.event.relation)
-            if include_oot and ce.oot_candidates:
-                for key, _rating in ce.oot_candidates:
-                    ev = EventType.from_key(key)
-                    vocab.intern(ev.predicate, ev.relation)
+    for k, count in zip(*_first_seen(stream, len(keys))):
+        ev = EventType.from_key(keys[k])
+        vocab.intern(ev.predicate, ev.relation, count)
     return vocab.finalize(min_count)
 
 
@@ -213,31 +288,21 @@ def build_vocab_from(corpus: ChainCorpus, min_count: int = 10,
 class TokenVocab:
     """Token-string vocabulary for the text channel; id 0 is UNK."""
 
-    tokens: list[str] = field(default_factory=lambda: ["<unk>"])
-
-    def __post_init__(self):
-        self._index = {t: i for i, t in enumerate(self.tokens)}
+    tokens: list[str]
 
     def __len__(self):
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self._index.get(token, 0)
-
-    def encode(self, tokens) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+    def encode(self, tokens) -> np.ndarray:
+        """Ids of ``tokens`` (unknown -> 0)."""
+        index = {t: i for i, t in enumerate(self.tokens)}
+        return np.array([index.get(t, 0) for t in tokens], dtype=np.intp)
 
 
 def build_token_vocab(corpus: ChainCorpus, min_count: int = 1) -> TokenVocab:
-    counts = {}
-    for chain in corpus.chains:
-        for ce in chain.events:
-            for t in ce.text_tokens or []:
-                counts[t] = counts.get(t, 0) + 1
-    kept = ["<unk>"] + [t for t, c in counts.items() if c >= min_count]
-    return TokenVocab(kept)
-
-
-def chain_ids(chain: EventChain, vocab: Vocabulary) -> list[int]:
-    """Map a chain's events to vocabulary ids (unknown -> UNK)."""
-    return [vocab.id_of(ce.event.key) for ce in chain.events]
+    """Every text token seen at least ``min_count`` times, in order of first
+    appearance."""
+    return TokenVocab(["<unk>"] + [
+        corpus.tokens[t] for t, c in zip(*_first_seen(corpus.text_ids,
+                                                      len(corpus.tokens)))
+        if c >= min_count])

@@ -9,11 +9,12 @@ pair-score functions score(predecessor, target).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ChainCorpus, chain_ids
+from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
 from .events import NUM_SPECIALS, Vocabulary, ranked_ids
 
@@ -38,24 +39,18 @@ def make_cloze_set(corpus: ChainCorpus, vocab: Vocabulary, count: int,
                    seed: int) -> list[ClozeInstance]:
     """Seeded uniform sample (without replacement) of (chain, split-point)
     pairs whose held-out answer is a real event."""
-    pool = []
-    for ci, chain in enumerate(corpus.chains):
-        ids = chain_ids(chain, vocab)
-        for pos in range(1, len(ids)):
-            if ids[pos] >= NUM_SPECIALS:
-                pool.append((ci, pos))
+    ids, off = corpus.event_ids(vocab), corpus.offsets
+    chain = np.repeat(np.arange(len(corpus)), np.diff(off))
+    pool = np.flatnonzero((np.arange(len(ids)) > off[chain])
+                          & (ids >= NUM_SPECIALS))
     if len(pool) < count:
         raise ConfigError(
             f"corpus yields {len(pool)} cloze candidates, need {count}")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(pool), size=count, replace=False)
-    instances = []
-    for p in sorted(picks):
-        ci, pos = pool[p]
-        ids = chain_ids(corpus.chains[ci], vocab)
-        instances.append(ClozeInstance(ids[:pos], ids[pos],
-                                       corpus.chains[ci].chain_id))
-    return instances
+    at = pool[sorted(rng.choice(len(pool), size=count, replace=False))]
+    ids, off = ids.tolist(), off.tolist()
+    return [ClozeInstance(ids[off[c]:i], ids[i], corpus.chain_ids[c])
+            for i, c in zip(at.tolist(), chain[at].tolist())]
 
 
 def filter_by_cutoff(instances, rank, cutoff: int):
@@ -152,17 +147,12 @@ def pairwise_sheet(systems: dict, targets, vocab: Vocabulary, rank,
             for k in candidates:
                 scores[k] = score_fn(k, target)
             unranked = np.flatnonzero(~np.isfinite(scores))
-            picks = ranked_ids(scores, unranked)[:per_system]
-            for k in picks:
-                task_rows.append({"task_id": task_id,
-                                  "target_event": vocab.key_of(target),
-                                  "candidate_event": vocab.key_of(k),
-                                  "hidden_system_key": name, "score": ""})
-            for _ in range(per_system - len(picks)):
-                task_rows.append({"task_id": task_id,
-                                  "target_event": vocab.key_of(target),
-                                  "candidate_event": SHORT_MARK,
-                                  "hidden_system_key": name, "score": ""})
+            picks = [vocab.key_of(k)
+                     for k in ranked_ids(scores, unranked)[:per_system]]
+            picks += [SHORT_MARK] * (per_system - len(picks))
+            task_rows += [{"task_id": task_id, "target_event": vocab.key_of(target),
+                           "candidate_event": k, "hidden_system_key": name,
+                           "score": ""} for k in picks]
         order = rng.permutation(len(task_rows))
         rows.extend(task_rows[i] for i in order)
     return rows
@@ -211,18 +201,11 @@ def score_summary(rows) -> dict[str, dict[str, float]]:
         tasks.setdefault(r["task_id"], []).append((r["hidden_system_key"], score))
     sums = {}
     for entries in tasks.values():
-        ordered = sorted(range(len(entries)), key=lambda i: entries[i][1])
-        ranks = [0.0] * len(entries)
-        i = 0
-        while i < len(ordered):
-            j = i
-            while (j + 1 < len(ordered)
-                   and entries[ordered[j + 1]][1] == entries[ordered[i]][1]):
-                j += 1
-            avg_rank = (i + j) / 2.0 + 1.0
-            for t in range(i, j + 1):
-                ranks[ordered[t]] = avg_rank
-            i = j + 1
+        scores = np.array([score for _, score in entries])
+        ordered = np.sort(scores)
+        # a tie over sorted positions i..j gets rank (i + j) / 2 + 1
+        ranks = ((np.searchsorted(ordered, scores, "left")
+                  + np.searchsorted(ordered, scores, "right") + 1) / 2).tolist()
         for idx, (system, score) in enumerate(entries):
             agg = sums.setdefault(system, {"score": 0.0, "rank": 0.0, "n": 0})
             agg["score"] += score
@@ -255,18 +238,11 @@ def diversity_report(emissions: dict[str, list]) -> dict[str, DiversityStats]:
     for system, seq in emissions.items():
         if not seq:
             raise ConfigError(f"system {system!r} has no emissions")
-        seen = set()
-        firsts = 0
-        counts = {}
-        for e in seq:
-            if e not in seen:
-                seen.add(e)
-                firsts += 1
-            counts[e] = counts.get(e, 0) + 1
+        counts = Counter(seq)   # each event is new once: at its first emission
         top2 = sorted(counts.items(), key=lambda p: (-p[1], str(p[0])))[:2]
         report[system] = DiversityStats(
-            total=len(seq), distinct=len(seen),
-            pct_new=100.0 * firsts / len(seq),
+            total=len(seq), distinct=len(counts),
+            pct_new=100.0 * len(counts) / len(seq),
             top2=[(str(e), 100.0 * c / len(seq)) for e, c in top2])
     return report
 

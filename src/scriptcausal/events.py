@@ -109,7 +109,7 @@ class Vocabulary:
         """Dense ids of the non-special events."""
         return range(NUM_SPECIALS, len(self._id_to_key))
 
-    def intern(self, predicate: str, relation: str) -> int:
+    def intern(self, predicate: str, relation: str, count: int = 1) -> int:
         if self._frozen:
             raise ConfigError("cannot intern into a finalized vocabulary")
         _check_field("predicate", predicate)
@@ -121,7 +121,7 @@ class Vocabulary:
             self._key_to_id[key] = idx
             self._id_to_key.append(key)
             self._counts.append(0)
-        self._counts[idx] += 1
+        self._counts[idx] += count
         return idx
 
     def id_of(self, key: str) -> int:

@@ -76,20 +76,6 @@ def log_softmax(logits, axis=-1):
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def softmax_xent(logits, target):
-    """Cross-entropy loss and gradient for one logit vector.
-
-    loss = -log softmax(logits)[target]; dloss/dlogits = softmax - onehot.
-    """
-    logits = np.asarray(logits, dtype=float)
-    if not 0 <= target < logits.shape[-1]:
-        raise ConfigError(f"target {target} out of range for {logits.shape[-1]} classes")
-    logp = log_softmax(logits)
-    grad = np.exp(logp)
-    grad[target] -= 1.0
-    return -logp[target], grad
-
-
 def softmax_xent_batch(logits, targets):
     """Summed cross entropy over a batch; returns (loss, dlogits)."""
     B = logits.shape[0]
@@ -99,6 +85,15 @@ def softmax_xent_batch(logits, targets):
     grad = np.exp(logp)
     grad[rows, targets] -= 1.0
     return float(np.sum(losses)), grad
+
+
+def scatter_rows(idx, rows, n):
+    """np.add.at of ``rows`` (k, d) at ``idx`` (k,) into (n, d) zeros, as one
+    flat bincount: each target row adds its terms in the order they come."""
+    d = rows.shape[1]
+    flat = (np.asarray(idx)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(),
+                       minlength=n * d).reshape(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +407,8 @@ def encode_text_cnn_backward(params, prefix, d_out, cache, grads, d_embeddings):
 
 
 class AdamState:
-    """Adam with global-norm gradient clipping applied before the moments."""
+    """Adam with global-norm gradient clipping applied before the moments,
+    and two scratch arrays per parameter for the in-place update."""
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8,
                  clip_norm=10.0):
@@ -424,6 +420,8 @@ class AdamState:
         self.step = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.scratch = {k: (np.empty_like(v), np.empty_like(v))
+                        for k, v in params.items()}
 
 
 def global_norm(grads):
@@ -443,12 +441,20 @@ def adam_update(state: AdamState, params, grads):
     t = state.step
     b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
-        g = grads[name] * scale
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m, v = state.m[name], state.v[name]
+        g, s = state.scratch[name]
+        np.multiply(grads[name], scale, out=g)
+        m *= b1                            # m = b1 * m + (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=s)
+        v *= b2                            # v = b2 * v + (1 - b2) * (g * g)
+        g *= g
+        v += np.multiply(g, 1 - b2, out=g)
+        # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
+        np.sqrt(np.divide(v, 1 - b2 ** t, out=g), out=g)
+        g += state.epsilon
+        np.divide(m, 1 - b1 ** t, out=s)
+        s *= state.lr
+        p -= np.divide(s, g, out=s)
     return params, state
 
 

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .corpus import ChainCorpus, ChainEvent, EventChain
+from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
 from .events import EventType
 
@@ -125,10 +125,6 @@ class SyntheticCBN:
         joint = self.position_marginals()[: self.chain_length - 1, :, ki].sum(axis=0)
         return (joint / joint.sum()) @ self.kernels[:, ki + 1, :]
 
-    def unigram_marginal(self) -> np.ndarray:
-        """Event distribution of a uniformly random chain position."""
-        return self.position_marginals().sum(axis=1).mean(axis=0)
-
     def confounding_gap(self, k, l) -> float:
         """Observational minus interventional probability of l after k."""
         ki, li = self.event_index(k), self.event_index(l)
@@ -139,24 +135,33 @@ class SyntheticCBN:
 
     def sample_chains(self, n: int, seed: int,
                       annotate_scenario: bool = False) -> ChainCorpus:
-        """Draw n chains; per-chain rngs derived from (seed, index)."""
+        """Draw n chains. Chain i takes L + 1 uniforms from its own rng
+        ``default_rng([seed, i])``: one picks the scenario, the others walk
+        its kernel from START, all chains at once. Each pick inverts the CDF
+        as ``rng.choice(p=...)`` does: ``cdf /= cdf[-1]``, then ``side="right"``."""
         if n < 1:
             raise ConfigError("need n >= 1 chains")
-        chains = []
-        for i in range(n):
-            rng = np.random.default_rng([seed, i])
-            z = int(rng.choice(self.num_scenarios, p=self.pi))
-            oot = ([(scenario_key(self.scenario_names[z]), 4)]
-                   if annotate_scenario else None)
-            events = []
-            state = 0  # START row
-            for _ in range(self.chain_length):
-                e = int(rng.choice(self.num_events, p=self.kernels[z, state]))
-                ev = EventType.from_key(self.event_keys[e])
-                events.append(ChainEvent(ev, None, list(oot) if oot else None))
-                state = e + 1
-            chains.append(EventChain(f"{self.name.lower()}-{seed}-{i}", events))
-        return ChainCorpus(chains, provenance=f"{self.name} seed={seed} n={n}")
+        L = self.chain_length
+        u = np.array([np.random.default_rng([seed, i]).random(L + 1)
+                      for i in range(n)])
+        pi_cdf = self.pi.cumsum()
+        z = (pi_cdf / pi_cdf[-1] <= u[:, :1]).sum(axis=1)
+        events = np.empty((n, L), dtype=np.intp)
+        state = np.zeros(n, dtype=np.intp)  # START row
+        for t in range(L):
+            cdf = self.kernels[z, state].cumsum(axis=1)
+            cdf = cdf / cdf[:, -1:]
+            events[:, t] = (cdf <= u[:, t + 1, None]).sum(axis=1)
+            state = events[:, t] + 1
+        # no text; with annotations, one (scenario, 4) pair per event
+        m, a = n * L, int(annotate_scenario)
+        return ChainCorpus(
+            [f"{self.name.lower()}-{seed}-{i}" for i in range(n)],
+            np.arange(0, m + 1, L), events.ravel(),
+            [EventType.from_key(k) for k in self.event_keys],
+            np.zeros(m + 1, np.intp), np.zeros(0, np.intp), [], np.arange(m + 1) * a,
+            np.repeat(z, L * a), np.full(m * a, 4), np.full(m, bool(a)),
+            [scenario_key(s) for s in self.scenario_names])
 
     # -- serialization -----------------------------------------------------
 
@@ -242,25 +247,11 @@ def build_zipf_cbn(num_filler: int = 40, num_scenarios: int = 12,
         for j in range(events_per_scenario):
             picks = rng.choice(events_per_scenario, size=3, replace=False)
             succ[j, picks] = rng.dirichlet(np.ones(3) * 2.0)
-        rare_row = np.zeros(E)
-        rare_row[own] = 1.0 / events_per_scenario
-        start = np.zeros(E)
-        start[:num_filler] = filler_prob * zipf
-        start[own] = (1.0 - filler_prob) / events_per_scenario
-        templates[z, 0] = start
-        for row in range(E):
-            out = np.zeros(E)
-            out[:num_filler] = filler_prob * zipf
-            if own.start <= row < own.stop:
-                j = row - own.start
-                block = np.zeros(E)
-                block[own] = 0.0
-                block[num_filler + z * events_per_scenario:
-                      num_filler + (z + 1) * events_per_scenario] = succ[j]
-                out += (1.0 - filler_prob) * block
-            else:
-                out += (1.0 - filler_prob) * rare_row
-            templates[z, row + 1] = out
+        templates[z, :, :num_filler] = filler_prob * zipf
+        templates[z, 0, own] = (1.0 - filler_prob) / events_per_scenario
+        # from a filler or another scenario's event: uniform over the block
+        templates[z, 1:, own] = (1.0 - filler_prob) * (1.0 / events_per_scenario)
+        templates[z, 1 + own.start:1 + own.stop, own] = (1.0 - filler_prob) * succ
     pi = np.full(num_scenarios, 1.0 / num_scenarios)
     return SyntheticCBN("F-ZIPF", event_keys,
                         [f"scenario{z:02d}" for z in range(num_scenarios)],

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from scriptcausal import baselines, causal, cli, evaluation, kernel, synth
-from scriptcausal.corpus import (ChainCorpus, build_vocab_from, chain_ids,
-                                 load_chains, split_corpus, write_chains)
+from scriptcausal.corpus import (build_vocab_from, chain_lines, load_chains,
+                                 parse_chains, split_corpus, write_chains)
 from scriptcausal.events import NUM_SPECIALS, frequency_rank
 
 
@@ -40,8 +40,8 @@ def popcorn():
     instances = causal.extract_training_instances(corpus, vocab)
     rng = np.random.default_rng(0)
     order = rng.permutation(len(instances))
-    dev = [instances[i] for i in order[:10000]]
-    train = [instances[i] for i in order[10000:]]
+    dev = instances.take(order[:10000])
+    train = instances.take(order[10000:])
     model = causal.train_conditional(train, dev, len(vocab), 1,
                                      POPCORN_COND_CFG)
     tuned = causal.finetune_with_oot(model, instances, POPCORN_COND_CFG)
@@ -64,13 +64,12 @@ def test_criterion_1_deconfounding_vs_oracle(popcorn):
     # confounding gap: observed bigram conditional minus estimated do-cell
     pk = vocab.id_of("eat_popcorn:nsubj")
     ck = vocab.id_of("cry:nsubj")
-    num = den = 0
-    for chain in popcorn["corpus"].chains:
-        ev = chain_ids(chain, vocab)
-        for a, b in zip(ev, ev[1:]):
-            if a == pk:
-                den += 1
-                num += int(b == ck)
+    corpus = popcorn["corpus"]
+    ev = corpus.event_ids(vocab)
+    same_chain = np.diff(np.repeat(np.arange(len(corpus)),
+                                   np.diff(corpus.offsets))) == 0
+    after_pk = same_chain & (ev[:-1] == pk)
+    num, den = int(np.sum(after_pk & (ev[1:] == ck))), int(np.sum(after_pk))
     gap_est = num / den - table.effect[pk, ck]
     gap_oracle = cbn.confounding_gap("eat_popcorn:nsubj", "cry:nsubj")
     assert gap_est * gap_oracle > 0, "confounding gap sign mismatch"
@@ -119,8 +118,8 @@ def test_criterion_3_no_confounder_agreement():
     instances = causal.extract_training_instances(corpus, vocab)
     rng = np.random.default_rng(0)
     order = rng.permutation(len(instances))
-    dev = [instances[i] for i in order[:5000]]
-    train = [instances[i] for i in order[5000:]]
+    dev = instances.take(order[:5000])
+    train = instances.take(order[5000:])
     cfg = {"emb_dim": 32, "hidden_dim": 64, "text_mode": "mean",
            "batch_size": 512, "seed": 0, "clip_norm": 10.0,
            "lr_schedule": [[0.001, 4], [0.0003, 2], [0.0001, 2]]}
@@ -208,14 +207,16 @@ def test_criterion_5_distribution_invariants():
                    "seed": t}, phase=phase)
         for name in m.params:
             m.params[name] = rng.normal(size=m.params[name].shape) * 0.3
-        contexts = [causal.ConditionalContext(
-            int(rng.integers(NUM_SPECIALS, V)),
-            list(rng.integers(NUM_SPECIALS, V, size=rng.integers(0, 5))),
-            list(rng.integers(0, 5, size=rng.integers(0, 4))),
-            list(rng.integers(NUM_SPECIALS, V, size=rng.integers(0, 3))))
-            for _ in range(8)]
+        seqs, texts, oots = [], [], []
+        for _ in range(8):
+            prev = int(rng.integers(NUM_SPECIALS, V))
+            seqs.append([*rng.integers(NUM_SPECIALS, V, size=rng.integers(0, 5)),
+                         prev])
+            texts.append(rng.integers(0, 5, size=rng.integers(0, 4)))
+            oots.append(rng.integers(NUM_SPECIALS, V, size=rng.integers(0, 3)))
+        contexts = causal.PackedInstances.pack(seqs, texts, oots)
         table = causal.estimate_interventions(
-            m, causal.AdjustmentSet(contexts, seed=t))
+            m, causal.AdjustmentSet(contexts, np.arange(8), seed=t))
         assert np.all(np.abs(table.effect.sum(axis=1) - 1.0) <= tol)
         assert np.all(table.effect >= 0.0)
         cases += V
@@ -248,19 +249,19 @@ def test_criterion_6_pmi_formula_fidelity():
 
     # exact agreement with a brute-force pair enumerator on 1,000 chains
     rng = np.random.default_rng(6)
-    chains = []
+    lines = []
     for b, length in enumerate(range(2, 12)):
         cbn = _random_cbn_fixed(rng, b, length)
-        chains.extend(cbn.sample_chains(100, seed=600 + b).chains)
-    assert len(chains) == 1000
-    corpus = ChainCorpus(chains)
+        lines.extend(chain_lines(cbn.sample_chains(100, seed=600 + b)))
+    corpus = parse_chains(lines)
+    assert len(corpus) == 1000
     vocab = build_vocab_from(corpus, min_count=1)
     for window in (1, 2, 3):
         counts = baselines.count_skip_bigrams(corpus, vocab, window=window)
         brute = {}
         total = 0
         for chain in corpus.chains:
-            ids = chain_ids(chain, vocab)
+            ids = [vocab.id_of(ce.event.key) for ce in chain.events]
             for i in range(len(ids)):
                 for j in range(i + 1, min(i + window, len(ids) - 1) + 1):
                     brute[(ids[i], ids[j])] = brute.get((ids[i], ids[j]), 0) + 1
@@ -297,8 +298,8 @@ def test_criterion_7_infrequent_cloze_crossover():
     instances = causal.extract_training_instances(corpus, vocab)
     rng = np.random.default_rng(0)
     order = rng.permutation(len(instances))
-    dev = [instances[i] for i in order[:10000]]
-    train = [instances[i] for i in order[10000:]]
+    dev = instances.take(order[:10000])
+    train = instances.take(order[10000:])
     cfg = {"emb_dim": 32, "hidden_dim": 64, "text_mode": "mean",
            "batch_size": 512, "seed": 0, "clip_norm": 10.0,
            "lr_schedule": [[0.001, 2], [0.0003, 1]]}

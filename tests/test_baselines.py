@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scriptcausal import baselines
-from scriptcausal.corpus import ChainCorpus, parse_chain_line
+from scriptcausal import baselines, evaluation
+from scriptcausal.corpus import parse_chains
 from scriptcausal.errors import ConfigError
 from scriptcausal.events import END_ID, NUM_SPECIALS, Vocabulary
 
@@ -19,12 +19,11 @@ def _corpus_from_id_chains(id_chains, preds):
     for p in preds:
         vocab.intern(p, "x")
     vocab = vocab.finalize(1)
-    chains = []
+    lines = []
     for i, ids in enumerate(id_chains):
         events = [{"pred": preds[k - NUM_SPECIALS], "dep": "x"} for k in ids]
-        chains.append(parse_chain_line(
-            json.dumps({"chain_id": f"c{i}", "events": events})))
-    return ChainCorpus(chains), vocab
+        lines.append(json.dumps({"chain_id": f"c{i}", "events": events}))
+    return parse_chains(lines), vocab
 
 
 def test_window_two_pair_enumeration():
@@ -85,8 +84,9 @@ def test_merge_is_additive():
     a, b = NUM_SPECIALS, NUM_SPECIALS + 1
     c1, _ = _corpus_from_id_chains([[a, b]], ["a", "b"])
     c2, vocab = _corpus_from_id_chains([[b, a], [a, b]], ["a", "b"])
-    merged = baselines.count_skip_bigrams(c1, vocab).merge(
-        baselines.count_skip_bigrams(c2, vocab))
+    merged = baselines.count_skip_bigrams(c1, vocab)
+    for (e1, e2), c in baselines.count_skip_bigrams(c2, vocab).pair_counts.items():
+        merged.add_pair(e1, e2, c)
     both, _ = _corpus_from_id_chains([[a, b], [b, a], [a, b]], ["a", "b"])
     direct = baselines.count_skip_bigrams(both, vocab)
     assert merged.pair_counts == direct.pair_counts
@@ -189,7 +189,8 @@ def test_lm_next_distribution_is_a_distribution():
 def test_lm_chain_scores_exponentiate_to_one():
     corpus, vocab = _memorization_corpus(["a", "b"], n=4)
     lm = baselines.EventLM(len(vocab), TINY_LM)
-    total = sum(math.exp(lm.chain_score([NUM_SPECIALS], cand))
+    score = evaluation.lm_pair_scorer(lm)   # log p(k, l) of a 2-event chain
+    total = sum(math.exp(score(k, cand)) for k in range(len(vocab))
                 for cand in range(len(vocab)))
     assert total == pytest.approx(1.0, abs=1e-9)
 

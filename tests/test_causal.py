@@ -1,5 +1,6 @@
 """Conditional model, intervention estimation, and script scores."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from scriptcausal import causal, synth
 from scriptcausal import kernel as K
-from scriptcausal.corpus import build_vocab_from
+from scriptcausal.corpus import build_token_vocab, build_vocab_from, parse_chains
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS
 
@@ -16,6 +17,32 @@ TINY = {"emb_dim": 8, "hidden_dim": 12, "text_mode": "mean",
         "history_window": 10, "oot_threshold": 3, "lr": 0.01,
         "finetune_lr": 0.01, "clip_norm": 10.0, "batch_size": 64,
         "patience": 3, "max_epochs": 12, "seed": 0}
+
+
+# ---------------------------------------------------------------------------
+# helpers: hand-built contexts are (prev, history, text, oot) tuples
+
+
+def _pack(contexts, targets=None):
+    return causal.PackedInstances.pack(
+        [[*hist, prev] for prev, hist, _, _ in contexts],
+        [text for _, _, text, _ in contexts], [oot for *_, oot in contexts],
+        targets)
+
+
+def _dist(model, batch):
+    """The model's next-event distribution of every row of a batch."""
+    logits, _ = model._forward(model.params, batch)
+    return K.softmax(logits, axis=1)
+
+
+def _all_rows(packed, seed=0):
+    return causal.AdjustmentSet(packed, np.arange(len(packed)), seed)
+
+
+def _chain_line(chain_id, preds, **extra):
+    return json.dumps({"chain_id": chain_id, "events": [
+        {"pred": p, "dep": "x", **extra.get(i, {})} for i, p in enumerate(preds)]})
 
 
 # ---------------------------------------------------------------------------
@@ -31,37 +58,28 @@ def _instances_for(cbn, n, seed, annotate=False, oot_threshold=3):
 
 
 def test_history_window_is_ten():
-    cbn = synth.build_fixture("F-UNIFORM")
-    corpus = cbn.sample_chains(1, seed=0)
-    # grow the chain to length 12 by concatenating sampled events
-    chain = corpus.chains[0]
-    while len(chain.events) < 12:
-        chain.events.append(chain.events[0])
+    corpus = parse_chains([_chain_line("c", [f"e{i % 5}" for i in range(12)])])
     vocab = build_vocab_from(corpus, min_count=1)
     inst = causal.extract_training_instances(corpus, vocab)
-    target, ctx = inst[10]  # position i = 11
-    assert len(ctx.in_text_history) == 10
+    assert inst.seq_len[10] - 1 == 10  # position i = 11: history + prev
 
 
 def test_history_window_beyond_ten():
-    cbn = synth.build_fixture("F-UNIFORM")
-    corpus = cbn.sample_chains(3, seed=0)
-    for chain in corpus.chains:
-        while len(chain.events) < 14:
-            chain.events.append(chain.events[0])
-        del chain.events[14:]
+    lines = [_chain_line(f"c{c}", [f"e{(c + i) % 6}" for i in range(14)])
+             for c in range(3)]
+    corpus = parse_chains(lines)
     vocab = build_vocab_from(corpus, min_count=1)
     inst = causal.extract_training_instances(corpus, vocab, history_window=12)
-    target, ctx = inst[12]  # position i = 13
-    assert len(ctx.in_text_history) == 12
+    assert inst.seq_len[12] - 1 == 12  # position i = 13
+    one = inst.take(np.array([12]))
     model = causal.ConditionalModel(len(vocab), 1,
                                     dict(TINY, history_window=12))
-    table = causal.estimate_interventions(
-        model, causal.AdjustmentSet([ctx], seed=0))
-    for k in range(len(vocab)):
-        sub = causal.ConditionalContext(k, ctx.in_text_history)
-        np.testing.assert_allclose(table.row(k), model.distribution(sub),
-                                   atol=1e-12)
+    table = causal.estimate_interventions(model, _all_rows(one))
+    hist = one.seq[0, :12].tolist()
+    np.testing.assert_allclose(
+        table.effect, _dist(model, _pack([(k, hist, [], [])
+                                          for k in range(len(vocab))])),
+        atol=1e-12)
     table = causal.estimate_interventions(
         model, causal.sample_adjustment_set(inst, 30, seed=1))
     np.testing.assert_allclose(table.effect.sum(axis=1), 1.0, atol=1e-9)
@@ -70,22 +88,69 @@ def test_history_window_beyond_ten():
 def test_first_position_has_empty_history():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, vocab, corpus = _instances_for(cbn, 1, seed=0)
-    target, ctx = inst[0]
-    assert ctx.in_text_history == []
-    assert ctx.prev_event == vocab.id_of(corpus.chains[0].events[0].event.key)
+    assert inst.seq_len[0] == 1  # no history, only the prev event
+    assert inst.seq[0, 0] == vocab.id_of(corpus.chains[0].events[0].event.key)
 
 
 def test_oot_rating_threshold():
-    import json
-    from scriptcausal.corpus import parse_chain_line, ChainCorpus
     line = json.dumps({"chain_id": "c", "events": [
         {"pred": "a", "dep": "x", "oot": [["low:x", 2], ["high:x", 3]]},
         {"pred": "b", "dep": "x"}]})
-    corpus = ChainCorpus([parse_chain_line(line)])
+    corpus = parse_chains([line])
     vocab = build_vocab_from(corpus, min_count=1)
     inst = causal.extract_training_instances(corpus, vocab, oot_threshold=3)
-    _, ctx = inst[0]
-    assert ctx.oot_events == [vocab.id_of("high:x")]
+    assert inst.oot[0, :inst.oot_len[0]].tolist() == [vocab.id_of("high:x")]
+
+
+def _reference_instances(corpus, vocab, token_vocab, oot_threshold,
+                         history_window):
+    """The per-instance fold over the chain view: (target, prev, history,
+    text, oot) for every chain position i >= 1."""
+    out = []
+    for chain in corpus.chains:
+        ids = [vocab.id_of(ce.event.key) for ce in chain.events]
+        for i in range(1, len(ids)):
+            prev_ce = chain.events[i - 1]
+            history = ids[max(0, i - 1 - history_window):i - 1]
+            text = (token_vocab.encode(prev_ce.text_tokens).tolist()
+                    if token_vocab is not None and prev_ce.text_tokens else [])
+            oot = [vocab.id_of(key) for key, rating in prev_ce.oot_candidates or ()
+                   if rating >= oot_threshold]
+            out.append((ids[i], ids[i - 1], history, text, oot))
+    return out
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains=st.lists(st.lists(st.tuples(
+           _WORDS, st.lists(_WORDS, max_size=3),
+           st.one_of(st.none(), st.lists(st.tuples(_WORDS, st.integers(0, 4)),
+                                         max_size=3))),
+           min_size=1, max_size=16), min_size=1, max_size=5),
+       window=st.integers(0, 12), threshold=st.integers(0, 5),
+       with_tokens=st.booleans(), min_count=st.integers(1, 3))
+def test_extraction_equals_per_instance_fold(chains, window, threshold,
+                                            with_tokens, min_count):
+    lines = [json.dumps({"chain_id": f"c{c}", "events": [
+        {"pred": p, "dep": "x", **({"text": text} if text else {}),
+         **({"oot": [[f"{k}:y", r] for k, r in oot]} if oot is not None else {})}
+        for p, text, oot in events]}) for c, events in enumerate(chains)]
+    corpus = parse_chains(lines)
+    vocab = build_vocab_from(corpus, min_count=min_count)
+    tokens = build_token_vocab(corpus, min_count) if with_tokens else None
+    got = causal.extract_training_instances(corpus, vocab, tokens, threshold,
+                                            window)
+    want = _reference_instances(corpus, vocab, tokens, threshold, window)
+    assert len(got) == len(want)
+    if want:
+        ref = causal.PackedInstances.pack(
+            [[*h, p] for _, p, h, _, _ in want], [t for *_, t, _ in want],
+            [o for *_, o in want], [t for t, *_ in want])
+        for name in ("seq", "seq_len", "text", "text_len", "oot", "oot_len",
+                     "targets"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +159,14 @@ def test_oot_rating_threshold():
 
 def test_distribution_sums_to_one():
     model = causal.ConditionalModel(9, 4, TINY)
-    ctx = causal.ConditionalContext(3, [4, 5], [1, 2], [])
-    dist = model.distribution(ctx)
+    dist = _dist(model, _pack([(3, [4, 5], [1, 2], [])]))[0]
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
     assert (dist >= 0).all()
 
 
 def test_prev_event_changes_distribution():
     model = causal.ConditionalModel(9, 4, TINY)
-    d1 = model.distribution(causal.ConditionalContext(3, [4], [], []))
-    d2 = model.distribution(causal.ConditionalContext(5, [4], [], []))
+    d1, d2 = _dist(model, _pack([(3, [4], [], []), (5, [4], [], [])]))
     assert not np.allclose(d1, d2)
 
 
@@ -119,9 +182,8 @@ def test_zero_wo_matches_pretrained_bitwise():
     model = causal.ConditionalModel(9, 4, TINY)
     tuned = _with_zero_wo(model)
     assert not np.any(tuned.params["W_O"])
-    ctx = causal.ConditionalContext(3, [4, 5], [1], [6])
-    np.testing.assert_array_equal(model.distribution(ctx),
-                                  tuned.distribution(ctx))
+    batch = _pack([(3, [4, 5], [1], [6])])
+    np.testing.assert_array_equal(_dist(model, batch), _dist(tuned, batch))
 
 
 def test_empty_oot_set_reduces_to_pretrained_form():
@@ -129,16 +191,17 @@ def test_empty_oot_set_reduces_to_pretrained_form():
     model = causal.ConditionalModel(9, 4, TINY)
     tuned = _with_zero_wo(model)
     tuned.params["W_O"] = rng.normal(size=tuned.params["W_O"].shape)
-    ctx = causal.ConditionalContext(3, [4], [], [])   # no out-of-text events
-    np.testing.assert_allclose(model.distribution(ctx),
-                               tuned.distribution(ctx), atol=1e-14)
+    batch = _pack([(3, [4], [], [])])   # no out-of-text events
+    np.testing.assert_allclose(_dist(model, batch), _dist(tuned, batch),
+                               atol=1e-14)
 
 
 def test_training_is_deterministic():
     cbn = synth.build_fixture("F-DET")
     inst, vocab, _ = _instances_for(cbn, 60, seed=1)
     cfg = dict(TINY, max_epochs=2)
-    models = [causal.train_conditional(inst[:300], inst[300:350], len(vocab),
+    models = [causal.train_conditional(inst.take(slice(0, 300)),
+                                       inst.take(slice(300, 350)), len(vocab),
                                        1, cfg) for _ in range(2)]
     for name in models[0].params:
         np.testing.assert_array_equal(models[0].params[name],
@@ -149,10 +212,9 @@ def test_deterministic_kernel_heldout_accuracy():
     cbn = synth.build_fixture("F-DET")
     inst, vocab, _ = _instances_for(cbn, 400, seed=2)
     split = int(0.9 * len(inst))
-    train, held = inst[:split], inst[split:]
+    train, held = inst.take(slice(0, split)), inst.take(slice(split, None))
     model = causal.train_conditional(train, held, len(vocab), 1, TINY)
-    hits = sum(int(np.argmax(model.distribution(ctx)) == t)
-               for t, ctx in held)
+    hits = np.sum(np.argmax(_dist(model, held), axis=1) == held.targets)
     assert hits / len(held) >= 0.95
 
 
@@ -160,14 +222,15 @@ def test_finetune_lowers_heldout_xent_with_annotations():
     cbn = synth.build_fixture("F-POPCORN")
     inst, vocab, _ = _instances_for(cbn, 500, seed=3, annotate=True)
     split = int(0.9 * len(inst))
-    train, held = inst[:split], inst[split:]
+    train, held = inst.take(slice(0, split)), inst.take(slice(split, None))
     pre = causal.train_conditional(
         train, held, len(vocab), 1, dict(TINY, max_epochs=8))
     tuned = causal.finetune_with_oot(pre, train,
                                      dict(TINY, max_epochs=8))
 
     def xent(m):
-        return -np.mean([np.log(m.distribution(ctx)[t]) for t, ctx in held])
+        return -np.mean(np.log(_dist(m, held)[np.arange(len(held)),
+                                              held.targets]))
 
     assert xent(tuned) < xent(pre)
 
@@ -188,14 +251,11 @@ def test_model_file_round_trip(tmp_path):
 
 def test_single_sample_equals_substituted_conditional():
     model = causal.ConditionalModel(9, 4, TINY)
-    ctx = causal.ConditionalContext(3, [4, 5], [2], [])
     table = causal.estimate_interventions(
-        model, causal.AdjustmentSet([ctx], seed=0))
+        model, _all_rows(_pack([(3, [4, 5], [2], [])])))
+    subs = _dist(model, _pack([(k, [4, 5], [2], []) for k in range(9)]))
     for k in range(9):
-        sub = causal.ConditionalContext(k, ctx.in_text_history,
-                                        ctx.text_tokens, ctx.oot_events)
-        np.testing.assert_allclose(table.row(k), model.distribution(sub),
-                                   atol=1e-12)
+        np.testing.assert_allclose(table.effect[k], subs[k], atol=1e-12)
 
 
 def test_estimator_matches_per_row_formula():
@@ -212,27 +272,24 @@ def test_estimator_matches_per_row_formula():
     def ids(low, high, most):
         return [int(i) for i in rng.integers(low, high, size=rng.integers(0, most))]
 
-    contexts = [causal.ConditionalContext(int(rng.integers(NUM_SPECIALS, V)),
-                                          ids(NUM_SPECIALS, V, 5),
-                                          ids(0, n_tokens, 4),
-                                          ids(NUM_SPECIALS, V, 3))
+    contexts = [(int(rng.integers(NUM_SPECIALS, V)), ids(NUM_SPECIALS, V, 5),
+                 ids(0, n_tokens, 4), ids(NUM_SPECIALS, V, 3))
                 for _ in range(150)]
-    for channel in ("in_text_history", "text_tokens", "oot_events"):
-        lengths = [len(getattr(c, channel)) for c in contexts]
+    for channel in (1, 2, 3):   # history, text, out-of-text
+        lengths = [len(c[channel]) for c in contexts]
         assert min(lengths) == 0 < max(lengths)
 
     table = causal.estimate_interventions(
-        model, causal.AdjustmentSet(contexts, seed=0), batch_size=64)
+        model, _all_rows(_pack(contexts)), batch_size=64)
 
     h_dim = TINY["hidden_dim"]
     expected = np.zeros((V, V))
-    for ctx in contexts:
+    for _, hist, text, oot in contexts:
         h = np.zeros((1, h_dim))
-        for e in ctx.in_text_history:
+        for e in hist:
             h, _ = K.gru_step(p, "enc", p["emb"][e], h)
-        v_t = (p["text_emb"][ctx.text_tokens].mean(axis=0) if ctx.text_tokens
-               else np.zeros(h_dim))
-        v_o = (p["emb"][ctx.oot_events].mean(axis=0) if ctx.oot_events
+        v_t = (p["text_emb"][text].mean(axis=0) if text else np.zeros(h_dim))
+        v_o = (p["emb"][oot].mean(axis=0) if oot
                else np.zeros(TINY["emb_dim"]))
         for k in range(V):
             v_e, _ = K.gru_step(p, "enc", p["emb"][k], h)
@@ -249,14 +306,13 @@ def test_batched_forward_matches_per_row_fold():
     V = 10
     model = causal.ConditionalModel(V, 4, TINY)
     p = model.params
-    contexts = [causal.ConditionalContext(
-        int(rng.integers(NUM_SPECIALS, V)),
-        [int(e) for e in rng.integers(NUM_SPECIALS, V, size=n)], [], [])
-        for n in (3, 0, 7, 1, 0, 5, 2, 7, 4)]
-    got = model.distribution_batch(contexts)
-    for row, ctx in zip(got, contexts):
+    contexts = [(int(rng.integers(NUM_SPECIALS, V)),
+                 [int(e) for e in rng.integers(NUM_SPECIALS, V, size=n)], [], [])
+                for n in (3, 0, 7, 1, 0, 5, 2, 7, 4)]
+    got = _dist(model, _pack(contexts))
+    for row, (prev, hist, _, _) in zip(got, contexts):
         h = np.zeros((1, TINY["hidden_dim"]))
-        for e in [*ctx.in_text_history, ctx.prev_event]:
+        for e in [*hist, prev]:
             h, _ = K.gru_step(p, "enc", p["emb"][e], h)
         want = K.softmax(p["A"] @ h[0])
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
@@ -266,7 +322,7 @@ def _contexts_from(chains, picks, V):
     """Contexts whose histories are windows of a few chains, so that many
     share a prefix or are equal; each gets one text token and, every
     other one, an out-of-text event."""
-    return [causal.ConditionalContext(
+    return [(
         NUM_SPECIALS + chains[c][end % len(chains[c])],
         [NUM_SPECIALS + e for e in chains[c][max(0, end - window):end]],
         [end % 3], [NUM_SPECIALS + c] if end % 2 else [])
@@ -288,7 +344,7 @@ def test_shared_layout_gradients_equal_unshared(chains, picks, phase):
     if phase == "finetuned":
         model.params["W_O"] = np.random.default_rng(1).normal(
             size=model.params["W_O"].shape) * 0.1
-    batch = causal.PackedInstances.pack(contexts, targets)
+    batch = _pack(contexts, targets)
     loss, grads = model.loss_and_grads(batch)
     unshared = K.SeqLayout
     with mock.patch.object(K, "SeqLayout",
@@ -304,25 +360,19 @@ def test_gradients_certify_when_instances_end_on_one_node():
     targets end on one packed row; both gradients must reach it."""
     V = NUM_SPECIALS + 5
     model = causal.ConditionalModel(V, 3, TINY)
-    contexts = [causal.ConditionalContext(5, [3, 4], [1], []),
-                causal.ConditionalContext(5, [3, 4], [2], []),
-                causal.ConditionalContext(6, [3], [], []),
-                causal.ConditionalContext(7, [3, 4, 5], [1], [])]
-    targets = [6, 7, 3, 4]
-    packed = causal.PackedInstances.pack(contexts)
+    packed = _pack([(5, [3, 4], [1], []), (5, [3, 4], [2], []),
+                    (6, [3], [], []), (7, [3, 4, 5], [1], [])], [6, 7, 3, 4])
     layout = K.SeqLayout(packed.seq_len, packed.seq)
     assert layout.last[0] == layout.last[1] and len(layout.steps) == 5
     err = K.finite_diff_check(
-        lambda p: model._loss_and_grads(p, contexts, targets), model.params,
+        lambda p: model.loss_and_grads(packed, p), model.params,
         max_coords=40, rng=np.random.default_rng(0))
     assert err < 1e-4
 
 
 def test_packed_batch_is_a_trimmed_row_gather():
-    contexts = [causal.ConditionalContext(3, [4, 5, 6], [1], []),
-                causal.ConditionalContext(7, [], [], [8, 9]),
-                causal.ConditionalContext(5, [4], [2, 3], [])]
-    packed = causal.PackedInstances.pack(contexts, [4, 5, 6])
+    packed = _pack([(3, [4, 5, 6], [1], []), (7, [], [], [8, 9]),
+                    (5, [4], [2, 3], [])], [4, 5, 6])
     batch = packed.take(np.array([2, 1]))
     np.testing.assert_array_equal(batch.seq, [[4, 5], [7, 0]])
     np.testing.assert_array_equal(batch.seq_len, [2, 1])
@@ -346,8 +396,8 @@ def test_adjustment_sampling_deterministic():
     inst, _, _ = _instances_for(cbn, 30, seed=5)
     a = causal.sample_adjustment_set(inst, 10, seed=9)
     b = causal.sample_adjustment_set(inst, 10, seed=9)
-    assert [c[1].prev_event for c in a.contexts] == \
-           [c[1].prev_event for c in b.contexts]
+    np.testing.assert_array_equal(a.index, b.index)
+    assert np.all(np.diff(a.index) > 0)   # sorted, without replacement
 
 
 def test_itable_round_trip(tmp_path):
@@ -387,8 +437,8 @@ def test_itable_load_rejects_truncated_body(tmp_path):
 
 def test_script_score_two_by_two():
     table = causal.InterventionTable(np.array([[0.7, 0.3], [0.5, 0.5]]))
-    assert causal.script_score(table, 0, 0) == pytest.approx(0.7 / 1.2)
     S = causal.script_score_matrix(table)
+    assert S[0, 0] == pytest.approx(0.7 / 1.2)
     assert S[0, 0] == pytest.approx(0.5833, abs=5e-5)
 
 

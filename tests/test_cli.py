@@ -304,3 +304,35 @@ def test_wrong_config_type_is_a_config_error(workdir, capsys, data):
     assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
                "--n", "2", "--output", "c.jsonl") == 1
     assert repr(key) in capsys.readouterr().err
+
+
+# the least value of every size, count and window key
+_LEAST = {**dict.fromkeys(
+    ["min_count", "window", "adjustment_n", "emb_dim", "hidden_dim",
+     "lm_emb_dim", "lm_hidden_dim", "lm_layers", "batch_size", "lm_batch_size",
+     "patience", "max_epochs", "recall_n", "cloze_count", "sheet_targets",
+     "per_system", "topk"], 1), "history_window": 0, "exclude_top": 0}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_out_of_range_config_value_is_a_config_error(workdir, capsys, data):
+    key = data.draw(st.sampled_from(sorted(_LEAST)))
+    value = data.draw(st.integers(-3, _LEAST[key] - 1))
+    (workdir / "bad.json").write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
+               "--n", "2", "--output", "c.jsonl") == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("batch_size", 0), ("hidden_dim", 0),
+                                       ("history_window", -1), ("max_epochs", 0)])
+def test_train_cond_rejects_out_of_range_values(workdir, key, value):
+    run("synth", "--fixture", "F-DET", "--n", "20", "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    (workdir / "bad.json").write_text(json.dumps({**TINY_CFG, key: value}))
+    assert run("--config", "bad.json", "train-cond", "--train", "c.jsonl",
+               "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 1
+    assert not (workdir / "m.bin").exists()

@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from scriptcausal.corpus import (ChainCorpus, build_vocab_from, chain_ids,
-                                 load_chains, parse_chain_line, split_corpus,
-                                 write_chains)
+from scriptcausal import cli
+
+from scriptcausal.corpus import (build_vocab_from, load_chains, parse_chains,
+                                 split_corpus, write_chains)
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS
 
@@ -65,7 +66,7 @@ def test_malformed_line_reports_line_number(tmp_path):
 
 def test_parse_rejects_missing_fields():
     with pytest.raises(DataFormatError):
-        parse_chain_line(json.dumps({"chain_id": "x", "events": [{"pred": "a"}]}))
+        parse_chains([json.dumps({"chain_id": "x", "events": [{"pred": "a"}]})])
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -134,16 +135,96 @@ def test_build_vocab_includes_oot_candidates(tmp_path):
 def test_chain_ids_maps_events(tmp_path):
     corpus = _toy_corpus(tmp_path, n=2)
     vocab = build_vocab_from(corpus, min_count=1)
-    ids = chain_ids(corpus.chains[0], vocab)
-    assert ids == [vocab.id_of("a:nsubj"), vocab.id_of("b:nsubj")]
+    ids = corpus.event_ids(vocab)[corpus.offsets[0]:corpus.offsets[1]]
+    assert ids.tolist() == [vocab.id_of("a:nsubj"), vocab.id_of("b:nsubj")]
 
 
 @settings(max_examples=25)
 @given(st.integers(5, 60), st.integers(0, 2**31 - 1))
 def test_split_always_partitions(n, seed):
-    chains = [parse_chain_line(_chain_json(f"c{i}", [("a", "pos", [], [])]))
-              for i in range(n)]
-    corpus = ChainCorpus(chains)
+    corpus = parse_chains([_chain_json(f"c{i}", [("a", "pos", [], [])])
+                           for i in range(n)])
     parts = split_corpus(corpus, (0.7, 0.15, 0.15), seed=seed)
     ids = sorted(c.chain_id for p in parts for c in p.chains)
-    assert ids == sorted(c.chain_id for c in chains)
+    assert ids == sorted(c.chain_id for c in corpus.chains)
+
+
+# ---------------------------------------------------------------------------
+# the integer corpus at its JSONL edges
+
+_KEYS = st.sampled_from(["sad:scenario", "errand:scenario", "order:nsubj"])
+_EVENT = st.fixed_dictionaries(
+    {"pred": st.sampled_from(["eat", "cry", "pay"]),
+     "dep": st.sampled_from(["nsubj", "dobj"])},
+    optional={"fact": st.sampled_from(["pos", "unc", "neg"]),
+              "text": st.lists(st.text(min_size=1, max_size=4), min_size=1,
+                               max_size=3),
+              "oot": st.lists(st.tuples(_KEYS, st.integers(0, 4)).map(list),
+                              max_size=2)})
+_CHAINS = st.lists(st.lists(_EVENT, min_size=1, max_size=5), min_size=1,
+                   max_size=4)
+
+
+def _lines(chains):
+    return [json.dumps({"chain_id": f"c{i}", "events": events})
+            for i, events in enumerate(chains)]
+
+
+def _canonical(chain_id, events):
+    """The canonical line: json.dumps of the events in key order pred, dep,
+    fact, text, oot, with fact defaulting to pos."""
+    out = []
+    for ev in events:
+        obj = {"pred": ev["pred"], "dep": ev["dep"], "fact": ev.get("fact", "pos")}
+        obj.update({k: ev[k] for k in ("text", "oot") if k in ev})
+        out.append(obj)
+    return json.dumps({"chain_id": chain_id, "events": out}, separators=(",", ":"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chains=_CHAINS)
+def test_write_load_write_is_byte_identical(tmp_path, chains):
+    src = _write(tmp_path, _lines(chains))
+    out1, out2 = tmp_path / "o1.jsonl", tmp_path / "o2.jsonl"
+    corpus = load_chains(src)
+    write_chains(corpus, out1)
+    want = [_canonical(f"c{i}", events) for i, events in enumerate(chains)]
+    assert out1.read_text(encoding="utf-8").splitlines() == want
+    write_chains(load_chains(out1), out2)
+    assert out1.read_bytes() == out2.read_bytes()
+    # the object view agrees with the file
+    assert [[ce.event.key for ce in c.events] for c in corpus.chains] == \
+        [[f"{ev['pred']}:{ev['dep']}" for ev in events] for events in chains]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chains=_CHAINS, data=st.data())
+def test_corrupted_line_loads_or_is_a_data_error(tmp_path, monkeypatch, chains,
+                                                 data):
+    """A truncated, byte-flipped or field-dropped last line either loads or
+    raises DataFormatError naming it; ``vocab`` exits 0 or 2."""
+    lines = [line.encode() for line in _lines(chains)]
+    bad = lines[-1]
+    how = data.draw(st.sampled_from(["truncate", "flip", "drop"]))
+    if how == "truncate":
+        bad = bad[:data.draw(st.integers(0, len(bad) - 1))]
+    elif how == "flip":
+        at = data.draw(st.integers(0, len(bad) - 1))
+        byte = bad[at] ^ data.draw(st.integers(1, 255))
+        assume(byte != ord("\n"))
+        bad = bad[:at] + bytes([byte]) + bad[at + 1:]
+    else:
+        obj = json.loads(bad)
+        target = data.draw(st.sampled_from([obj, *obj["events"]]))
+        del target[data.draw(st.sampled_from(sorted(target)))]
+        bad = json.dumps(obj).encode()
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join([*lines[:-1], bad]) + b"\n")
+    try:
+        load_chains(path)
+    except DataFormatError as e:
+        assert str(e).startswith(f"line {len(lines)}: ")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["vocab", "--input", "c.jsonl", "--output", "v.tsv"]) in (0, 2)

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scriptcausal import evaluation
-from scriptcausal.corpus import ChainCorpus, build_vocab_from, parse_chain_line
+from scriptcausal.corpus import build_vocab_from, parse_chains
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS, Vocabulary
 
 
 def _corpus(chains_preds):
-    chains = []
-    for i, preds in enumerate(chains_preds):
-        events = [{"pred": p, "dep": "x"} for p in preds]
-        chains.append(parse_chain_line(
-            json.dumps({"chain_id": f"c{i}", "events": events})))
-    corpus = ChainCorpus(chains)
+    corpus = parse_chains(
+        [json.dumps({"chain_id": f"c{i}", "events": [{"pred": p, "dep": "x"}
+                                                     for p in preds]})
+         for i, preds in enumerate(chains_preds)])
     return corpus, build_vocab_from(corpus, min_count=1)
 
 

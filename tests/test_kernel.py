@@ -152,12 +152,12 @@ def test_sigmoid_matches_logistic_without_overflow():
 
 
 def test_xent_uniform_logits():
-    loss, _ = K.softmax_xent(np.zeros(4), 2)
+    loss, _ = K.softmax_xent_batch(np.zeros((1, 4)), [2])
     assert loss == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_xent_confident_logits():
-    loss, _ = K.softmax_xent(np.array([10.0, 0.0, 0.0]), 0)
+    loss, _ = K.softmax_xent_batch(np.array([[10.0, 0.0, 0.0]]), [0])
     want = -math.log(math.exp(10) / (math.exp(10) + 2))
     assert loss == pytest.approx(want, rel=1e-12)
     assert loss == pytest.approx(9.08e-5, rel=1e-2)
@@ -165,7 +165,7 @@ def test_xent_confident_logits():
 
 def test_xent_gradient_sums_to_zero():
     rng = np.random.default_rng(5)
-    _, grad = K.softmax_xent(rng.normal(size=7), 3)
+    _, grad = K.softmax_xent_batch(rng.normal(size=(1, 7)), [3])
     assert abs(grad.sum()) < 1e-12
 
 
@@ -182,7 +182,8 @@ def test_batch_xent_matches_single():
     logits = rng.normal(size=(5, 9))
     targets = rng.integers(0, 9, size=5)
     batch_loss, _ = K.softmax_xent_batch(logits, targets)
-    singles = [K.softmax_xent(logits[i], targets[i])[0] for i in range(5)]
+    singles = [K.softmax_xent_batch(logits[i:i + 1], targets[i:i + 1])[0]
+               for i in range(5)]
     assert batch_loss == pytest.approx(np.sum(singles), rel=1e-12)
 
 
@@ -295,7 +296,8 @@ def test_gru_sequence_gradients_certify():
         layout = K.SeqLayout([len(seq)])
         hs, cache = K.gru_forward(params, "g", params["emb"][seq], layout)
         logits = params["out"] @ hs[-1]
-        loss, dlogits = K.softmax_xent(logits, 2)
+        loss, dlogits = K.softmax_xent_batch(logits[None], [2])
+        dlogits = dlogits[0]
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         grads["out"] = np.outer(dlogits, hs[-1])
         dh = np.zeros((len(seq), 4))

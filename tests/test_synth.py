@@ -160,7 +160,8 @@ def test_empirical_unigram_close_to_analytic(popcorn):
         for ev in chain.events:
             counts[popcorn.event_index(ev.event.key)] += 1
     empirical = counts / counts.sum()
-    l1 = np.abs(empirical - popcorn.unigram_marginal()).sum()
+    marginal = popcorn.position_marginals().sum(axis=1).mean(axis=0)
+    l1 = np.abs(empirical - marginal).sum()
     assert l1 <= 0.02
 
 
@@ -179,7 +180,7 @@ def test_invalid_kernels_rejected():
 
 def test_zipf_cbn_marginals_are_skewed():
     cbn = synth.build_zipf_cbn(seed=0)
-    marg = np.sort(cbn.unigram_marginal())[::-1]
+    marg = np.sort(cbn.position_marginals().sum(axis=1).mean(axis=0))[::-1]
     assert marg[0] > 10 * marg[-1]
     for k in range(0, cbn.num_events, 17):
         assert cbn.exact_do_distribution(k).sum() == pytest.approx(1, abs=1e-9)
@@ -197,3 +198,31 @@ def test_random_cbn_oracle_rows_are_distributions(E, S, seed):
     for k in range(E):
         assert cbn.exact_do_distribution(k).sum() == pytest.approx(1, abs=1e-9)
         assert cbn.aggregate_conditional(k).sum() == pytest.approx(1, abs=1e-9)
+
+
+def _reference_chains(cbn, n, seed):
+    """Per-chain sampling with rng.choice: the scenario, then each event
+    from the previous one's kernel row."""
+    out = []
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        z = int(rng.choice(cbn.num_scenarios, p=cbn.pi))
+        state, events = 0, []
+        for _ in range(cbn.chain_length):
+            e = int(rng.choice(cbn.num_events, p=cbn.kernels[z, state]))
+            events.append(cbn.event_keys[e])
+            state = e + 1
+        out.append((cbn.scenario_names[z], events))
+    return out
+
+
+@pytest.mark.parametrize("name", ["F-POPCORN", "F-DET", "F-UNIFORM", "F-ZIPF"])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_vectorized_sampling_matches_per_chain_choice(name, seed):
+    cbn = synth.build_zipf_cbn() if name == "F-ZIPF" else synth.build_fixture(name)
+    corpus = cbn.sample_chains(150, seed, annotate_scenario=True)
+    got = [(ch.events[0].oot_candidates[0][0].split(":")[0],
+            [ce.event.key for ce in ch.events]) for ch in corpus.chains]
+    assert got == _reference_chains(cbn, 150, seed)
+    assert all(ce.oot_candidates == [(synth.scenario_key(z), 4)]
+               for (z, _), ch in zip(got, corpus.chains) for ce in ch.events)
