@@ -137,16 +137,41 @@ DEFAULT_LM_CONFIG = {
 }
 
 
+@dataclass
+class FramedChains:
+    """Chains framed once as flat ids ``<s> events... </s>``: chain b's
+    inputs are ``ids[starts[b]:starts[b] + counts[b]]`` (its events + 1),
+    and its targets sit one position later."""
+
+    ids: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def frame(ids, offsets) -> "FramedChains":
+        """Frame the chains ``ids[offsets[c]:offsets[c + 1]]``."""
+        n = np.diff(offsets)
+        at = np.column_stack((offsets[:-1], offsets[1:])).ravel()
+        return FramedChains(np.insert(ids, at, np.tile([START_ID, END_ID], len(n))),
+                            offsets[:-1] + 2 * np.arange(len(n)), n + 1)
+
+    def __len__(self):
+        return len(self.counts)
+
+    def take(self, idx) -> "FramedChains":
+        """Chains ``idx`` (an index array or slice)."""
+        return FramedChains(self.ids, self.starts[idx], self.counts[idx])
+
+
 class EventLM:
     """Multi-layer GRU language model over framed event-id sequences."""
 
     def __init__(self, vocab_size: int, config: dict | None = None,
                  params: dict | None = None):
-        self.config = dict(DEFAULT_LM_CONFIG)
-        if config:
-            self.config.update(config)
+        self.config = {**DEFAULT_LM_CONFIG, **(config or {})}
         self.vocab_size = vocab_size
-        self._ws = [K.Workspace() for _ in range(self.config["num_layers"])]
+        self._layers = [f"gru{layer}" for layer in range(self.config["num_layers"])]
+        self._ws = [K.Workspace() for _ in self._layers]
         if params is not None:
             self.params = params
         else:
@@ -154,107 +179,63 @@ class EventLM:
             d = self.config["emb_dim"]
             h = self.config["hidden_dim"]
             p = {"emb": K.init_embedding(rng, vocab_size, d)}
-            in_dim = d
-            for layer in range(self.config["num_layers"]):
-                K.init_gru(rng, f"gru{layer}", in_dim, h, p)
-                in_dim = h
+            for layer in self._layers:
+                K.init_gru(rng, layer, d, h, p)
+                d = h
             p["out.W"] = K.init_matrix(rng, vocab_size, h)
             p["out.b"] = np.zeros(vocab_size)
             self.params = p
 
     # -- forward / backward -------------------------------------------------
 
-    def _pad_batch(self, sequences):
-        """Right-pad framed sequences; returns inputs, targets, mask (T, B)."""
-        framed = [[START_ID, *s, END_ID] for s in sequences]
-        T = max(len(s) for s in framed) - 1
-        inputs, targets = np.zeros((2, T, len(framed)), dtype=int)
-        mask = np.zeros((T, len(framed)))
-        for b, s in enumerate(framed):
-            n = len(s) - 1
-            inputs[:n, b], targets[:n, b], mask[:n, b] = s[:-1], s[1:], 1.0
-        return inputs, targets, mask
-
-    def _forward(self, params, inputs, mask, dropout_masks=None):
-        """Logits (S, V) of the S unmasked positions of a right-padded
-        (T, B) batch, packed in SeqLayout order, and the caches."""
-        layout = K.SeqLayout(mask.sum(axis=0).astype(np.intp))
-        at = (layout.steps, layout.rows)
-        ids = inputs[at]
-        h = params["emb"][ids]
-        if dropout_masks is not None:
-            h = h * dropout_masks[0][at]
-        caches = {"ids": ids, "layout": layout}
-        for layer in range(self.config["num_layers"]):
-            h, caches[f"gru{layer}"] = K.gru_forward(
-                params, f"gru{layer}", h, layout, self._ws[layer])
-        if dropout_masks is not None:
-            h = h * dropout_masks[1][at]
-        caches["h_top"] = h
-        logits = h @ params["out.W"].T + params["out.b"]
-        return logits, caches
-
-    def _loss_and_grads(self, params, inputs, targets, mask, dropout_masks=None):
-        logits, caches = self._forward(params, inputs, mask, dropout_masks)
-        layout = caches["layout"]
-        at = (layout.steps, layout.rows)
-        loss_sum, dlogits = K.softmax_xent_batch(logits, targets[at])
-        n_tokens = float(len(logits))
-        loss = loss_sum / n_tokens
-        dlogits /= n_tokens
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        grads["out.W"] += dlogits.T @ caches["h_top"]
-        grads["out.b"] += dlogits.sum(axis=0)
-        dh = dlogits @ params["out.W"]
-        if dropout_masks is not None:
-            dh *= dropout_masks[1][at]
-        for layer in range(self.config["num_layers"] - 1, -1, -1):
-            dh = K.gru_backward(params, f"gru{layer}", caches[f"gru{layer}"],
-                                dh, grads)
-        if dropout_masks is not None:
-            dh = dh * dropout_masks[0][at]
-        grads["emb"] += K.scatter_rows(caches["ids"], dh, self.vocab_size)
-        return loss, grads
-
-    def loss_and_grads(self, sequences, dropout_rng=None):
-        """Mean per-token loss and gradients on a batch of id sequences."""
-        inputs, targets, mask = self._pad_batch(sequences)
-        dropout_masks = None
+    def _forward(self, params, batch: FramedChains, dropout_rng=None):
+        """Logits (S, V) and targets at every input position of ``batch`` in
+        SeqLayout order, and the encoder output and cache. Dropout masks are
+        drawn as (T, B, dim) arrays, then gathered at the packed positions."""
+        layout = K.SeqLayout(batch.counts)
+        pos = batch.starts[layout.rows] + layout.steps
+        masks = None
         p = self.config["dropout"]
         if dropout_rng is not None and p > 0:
-            d = self.config["emb_dim"]
-            h = self.config["hidden_dim"]
-            T, B = inputs.shape
-            keep = 1.0 - p
-            dropout_masks = (
-                (dropout_rng.random((T, B, d)) < keep) / keep,
-                (dropout_rng.random((T, B, h)) < keep) / keep,
-            )
-        return self._loss_and_grads(self.params, inputs, targets, mask,
-                                    dropout_masks)
+            T, B, keep = len(layout.sizes), len(batch), 1.0 - p
+            at = (layout.steps, layout.rows)
+            masks = tuple((dropout_rng.random((T, B, n)) < keep)[at] / keep
+                          for n in (self.config["emb_dim"], self.config["hidden_dim"]))
+        H, cache = K.encoder_forward(params, self._layers, batch.ids[pos], layout,
+                                     self._ws, masks)
+        logits = H @ params["out.W"].T + params["out.b"]
+        return logits, batch.ids[pos + 1], H, cache
 
-    def mean_loss(self, sequences, batch_size=256):
+    def loss_and_grads(self, batch: FramedChains, params=None, dropout_rng=None):
+        """Mean per-token loss and gradients on a batch of framed chains, at
+        ``params`` (default: the model's own)."""
+        params = self.params if params is None else params
+        logits, targets, H, cache = self._forward(params, batch, dropout_rng)
+        loss_sum, dlogits = K.softmax_xent_batch(logits, targets)
+        n_tokens = float(len(logits))
+        dlogits /= n_tokens
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads["out.W"] += dlogits.T @ H
+        grads["out.b"] += dlogits.sum(axis=0)
+        grads["emb"] += K.scatter_rows(*K.encoder_backward(
+            params, cache, dlogits @ params["out.W"], grads), self.vocab_size)
+        return loss_sum / n_tokens, grads
+
+    def mean_loss(self, chains: FramedChains, batch_size=256):
         """Evaluation loss (no dropout) averaged per token."""
-        total, tokens = 0.0, 0
-        for start in range(0, len(sequences), batch_size):
-            inputs, targets, mask = self._pad_batch(sequences[start:start + batch_size])
-            logits, caches = self._forward(self.params, inputs, mask)
-            layout = caches["layout"]
-            total += K.softmax_xent_batch(logits,
-                                          targets[layout.steps, layout.rows])[0]
-            tokens += len(logits)
-        return total / tokens
+        total = 0.0
+        for start in range(0, len(chains), batch_size):
+            logits, targets, _, _ = self._forward(
+                self.params, chains.take(slice(start, start + batch_size)))
+            total += K.softmax_xent_batch(logits, targets)[0]
+        return total / int(chains.counts.sum())
 
     def next_distribution(self, history) -> np.ndarray:
         """softmax over the next event given a history of event ids."""
-        ids = [START_ID] + list(history)
-        layout = K.SeqLayout([len(ids)])
-        h = self.params["emb"][np.asarray(ids)]
-        for layer in range(self.config["num_layers"]):
-            h, _ = K.gru_forward(self.params, f"gru{layer}", h, layout,
-                                 self._ws[layer])
-        logits = h[-1] @ self.params["out.W"].T + self.params["out.b"]
-        return K.softmax(logits)
+        ids = np.asarray([START_ID, *history])
+        H, _ = K.encoder_forward(self.params, self._layers, ids,
+                                 K.SeqLayout([len(ids)]), self._ws)
+        return K.softmax(H[-1] @ self.params["out.W"].T + self.params["out.b"])
 
     # -- persistence ---------------------------------------------------------
 
@@ -264,17 +245,8 @@ class EventLM:
 
     @staticmethod
     def load(path) -> "EventLM":
-        kind, config, params = K.load_model(path)
-        if kind != "event-lm":
-            raise DataFormatError(f"expected event-lm model file, got {kind!r}")
-        vocab_size = config.pop("vocab_size")
-        return EventLM(vocab_size, config, params)
-
-
-def corpus_sequences(corpus: ChainCorpus, vocab: Vocabulary):
-    """Each chain's vocabulary ids, as a list."""
-    ids, off = corpus.event_ids(vocab).tolist(), corpus.offsets.tolist()
-    return [ids[a:b] for a, b in zip(off, off[1:])]
+        config, params = K.load_model(path, "event-lm")
+        return EventLM(config.pop("vocab_size"), config, params)
 
 
 def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
@@ -282,17 +254,14 @@ def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
                    log=None) -> EventLM:
     """Train with Adam + early stopping; returns the best-dev checkpoint.
     The dropout masks come from the rng that orders the batches."""
-    train_seqs = corpus_sequences(train_corpus, vocab)
-    holdout = corpus_sequences(dev_corpus, vocab) or train_seqs
+    train, dev = (FramedChains.frame(c.event_ids(vocab), c.offsets)
+                  for c in (train_corpus, dev_corpus))
     lm = EventLM(len(vocab), config)
     cfg = lm.config
     rng = np.random.default_rng(cfg["seed"] + 1)
-
-    def batch_grads(idx):
-        return lm.loss_and_grads([train_seqs[i] for i in idx], dropout_rng=rng)[1]
-
-    lm.params = K.fit(lm.params, batch_grads, lambda: lm.mean_loss(holdout),
-                      len(train_seqs), cfg, cfg["lr"], rng,
-                      log=log and (lambda e, loss: log(
-                          f"lm epoch {e}: dev loss {loss:.4f}")))
+    lm.params = K.fit(
+        lm.params, lambda idx: lm.loss_and_grads(train.take(idx), dropout_rng=rng)[1],
+        lambda: lm.mean_loss(dev if len(dev) else train), len(train), cfg,
+        cfg["lr"], rng, log=log and (lambda e, loss: log(
+            f"lm epoch {e}: dev loss {loss:.4f}")))
     return lm

@@ -156,9 +156,7 @@ class ConditionalModel:
     def __init__(self, vocab_size: int, token_vocab_size: int = 1,
                  config: dict | None = None, params: dict | None = None,
                  phase: str = "pretrained"):
-        self.config = dict(DEFAULT_COND_CONFIG)
-        if config:
-            self.config.update(config)
+        self.config = {**DEFAULT_COND_CONFIG, **(config or {})}
         if self.config["text_mode"] not in ("mean", "cnn"):
             raise ConfigError(f"unknown text-encoder mode {self.config['text_mode']!r}")
         if phase not in ("pretrained", "finetuned"):
@@ -166,7 +164,7 @@ class ConditionalModel:
         self.vocab_size = vocab_size
         self.token_vocab_size = token_vocab_size
         self.phase = phase
-        self._ws = K.Workspace()
+        self._ws = [K.Workspace()]
         if params is not None:
             self.params = params
             return
@@ -194,10 +192,9 @@ class ConditionalModel:
         for an empty one), and the cache for the backward pass. Sequences
         that share a prefix share its GRU rows."""
         layout = K.SeqLayout(lengths, ids)
-        x_ids = ids[layout.rows, layout.steps]
-        H, cache = K.gru_forward(params, "enc", params["emb"][x_ids], layout,
-                                 self._ws)
-        return layout.final(H), (x_ids, layout, cache)
+        H, cache = K.encoder_forward(params, ("enc",), ids[layout.rows, layout.steps],
+                                     layout, self._ws)
+        return layout.final(H), (layout, cache)
 
     def _text_vectors(self, params, ids, lengths):
         """(B, h) text-channel vectors + cache for backward."""
@@ -224,18 +221,16 @@ class ConditionalModel:
             logits += v_o @ params["W_O"].T
         return logits, (v_t, text_cache, v_o, oot_cache)
 
-    def _forward(self, params, batch, want_cache=False):
+    def _forward(self, params, batch):
         v_e, enc_cache = self._encode(params, batch.seq, batch.seq_len)
         const, ctx_cache = self._context_logits(params, batch)
-        logits = v_e @ params["A"].T + const
-        return logits, ((v_e, enc_cache, ctx_cache) if want_cache else None)
+        return v_e @ params["A"].T + const, (v_e, enc_cache, ctx_cache)
 
     def loss_and_grads(self, batch: PackedInstances, params=None):
         """Mean loss and gradients on a batch, at ``params`` (default: the
         model's own)."""
         params = self.params if params is None else params
-        logits, (v_e, enc_cache, ctx_cache) = self._forward(params, batch,
-                                                            want_cache=True)
+        logits, (v_e, enc_cache, ctx_cache) = self._forward(params, batch)
         B = len(batch)
         loss_sum, dlogits = K.softmax_xent_batch(logits, batch.targets)
         loss = loss_sum / B
@@ -265,11 +260,10 @@ class ConditionalModel:
                                            grads, grads["text_emb"])
 
         # the gradient enters at each sequence's last row; shared rows add up
-        x_ids, layout, gru_cache = enc_cache
+        layout, cache = enc_cache
         live = layout.lengths > 0
-        dh_out = K.scatter_rows(layout.last[live], d_ve[live], len(x_ids))
-        emb_terms.append((x_ids, K.gru_backward(params, "enc", gru_cache,
-                                                dh_out, grads)))
+        dh_out = K.scatter_rows(layout.last[live], d_ve[live], len(layout.steps))
+        emb_terms.append(K.encoder_backward(params, cache, dh_out, grads))
         grads["emb"] += K.scatter_rows(
             *map(np.concatenate, zip(*emb_terms)), self.vocab_size)
         return loss, grads
@@ -294,9 +288,7 @@ class ConditionalModel:
 
     @staticmethod
     def load(path) -> "ConditionalModel":
-        kind, config, params = K.load_model(path)
-        if kind != "conditional":
-            raise DataFormatError(f"expected conditional model file, got {kind!r}")
+        config, params = K.load_model(path, "conditional")
         vocab_size = config.pop("vocab_size")
         token_vocab_size = config.pop("token_vocab_size")
         phase = config.pop("phase")
@@ -331,12 +323,10 @@ def train_conditional(train: PackedInstances, dev: PackedInstances,
     """
     model = ConditionalModel(vocab_size, token_vocab_size, config,
                              phase="pretrained")
-    schedule = model.config.get("lr_schedule")
-    if not schedule:
-        return _train(model, train, dev, model.config["lr"], log=log)
-    for lr, epochs in schedule:
+    stages = model.config.get("lr_schedule") or [(model.config["lr"], None)]
+    for lr, epochs in stages:
         model = _train(model, train, dev, float(lr), log=log,
-                       max_epochs=int(epochs))
+                       max_epochs=None if epochs is None else int(epochs))
     return model
 
 
@@ -347,9 +337,7 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
     set (seeded shuffle)."""
     if model.phase != "finetuned" and not len(annotated):
         raise ConfigError("no annotated instances to finetune on")
-    cfg = dict(model.config)
-    if config:
-        cfg.update(config)
+    cfg = {**model.config, **(config or {})}
     params = {k: v.copy() for k, v in model.params.items()}
     params["W_O"] = np.zeros((model.vocab_size, model.config["emb_dim"]))
     tuned = ConditionalModel(model.vocab_size, model.token_vocab_size, cfg,
@@ -433,14 +421,12 @@ class InterventionTable:
                 "distribution (non-finite, negative, or not summing to 1)")
         return InterventionTable(effect, model_id, seed, n_samples)
 
-    def export_tsv(self, path, vocab: Vocabulary):
-        keys = [vocab.key_of(i) for i in range(self.effect.shape[0])]
+    def export_tsv(self, path, keys):
+        """The do-rows as TSV, headed and keyed by the event ``keys``."""
         with open(path, "w", encoding="utf-8") as f:
             f.write("do_event\t" + "\t".join(keys) + "\n")
-            for k, key in enumerate(keys):
-                f.write(key + "\t"
-                        + "\t".join(repr(float(x)) for x in self.effect[k])
-                        + "\n")
+            for key, row in zip(keys, self.effect.tolist()):
+                f.write(key + "\t" + "\t".join(map(repr, row)) + "\n")
 
 
 def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,

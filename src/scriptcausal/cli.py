@@ -72,12 +72,16 @@ MINIMUM = {**dict.fromkeys(
 
 def _has_type_of(value, default) -> bool:
     """Whether ``value`` may stand where ``default`` does: bools are not
-    numbers, and an int may stand for a float. A None default stands for
-    ``lr_schedule``: None or a list of [lr, epochs] pairs."""
+    numbers, an int may stand for a float, and so may a list's elements for
+    the default's. A None default stands for ``lr_schedule``: None or a
+    list of [lr, epochs] pairs."""
     if default is None:
         return value is None or isinstance(value, list) and all(
             isinstance(s, list) and len(s) == 2 and _has_type_of(s[0], 0.0)
             and _has_type_of(s[1], 0) for s in value)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            _has_type_of(x, default[0]) for x in value)
     if isinstance(default, bool) or isinstance(value, bool):
         return type(value) is type(default)
     return isinstance(value, (int, float) if isinstance(default, float)
@@ -107,14 +111,20 @@ class RunConfig:
             if value is not None:
                 self.values[key] = value
         for key, value in self.values.items():
-            if not _has_type_of(value, DEFAULTS[key]):
-                want = ("null or a list of [lr, epochs] pairs" if key == "lr_schedule"
-                        else type(DEFAULTS[key]).__name__)
+            default = DEFAULTS[key]
+            if not _has_type_of(value, default):
+                want = ("null or a list of [lr, epochs] pairs" if default is None
+                        else f"a list of {type(default[0]).__name__}"
+                        if isinstance(default, list) else type(default).__name__)
                 raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
         for key, low in MINIMUM.items():
             if self.values[key] < low:
                 raise ConfigError(f"config key {key!r} must be >= {low}, "
                                   f"got {self.values[key]!r}")
+        for lr, epochs in self.values["lr_schedule"] or ():
+            if not (lr > 0 and epochs >= 1):
+                raise ConfigError("config key 'lr_schedule' needs lr > 0 and "
+                                  f"epochs >= 1 in every stage, got {[lr, epochs]}")
 
     def __getitem__(self, key):
         return self.values[key]
@@ -158,11 +168,9 @@ def _load_cbn(args):
     return synth.SyntheticCBN.load(path)
 
 
-def _instances(corpus_path, vocab, cfg, with_tokens=False):
-    corpus = load_chains(corpus_path)
-    token_vocab = build_token_vocab(corpus) if with_tokens else None
+def _instances(corpus, vocab, cfg, token_vocab=None):
     return causal.extract_training_instances(
-        corpus, vocab, token_vocab, cfg["oot_threshold"], cfg["history_window"]), token_vocab
+        corpus, vocab, token_vocab, cfg["oot_threshold"], cfg["history_window"])
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +225,11 @@ def cmd_train_lm(cfg, args):
 
 def cmd_train_cond(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
-    train_inst, token_vocab = _instances(
-        _require(args.train, "training chain file"), vocab, cfg, with_tokens=True)
-    dev_inst, _ = _instances(_require(args.dev, "dev chain file"), vocab, cfg)
+    train = load_chains(_require(args.train, "training chain file"))
+    token_vocab = build_token_vocab(train)
+    train_inst = _instances(train, vocab, cfg, token_vocab)
+    dev_inst = _instances(load_chains(_require(args.dev, "dev chain file")),
+                          vocab, cfg, token_vocab)
     model = causal.train_conditional(
         train_inst, dev_inst, len(vocab), len(token_vocab),
         {key: cfg[key] for key in causal.DEFAULT_COND_CONFIG},
@@ -232,8 +242,8 @@ def cmd_finetune_cond(cfg, args):
     model = causal.ConditionalModel.load(
         _require(args.model, "pretrained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
-    annotated, _ = _instances(
-        _require(args.annotated, "annotated chain file"), vocab, cfg)
+    annotated = _instances(
+        load_chains(_require(args.annotated, "annotated chain file")), vocab, cfg)
     annotated = annotated.take(np.flatnonzero(annotated.oot_len))
     tuned = causal.finetune_with_oot(
         model, annotated, {"finetune_lr": cfg["finetune_lr"],
@@ -247,8 +257,8 @@ def cmd_estimate_do(cfg, args):
     model = causal.ConditionalModel.load(
         _require(args.model, "trained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
-    instances, _ = _instances(
-        _require(args.corpus, "adjustment-sample chain file"), vocab, cfg)
+    instances = _instances(
+        load_chains(_require(args.corpus, "adjustment-sample chain file")), vocab, cfg)
     adjustment = causal.sample_adjustment_set(
         instances, cfg["adjustment_n"], cfg["seed"])
     table = causal.estimate_interventions(
@@ -256,7 +266,7 @@ def cmd_estimate_do(cfg, args):
     table.save(args.output)
     outputs = [args.output]
     if args.tsv:
-        table.export_tsv(args.tsv, vocab)
+        table.export_tsv(args.tsv, [vocab.key_of(k) for k in range(len(table.effect))])
         outputs.append(args.tsv)
     return outputs
 
@@ -298,11 +308,8 @@ def cmd_synth(cfg, args):
 
 def cmd_oracle(cfg, args):
     cbn = _load_cbn(args)
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write("do_event\t" + "\t".join(cbn.event_keys) + "\n")
-        for k, key in enumerate(cbn.event_keys):
-            row = cbn.exact_do_distribution(k)
-            f.write(key + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+    rows = [cbn.exact_do_distribution(k) for k in range(cbn.num_events)]
+    causal.InterventionTable(np.array(rows)).export_tsv(args.output, cbn.event_keys)
     return [args.output]
 
 
@@ -409,10 +416,11 @@ def gradient_errors(seed) -> dict:
     results = {}
     lm = baselines.EventLM(10, {"emb_dim": 6, "hidden_dim": 7, "num_layers": 2,
                                 "dropout": 0.0, "seed": seed})
-    seqs = [list(rng.integers(3, 10, size=rng.integers(1, 6))) for _ in range(10)]
-    inputs, targets, mask = lm._pad_batch(seqs)
+    seqs = [rng.integers(3, 10, size=rng.integers(1, 6)) for _ in range(10)]
+    chains = baselines.FramedChains.frame(
+        np.concatenate(seqs), np.cumsum([0, *map(len, seqs)]))
     results["event-lm"] = kernel.finite_diff_check(
-        lambda p: lm._loss_and_grads(p, inputs, targets, mask), lm.params,
+        lambda p: lm.loss_and_grads(chains, p), lm.params,
         rng=np.random.default_rng(seed))
     for mode in ("mean", "cnn"):
         for phase in ("pretrained", "finetuned"):

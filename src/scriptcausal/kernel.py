@@ -321,6 +321,37 @@ def gru_backward(params, prefix, cache, dh_out, grads):
     return np.matmul(da, W, out=ws.get("dx", S, W.shape[1]))
 
 
+def encoder_forward(params, prefixes, ids, layout, workspaces, masks=None):
+    """Embedding -> GRU stack over the packed ids (S,) of ``layout``: layer i
+    is the GRU ``prefixes[i]`` and runs in ``workspaces[i]``. The optional
+    dropout ``masks`` (S, emb) and (S, h) scale the embeddings and the top
+    states. Returns (H, cache), H (S, h) the masked top states."""
+    h = params["emb"][ids]
+    if masks is not None:
+        h *= masks[0]
+    caches = []
+    for prefix, ws in zip(prefixes, workspaces):
+        h, cache = gru_forward(params, prefix, h, layout, ws)
+        caches.append(cache)
+    if masks is not None:
+        h = h * masks[1]
+    return h, (ids, prefixes, caches, masks)
+
+
+def encoder_backward(params, cache, dH, grads):
+    """Backprop through an ``encoder_forward`` pass from the gradient dH
+    (S, h) at its output. Adds the GRU gradients to ``grads`` and returns
+    the embedding terms (ids (S,), gradient rows (S, emb)) to scatter."""
+    ids, prefixes, caches, masks = cache
+    if masks is not None:
+        dH = dH * masks[1]
+    for prefix, c in zip(prefixes[::-1], caches[::-1]):
+        dH = gru_backward(params, prefix, c, dH, grads)
+    if masks is not None:
+        dH = dH * masks[0]
+    return ids, dH
+
+
 # ---------------------------------------------------------------------------
 # text encoders
 
@@ -407,8 +438,9 @@ def encode_text_cnn_backward(params, prefix, d_out, cache, grads, d_embeddings):
 
 
 class AdamState:
-    """Adam with global-norm gradient clipping applied before the moments,
-    and two scratch arrays per parameter for the in-place update."""
+    """Adam with global-norm gradient clipping applied before the moments.
+    Each array of ``params`` is replaced in the dict by a view of one flat
+    buffer, so that a step runs each ufunc once over all of them."""
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8,
                  clip_norm=10.0):
@@ -418,44 +450,43 @@ class AdamState:
         self.epsilon = epsilon
         self.clip_norm = clip_norm
         self.step = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.scratch = {k: (np.empty_like(v), np.empty_like(v))
-                        for k, v in params.items()}
+        self.names = list(params)
+        self.flat = np.concatenate([params[k].ravel() for k in self.names])
+        ends = np.cumsum([params[k].size for k in self.names])
+        for k, view in zip(self.names, np.split(self.flat, ends[:-1])):
+            params[k] = view.reshape(params[k].shape)
+        self.m, self.v, self.g, self.s = (np.zeros_like(self.flat) for _ in range(4))
 
 
 def global_norm(grads):
     return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 
 
-def adam_update(state: AdamState, params, grads):
-    """One in-place Adam step over every parameter; fails fast on non-finite."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+def adam_update(state: AdamState, grads):
+    """One in-place Adam step over the parameters of ``state`` (the views
+    it put into their dict); fails fast on a non-finite gradient."""
+    g, s, m, v = state.g, state.s, state.m, state.v
+    np.concatenate([grads[k].ravel() for k in state.names], out=g)
+    if not np.isfinite(g).all():
+        name = next(k for k in state.names if not np.isfinite(grads[k]).all())
+        raise NumericalError(f"non-finite gradient for parameter {name!r}")
     norm = global_norm(grads)
-    scale = 1.0
     if state.clip_norm and norm > state.clip_norm:
-        scale = state.clip_norm / norm
+        g *= state.clip_norm / norm
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for name, p in params.items():
-        m, v = state.m[name], state.v[name]
-        g, s = state.scratch[name]
-        np.multiply(grads[name], scale, out=g)
-        m *= b1                            # m = b1 * m + (1 - b1) * g
-        m += np.multiply(g, 1 - b1, out=s)
-        v *= b2                            # v = b2 * v + (1 - b2) * (g * g)
-        g *= g
-        v += np.multiply(g, 1 - b2, out=g)
-        # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
-        np.sqrt(np.divide(v, 1 - b2 ** t, out=g), out=g)
-        g += state.epsilon
-        np.divide(m, 1 - b1 ** t, out=s)
-        s *= state.lr
-        p -= np.divide(s, g, out=s)
-    return params, state
+    m *= b1                                # m = b1 * m + (1 - b1) * g
+    m += np.multiply(g, 1 - b1, out=s)
+    v *= b2                                # v = b2 * v + (1 - b2) * (g * g)
+    g *= g
+    v += np.multiply(g, 1 - b2, out=g)
+    # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
+    np.sqrt(np.divide(v, 1 - b2 ** t, out=g), out=g)
+    g += state.epsilon
+    np.divide(m, 1 - b1 ** t, out=s)
+    s *= state.lr
+    state.flat -= np.divide(s, g, out=s)
 
 
 def fit(params, batch_grads, holdout_loss, n, cfg, lr, rng, max_epochs=None,
@@ -480,7 +511,7 @@ def fit(params, batch_grads, holdout_loss, n, cfg, lr, rng, max_epochs=None,
     for epoch in range(cfg["max_epochs"] if max_epochs is None else max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            adam_update(opt, params, batch_grads(order[start:start + batch_size]))
+            adam_update(opt, batch_grads(order[start:start + batch_size]))
         loss = holdout_loss()
         if log:
             log(epoch, loss)
@@ -565,15 +596,18 @@ def _read_exact(f, n, size):
     return f.read(n)
 
 
-def load_model(path):
-    """Inverse of save_model. Returns (kind, config, params)."""
+def load_model(path, kind):
+    """Inverse of save_model for a file of model kind ``kind``. Returns
+    (config, params)."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header = f.readline().decode("utf-8").rstrip("\n")
         if not header.startswith(_MODEL_HEADER_TAG + " "):
             raise DataFormatError("missing model file header")
         rest = header[len(_MODEL_HEADER_TAG) + 1:]
-        kind, _, config_json = rest.partition(" ")
+        got, _, config_json = rest.partition(" ")
+        if got != kind:
+            raise DataFormatError(f"expected {kind} model file, got {got!r}")
         try:
             config = json.loads(config_json)
         except json.JSONDecodeError as e:
@@ -586,4 +620,4 @@ def load_model(path):
             shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, size))
             raw = _read_exact(f, 8 * math.prod(shape), size)
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return kind, config, params
+    return config, params

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scriptcausal import baselines, evaluation
+from scriptcausal import kernel as K
 from scriptcausal.corpus import parse_chains
 from scriptcausal.errors import ConfigError
-from scriptcausal.events import END_ID, NUM_SPECIALS, Vocabulary
+from scriptcausal.events import END_ID, NUM_SPECIALS, START_ID, Vocabulary
 
 
 def _corpus_from_id_chains(id_chains, preds):
@@ -216,15 +217,101 @@ def test_lm_beats_unigram_perplexity():
     corpus, vocab = _corpus_from_id_chains(id_chains, preds)
     lm = baselines.train_event_lm(corpus, corpus, vocab,
                                   dict(TINY_LM, max_epochs=25))
-    seqs = baselines.corpus_sequences(corpus, vocab)
-    lm_ppl = math.exp(lm.mean_loss(seqs))
+    ids = corpus.event_ids(vocab)
+    lm_ppl = math.exp(lm.mean_loss(
+        baselines.FramedChains.frame(ids, corpus.offsets)))
     # unigram oracle over the same framed token stream (events + </s>)
     from collections import Counter
+    seqs = np.split(ids, corpus.offsets[1:-1])
     tokens = [t for s in seqs for t in list(s) + [END_ID]]
     freq = Counter(tokens)
     total = len(tokens)
     uni_ppl = math.exp(-sum(math.log(freq[t] / total) for t in tokens) / total)
     assert lm_ppl < uni_ppl
+
+
+def _padded_lm_loss_and_grads(lm, sequences, dropout_rng=None):
+    """Reference LM step over right-padded (T, B) input, target and mask
+    matrices, one GRU layer after another."""
+    framed = [[START_ID, *s, END_ID] for s in sequences]
+    T, B = max(len(s) for s in framed) - 1, len(framed)
+    inputs, targets = np.zeros((2, T, B), dtype=int)
+    mask = np.zeros((T, B))
+    for b, s in enumerate(framed):
+        n = len(s) - 1
+        inputs[:n, b], targets[:n, b], mask[:n, b] = s[:-1], s[1:], 1.0
+    p, cfg = lm.params, lm.config
+    masks = None
+    if dropout_rng is not None:
+        keep = 1.0 - cfg["dropout"]
+        masks = [(dropout_rng.random((T, B, cfg[k])) < keep) / keep
+                 for k in ("emb_dim", "hidden_dim")]
+    layout = K.SeqLayout(mask.sum(axis=0).astype(np.intp))
+    at = (layout.steps, layout.rows)
+    h = p["emb"][inputs[at]]
+    if masks:
+        h = h * masks[0][at]
+    caches = []
+    for layer in range(cfg["num_layers"]):
+        h, cache = K.gru_forward(p, f"gru{layer}", h, layout)
+        caches.append(cache)
+    if masks:
+        h = h * masks[1][at]
+    logits = h @ p["out.W"].T + p["out.b"]
+    loss_sum, dlogits = K.softmax_xent_batch(logits, targets[at])
+    dlogits /= float(len(logits))
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    grads["out.W"] += dlogits.T @ h
+    grads["out.b"] += dlogits.sum(axis=0)
+    dh = dlogits @ p["out.W"]
+    if masks:
+        dh *= masks[1][at]
+    for layer in range(cfg["num_layers"] - 1, -1, -1):
+        dh = K.gru_backward(p, f"gru{layer}", caches[layer], dh, grads)
+    if masks:
+        dh = dh * masks[0][at]
+    grads["emb"] += K.scatter_rows(inputs[at], dh, len(p["emb"]))
+    return loss_sum / float(len(logits)), grads
+
+
+def _random_chains(rng, n, V):
+    seqs = [rng.integers(NUM_SPECIALS, V, size=rng.integers(0, 6))
+            for _ in range(n)]
+    offsets = np.cumsum([0, *map(len, seqs)])
+    return seqs, baselines.FramedChains.frame(np.concatenate(seqs), offsets)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_lm_step_on_framed_chains_equals_padded_reference(dropout):
+    rng = np.random.default_rng(7)
+    V = 11
+    lm = baselines.EventLM(V, dict(TINY_LM, dropout=dropout, num_layers=3))
+    seqs, chains = _random_chains(rng, 9, V)
+    batch = np.array([4, 0, 8, 2, 7])
+    loss, grads = lm.loss_and_grads(chains.take(batch),
+                                    dropout_rng=np.random.default_rng(3))
+    want_loss, want = _padded_lm_loss_and_grads(
+        lm, [seqs[i] for i in batch], np.random.default_rng(3))
+    assert loss == want_loss
+    assert grads.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
+
+def test_lm_next_distribution_is_the_framed_forward_row():
+    rng = np.random.default_rng(8)
+    V = 9
+    lm = baselines.EventLM(V, TINY_LM)
+    seqs, chains = _random_chains(rng, 6, V)
+    logits, targets, _, _ = lm._forward(lm.params, chains)
+    layout = K.SeqLayout(chains.counts)
+    for b, s in enumerate(seqs):
+        for t in range(len(s) + 1):
+            row = np.flatnonzero((layout.rows == b) & (layout.steps == t))[0]
+            assert targets[row] == ([*s, END_ID])[t]
+            # one row against a batch GEMM: equal up to BLAS summation order
+            np.testing.assert_allclose(lm.next_distribution(s[:t]),
+                                       K.softmax(logits[row]), rtol=1e-12, atol=0)
 
 
 def test_lm_model_file_round_trip(tmp_path):

@@ -157,6 +157,27 @@ def test_config_lr_schedule_runs_every_stage(workdir, capsys):
     assert causal.ConditionalModel.load("m.bin").config["lr_schedule"] == schedule
 
 
+def test_train_cond_dev_loss_reads_the_text(workdir, capsys):
+    # the second event follows from the first event's text alone
+    rng = np.random.default_rng(0)
+    with open("c.jsonl", "w", encoding="utf-8") as f:
+        for i, word in enumerate(rng.choice(["left", "right"], size=200)):
+            events = [{"pred": "a", "dep": "x", "text": [str(word)]},
+                      {"pred": "b" if word == "left" else "c", "dep": "x"}]
+            f.write(json.dumps({"chain_id": f"c{i}", "events": events}) + "\n")
+    (workdir / "text.json").write_text(
+        json.dumps(dict(TINY_CFG, lr=0.05, max_epochs=20, patience=20)))
+    run("--config", "text.json", "vocab", "--input", "c.jsonl",
+        "--output", "v.tsv")
+    capsys.readouterr()
+    assert run("--config", "text.json", "train-cond", "--train", "c.jsonl",
+               "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 0
+    losses = [float(line.rsplit(" ", 1)[1])
+              for line in capsys.readouterr().err.splitlines()
+              if line.startswith("conditional epoch")]
+    assert len(losses) == 20 and min(losses) < 0.05
+
+
 def _vocab_and_model(workdir):
     run("synth", "--fixture", "F-DET", "--n", "10", "--output", "c.jsonl")
     run("--config", "cfg.json", "vocab", "--input", "c.jsonl",
@@ -277,7 +298,8 @@ def test_complete_rejects_two_score_files(workdir, capsys):
 
 
 _JSON_VALUES = [None, True, False, 0, 3, 2.5, "3", [], [1], {"a": 1},
-                [[0.1, 2]], [[0.1, 1.5]], [["a", 1]], [[0.1]], [0.1, 2]]
+                [[0.1, 2]], [[0.1, 1.5]], [["a", 1]], [[0.1]], [0.1, 2],
+                ["a", 0.5], ["x"], [True]]
 
 
 def _fits(key, value):
@@ -287,6 +309,10 @@ def _fits(key, value):
         return value is None or type(value) is list and all(
             type(s) is list and len(s) == 2 and type(s[0]) in (int, float)
             and type(s[1]) is int for s in value)
+    if type(default) is list:
+        return type(value) is list and all(
+            type(x) in ((int, float) if type(default[0]) is float else (int,))
+            for x in value)
     if type(default) is float:
         return type(value) in (int, float)
     return type(value) is type(default)
@@ -313,13 +339,18 @@ _LEAST = {**dict.fromkeys(
      "patience", "max_epochs", "recall_n", "cloze_count", "sheet_targets",
      "per_system", "topk"], 1), "history_window": 0, "exclude_top": 0}
 
+# schedules with a stage of lr <= 0 or of fewer than one epoch
+_BAD_SCHEDULES = [[[0.1, -1]], [[0.1, 0]], [[-0.1, 1]], [[0, 2]],
+                  [[0.1, 1], [0.01, 0]]]
+
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_out_of_range_config_value_is_a_config_error(workdir, capsys, data):
-    key = data.draw(st.sampled_from(sorted(_LEAST)))
-    value = data.draw(st.integers(-3, _LEAST[key] - 1))
+    key = data.draw(st.sampled_from(sorted(_LEAST) + ["lr_schedule"]))
+    value = data.draw(st.sampled_from(_BAD_SCHEDULES) if key == "lr_schedule"
+                      else st.integers(-3, _LEAST[key] - 1))
     (workdir / "bad.json").write_text(json.dumps({key: value}))
     capsys.readouterr()
     assert run("--config", "bad.json", "synth", "--fixture", "F-DET",

@@ -194,7 +194,7 @@ def test_batch_xent_matches_single():
 def test_adam_zero_gradient_no_move():
     params = {"w": np.array([1.0, 2.0])}
     state = K.AdamState(params, lr=0.001, clip_norm=10.0)
-    K.adam_update(state, params, {"w": np.zeros(2)})
+    K.adam_update(state, {"w": np.zeros(2)})
     np.testing.assert_array_equal(params["w"], [1.0, 2.0])
     assert state.step == 1
 
@@ -202,16 +202,16 @@ def test_adam_zero_gradient_no_move():
 def test_adam_clips_by_global_norm():
     params = {"w": np.array([0.0])}
     state = K.AdamState(params, lr=0.001, clip_norm=10.0)
-    K.adam_update(state, params, {"w": np.array([20.0])})
+    K.adam_update(state, {"w": np.array([20.0])})
     # gradient 20 clipped to 10; after bias correction the first Adam step
     # moves by lr regardless of magnitude, so inspect the first moment
-    assert state.m["w"][0] == pytest.approx(0.1 * 10.0)
+    assert state.m[0] == pytest.approx(0.1 * 10.0)
 
 
 def test_adam_first_step_is_approximately_lr():
     params = {"w": np.array([5.0])}
     state = K.AdamState(params, lr=0.001, clip_norm=10.0)
-    K.adam_update(state, params, {"w": np.array([1.0])})
+    K.adam_update(state, {"w": np.array([1.0])})
     assert params["w"][0] == pytest.approx(5.0 - 0.001, abs=1e-8)
 
 
@@ -219,7 +219,40 @@ def test_adam_rejects_nonfinite():
     params = {"w": np.array([0.0])}
     state = K.AdamState(params, lr=0.001, clip_norm=10.0)
     with pytest.raises(NumericalError):
-        K.adam_update(state, params, {"w": np.array([np.nan])})
+        K.adam_update(state, {"w": np.array([np.nan])})
+
+
+def _adam_per_array(params, grads_seq, lr, clip_norm, b1=0.9, b2=0.999,
+                    eps=1e-8):
+    """Reference Adam: one array at a time, in the same order of operations."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grads_seq, start=1):
+        norm = K.global_norm(grads)
+        scale = clip_norm / norm if norm > clip_norm else 1.0
+        for name, p in params.items():
+            g = grads[name] * scale
+            m[name] = m[name] * b1 + g * (1 - b1)
+            v[name] = v[name] * b2 + (g * g) * (1 - b2)
+            p -= (m[name] / (1 - b1 ** t)) * lr / (
+                np.sqrt(v[name] / (1 - b2 ** t)) + eps)
+
+
+def test_flat_adam_matches_per_array_adam_bit_for_bit():
+    rng = np.random.default_rng(5)
+    shapes = {"a": (3, 4), "b": (7,), "c": (2, 2)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    want = {k: p.copy() for k, p in params.items()}
+    # the second step's gradient is large enough to be clipped
+    grads_seq = [{k: rng.normal(size=s) * scale for k, s in shapes.items()}
+                 for scale in (1.0, 50.0, 0.1)]
+    _adam_per_array(want, grads_seq, lr=0.01, clip_norm=10.0)
+    state = K.AdamState(params, lr=0.01, clip_norm=10.0)
+    for grads in grads_seq:
+        K.adam_update(state, grads)
+    for name in shapes:
+        assert params[name].shape == shapes[name]
+        np.testing.assert_array_equal(params[name], want[name])
 
 
 def test_fit_stops_after_patience_and_returns_best_params():
@@ -421,13 +454,15 @@ def test_model_file_round_trip(tmp_path):
     params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=7)}
     path = tmp_path / "m.bin"
     K.save_model(path, "test-kind", {"dim": 4}, params)
-    kind, config, loaded = K.load_model(path)
-    assert kind == "test-kind" and config == {"dim": 4}
+    config, loaded = K.load_model(path, "test-kind")
+    assert config == {"dim": 4}
     for name in params:
         np.testing.assert_array_equal(loaded[name], params[name])
     path2 = tmp_path / "m2.bin"
-    K.save_model(path2, kind, config, loaded)
+    K.save_model(path2, "test-kind", config, loaded)
     assert path.read_bytes() == path2.read_bytes()
+    with pytest.raises(DataFormatError, match="expected other-kind model file"):
+        K.load_model(path, "other-kind")
 
 
 def test_truncated_model_file_is_a_data_error(tmp_path):
@@ -439,4 +474,4 @@ def test_truncated_model_file_is_a_data_error(tmp_path):
     for cut in (body + 2, body + 5, body + 9, body + 20, len(blob) - 1):
         (tmp_path / "cut.bin").write_bytes(blob[:cut])
         with pytest.raises(DataFormatError):
-            K.load_model(tmp_path / "cut.bin")
+            K.load_model(tmp_path / "cut.bin", "test-kind")
