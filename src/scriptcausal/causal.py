@@ -19,6 +19,8 @@ resampling).
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -429,17 +431,52 @@ class InterventionTable:
                 f.write(key + "\t" + "\t".join(map(repr, row)) + "\n")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The threads OpenBLAS runs one GEMM on: the first of its thread
+    variables that the environment sets to a positive count, else one per
+    usable CPU, and never more than that."""
+    cpus = usable_cpus()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+def worker_count(tasks: int) -> int:
+    """Worker threads for ``tasks`` independent tasks that call BLAS: one
+    per usable CPU that BLAS's own threads leave free, at most one per task
+    and at least one. Unpinned BLAS already spreads each GEMM over every
+    CPU, and more workers would only compete with its threads."""
+    return max(1, min(tasks, usable_cpus() // blas_threads()))
+
+
 def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
-                           batch_size: int = 4096,
+                           batch_size: int = 512,
                            model_id: str = "") -> InterventionTable:
     """Plugin estimate of every do-row by Monte Carlo over the adjustment set.
 
-    Exploits the fact that only the last encoder step depends on the
-    intervened event: each sampled history is encoded once, then one extra
-    GRU step per intervention value k completes A v_e; the text and
-    out-of-text channels are k-independent. Per do-row and chunk of at
-    most ``batch_size`` contexts, that step costs one (n, h) x (h, h) GEMM
-    and the logits GEMM, written into buffers allocated once per chunk.
+    Only the last encoder step depends on the intervened event k, and only
+    through its input terms. So each distinct sampled context (history,
+    text and out-of-text ids) is encoded once and weighted by how often it
+    was drawn, and every k-independent array is computed once and shared
+    read-only: the history states, their z/r recurrent terms and the
+    context logits. Per do-row and block of at most ``batch_size``
+    contexts, the last step then costs one (n, h) x (h, h) GEMM and the
+    logits GEMM, written into scratch buffers owned by one worker.
+
+    Do-values are handed out one at a time to ``worker_count(V)`` threads;
+    the calling thread is one of them, and a single worker runs the same
+    loop inline. Each row is summed by one worker over the same blocks in
+    the same order, so the table is the same bit for bit for every worker
+    count.
     """
     params = model.params
     packed = adjustment.instances.take(adjustment.index)
@@ -447,58 +484,89 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     V = model.vocab_size
     h_dim = model.config["hidden_dim"]
 
-    # per-context constants, in batches of the training size, which bounds
-    # the encoder's workspace; the history is the packed sequence minus its
-    # last element (the ignored prev_event)
-    h_hist = np.zeros((N, h_dim))
-    const_logits = np.zeros((N, V))
-    step = model.config["batch_size"]
-    for start in range(0, N, step):
-        chunk = packed.take(slice(start, start + step))
-        h_hist[start:start + len(chunk)], _ = model._encode(
-            params, chunk.seq, chunk.seq_len - 1)
-        const_logits[start:start + len(chunk)], _ = model._context_logits(
-            params, chunk)
+    # distinct contexts: the history (the sequence minus its prev event),
+    # text and out-of-text ids of a sampled row, -1-padded into one key row
+    def padded(ids, lengths):
+        return np.where(np.arange(ids.shape[1]) < lengths[:, None], ids, -1)
+    keys = np.hstack([padded(packed.seq[:, :-1], packed.seq_len - 1),
+                      padded(packed.text, packed.text_len),
+                      padded(packed.oot, packed.oot_len)])
+    _, first, counts = np.unique(keys, axis=0, return_index=True,
+                                 return_counts=True)
+    contexts = packed.take(first)
+    D = len(contexts)
 
     # The last GRU step is K.gru_step with x = emb[k]. Only its input terms
     # depend on k, so they are projected for every event at once; the z/r
-    # recurrent term depends only on the context and is computed per chunk.
+    # recurrent term depends only on the context.
     W = np.concatenate([params[f"enc.W{g}"] for g in K.GATES])
     b = np.concatenate([params[f"enc.b{g}"] for g in K.GATES])
     x_proj = params["emb"] @ W.T + b                      # (V, 3h)
     U_zr = np.concatenate([params["enc.Uz"], params["enc.Ur"]]).T
     Uh, A = params["enc.Uh"], params["A"]
 
+    # per-context constants, in batches of the training size, which bounds
+    # the encoder's workspace
+    h_hist, const_logits = np.empty((D, h_dim)), np.empty((D, V))
+    step = model.config["batch_size"]
+    for start in range(0, D, step):
+        rows = slice(start, start + step)
+        chunk = contexts.take(rows)
+        h_hist[rows], _ = model._encode(params, chunk.seq, chunk.seq_len - 1)
+        const_logits[rows], _ = model._context_logits(params, chunk)
+    hu_zr = h_hist @ U_zr                                 # (D, 2h)
+
+    blocks = [slice(s, s + batch_size) for s in range(0, D, batch_size)]
     effect = np.zeros((V, V))
-    for start in range(0, N, batch_size):
-        h_prev = h_hist[start:start + batch_size]
-        cl = const_logits[start:start + batch_size]
-        n = len(h_prev)
-        hu_zr = h_prev @ U_zr                             # (n, 2h)
-        zr, tmp = np.empty((n, 2 * h_dim)), np.empty((n, h_dim))
-        hc, logits = np.empty((n, h_dim)), np.empty((n, V))
+    todo, lock = iter(range(V)), threading.Lock()
+    ones = np.ones(V)
+
+    def work():
+        n = min(D, batch_size)
+        zr_buf, tmp_buf = np.empty((n, 2 * h_dim)), np.empty((n, h_dim))
+        hc_buf, logits_buf = np.empty((n, h_dim)), np.empty((n, V))
         row_max, row_sum = np.empty((n, 1)), np.empty(n)
-        z, r = zr[:, :h_dim], zr[:, h_dim:]
-        for k in range(V):
-            np.add(hu_zr, x_proj[k, :2 * h_dim], out=zr)
-            K.sigmoid(zr, out=zr)
-            np.multiply(r, h_prev, out=tmp)
-            np.matmul(tmp, Uh.T, out=hc)
-            hc += x_proj[k, 2 * h_dim:]
-            np.tanh(hc, out=hc)
-            # v_e = (1 - z) * h_prev + z * hc
-            np.subtract(1.0, z, out=tmp)
-            tmp *= h_prev
-            hc *= z
-            hc += tmp
-            np.matmul(hc, A.T, out=logits)
-            logits += cl
-            np.max(logits, axis=1, keepdims=True, out=row_max)
-            logits -= row_max
-            np.exp(logits, out=logits)
-            np.sum(logits, axis=1, out=row_sum)
-            np.divide(1.0, row_sum, out=row_sum)
-            effect[k] += row_sum @ logits
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            for blk in blocks:
+                h_prev, cl, w = h_hist[blk], const_logits[blk], counts[blk]
+                m = len(h_prev)
+                zr, tmp, hc = zr_buf[:m], tmp_buf[:m], hc_buf[:m]
+                logits, rmax, rsum = logits_buf[:m], row_max[:m], row_sum[:m]
+                z, r = zr[:, :h_dim], zr[:, h_dim:]
+                np.add(hu_zr[blk], x_proj[k, :2 * h_dim], out=zr)
+                K.sigmoid(zr, out=zr)
+                np.multiply(r, h_prev, out=tmp)
+                np.matmul(tmp, Uh.T, out=hc)
+                hc += x_proj[k, 2 * h_dim:]
+                np.tanh(hc, out=hc)
+                # v_e = h_prev + z * (hc - h_prev)
+                hc -= h_prev
+                hc *= z
+                hc += h_prev
+                np.matmul(hc, A.T, out=logits)
+                logits += cl
+                np.max(logits, axis=1, keepdims=True, out=rmax)
+                logits -= rmax
+                np.exp(logits, out=logits)
+                np.matmul(logits, ones, out=rsum)
+                np.divide(w, rsum, out=rsum)
+                effect[k] += rsum @ logits
+
+    workers = worker_count(V)
+    if workers == 1:
+        work()
+    else:
+        # imported here: it adds about 0.4 MB to every process that loads it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(work) for _ in range(workers - 1)]
+            work()
+            for helper in helpers:
+                helper.result()
     effect /= N
     return InterventionTable(effect, model_id=model_id, seed=adjustment.seed,
                              n_samples=N)

@@ -168,6 +168,20 @@ def _load_cbn(args):
     return synth.SyntheticCBN.load(path)
 
 
+def _check_vocab_size(what, size, vocab):
+    """A model or table indexes events by id, so its size must be the
+    vocabulary's."""
+    if size != len(vocab):
+        raise DataFormatError(f"{what} has {size} event ids but the "
+                              f"vocabulary has {len(vocab)}")
+
+
+def _load_itable(args, vocab):
+    table = causal.InterventionTable.load(_require(args.itable, "intervention table"))
+    _check_vocab_size("the intervention table", len(table.effect), vocab)
+    return table
+
+
 def _instances(corpus, vocab, cfg, token_vocab=None):
     return causal.extract_training_instances(
         corpus, vocab, token_vocab, cfg["oot_threshold"], cfg["history_window"])
@@ -242,6 +256,7 @@ def cmd_finetune_cond(cfg, args):
     model = causal.ConditionalModel.load(
         _require(args.model, "pretrained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    _check_vocab_size("the pretrained model", model.vocab_size, vocab)
     annotated = _instances(
         load_chains(_require(args.annotated, "annotated chain file")), vocab, cfg)
     annotated = annotated.take(np.flatnonzero(annotated.oot_len))
@@ -257,6 +272,7 @@ def cmd_estimate_do(cfg, args):
     model = causal.ConditionalModel.load(
         _require(args.model, "trained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    _check_vocab_size("the conditional model", model.vocab_size, vocab)
     instances = _instances(
         load_chains(_require(args.corpus, "adjustment-sample chain file")), vocab, cfg)
     adjustment = causal.sample_adjustment_set(
@@ -272,9 +288,8 @@ def cmd_estimate_do(cfg, args):
 
 
 def cmd_score(cfg, args):
-    table = causal.InterventionTable.load(
-        _require(args.itable, "intervention table"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    table = _load_itable(args, vocab)
     rank = frequency_rank(vocab)
     target = vocab.id_of(args.target)
     preds = causal.top_predecessors(table, target, cfg["topk"],
@@ -318,8 +333,7 @@ def _score_matrices(args, vocab):
     and --counts (pmi)."""
     matrices = {}
     if args.itable:
-        table = causal.InterventionTable.load(_require(args.itable, "intervention table"))
-        matrices["causal"] = causal.script_score_matrix(table)
+        matrices["causal"] = causal.script_score_matrix(_load_itable(args, vocab))
     if args.counts:
         counts = baselines.load_counts(_require(args.counts, "PMI counts file"), vocab)
         matrices["pmi"] = baselines.pmi_matrix(counts, len(vocab))
@@ -331,8 +345,9 @@ def _systems(args, vocab, lm_system, matrix_system):
     pmi: ``lm_system(lm)`` for the LM, ``matrix_system(M)`` for the others."""
     systems = {}
     if args.lm:
-        systems["lm"] = lm_system(
-            baselines.EventLM.load(_require(args.lm, "LM model file")))
+        lm = baselines.EventLM.load(_require(args.lm, "LM model file"))
+        _check_vocab_size("the LM", lm.vocab_size, vocab)
+        systems["lm"] = lm_system(lm)
     for name, M in _score_matrices(args, vocab).items():
         systems[name] = matrix_system(M)
     if not systems:

@@ -182,24 +182,24 @@ class SyntheticCBN:
     @staticmethod
     def from_dict(obj: dict) -> "SyntheticCBN":
         try:
-            event_keys = list(obj["events"])
-            lam = float(obj["lambda"])
-            L = int(obj["chain_length"])
+            name, event_keys = obj["name"], list(obj["events"])
+            lam, L = float(obj["lambda"]), int(obj["chain_length"])
             scen = obj["scenarios"]
-            name = obj["name"]
-        except (KeyError, TypeError, ValueError) as e:
+            scenario_names = [s["name"] for s in scen]
+            pi = np.array([float(s["prob"]) for s in scen])
+            index = {k: i for i, k in enumerate(event_keys)}
+            templates = np.zeros((len(scen), len(event_keys) + 1, len(event_keys)))
+            for s, sc in enumerate(scen):
+                for source, row in sc["kernel"].items():
+                    r = 0 if source == "<s>" else index[source] + 1
+                    for target, w in row.items():
+                        templates[s, r, index[target]] = float(w)
+        except KeyError as e:
+            raise DataFormatError(f"malformed CBN spec: missing field or "
+                                  f"unknown event {e}") from e
+        except (TypeError, ValueError, AttributeError) as e:
             raise DataFormatError(f"malformed CBN spec: {e}") from e
-        E = len(event_keys)
-        index = {k: i for i, k in enumerate(event_keys)}
-        pi = np.array([s["prob"] for s in scen], dtype=float)
-        templates = np.zeros((len(scen), E + 1, E))
-        for s, sc in enumerate(scen):
-            for source, row in sc["kernel"].items():
-                r = 0 if source == "<s>" else index[source] + 1
-                for target, w in row.items():
-                    templates[s, r, index[target]] = float(w)
-        return SyntheticCBN(name, event_keys, [s["name"] for s in scen],
-                            pi, templates, lam, L)
+        return SyntheticCBN(name, event_keys, scenario_names, pi, templates, lam, L)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:

@@ -1,6 +1,8 @@
 """Conditional model, intervention estimation, and script scores."""
 
 import json
+import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -258,31 +260,29 @@ def test_single_sample_equals_substituted_conditional():
         np.testing.assert_allclose(table.effect[k], subs[k], atol=1e-12)
 
 
-def test_estimator_matches_per_row_formula():
-    """Every do-row equals mean_j softmax(A gru_step(emb[k], h_j) + B v_t +
-    W_O v_o), computed context by context, across chunk boundaries."""
-    rng = np.random.default_rng(8)
-    V, n_tokens = 11, 6
+def _formula_model(rng, V, n_tokens):
+    """A finetuned model whose text and out-of-text terms are not small."""
     model = causal.ConditionalModel(V, n_tokens, TINY, phase="finetuned")
     p = model.params
     p["W_O"] = rng.normal(size=p["W_O"].shape)
     p["A"] *= 4.0
     p["B"] *= 4.0
+    return model
 
+
+def _random_contexts(rng, V, n_tokens, count):
     def ids(low, high, most):
         return [int(i) for i in rng.integers(low, high, size=rng.integers(0, most))]
 
-    contexts = [(int(rng.integers(NUM_SPECIALS, V)), ids(NUM_SPECIALS, V, 5),
-                 ids(0, n_tokens, 4), ids(NUM_SPECIALS, V, 3))
-                for _ in range(150)]
-    for channel in (1, 2, 3):   # history, text, out-of-text
-        lengths = [len(c[channel]) for c in contexts]
-        assert min(lengths) == 0 < max(lengths)
+    return [(int(rng.integers(NUM_SPECIALS, V)), ids(NUM_SPECIALS, V, 5),
+             ids(0, n_tokens, 4), ids(NUM_SPECIALS, V, 3))
+            for _ in range(count)]
 
-    table = causal.estimate_interventions(
-        model, _all_rows(_pack(contexts)), batch_size=64)
 
-    h_dim = TINY["hidden_dim"]
+def _per_context_rows(model, contexts):
+    """mean_j softmax(A gru_step(emb[k], h_j) + B v_t + W_O v_o), computed
+    context by context."""
+    p, V, h_dim = model.params, model.vocab_size, TINY["hidden_dim"]
     expected = np.zeros((V, V))
     for _, hist, text, oot in contexts:
         h = np.zeros((1, h_dim))
@@ -295,8 +295,121 @@ def test_estimator_matches_per_row_formula():
             v_e, _ = K.gru_step(p, "enc", p["emb"][k], h)
             expected[k] += K.softmax(p["A"] @ v_e[0] + p["B"] @ v_t
                                      + p["W_O"] @ v_o)
-    expected /= len(contexts)
-    np.testing.assert_allclose(table.effect, expected, rtol=0, atol=1e-12)
+    return expected / len(contexts)
+
+
+def test_estimator_matches_per_row_formula():
+    """Every do-row equals mean_j softmax(A gru_step(emb[k], h_j) + B v_t +
+    W_O v_o), computed context by context, across block boundaries."""
+    rng = np.random.default_rng(8)
+    V, n_tokens = 11, 6
+    model = _formula_model(rng, V, n_tokens)
+    contexts = _random_contexts(rng, V, n_tokens, 150)
+    for channel in (1, 2, 3):   # history, text, out-of-text
+        lengths = [len(c[channel]) for c in contexts]
+        assert min(lengths) == 0 < max(lengths)
+
+    table = causal.estimate_interventions(
+        model, _all_rows(_pack(contexts)), batch_size=64)
+    np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
+                               rtol=0, atol=1e-12)
+
+
+def test_repeated_contexts_match_per_row_formula():
+    """A sample drawn with replacement, whose repeats of one (history, text,
+    out-of-text) context carry different prev events, is the average over
+    every drawn row."""
+    rng = np.random.default_rng(12)
+    V, n_tokens = 11, 6
+    model = _formula_model(rng, V, n_tokens)
+    base = _random_contexts(rng, V, n_tokens, 25)
+    contexts = [(int(rng.integers(NUM_SPECIALS, V)), *base[i][1:])
+                for i in rng.integers(0, len(base), size=120)]
+    adjustment = causal.sample_adjustment_set(_pack(contexts), 300, seed=3)
+    drawn = [contexts[i] for i in adjustment.index]
+    assert len({repr(c[1:]) for c in drawn}) < len({repr(c) for c in drawn})
+    table = causal.estimate_interventions(model, adjustment, batch_size=8)
+    assert table.n_samples == 300
+    np.testing.assert_allclose(table.effect, _per_context_rows(model, drawn),
+                               rtol=0, atol=1e-12)
+
+
+def test_rows_stay_exact_when_logits_are_large():
+    """With a row of A whose L1 norm exceeds 1,000, the logits of one
+    context can span more than exp's range; every row is still finite,
+    sums to 1 and matches the per-context formula."""
+    rng = np.random.default_rng(5)
+    V, n_tokens = 11, 6
+    model = _formula_model(rng, V, n_tokens)
+    A = model.params["A"]
+    A[4] *= 1500.0 / np.abs(A[4]).sum()
+    A[7] *= 300.0 / np.abs(A[7]).sum()
+    contexts = _random_contexts(rng, V, n_tokens, 60)
+    table = causal.estimate_interventions(
+        model, _all_rows(_pack(contexts)), batch_size=16)
+    assert np.isfinite(table.effect).all()
+    np.testing.assert_allclose(table.effect.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
+                               rtol=0, atol=1e-12)
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _host(cpus, **blas):
+    """Patches for a process that may run on ``cpus`` CPUs and whose
+    environment sets only the BLAS thread variables in ``blas``."""
+    env = {**dict.fromkeys(_BLAS_VARIABLES, ""), **blas}
+    return (mock.patch.object(causal, "usable_cpus", return_value=cpus),
+            mock.patch.dict(os.environ, env))
+
+
+def test_table_is_the_same_for_every_worker_count():
+    """Each do-row is summed by one worker in a fixed order, so the table is
+    the same bit for bit for 1, 2, 3 and 6 workers (by a patched CPU count),
+    even when the workers switch every microsecond, where a row skipped or
+    summed twice would show."""
+    rng = np.random.default_rng(21)
+    V, n_tokens = 40, 6
+    model = _formula_model(rng, V, n_tokens)
+    adjustment = _all_rows(_pack(_random_contexts(rng, V, n_tokens, 90)))
+
+    tables = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 6):
+            cpu_patch, env_patch = _host(cpus, OPENBLAS_NUM_THREADS="1")
+            with cpu_patch, env_patch:
+                assert causal.worker_count(V) == cpus
+                tables.append(causal.estimate_interventions(
+                    model, adjustment, batch_size=16).effect)
+    finally:
+        sys.setswitchinterval(interval)
+    for other in tables[1:]:
+        assert np.array_equal(other, tables[0])
+
+
+@pytest.mark.parametrize("cpus, blas, tasks, workers", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 343, 2),
+    (64, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 343, 1),
+    (8, {}, 343, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "2"}, 343, 4),
+    (8, {"OPENBLAS_NUM_THREADS": "16"}, 343, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "0"}, 343, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "x"}, 343, 1),
+    (8, {"OMP_NUM_THREADS": "1"}, 343, 8),
+    (8, {"OMP_NUM_THREADS": "1", "GOTO_NUM_THREADS": "4"}, 343, 2),
+    (8, {"OMP_NUM_THREADS": "1", "GOTO_NUM_THREADS": "4",
+         "OPENBLAS_NUM_THREADS": "2"}, 343, 4)])
+def test_worker_count_leaves_blas_its_cpus(cpus, blas, tasks, workers):
+    """One worker per CPU that BLAS's threads leave free, at most one per
+    task. The variables count in OpenBLAS's order; unset, zero or
+    unreadable ones mean one BLAS thread per CPU. Starts no thread."""
+    cpu_patch, env_patch = _host(cpus, **blas)
+    with cpu_patch, env_patch:
+        assert causal.worker_count(tasks) == workers
 
 
 def test_batched_forward_matches_per_row_fold():

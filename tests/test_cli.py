@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scriptcausal import causal, cli
+from scriptcausal import baselines, causal, cli, synth
+from scriptcausal.errors import DataFormatError
 from scriptcausal.events import NUM_SPECIALS, Vocabulary
 
 TINY_CFG = {"emb_dim": 8, "hidden_dim": 12, "lm_emb_dim": 8,
@@ -367,3 +368,72 @@ def test_train_cond_rejects_out_of_range_values(workdir, key, value):
     assert run("--config", "bad.json", "train-cond", "--train", "c.jsonl",
                "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 1
     assert not (workdir / "m.bin").exists()
+
+
+def _bigger_by(delta):
+    """Write a conditional model, a finetuned one, an LM and an itable of
+    the vocabulary's size plus ``delta``; return that size and, for each
+    stage that reads one of them with the vocabulary, its arguments."""
+    n = len(Vocabulary.load("v.tsv")) + delta
+    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5}).save("m.bin")
+    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5},
+                            phase="finetuned").save("ft.bin")
+    baselines.EventLM(n, {"emb_dim": 4, "hidden_dim": 5,
+                          "num_layers": 1}).save("lm.bin")
+    causal.InterventionTable(np.eye(n)).save("t.bin")
+    return n, {
+        "finetune-cond": ["finetune-cond", "--model", "m.bin", "--annotated",
+                          "c.jsonl", "--vocab", "v.tsv", "--output", "out.bin"],
+        "estimate-do": ["estimate-do", "--model", "ft.bin", "--corpus", "c.jsonl",
+                        "--vocab", "v.tsv", "--output", "out.bin",
+                        "--tsv", "out.tsv"],
+        "cloze --lm": ["cloze", "--corpus", "c.jsonl", "--vocab", "v.tsv",
+                       "--lm", "lm.bin", "--output", "out.tsv"],
+        "sheet --lm": ["sheet", "--vocab", "v.tsv", "--lm", "lm.bin",
+                       "--output", "out.tsv"],
+        "cloze --itable": ["cloze", "--corpus", "c.jsonl", "--vocab", "v.tsv",
+                           "--itable", "t.bin", "--output", "out.tsv"],
+        "score": ["score", "--itable", "t.bin", "--vocab", "v.tsv",
+                  "--target", "e1:nsubj", "--output", "out.tsv"],
+    }
+
+
+@pytest.mark.parametrize("delta", [5, -2])
+@pytest.mark.parametrize("stage", ["finetune-cond", "estimate-do", "cloze --lm",
+                                   "sheet --lm", "cloze --itable", "score"])
+def test_model_of_another_vocabulary_size_exit_code(workdir, capsys, stage, delta):
+    run("synth", "--fixture", "F-DET", "--n", "10", "--annotate",
+        "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    n, argv = _bigger_by(delta)
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *argv[stage]) == 2
+    err = capsys.readouterr().err
+    assert f"has {n} event ids" in err and f"has {n - delta}" in err
+    assert not any(os.path.exists(f) for f in ("out.bin", "out.tsv"))
+
+
+def _edited_spec(edit):
+    spec = synth.build_fixture("F-DET").to_dict()
+    edit(spec)
+    with open("spec.json", "w", encoding="utf-8") as f:
+        json.dump(spec, f)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s["scenarios"][0].pop("prob"),
+    lambda s: s["scenarios"][0].pop("name"),
+    lambda s: s["scenarios"][0].pop("kernel"),
+    lambda s: s["scenarios"][0]["kernel"].update({"c:x": {}}),
+    lambda s: s["scenarios"][0]["kernel"]["<s>"].update({"c:x": 0.0}),
+    lambda s: s["scenarios"].append(3),
+], ids=["no-prob", "no-name", "no-kernel", "unknown-source", "unknown-target",
+        "scenario-not-an-object"])
+def test_malformed_cbn_spec_exit_code(workdir, capsys, edit):
+    _edited_spec(edit)
+    with pytest.raises(DataFormatError):
+        synth.SyntheticCBN.load("spec.json")
+    capsys.readouterr()
+    assert run("synth", "--cbn", "spec.json", "--n", "2", "--output", "c.jsonl") == 2
+    assert "malformed CBN spec" in capsys.readouterr().err
+    assert not os.path.exists("c.jsonl")
