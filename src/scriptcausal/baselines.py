@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config as C
 from . import kernel as K
 from .corpus import ChainCorpus
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, open_input
 from .events import END_ID, START_ID, Vocabulary, int_fields
 
 NEG_INF = float("-inf")
@@ -90,7 +91,7 @@ def save_counts(counts: OrderedCounts, vocab: Vocabulary, path):
 
 
 def load_counts(path, vocab: Vocabulary) -> OrderedCounts:
-    with open(path, encoding="utf-8") as f:
+    with open_input(path) as f:
         header = f.readline().rstrip("\n").split("\t")
         if len(header) != 3 or header[0] != _COUNTS_HEADER_TAG:
             raise DataFormatError("missing skip-bigram counts header")
@@ -123,18 +124,11 @@ def pmi_matrix(counts: OrderedCounts, V: int) -> np.ndarray:
 # GRU event sequence LM
 
 
-DEFAULT_LM_CONFIG = {
-    "emb_dim": 300,
-    "hidden_dim": 512,
-    "num_layers": 2,
-    "dropout": 0.1,
-    "lr": 0.001,
-    "clip_norm": 10.0,
-    "batch_size": 64,
-    "patience": 3,
-    "max_epochs": 50,
-    "seed": 0,
-}
+# the table key of each key the LM records
+CONFIG_KEYS = {"emb_dim": "lm_emb_dim", "hidden_dim": "lm_hidden_dim",
+               "num_layers": "lm_layers", "dropout": "lm_dropout",
+               "batch_size": "lm_batch_size",
+               **C.same("lr clip_norm patience max_epochs seed")}
 
 
 @dataclass
@@ -168,23 +162,24 @@ class EventLM:
 
     def __init__(self, vocab_size: int, config: dict | None = None,
                  params: dict | None = None):
-        self.config = {**DEFAULT_LM_CONFIG, **(config or {})}
+        self.config = {**C.defaults(CONFIG_KEYS), **(config or {})}
         self.vocab_size = vocab_size
         self._layers = [f"gru{layer}" for layer in range(self.config["num_layers"])]
         self._ws = [K.Workspace() for _ in self._layers]
-        if params is not None:
-            self.params = params
-        else:
-            rng = np.random.default_rng(self.config["seed"])
-            d = self.config["emb_dim"]
-            h = self.config["hidden_dim"]
-            p = {"emb": K.init_embedding(rng, vocab_size, d)}
-            for layer in self._layers:
-                K.init_gru(rng, layer, d, h, p)
-                d = h
-            p["out.W"] = K.init_matrix(rng, vocab_size, h)
-            p["out.b"] = np.zeros(vocab_size)
-            self.params = p
+        self.params = params if params is not None else self._init_params(
+            np.random.default_rng(self.config["seed"]))
+
+    def _init_params(self, rng):
+        """Fresh parameters drawn from ``rng``."""
+        d = self.config["emb_dim"]
+        h = self.config["hidden_dim"]
+        p = {"emb": K.init_embedding(rng, self.vocab_size, d)}
+        for layer in self._layers:
+            K.init_gru(rng, layer, d, h, p)
+            d = h
+        p["out.W"] = K.init_matrix(rng, self.vocab_size, h)
+        p["out.b"] = np.zeros(self.vocab_size)
+        return p
 
     # -- forward / backward -------------------------------------------------
 
@@ -245,8 +240,14 @@ class EventLM:
 
     @staticmethod
     def load(path) -> "EventLM":
+        """The LM in file ``path``, whose header and parameter shapes are
+        checked."""
         config, params = K.load_model(path, "event-lm")
-        return EventLM(config.pop("vocab_size"), config, params)
+        C.check(config, {**CONFIG_KEYS, **C.same("vocab_size")}, DataFormatError,
+                f"{path}: model header key")
+        lm = EventLM(config.pop("vocab_size"), config, params)
+        K.check_params(path, params, lm._init_params(K.SHAPES_ONLY))
+        return lm
 
 
 def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,

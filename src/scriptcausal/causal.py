@@ -25,26 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config as C
 from . import kernel as K
 from .corpus import ChainCorpus, TokenVocab
-from .errors import ConfigError, DataFormatError
-from .events import Vocabulary, ranked_ids
+from .errors import ConfigError, DataFormatError, open_input
+from .events import Vocabulary, int_fields, ranked_ids
 
-DEFAULT_COND_CONFIG = {
-    "emb_dim": 300,
-    "hidden_dim": 300,
-    "text_mode": "mean",       # or "cnn"
-    "history_window": 10,
-    "oot_threshold": 3,
-    "lr": 0.001,
-    "lr_schedule": None,       # optional [[lr, epochs], ...] pretrain stages
-    "finetune_lr": 1e-5,
-    "clip_norm": 10.0,
-    "batch_size": 512,
-    "patience": 3,
-    "max_epochs": 30,
-    "seed": 0,
-}
+# the run keys the model records, under the same names
+CONFIG_KEYS = C.same("emb_dim hidden_dim text_mode history_window oot_threshold lr "
+                     "lr_schedule finetune_lr clip_norm batch_size patience "
+                     "max_epochs seed")
 
 _ITABLE_HEADER_TAG = "#scriptcausal-itable v1"
 
@@ -158,34 +148,31 @@ class ConditionalModel:
     def __init__(self, vocab_size: int, token_vocab_size: int = 1,
                  config: dict | None = None, params: dict | None = None,
                  phase: str = "pretrained"):
-        self.config = {**DEFAULT_COND_CONFIG, **(config or {})}
-        if self.config["text_mode"] not in ("mean", "cnn"):
-            raise ConfigError(f"unknown text-encoder mode {self.config['text_mode']!r}")
-        if phase not in ("pretrained", "finetuned"):
-            raise ConfigError(f"unknown phase {phase!r}")
+        self.config = {**C.defaults(CONFIG_KEYS), **(config or {})}
         self.vocab_size = vocab_size
         self.token_vocab_size = token_vocab_size
         self.phase = phase
         self._ws = [K.Workspace()]
-        if params is not None:
-            self.params = params
-            return
-        rng = np.random.default_rng(self.config["seed"])
+        self.params = params if params is not None else self._init_params(
+            np.random.default_rng(self.config["seed"]))
+
+    def _init_params(self, rng):
+        """Fresh parameters drawn from ``rng``."""
         d = self.config["emb_dim"]
         h = self.config["hidden_dim"]
-        p = {"emb": K.init_embedding(rng, vocab_size, d)}
+        p = {"emb": K.init_embedding(rng, self.vocab_size, d)}
         K.init_gru(rng, "enc", d, h, p)
         if self.config["text_mode"] == "mean":
             # mean mode feeds token embeddings straight into B: token dim = h
-            p["text_emb"] = K.init_embedding(rng, token_vocab_size, h)
+            p["text_emb"] = K.init_embedding(rng, self.token_vocab_size, h)
         else:
-            p["text_emb"] = K.init_embedding(rng, token_vocab_size, d)
+            p["text_emb"] = K.init_embedding(rng, self.token_vocab_size, d)
             K.init_cnn(rng, "text_cnn", d, h, p)
-        p["A"] = K.init_matrix(rng, vocab_size, h)
-        p["B"] = K.init_matrix(rng, vocab_size, h)
-        if phase == "finetuned":
-            p["W_O"] = np.zeros((vocab_size, d))
-        self.params = p
+        p["A"] = K.init_matrix(rng, self.vocab_size, h)
+        p["B"] = K.init_matrix(rng, self.vocab_size, h)
+        if self.phase == "finetuned":
+            p["W_O"] = np.zeros((self.vocab_size, d))
+        return p
 
     # -- forward -------------------------------------------------------------
 
@@ -290,12 +277,17 @@ class ConditionalModel:
 
     @staticmethod
     def load(path) -> "ConditionalModel":
+        """The model in file ``path``, whose header and parameter shapes
+        are checked."""
         config, params = K.load_model(path, "conditional")
+        C.check(config, {**CONFIG_KEYS, **C.same("vocab_size token_vocab_size phase")},
+                DataFormatError, f"{path}: model header key")
         vocab_size = config.pop("vocab_size")
         token_vocab_size = config.pop("token_vocab_size")
         phase = config.pop("phase")
-        return ConditionalModel(vocab_size, token_vocab_size, config, params,
-                                phase)
+        model = ConditionalModel(vocab_size, token_vocab_size, config, params, phase)
+        K.check_params(path, params, model._init_params(K.SHAPES_ONLY))
+        return model
 
 
 def _train(model: ConditionalModel, train: PackedInstances,
@@ -398,17 +390,14 @@ class InterventionTable:
 
     @staticmethod
     def load(path) -> "InterventionTable":
-        with open(path, "rb") as f:
+        with open_input(path, "rb") as f:
             header = f.readline().decode("utf-8").rstrip("\n")
             if not header.startswith(_ITABLE_HEADER_TAG + " "):
                 raise DataFormatError("missing intervention table header")
             fields = header[len(_ITABLE_HEADER_TAG) + 1:].split(" ")
             if len(fields) < 4:
                 raise DataFormatError("malformed intervention table header")
-            try:
-                dim, n_samples, seed = (int(x) for x in fields[:3])
-            except ValueError as e:
-                raise DataFormatError("malformed intervention table header") from e
+            dim, n_samples, seed = int_fields(fields[:3], "intervention table header")
             model_id = " ".join(fields[3:])
             body = f.read()
         if dim < 0 or len(body) != 8 * dim * dim:

@@ -1,10 +1,7 @@
 """Command-line entry point orchestrating every pipeline stage.
 
 Configuration precedence: command-line flags > JSON config file (--config)
-> built-in defaults. Defaults carry the reference training settings
-(conditional lr 0.001 / finetune lr 1e-5, gradient clip 10, batches 512 and
-64, patience 3, skip window 2, history window 10, 2000 adjustment samples,
-cloze cutoffs 0/50/100/125/150/200/500 with Recall@100).
+> the defaults of ``config.TABLE``.
 
 Exit codes: 0 success, 1 usage/config error, 2 data-format error,
 3 numerical failure. Every successful run appends a manifest line
@@ -14,7 +11,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data-format error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -22,116 +18,11 @@ import sys
 import numpy as np
 
 from . import baselines, causal, evaluation, kernel, synth
+from .config import RUN_KEYS, TABLE, RunConfig, same
 from .corpus import (build_token_vocab, build_vocab_from, load_chains,
                      split_corpus, write_chains)
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, open_input
 from .events import Vocabulary, frequency_rank
-
-DEFAULTS = {
-    "seed": 0,
-    "threads": 1,            # accepted and ignored
-    "run_log": "runs.log",
-    "min_count": 10,
-    "ratios": [0.9, 0.05, 0.05],
-    "window": 2,             # PMI skip-bigram window
-    "history_window": 10,
-    "oot_threshold": 3,
-    "adjustment_n": 2000,
-    "emb_dim": 300,
-    "hidden_dim": 300,
-    "text_mode": "mean",
-    "lm_emb_dim": 300,
-    "lm_hidden_dim": 512,
-    "lm_layers": 2,
-    "lm_dropout": 0.1,
-    "lr": 0.001,
-    "lr_schedule": None,
-    "finetune_lr": 1e-5,
-    "clip_norm": 10.0,
-    "batch_size": 512,
-    "lm_batch_size": 64,
-    "patience": 3,
-    "max_epochs": 30,
-    "cutoffs": [0, 50, 100, 125, 150, 200, 500],
-    "recall_n": 100,
-    "cloze_count": 2000,
-    "sheet_targets": 150,
-    "per_system": 2,
-    "exclude_top": 20,
-    "topk": 10,
-    "factual_only": False,
-}
-
-# the least value of each size, count and window key
-MINIMUM = {**dict.fromkeys(
-    "min_count window adjustment_n emb_dim hidden_dim lm_emb_dim lm_hidden_dim "
-    "lm_layers batch_size lm_batch_size patience max_epochs recall_n "
-    "cloze_count sheet_targets per_system topk".split(), 1),
-    "history_window": 0, "exclude_top": 0}
-
-
-def _has_type_of(value, default) -> bool:
-    """Whether ``value`` may stand where ``default`` does: bools are not
-    numbers, an int may stand for a float, and so may a list's elements for
-    the default's. A None default stands for ``lr_schedule``: None or a
-    list of [lr, epochs] pairs."""
-    if default is None:
-        return value is None or isinstance(value, list) and all(
-            isinstance(s, list) and len(s) == 2 and _has_type_of(s[0], 0.0)
-            and _has_type_of(s[1], 0) for s in value)
-    if isinstance(default, list):
-        return isinstance(value, list) and all(
-            _has_type_of(x, default[0]) for x in value)
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is type(default)
-    return isinstance(value, (int, float) if isinstance(default, float)
-                      else type(default))
-
-
-class RunConfig:
-    """Effective settings: CLI > config file > defaults."""
-
-    def __init__(self, config_path=None, overrides=None):
-        self.values = dict(DEFAULTS)
-        if config_path:
-            if not os.path.exists(config_path):
-                raise ConfigError(f"config file not found: {config_path}")
-            with open(config_path, encoding="utf-8") as f:
-                try:
-                    loaded = json.load(f)
-                except json.JSONDecodeError as e:
-                    raise DataFormatError(f"config file is not valid JSON: {e}") from e
-            if not isinstance(loaded, dict):
-                raise DataFormatError("config file must hold one JSON object")
-            for key, value in loaded.items():
-                if key not in DEFAULTS:
-                    raise ConfigError(f"unknown config key {key!r}")
-                self.values[key] = value
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                self.values[key] = value
-        for key, value in self.values.items():
-            default = DEFAULTS[key]
-            if not _has_type_of(value, default):
-                want = ("null or a list of [lr, epochs] pairs" if default is None
-                        else f"a list of {type(default[0]).__name__}"
-                        if isinstance(default, list) else type(default).__name__)
-                raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
-        for key, low in MINIMUM.items():
-            if self.values[key] < low:
-                raise ConfigError(f"config key {key!r} must be >= {low}, "
-                                  f"got {self.values[key]!r}")
-        for lr, epochs in self.values["lr_schedule"] or ():
-            if not (lr > 0 and epochs >= 1):
-                raise ConfigError("config key 'lr_schedule' needs lr > 0 and "
-                                  f"epochs >= 1 in every stage, got {[lr, epochs]}")
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def hash(self) -> str:
-        blob = json.dumps(self.values, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _require(path, what):
@@ -226,12 +117,7 @@ def cmd_train_lm(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     train = load_chains(_require(args.train, "training chain file"))
     dev = load_chains(_require(args.dev, "dev chain file"))
-    lm_config = {"emb_dim": cfg["lm_emb_dim"], "hidden_dim": cfg["lm_hidden_dim"],
-                 "num_layers": cfg["lm_layers"], "dropout": cfg["lm_dropout"],
-                 "lr": cfg["lr"], "clip_norm": cfg["clip_norm"],
-                 "batch_size": cfg["lm_batch_size"], "patience": cfg["patience"],
-                 "max_epochs": cfg["max_epochs"], "seed": cfg["seed"]}
-    lm = baselines.train_event_lm(train, dev, vocab, lm_config,
+    lm = baselines.train_event_lm(train, dev, vocab, cfg.slice(baselines.CONFIG_KEYS),
                                   log=lambda m: print(m, file=sys.stderr))
     lm.save(args.output)
     return [args.output]
@@ -246,8 +132,7 @@ def cmd_train_cond(cfg, args):
                           vocab, cfg, token_vocab)
     model = causal.train_conditional(
         train_inst, dev_inst, len(vocab), len(token_vocab),
-        {key: cfg[key] for key in causal.DEFAULT_COND_CONFIG},
-        log=lambda m: print(m, file=sys.stderr))
+        cfg.slice(causal.CONFIG_KEYS), log=lambda m: print(m, file=sys.stderr))
     model.save(args.output)
     return [args.output]
 
@@ -261,8 +146,7 @@ def cmd_finetune_cond(cfg, args):
         load_chains(_require(args.annotated, "annotated chain file")), vocab, cfg)
     annotated = annotated.take(np.flatnonzero(annotated.oot_len))
     tuned = causal.finetune_with_oot(
-        model, annotated, {"finetune_lr": cfg["finetune_lr"],
-                           "max_epochs": cfg["max_epochs"], "seed": cfg["seed"]},
+        model, annotated, cfg.slice(same("finetune_lr max_epochs seed")),
         log=lambda m: print(m, file=sys.stderr))
     tuned.save(args.output)
     return [args.output]
@@ -387,7 +271,7 @@ def cmd_sheet(cfg, args):
 
 
 def cmd_score_summary(cfg, args):
-    with open(_require(args.input, "filled sheet"), encoding="utf-8") as f:
+    with open_input(_require(args.input, "filled sheet")) as f:
         rows = evaluation.parse_sheet_tsv(f.read())
     summary = evaluation.score_summary(rows)
     lines = ["system\tavg_score\tavg_rank\tcount"]
@@ -401,7 +285,7 @@ def cmd_score_summary(cfg, args):
 
 def cmd_diversity(cfg, args):
     emissions = {}
-    with open(_require(args.input, "emissions file"), encoding="utf-8") as f:
+    with open_input(_require(args.input, "emissions file")) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -482,129 +366,62 @@ def build_parser():
                              "OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command")
 
-    add = sub.add_parser
+    def add(name, summary, paths="", optional="", keys=""):
+        """Subcommand ``name``: a required option per word of ``paths``, an
+        optional one per word of ``optional``, and the flag of each config
+        key in ``keys``, typed by the key's default."""
+        p = sub.add_parser(name, help=summary)
+        for word in paths.split():
+            p.add_argument("--" + word, required=True)
+        for word in optional.split():
+            p.add_argument("--" + word)
+        for key in keys.split():
+            default = TABLE[key].default
+            p.add_argument("--" + key.replace("_", "-"), **(
+                {"action": "store_true", "default": None} if default is False
+                else {"type": type(default)}))
+        return p
 
-    p = add("ingest", help="normalize a chain file (optional factuality filter)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--factual-only", dest="factual_only", action="store_true",
-                   default=None)
-
-    p = add("split", help="train/dev/test split of a chain file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--test", required=True)
-
-    p = add("vocab", help="build a vocabulary from a chain file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--min-count", dest="min_count", type=int)
-
-    p = add("count-pmi", help="ordered skip-bigram counts")
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--window", type=int)
-
-    p = add("train-lm", help="train the event-sequence LM baseline")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--output", required=True)
-
-    p = add("train-cond", help="pretrain the conditional model")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--output", required=True)
-
-    p = add("finetune-cond", help="finetune with out-of-text annotations")
-    p.add_argument("--model", required=True)
-    p.add_argument("--annotated", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--output", required=True)
-
-    p = add("estimate-do", help="estimate the intervention table")
-    p.add_argument("--model", required=True)
+    add("ingest", "normalize a chain file (optional factuality filter)",
+        "input output", keys="factual_only")
+    add("split", "train/dev/test split of a chain file", "input train dev test")
+    add("vocab", "build a vocabulary from a chain file", "input output",
+        keys="min_count")
+    add("count-pmi", "ordered skip-bigram counts", "input vocab output",
+        keys="window")
+    add("train-lm", "train the event-sequence LM baseline", "train dev vocab output")
+    add("train-cond", "pretrain the conditional model", "train dev vocab output")
+    add("finetune-cond", "finetune with out-of-text annotations",
+        "model annotated vocab output")
+    p = add("estimate-do", "estimate the intervention table", "model vocab output",
+            keys="adjustment_n")
     p.add_argument("--corpus", required=True,
                    help="chain file supplying adjustment-set contexts")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--output", required=True)
     p.add_argument("--tsv", help="optional TSV export for inspection")
-    p.add_argument("--adjustment-n", dest="adjustment_n", type=int)
-
-    p = add("score", help="top predecessors of a target event")
-    p.add_argument("--itable", required=True)
-    p.add_argument("--vocab", required=True)
+    p = add("score", "top predecessors of a target event", "itable vocab", "output",
+            "topk exclude_top")
     p.add_argument("--target", required=True, help="event key, e.g. cry:nsubj")
-    p.add_argument("--topk", type=int)
-    p.add_argument("--exclude-top", dest="exclude_top", type=int)
-    p.add_argument("--output")
-
-    p = add("complete", help="chain completion by mean pairwise score")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--itable")
-    p.add_argument("--counts")
-    p.add_argument("--exclude-top", dest="exclude_top", type=int)
+    p = add("complete", "chain completion by mean pairwise score", "vocab",
+            "itable counts", "exclude_top")
     p.add_argument("context", nargs="+", help="context event keys")
-
-    p = add("synth", help="sample a synthetic corpus")
+    p = add("synth", "sample a synthetic corpus", "output")
     p.add_argument("--fixture", choices=synth.FIXTURE_NAMES)
     p.add_argument("--cbn", help="CBN spec file (alternative to --fixture)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--annotate", action="store_true",
                    help="expose the scenario on the out-of-text channel")
-    p.add_argument("--output", required=True)
-
-    p = add("oracle", help="exact do-distributions of a CBN")
+    p = add("oracle", "exact do-distributions of a CBN", "output", "cbn")
     p.add_argument("--fixture", choices=synth.FIXTURE_NAMES)
-    p.add_argument("--cbn")
-    p.add_argument("--output", required=True)
-
-    p = add("cloze", help="infrequent narrative cloze report")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--lm")
-    p.add_argument("--itable")
-    p.add_argument("--counts")
-    p.add_argument("--output", required=True)
-    p.add_argument("--cloze-count", dest="cloze_count", type=int)
-    p.add_argument("--recall-n", dest="recall_n", type=int)
-
-    p = add("sheet", help="pairwise abductive task sheet")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--lm")
-    p.add_argument("--itable")
-    p.add_argument("--counts")
-    p.add_argument("--output", required=True)
-    p.add_argument("--sheet-targets", dest="sheet_targets", type=int)
-    p.add_argument("--exclude-top", dest="exclude_top", type=int)
-
-    p = add("score-summary", help="aggregate a filled-in sheet")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-
-    p = add("diversity", help="output-diversity statistics")
+    add("cloze", "infrequent narrative cloze report", "corpus vocab output",
+        "lm itable counts", "cloze_count recall_n")
+    add("sheet", "pairwise abductive task sheet", "vocab output", "lm itable counts",
+        "sheet_targets exclude_top")
+    add("score-summary", "aggregate a filled-in sheet", "input", "output")
+    p = add("diversity", "output-diversity statistics", optional="output")
     p.add_argument("--input", required=True,
                    help="TSV of system<TAB>event lines in emission order")
-    p.add_argument("--output")
-
-    add("gradcheck", help="finite-difference certification of all gradients")
+    add("gradcheck", "finite-difference certification of all gradients")
     return parser
-
-
-_HANDLERS = {
-    "ingest": cmd_ingest, "split": cmd_split, "vocab": cmd_vocab,
-    "count-pmi": cmd_count_pmi, "train-lm": cmd_train_lm,
-    "train-cond": cmd_train_cond, "finetune-cond": cmd_finetune_cond,
-    "estimate-do": cmd_estimate_do, "score": cmd_score,
-    "complete": cmd_complete, "synth": cmd_synth, "oracle": cmd_oracle,
-    "cloze": cmd_cloze, "sheet": cmd_sheet, "score-summary": cmd_score_summary,
-    "diversity": cmd_diversity, "gradcheck": cmd_gradcheck,
-}
-
-_CONFIG_KEYS = set(DEFAULTS)
 
 
 def main(argv=None) -> int:
@@ -616,10 +433,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
+    overrides = {k: v for k, v in vars(args).items() if k in RUN_KEYS}
     try:
         cfg = RunConfig(args.config, overrides)
-        outputs = _HANDLERS[args.command](cfg, args)
+        outputs = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
         _write_manifest(cfg, args.command, outputs)
         return 0
     except ConfigError as e:

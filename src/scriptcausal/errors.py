@@ -1,8 +1,12 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the input readers that
+map undecodable or malformed text onto it.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataFormatError -> 2,
 NumericalError -> 3.
 """
+
+import json
+from contextlib import contextmanager
 
 
 class ScriptCausalError(Exception):
@@ -19,3 +23,23 @@ class DataFormatError(ScriptCausalError):
 
 class NumericalError(ScriptCausalError):
     """Non-finite values or other numerical failure."""
+
+
+@contextmanager
+def open_input(path, mode="r"):
+    """``path`` opened for reading, as UTF-8 text unless ``mode`` is "rb";
+    text in it that is not UTF-8 raises DataFormatError naming the file."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from e
+
+
+def read_json(path, what):
+    """The JSON value in the file ``path``, which holds a ``what``."""
+    with open_input(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"{what} {path} is not valid JSON: {e}") from e

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TABLE
 from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
 from .events import NUM_SPECIALS, Vocabulary, ranked_ids
-
-DEFAULT_CUTOFFS = (0, 50, 100, 125, 150, 200, 500)
-DEFAULT_RECALL_N = 100
 
 
 @dataclass
@@ -94,8 +92,8 @@ class ClozeReport:
 
 
 def run_infrequent_cloze(systems: dict, instances, rank,
-                         cutoffs=DEFAULT_CUTOFFS,
-                         N: int = DEFAULT_RECALL_N) -> ClozeReport:
+                         cutoffs=TABLE["cutoffs"].default,
+                         N: int = TABLE["recall_n"].default) -> ClozeReport:
     """Recall@N per system per exclusion cutoff over a fixed instance set.
 
     Each system ranks each instance once; the cutoffs then select which

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, open_input
 
 UNK_ID = 0
 START_ID = 1
@@ -204,7 +204,7 @@ class Vocabulary:
 
     @staticmethod
     def load(path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
+        with open_input(path) as f:
             return Vocabulary.from_tsv(f.read())
 
 

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, open_input
 
 GATES = ("z", "r", "h")
 
@@ -40,6 +40,16 @@ def init_matrix(rng, rows, cols):
     # Xavier-style scaled uniform
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
+
+
+class _ShapesOnly:
+    """A stand-in Generator for the init functions whose draws are read-only
+    views of one zero: a model's parameter shapes without its parameters."""
+
+    uniform = staticmethod(lambda low, high, size: np.broadcast_to(0.0, size))
+
+
+SHAPES_ONLY = _ShapesOnly()
 
 
 def init_gru(rng, prefix, input_dim, hidden_dim, params):
@@ -71,15 +81,11 @@ def softmax(logits, axis=-1):
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
-def log_softmax(logits, axis=-1):
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
 def softmax_xent_batch(logits, targets):
     """Summed cross entropy over a batch; returns (loss, dlogits)."""
     B = logits.shape[0]
-    logp = log_softmax(logits, axis=1)
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     rows = np.arange(B)
     losses = -logp[rows, targets]
     grad = np.exp(logp)
@@ -358,10 +364,9 @@ def encoder_backward(params, cache, dH, grads):
 CNN_WINDOWS = (2, 3, 4, 5)
 
 
-def init_cnn(rng, prefix, emb_dim, out_dim, params, filters=None):
+def init_cnn(rng, prefix, emb_dim, out_dim, params):
     """Conv filters over n-gram windows (2,3,4,5) + linear projection."""
-    if filters is None:
-        filters = max(out_dim // len(CNN_WINDOWS), 1)
+    filters = max(out_dim // len(CNN_WINDOWS), 1)
     for n in CNN_WINDOWS:
         params[f"{prefix}.conv{n}.W"] = init_matrix(rng, filters, n * emb_dim)
         params[f"{prefix}.conv{n}.b"] = np.zeros(filters)
@@ -599,7 +604,7 @@ def _read_exact(f, n, size):
 def load_model(path, kind):
     """Inverse of save_model for a file of model kind ``kind``. Returns
     (config, params)."""
-    with open(path, "rb") as f:
+    with open_input(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header = f.readline().decode("utf-8").rstrip("\n")
         if not header.startswith(_MODEL_HEADER_TAG + " "):
@@ -621,3 +626,14 @@ def load_model(path, kind):
             raw = _read_exact(f, 8 * math.prod(shape), size)
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return config, params
+
+
+def check_params(path, params, expected):
+    """Raise DataFormatError naming the first parameter of the model file
+    ``path`` whose name or shape differs from ``expected``'s."""
+    for name in sorted(params.keys() | expected.keys()):
+        got, want = (p[name].shape if name in p else "absent"
+                     for p in (params, expected))
+        if got != want:
+            raise DataFormatError(f"{path}: model parameter {name!r} is {got} in "
+                                  f"the file but {want} by its header")

@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .corpus import ChainCorpus
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, read_json
 from .events import EventType
 
 FIXTURE_NAMES = ("F-POPCORN", "F-DET", "F-UNIFORM")
@@ -208,8 +208,7 @@ class SyntheticCBN:
 
     @staticmethod
     def load(path) -> "SyntheticCBN":
-        with open(path, encoding="utf-8") as f:
-            return SyntheticCBN.from_dict(json.load(f))
+        return SyntheticCBN.from_dict(read_json(path, "CBN spec"))
 
 
 def build_fixture(name: str) -> SyntheticCBN:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scriptcausal import baselines, causal, cli, synth
+from scriptcausal import baselines, causal, cli, config, synth
 from scriptcausal.errors import DataFormatError
 from scriptcausal.events import NUM_SPECIALS, Vocabulary
 
@@ -305,7 +305,7 @@ _JSON_VALUES = [None, True, False, 0, 3, 2.5, "3", [], [1], {"a": 1},
 
 def _fits(key, value):
     """Whether ``value`` has the type that config key ``key`` takes."""
-    default = cli.DEFAULTS[key]
+    default = config.TABLE[key].default
     if key == "lr_schedule":
         return value is None or type(value) is list and all(
             type(s) is list and len(s) == 2 and type(s[0]) in (int, float)
@@ -323,7 +323,7 @@ def _fits(key, value):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_wrong_config_type_is_a_config_error(workdir, capsys, data):
-    key = data.draw(st.sampled_from(sorted(cli.DEFAULTS)))
+    key = data.draw(st.sampled_from(sorted(config.RUN_KEYS)))
     value = data.draw(st.sampled_from(
         [v for v in _JSON_VALUES if not _fits(key, v)]))
     (workdir / "bad.json").write_text(json.dumps({key: value}))
@@ -338,7 +338,8 @@ _LEAST = {**dict.fromkeys(
     ["min_count", "window", "adjustment_n", "emb_dim", "hidden_dim",
      "lm_emb_dim", "lm_hidden_dim", "lm_layers", "batch_size", "lm_batch_size",
      "patience", "max_epochs", "recall_n", "cloze_count", "sheet_targets",
-     "per_system", "topk"], 1), "history_window": 0, "exclude_top": 0}
+     "per_system", "topk"], 1), "history_window": 0, "exclude_top": 0,
+    "seed": 0}
 
 # schedules with a stage of lr <= 0 or of fewer than one epoch
 _BAD_SCHEDULES = [[[0.1, -1]], [[0.1, 0]], [[-0.1, 1]], [[0, 2]],
@@ -375,11 +376,7 @@ def _bigger_by(delta):
     the vocabulary's size plus ``delta``; return that size and, for each
     stage that reads one of them with the vocabulary, its arguments."""
     n = len(Vocabulary.load("v.tsv")) + delta
-    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5}).save("m.bin")
-    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5},
-                            phase="finetuned").save("ft.bin")
-    baselines.EventLM(n, {"emb_dim": 4, "hidden_dim": 5,
-                          "num_layers": 1}).save("lm.bin")
+    _model_files(n)
     causal.InterventionTable(np.eye(n)).save("t.bin")
     return n, {
         "finetune-cond": ["finetune-cond", "--model", "m.bin", "--annotated",
@@ -437,3 +434,192 @@ def test_malformed_cbn_spec_exit_code(workdir, capsys, edit):
     assert run("synth", "--cbn", "spec.json", "--n", "2", "--output", "c.jsonl") == 2
     assert "malformed CBN spec" in capsys.readouterr().err
     assert not os.path.exists("c.jsonl")
+
+
+def _header_keys(kind):
+    """Model key -> table key of every key a model file of ``kind`` records."""
+    if kind == "lm":
+        return {**baselines.CONFIG_KEYS, "vocab_size": "vocab_size"}
+    return {**causal.CONFIG_KEYS,
+            **config.same("vocab_size token_vocab_size phase")}
+
+
+_MODEL_FILES = {"conditional": "m.bin", "finetuned": "ft.bin", "lm": "lm.bin"}
+
+
+def _model_files(n):
+    """A conditional model, a finetuned one and an LM, all of ``n`` ids."""
+    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5}).save("m.bin")
+    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5},
+                            phase="finetuned").save("ft.bin")
+    baselines.EventLM(n, {"emb_dim": 4, "hidden_dim": 5,
+                          "num_layers": 1}).save("lm.bin")
+
+
+def _loading_stage(kind, model):
+    """The CLI stage that loads ``model``, a file of ``kind``."""
+    return {"conditional": ["finetune-cond", "--model", model, "--annotated",
+                            "c.jsonl", "--vocab", "v.tsv", "--output", "out.bin"],
+            "finetuned": ["estimate-do", "--model", model, "--corpus", "c.jsonl",
+                          "--vocab", "v.tsv", "--output", "out.bin"],
+            "lm": ["cloze", "--corpus", "c.jsonl", "--vocab", "v.tsv",
+                   "--lm", model, "--output", "out.tsv"]}[kind]
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy model file ``src`` to ``dst`` with ``edit`` applied to its
+    header's config."""
+    blob = open(src, "rb").read()
+    end = blob.index(b"\n")
+    tag, version, kind, header = blob[:end].decode("utf-8").split(" ", 3)
+    header = json.dumps(edit(json.loads(header)), separators=(",", ":"),
+                        sort_keys=True)
+    with open(dst, "wb") as f:
+        f.write(f"{tag} {version} {kind} {header}".encode("utf-8") + blob[end:])
+
+
+def _pipeline_inputs():
+    run("synth", "--fixture", "F-DET", "--n", "10", "--annotate",
+        "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    return len(Vocabulary.load("v.tsv"))
+
+
+# the least value of each header key that no run sets
+_HEADER_LEAST = {"vocab_size": 1, "token_vocab_size": 1}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_model_header_fault_exit_code(workdir, capsys, data):
+    if not os.path.exists("v.tsv"):
+        _model_files(_pipeline_inputs())
+    kind = data.draw(st.sampled_from(sorted(_MODEL_FILES)))
+    key, name = data.draw(st.sampled_from(sorted(_header_keys(kind).items())))
+    least = {**_LEAST, **_HEADER_LEAST}
+    faults = ["drop", "type"] + ["range"] * (
+        name in least or name in ("lr_schedule", "text_mode", "phase"))
+    fault = data.draw(st.sampled_from(faults))
+    if fault == "drop":
+        def edit(c):
+            del c[key]
+            return c
+    else:
+        if fault == "type":
+            value = data.draw(st.sampled_from(
+                [v for v in _JSON_VALUES if not _fits(name, v)]))
+        elif name == "lr_schedule":
+            value = data.draw(st.sampled_from(_BAD_SCHEDULES))
+        elif name in least:
+            value = data.draw(st.integers(-3, least[name] - 1))
+        else:
+            value = "bogus"
+        edit = lambda c: dict(c, **{key: value})  # noqa: E731
+    _rewrite_header(_MODEL_FILES[kind], "bad.bin", edit)
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *_loading_stage(kind, "bad.bin")) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "bad.bin" in err
+    assert not any(os.path.exists(f) for f in ("out.bin", "out.tsv"))
+
+
+@pytest.mark.parametrize("kind", sorted(_MODEL_FILES))
+def test_model_header_keys_are_in_the_table_and_round_trip(workdir, kind):
+    _model_files(9)
+    path = _MODEL_FILES[kind]
+    header = json.loads(open(path, "rb").readline().decode("utf-8").split(" ", 3)[3])
+    keys = _header_keys(kind)
+    assert set(header) == set(keys)
+    assert all(name in config.TABLE for name in keys.values())
+    loader = baselines.EventLM if kind == "lm" else causal.ConditionalModel
+    model = loader.load(path)
+    model.save("again.bin")
+    assert open("again.bin", "rb").read() == open(path, "rb").read()
+    if kind == "lm":
+        assert dict(model.config, vocab_size=model.vocab_size) == header
+    else:
+        assert dict(model.config, vocab_size=model.vocab_size, phase=model.phase,
+                    token_vocab_size=model.token_vocab_size) == header
+
+
+def _drop(name):
+    def edit(params):
+        del params[name]
+    return edit
+
+
+def _cut(name, rows):
+    def edit(params):
+        params[name] = params[name][:rows]
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit, name", [
+    ("finetuned", _drop("A"), "A"),
+    ("finetuned", _cut("B", 5), "B"),
+    ("conditional", _drop("enc.Uh"), "enc.Uh"),
+    ("lm", _cut("out.W", 5), "out.W"),
+], ids=["no-A", "B-of-5-rows", "no-enc.Uh", "out.W-of-5-rows"])
+def test_model_parameter_fault_exit_code(workdir, capsys, kind, edit, name):
+    _model_files(_pipeline_inputs())
+    path = _MODEL_FILES[kind]
+    loader = baselines.EventLM if kind == "lm" else causal.ConditionalModel
+    model = loader.load(path)
+    edit(model.params)
+    model.save("bad.bin")
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *_loading_stage(kind, "bad.bin")) == 2
+    err = capsys.readouterr().err
+    assert repr(name) in err and "bad.bin" in err
+    assert not any(os.path.exists(f) for f in ("out.bin", "out.tsv"))
+
+
+def _non_utf8(path, at):
+    """Put a 0xff byte into the file ``path`` before byte ``at``."""
+    blob = open(path, "rb").read()
+    with open(path, "wb") as f:
+        f.write(blob[:at] + b"\xff" + blob[at:])
+
+
+@pytest.mark.parametrize("what", ["model header", "vocabulary", "itable header",
+                                  "counts", "config", "cbn spec", "sheet",
+                                  "emissions"])
+def test_non_utf8_input_exit_code(workdir, capsys, what):
+    _counts(workdir)
+    n = len(Vocabulary.load("v.tsv"))
+    _model_files(n)
+    causal.InterventionTable(np.full((n, n), 1.0 / n)).save("t.bin")
+    synth.build_fixture("F-DET").save("spec.json")
+    (workdir / "sheet.tsv").write_text(
+        "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscore\n"
+        "0\te1:x\te2:x\tlm\t50\n")
+    (workdir / "e.tsv").write_text("s\te1:x\ns\te2:x\n")
+    path, argv = {
+        "model header": ("m.bin", _loading_stage("conditional", "m.bin")),
+        "vocabulary": ("v.tsv", ["count-pmi", "--input", "c.jsonl", "--vocab",
+                                 "v.tsv", "--output", "out.tsv"]),
+        "itable header": ("t.bin", ["score", "--itable", "t.bin", "--vocab",
+                                    "v.tsv", "--target", "e1:x"]),
+        "counts": ("cnt.tsv", ["complete", "--vocab", "v.tsv", "--counts",
+                               "cnt.tsv", "e1:x"]),
+        "config": ("cfg.json", ["synth", "--fixture", "F-DET", "--n", "2",
+                                "--output", "out.jsonl"]),
+        "cbn spec": ("spec.json", ["synth", "--cbn", "spec.json", "--n", "2",
+                                   "--output", "out.jsonl"]),
+        "sheet": ("sheet.tsv", ["score-summary", "--input", "sheet.tsv"]),
+        "emissions": ("e.tsv", ["diversity", "--input", "e.tsv"]),
+    }[what]
+    _non_utf8(path, os.path.getsize(path) // 2 if path.endswith(".tsv")
+              else len(open(path, "rb").readline()) // 2)
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and path in err
+
+
+def test_library_defaults_are_the_run_defaults():
+    run_cfg = config.RunConfig()
+    assert baselines.EventLM(5).config == run_cfg.slice(baselines.CONFIG_KEYS)
+    assert causal.ConditionalModel(5).config == run_cfg.slice(causal.CONFIG_KEYS)
+    assert baselines.EventLM(5).config["max_epochs"] == run_cfg["max_epochs"] == 30
