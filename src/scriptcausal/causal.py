@@ -400,16 +400,17 @@ class InterventionTable:
             dim, n_samples, seed = int_fields(fields[:3], "intervention table header")
             model_id = " ".join(fields[3:])
             body = f.read()
-        if dim < 0 or len(body) != 8 * dim * dim:
-            raise DataFormatError(f"intervention table body has {len(body)} bytes; "
-                                  f"a {dim} x {dim} table needs {8 * dim * dim}")
-        effect = np.frombuffer(body, dtype="<f8").reshape(dim, dim).copy()
-        bad = ~(np.isfinite(effect).all(axis=1) & (effect >= 0).all(axis=1)
-                & (np.abs(effect.sum(axis=1) - 1.0) <= 1e-9))
-        if bad.any():
-            raise DataFormatError(
-                f"intervention table row {int(np.argmax(bad))} is not a "
-                "distribution (non-finite, negative, or not summing to 1)")
+            if dim < 0 or len(body) != 8 * dim * dim:
+                raise DataFormatError(f"intervention table body has {len(body)} "
+                                      f"bytes; a {dim} x {dim} table needs "
+                                      f"{8 * dim * dim}")
+            effect = np.frombuffer(body, dtype="<f8").reshape(dim, dim).copy()
+            bad = ~(np.isfinite(effect).all(axis=1) & (effect >= 0).all(axis=1)
+                    & (np.abs(effect.sum(axis=1) - 1.0) <= 1e-9))
+            if bad.any():
+                raise DataFormatError(
+                    f"intervention table row {int(np.argmax(bad))} is not a "
+                    "distribution (non-finite, negative, or not summing to 1)")
         return InterventionTable(effect, model_id, seed, n_samples)
 
     def export_tsv(self, path, keys):
@@ -581,13 +582,17 @@ def top_predecessors(table: InterventionTable, target: int, topk: int,
     return ranked_ids(S[:, target], rank[:exclude_top])[:topk]
 
 
-def mean_score_ranker(score_matrix: np.ndarray, exclude_top: int = 0,
-                      rank=()):
-    """Cloze-style ranker: candidates l ordered by mean_k score[k, l] over
-    the context events. Works for S matrices and dense PMI matrices."""
-    excluded = rank[:exclude_top]
-    return lambda context: ranked_ids(
-        score_matrix[np.asarray(context)].mean(axis=0), excluded)
+def mean_scores(score_matrix: np.ndarray, contexts) -> np.ndarray:
+    """(n, V): row i is the mean of score_matrix[k] (S or dense PMI) over the
+    events k of the non-empty ``contexts[i]``, added position by position as
+    ``score_matrix[context].mean(axis=0)`` adds them, so the bits agree."""
+    lengths = np.array([len(c) for c in contexts])
+    flat, starts = np.concatenate(contexts), np.cumsum(lengths) - lengths
+    total = score_matrix[flat[starts]]
+    for t in range(1, lengths.max()):
+        live = np.flatnonzero(lengths > t)
+        total[live] += score_matrix[flat[starts[live] + t]]
+    return total / lengths[:, None]
 
 
 def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,
@@ -596,7 +601,7 @@ def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,
     context events k; ties go to the lowest id."""
     if not context:
         raise ConfigError("chain completion requires at least one context event")
-    scores = score_matrix[np.asarray(context)].mean(axis=0)
+    scores = mean_scores(score_matrix, [context])[0]
     ranked = ranked_ids(scores, rank[:exclude_top])
     if not ranked:
         raise ConfigError(f"no candidate left after excluding the "

@@ -243,8 +243,8 @@ def cmd_cloze(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
     corpus = load_chains(_require(args.corpus, "test chain file"))
-    systems = _systems(args, vocab, evaluation.lm_ranker,
-                       causal.mean_score_ranker)
+    systems = _systems(args, vocab, lambda lm: lm.next_distribution,
+                       lambda M: lambda contexts: causal.mean_scores(M, contexts))
     instances = evaluation.make_cloze_set(corpus, vocab, cfg["cloze_count"],
                                           cfg["seed"])
     report = evaluation.run_infrequent_cloze(systems, instances, rank,
@@ -256,8 +256,8 @@ def cmd_cloze(cfg, args):
 def cmd_sheet(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
-    systems = _systems(args, vocab, evaluation.lm_pair_scorer,
-                       lambda M: lambda k, l: M[k, l])
+    systems = _systems(args, vocab, evaluation.lm_sheet_system,
+                       lambda M: lambda target: M[:, target])
     rng = np.random.default_rng(cfg["seed"])
     pool = [i for i in vocab.event_ids()]
     n_targets = min(cfg["sheet_targets"], len(pool))

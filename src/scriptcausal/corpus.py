@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, open_input
 from .events import FACTUALITY_LABELS, EventType, Vocabulary
 
 
@@ -209,7 +209,7 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
 
 def load_chains(path, factual_only: bool = False) -> ChainCorpus:
     """Load a chain file; optionally drop events whose factuality != pos."""
-    with open(path, "rb") as f:
+    with open_input(path, "rb") as f:
         return parse_chains(f, factual_only)
 
 

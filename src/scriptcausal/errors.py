@@ -27,13 +27,18 @@ class NumericalError(ScriptCausalError):
 
 @contextmanager
 def open_input(path, mode="r"):
-    """``path`` opened for reading, as UTF-8 text unless ``mode`` is "rb";
-    text in it that is not UTF-8 raises DataFormatError naming the file."""
+    """``path`` opened for reading, as UTF-8 text unless ``mode`` is "rb".
+    Text in it that is not UTF-8 raises DataFormatError naming the file, and
+    a DataFormatError raised in the body is raised again naming the file."""
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
             yield f
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from e
+    except DataFormatError as e:
+        if str(path) in str(e):
+            raise
+        raise DataFormatError(f"{path}: {e}") from e
 
 
 def read_json(path, what):

@@ -1,14 +1,15 @@
 """Evaluation protocols: infrequent narrative cloze with Recall@N, pairwise
-abductive task sheets, chain-completion helpers, and output-diversity
-reports.
+abductive task sheets, score summaries, and output-diversity reports.
 
-A "system" enters the cloze as a ranker: a callable mapping a context (list
-of event ids) to a ranked candidate list. Pairwise sheets instead take
-pair-score functions score(predecessor, target).
+A system enters the cloze as a score matrix: a callable mapping a list of
+contexts (event-id lists) to an (n, V) array that scores each context's
+candidate next events, BLOCK contexts per call. A system enters a pairwise
+sheet as a predecessor column: target l -> (V,) array of score(k, l).
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -18,6 +19,8 @@ from .config import TABLE
 from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
 from .events import NUM_SPECIALS, Vocabulary, ranked_ids
+
+BLOCK = 16   # contexts per system call: bounds the (BLOCK, V) score blocks
 
 
 @dataclass
@@ -51,25 +54,15 @@ def make_cloze_set(corpus: ChainCorpus, vocab: Vocabulary, count: int,
             for i, c in zip(at.tolist(), chain[at].tolist())]
 
 
-def filter_by_cutoff(instances, rank, cutoff: int):
-    """Drop instances whose answer is among the cutoff most frequent events."""
-    if cutoff < 0:
-        raise ConfigError("cutoff must be >= 0")
-    if cutoff == 0:
-        return list(instances)
-    frequent = set(rank[:cutoff])
-    return [inst for inst in instances if inst.answer not in frequent]
-
-
-def recall_at_n(ranker, instances, N: int) -> float:
-    """Percentage of instances whose answer appears in the ranker's top N."""
-    if not instances:
-        raise ConfigError("recall undefined on an empty instance set")
-    hits = 0
-    for inst in instances:
-        if inst.answer in ranker(inst.context)[:N]:
-            hits += 1
-    return 100.0 * hits / len(instances)
+def answer_positions(scores, answers) -> np.ndarray:
+    """0-based position of each answer in ``ranked_ids`` of its row of
+    ``scores`` (n, V): the candidates (ids >= NUM_SPECIALS) scored higher,
+    plus those scored equal with a lower id."""
+    cand = np.asarray(scores)[:, NUM_SPECIALS:]
+    at = np.asarray(answers) - NUM_SPECIALS
+    s = cand[np.arange(len(at)), at][:, None]
+    lower = np.arange(cand.shape[1]) < at[:, None]
+    return np.count_nonzero((cand > s) | ((cand == s) & lower), axis=1)
 
 
 @dataclass
@@ -96,23 +89,24 @@ def run_infrequent_cloze(systems: dict, instances, rank,
                          N: int = TABLE["recall_n"].default) -> ClozeReport:
     """Recall@N per system per exclusion cutoff over a fixed instance set.
 
-    Each system ranks each instance once; the cutoffs then select which
-    of those hits count.
+    Each system scores each context once; a hit is an answer among the first
+    N of ``ranked_ids`` of its row. The cutoffs then select which hits count.
     """
     cutoffs = list(cutoffs)
     if any(c < 0 for c in cutoffs):
         raise ConfigError("cutoff must be >= 0")
-    hits = {name: [inst.answer in ranker(inst.context)[:N] for inst in instances]
-            for name, ranker in systems.items()}
-    counts = []
-    recalls = {name: [] for name in systems}
-    for cutoff in cutoffs:
-        frequent = set(rank[:cutoff])
-        kept = [i for i, inst in enumerate(instances) if inst.answer not in frequent]
-        counts.append(len(kept))
-        for name in systems:
-            recalls[name].append(100.0 * sum(hits[name][i] for i in kept) / len(kept)
-                                 if kept else float("nan"))
+    if not instances:
+        raise ConfigError("recall undefined on an empty instance set")
+    answers = np.array([inst.answer for inst in instances])
+    hits = {name: np.concatenate([answer_positions(
+        system([inst.context for inst in instances[i:i + BLOCK]]),
+        answers[i:i + BLOCK]) < N for i in range(0, len(answers), BLOCK)])
+        for name, system in systems.items()}
+    kept = [~np.isin(answers, rank[:cutoff]) for cutoff in cutoffs]
+    counts = [int(k.sum()) for k in kept]
+    recalls = {name: [100.0 * int(h[k].sum()) / n if n else float("nan")
+                      for k, n in zip(kept, counts)]
+               for name, h in hits.items()}
     return ClozeReport(cutoffs, counts, recalls)
 
 
@@ -129,21 +123,19 @@ def pairwise_sheet(systems: dict, targets, vocab: Vocabulary, rank,
     """Task rows for human scoring: for each target event, each system's top
     predecessors (after the frequency filter), shuffled within the task.
 
-    ``systems`` maps name -> pair score function score(predecessor, target).
-    Rows carry the system identity in a hidden key column. Returns a list of
-    row dicts; see ``sheet_to_tsv``.
+    ``systems`` maps name -> predecessor column; non-finite scores are left
+    out. Rows carry the system identity in a hidden key column. Returns a
+    list of row dicts; see ``sheet_to_tsv``.
     """
-    excluded = set(rank[:exclude_top])
+    allowed = np.arange(len(vocab)) >= NUM_SPECIALS
+    allowed[rank[:exclude_top]] = False
     rng = np.random.default_rng(seed)
     rows = []
     for task_id, target in enumerate(targets):
         task_rows = []
-        candidates = [k for k in range(NUM_SPECIALS, len(vocab))
-                      if k not in excluded and k != target]
-        for name, score_fn in systems.items():
-            scores = np.full(len(vocab), -np.inf)
-            for k in candidates:
-                scores[k] = score_fn(k, target)
+        for name, column in systems.items():
+            scores = np.where(allowed, column(target), -np.inf)
+            scores[target] = -np.inf
             unranked = np.flatnonzero(~np.isfinite(scores))
             picks = [vocab.key_of(k)
                      for k in ranked_ids(scores, unranked)[:per_system]]
@@ -154,6 +146,21 @@ def pairwise_sheet(systems: dict, targets, vocab: Vocabulary, rank,
         order = rng.permutation(len(task_rows))
         rows.extend(task_rows[i] for i in order)
     return rows
+
+
+def lm_sheet_system(lm):
+    """The LM's predecessor columns, score(k, l) = log p(k | <s>) + log p(l | k),
+    the log-probability of the chain k, l. The first call fills one array with
+    the next-event rows of <s> and of each one-event history, BLOCK per pass."""
+    @functools.cache
+    def logp():
+        histories = [[], *([k] for k in range(lm.vocab_size))]
+        out = np.empty((len(histories), lm.vocab_size))
+        for i in range(0, len(histories), BLOCK):
+            out[i:i + BLOCK] = lm.next_distribution(histories[i:i + BLOCK])
+        return np.log(out, out=out)
+
+    return lambda target: logp()[0] + logp()[1:, target]
 
 
 SHEET_COLUMNS = ("task_id", "target_event", "candidate_event",
@@ -193,9 +200,11 @@ def score_summary(rows) -> dict[str, dict[str, float]]:
             continue
         try:
             score = float(r["score"])
+            if not 0.0 <= score <= 100.0:   # also NaN
+                raise ValueError
         except ValueError as e:
-            raise DataFormatError(
-                f"non-numeric score {r['score']!r} in task {r['task_id']}") from e
+            raise DataFormatError(f"score {r['score']!r} in task {r['task_id']} "
+                                  "is not a number in [0, 100]") from e
         tasks.setdefault(r["task_id"], []).append((r["hidden_system_key"], score))
     sums = {}
     for entries in tasks.values():
@@ -243,29 +252,3 @@ def diversity_report(emissions: dict[str, list]) -> dict[str, DiversityStats]:
             pct_new=100.0 * len(counts) / len(seq),
             top2=[(str(e), 100.0 * c / len(seq)) for e, c in top2])
     return report
-
-
-# ---------------------------------------------------------------------------
-# rankers
-
-
-def lm_ranker(lm):
-    """Ranked candidate list from the LM's next-event distribution."""
-    return lambda context: ranked_ids(lm.next_distribution(context))
-
-
-def lm_pair_scorer(lm):
-    """Joint log p(k, l) of a two-event chain under the LM, as the pairwise
-    score used for abductive queries. The LM runs once per predecessor k."""
-    start_dist = None
-    next_dist = {}
-
-    def score(k, l):
-        nonlocal start_dist
-        if start_dist is None:
-            start_dist = np.log(lm.next_distribution([]))
-        if k not in next_dist:
-            next_dist[k] = lm.next_distribution([k])
-        return float(start_dist[k]) + float(np.log(next_dist[k][l]))
-
-    return score

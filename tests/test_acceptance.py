@@ -309,8 +309,8 @@ def test_criterion_7_infrequent_cloze_crossover():
     S = causal.script_score_matrix(table)
 
     cloze = evaluation.make_cloze_set(test_c, vocab, 2000, seed=5)
-    systems = {"lm": evaluation.lm_ranker(lm),
-               "causal": causal.mean_score_ranker(S)}
+    systems = {"lm": lm.next_distribution,
+               "causal": lambda contexts: causal.mean_scores(S, contexts)}
     report = evaluation.run_infrequent_cloze(systems, cloze, rank,
                                              cutoffs=[0, 50, 100, 150, 200],
                                              N=100)

@@ -167,7 +167,7 @@ def test_lm_memorizes_two_event_chain():
     corpus, vocab = _memorization_corpus(["a", "b"])
     lm = baselines.train_event_lm(corpus, corpus, vocab, TINY_LM)
     a = vocab.id_of("a:x")
-    dist = lm.next_distribution([a])
+    (dist,) = lm.next_distribution([[a]])
     assert dist[vocab.id_of("b:x")] >= 0.9
 
 
@@ -175,24 +175,25 @@ def test_lm_completion_argmax_on_memorized_triple():
     corpus, vocab = _memorization_corpus(["a", "b", "c"])
     lm = baselines.train_event_lm(corpus, corpus, vocab, TINY_LM)
     a, b, c = (vocab.id_of(f"{p}:x") for p in "abc")
-    dist = lm.next_distribution([a, b])
+    (dist,) = lm.next_distribution([[a, b]])
     assert int(np.argmax(dist)) == c
 
 
 def test_lm_next_distribution_is_a_distribution():
     corpus, vocab = _memorization_corpus(["a", "b"], n=4)
     lm = baselines.EventLM(len(vocab), dict(TINY_LM, max_epochs=0))
-    dist = lm.next_distribution([NUM_SPECIALS])
-    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (dist >= 0).all()
+    dists = lm.next_distribution([[NUM_SPECIALS], [], [NUM_SPECIALS, 4]])
+    assert dists.shape == (3, len(vocab))
+    np.testing.assert_allclose(dists.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert (dists >= 0).all()
 
 
 def test_lm_chain_scores_exponentiate_to_one():
     corpus, vocab = _memorization_corpus(["a", "b"], n=4)
     lm = baselines.EventLM(len(vocab), TINY_LM)
-    score = evaluation.lm_pair_scorer(lm)   # log p(k, l) of a 2-event chain
-    total = sum(math.exp(score(k, cand)) for k in range(len(vocab))
-                for cand in range(len(vocab)))
+    column = evaluation.lm_sheet_system(lm)   # log p(k, l) of a 2-event chain
+    total = sum(math.exp(score) for cand in range(len(vocab))
+                for score in column(cand))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -298,20 +299,52 @@ def test_lm_step_on_framed_chains_equals_padded_reference(dropout):
         np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
 
 
+def _framed_rows(lm, seqs, chains):
+    """{history: softmax row} of every prefix of ``seqs`` from the batch
+    forward pass over the framed chains."""
+    logits, targets, _, _ = lm._forward(lm.params, chains)
+    layout = K.SeqLayout(chains.counts)
+    rows = {}
+    for b, s in enumerate(seqs):
+        for t in range(len(s) + 1):
+            row = np.flatnonzero((layout.rows == b) & (layout.steps == t))[0]
+            assert targets[row] == ([*s, END_ID])[t]
+            rows[tuple(s[:t])] = K.softmax(logits[row])
+    return rows
+
+
 def test_lm_next_distribution_is_the_framed_forward_row():
     rng = np.random.default_rng(8)
     V = 9
     lm = baselines.EventLM(V, TINY_LM)
     seqs, chains = _random_chains(rng, 6, V)
-    logits, targets, _, _ = lm._forward(lm.params, chains)
-    layout = K.SeqLayout(chains.counts)
-    for b, s in enumerate(seqs):
-        for t in range(len(s) + 1):
-            row = np.flatnonzero((layout.rows == b) & (layout.steps == t))[0]
-            assert targets[row] == ([*s, END_ID])[t]
-            # one row against a batch GEMM: equal up to BLAS summation order
-            np.testing.assert_allclose(lm.next_distribution(s[:t]),
-                                       K.softmax(logits[row]), rtol=1e-12, atol=0)
+    want = _framed_rows(lm, seqs, chains)
+    histories = [s[:t] for s in seqs for t in range(len(s) + 1)]
+    # rows of one batched pass against another: equal up to BLAS summation order
+    for history, got in zip(histories, lm.next_distribution(histories)):
+        np.testing.assert_allclose(got, want[tuple(history)], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, evaluation.BLOCK, 2 * evaluation.BLOCK + 3])
+def test_lm_next_distribution_blocks_are_the_framed_forward_rows(n):
+    """Histories scored BLOCK at a time, as the cloze and the sheet score
+    them: a block boundary may fall between histories that share a prefix.
+    n = 0 scores the empty history alone."""
+    rng = np.random.default_rng(9)
+    V = 10
+    lm = baselines.EventLM(V, TINY_LM)
+    seqs, chains = _random_chains(rng, 20, V)
+    want = _framed_rows(lm, seqs, chains)
+    histories = sorted(want, key=lambda h: (-len(h), h))[:n] if n else [()]
+    assert len(histories) == max(n, 1)
+    assert n < 2 or len(set(h[:1] for h in histories)) < n   # shared prefixes
+    for i in range(0, len(histories), evaluation.BLOCK):
+        block = [list(h) for h in histories[i:i + evaluation.BLOCK]]
+        got = lm.next_distribution(block)
+        assert got.shape == (len(block), V)
+        for history, row in zip(block, got):
+            np.testing.assert_allclose(row, want[tuple(history)],
+                                       rtol=1e-12, atol=0)
 
 
 def test_lm_model_file_round_trip(tmp_path):

@@ -606,6 +606,19 @@ def test_complete_chain_requires_context():
         causal.complete_chain(np.zeros((8, 8)), [])
 
 
+def test_mean_scores_are_the_per_context_means_bit_for_bit():
+    rng = np.random.default_rng(11)
+    V = 30
+    M = rng.normal(size=(V, V)) * 10.0 ** rng.integers(-8, 8, size=(V, V))
+    M[rng.random((V, V)) < 0.2] = -np.inf        # unseen PMI pairs
+    contexts = [rng.integers(0, V, size=rng.integers(1, 40)).tolist()
+                for _ in range(25)]
+    got = causal.mean_scores(M, contexts)
+    assert got.shape == (len(contexts), V)
+    for context, row in zip(contexts, got):
+        np.testing.assert_array_equal(row, M[np.asarray(context)].mean(axis=0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 10**6))
 def test_script_columns_always_normalize(V, seed):

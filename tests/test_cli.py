@@ -623,3 +623,72 @@ def test_library_defaults_are_the_run_defaults():
     assert baselines.EventLM(5).config == run_cfg.slice(baselines.CONFIG_KEYS)
     assert causal.ConditionalModel(5).config == run_cfg.slice(causal.CONFIG_KEYS)
     assert baselines.EventLM(5).config["max_epochs"] == run_cfg["max_epochs"] == 30
+
+
+@pytest.mark.parametrize("score", ["500", "-1", "100.5", "nan", "inf", "-inf"])
+def test_bad_sheet_score_exit_code(workdir, capsys, score):
+    (workdir / "sheet.tsv").write_text(
+        "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscore\n"
+        "0\te1:x\te2:x\tlm\t50\n"
+        f"7\te1:x\te3:x\tpmi\t{score}\n")
+    capsys.readouterr()
+    assert run("score-summary", "--input", "sheet.tsv", "--output", "s.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "task 7" in err
+    assert not os.path.exists("s.tsv")
+
+
+def test_sheet_scores_at_the_bounds_are_accepted(workdir, capsys):
+    (workdir / "sheet.tsv").write_text(
+        "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscore\n"
+        "0\te1:x\te2:x\tlm\t0\n0\te1:x\te3:x\tpmi\t100.0\n")
+    capsys.readouterr()
+    assert run("score-summary", "--input", "sheet.tsv") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "lm\t0.00\t1.00\t1", "pmi\t100.00\t2.00\t1"]
+
+
+def _bad_chain_byte(path):
+    _non_utf8(path, len(open(path, "rb").readline()) // 2)
+
+
+def _bad_chain_json(path):
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("{not json\n")
+
+
+def _bad_body_line(path):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    lines[4] += "\textra"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _short_itable(path):
+    blob = open(path, "rb").read()
+    with open(path, "wb") as f:
+        f.write(blob[:-8])
+
+
+@pytest.mark.parametrize("path, spoil, message", [
+    ("c.jsonl", _bad_chain_byte, "line 1: not UTF-8"),
+    ("c.jsonl", _bad_chain_json, "line 41: invalid JSON"),
+    ("v.tsv", _bad_body_line, "vocabulary line 5: expected 3 fields"),
+    ("cnt.tsv", _bad_body_line, "counts line 5: expected 3 fields"),
+    ("t.bin", _short_itable, "intervention table body"),
+], ids=["chain-byte", "chain-json", "vocab-line", "counts-line", "itable-body"])
+def test_cloze_data_error_names_its_file(workdir, capsys, path, spoil, message):
+    """cloze reads a chain file, a vocabulary, an LM, an itable and a counts
+    file: a data error in any of them says which file it is in."""
+    _counts(workdir)
+    n = len(Vocabulary.load("v.tsv"))
+    _model_files(n)
+    causal.InterventionTable(np.full((n, n), 1.0 / n)).save("t.bin")
+    spoil(path)
+    capsys.readouterr()
+    assert run("--config", "cfg.json", "cloze", "--corpus", "c.jsonl",
+               "--vocab", "v.tsv", "--lm", "lm.bin", "--itable", "t.bin",
+               "--counts", "cnt.tsv", "--output", "out.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and message in err
+    assert not os.path.exists("out.tsv")

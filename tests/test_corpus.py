@@ -204,7 +204,8 @@ def test_write_load_write_is_byte_identical(tmp_path, chains):
 def test_corrupted_line_loads_or_is_a_data_error(tmp_path, monkeypatch, chains,
                                                  data):
     """A truncated, byte-flipped or field-dropped last line either loads or
-    raises DataFormatError naming it; ``vocab`` exits 0 or 2."""
+    raises DataFormatError naming the file and the line; ``vocab`` exits 0
+    or 2."""
     lines = [line.encode() for line in _lines(chains)]
     bad = lines[-1]
     how = data.draw(st.sampled_from(["truncate", "flip", "drop"]))
@@ -225,6 +226,6 @@ def test_corrupted_line_loads_or_is_a_data_error(tmp_path, monkeypatch, chains,
     try:
         load_chains(path)
     except DataFormatError as e:
-        assert str(e).startswith(f"line {len(lines)}: ")
+        assert str(e).startswith(f"{path}: line {len(lines)}: ")
     monkeypatch.chdir(tmp_path)
     assert cli.main(["vocab", "--input", "c.jsonl", "--output", "v.tsv"]) in (0, 2)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scriptcausal import evaluation
 from scriptcausal.corpus import build_vocab_from, parse_chains
 from scriptcausal.errors import ConfigError, DataFormatError
-from scriptcausal.events import NUM_SPECIALS, Vocabulary
+from scriptcausal.events import NUM_SPECIALS, Vocabulary, ranked_ids
 
 
 def _corpus(chains_preds):
@@ -47,21 +47,36 @@ def test_cloze_insufficient_corpus_rejected():
         evaluation.make_cloze_set(corpus, vocab, 5, seed=0)
 
 
+def _ranking(order, V):
+    """Cloze system scoring every context alike: the ids of ``order`` first,
+    in that order, then every other id at -inf."""
+    row = np.full(V, -np.inf)
+    row[order] = np.arange(len(order), 0, -1)
+    return lambda contexts: np.tile(row, (len(contexts), 1))
+
+
+def _counts(instances, rank, cutoffs):
+    return evaluation.run_infrequent_cloze(
+        {"s": _ranking([], 40)}, instances, rank, cutoffs, 1).counts
+
+
 def test_cutoff_zero_is_identity():
     instances = [_mk([3], 4), _mk([4], 3)]
-    assert evaluation.filter_by_cutoff(instances, [3, 4], 0) == instances
+    assert _counts(instances, [3, 4], [0]) == [2]
 
 
 def test_cutoff_full_vocab_empties():
     instances = [_mk([3], 4), _mk([4], 3)]
-    assert evaluation.filter_by_cutoff(instances, [3, 4], 2) == []
+    report = evaluation.run_infrequent_cloze(
+        {"s": _ranking([3, 4], 8)}, instances, [3, 4], [2], 2)
+    assert report.counts == [0]
+    assert np.isnan(report.recalls["s"][0])
 
 
 def test_cutoff_boundary_removes_rank_equal_to_cutoff():
     # answer ranked exactly at 1-indexed position == cutoff is removed
     instances = [_mk([5], 4)]
-    assert evaluation.filter_by_cutoff(instances, [3, 4, 5], 2) == []
-    assert evaluation.filter_by_cutoff(instances, [3, 4, 5], 1) == instances
+    assert _counts(instances, [3, 4, 5], [2, 1]) == [0, 1]
 
 
 def test_cutoff_composition():
@@ -69,41 +84,43 @@ def test_cutoff_composition():
     rank = list(range(NUM_SPECIALS, NUM_SPECIALS + 20))
     instances = [_mk([3], int(rng.integers(NUM_SPECIALS, NUM_SPECIALS + 20)))
                  for _ in range(50)]
-    via_5 = evaluation.filter_by_cutoff(instances, rank, 5)
-    assert evaluation.filter_by_cutoff(via_5, rank, 12) == \
-           evaluation.filter_by_cutoff(instances, rank, 12)
+    via_5 = [inst for inst in instances if inst.answer not in rank[:5]]
+    system = {"s": _ranking(rank[::3], 40)}
+    assert (evaluation.run_infrequent_cloze(system, via_5, rank, [12], 4)
+            == evaluation.run_infrequent_cloze(system, instances, rank, [12], 4))
+
+
+def _recall(order, instances, N):
+    (recall,) = evaluation.run_infrequent_cloze(
+        {"s": _ranking(order, 40)}, instances, [], [0], N).recalls["s"]
+    return recall
 
 
 def test_recall_ratio():
     instances = [_mk([3], 4), _mk([3], 5), _mk([3], 6), _mk([3], 7)]
-    ranker = lambda ctx: [4, 5]   # hits the first two answers only
-    assert evaluation.recall_at_n(ranker, instances, 2) == 50.0
+    assert _recall([4, 5], instances, 2) == 50.0   # hits the first two answers
 
 
 def test_recall_exhaustive_list_is_100():
     instances = [_mk([3], k) for k in range(3, 8)]
-    ranker = lambda ctx: list(range(8))
-    assert evaluation.recall_at_n(ranker, instances, 8) == 100.0
+    assert _recall(list(range(8)), instances, 8) == 100.0
 
 
 def test_recall_constant_miss_is_0():
     instances = [_mk([3], 6), _mk([3], 7)]
-    ranker = lambda ctx: [3, 4]
-    assert evaluation.recall_at_n(ranker, instances, 2) == 0.0
+    assert _recall([3, 4], instances, 2) == 0.0
 
 
 def test_recall_empty_set_rejected():
     with pytest.raises(ConfigError):
-        evaluation.recall_at_n(lambda ctx: [], [], 10)
+        evaluation.run_infrequent_cloze({"s": _ranking([], 8)}, [], [])
 
 
 def test_recall_monotone_in_n():
     rng = np.random.default_rng(1)
     order = list(range(3, 30))
     instances = [_mk([3], int(rng.integers(3, 30))) for _ in range(40)]
-    ranker = lambda ctx: order
-    values = [evaluation.recall_at_n(ranker, instances, n)
-              for n in range(1, 28)]
+    values = [_recall(order, instances, n) for n in range(1, 28)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -112,7 +129,7 @@ def test_cloze_report_defaults_and_monotone_counts():
     instances = evaluation.make_cloze_set(corpus, vocab, 60, seed=2)
     rank = list(vocab.event_ids())
     report = evaluation.run_infrequent_cloze(
-        {"sys": lambda ctx: rank}, instances, rank)
+        {"sys": _ranking(rank, len(vocab))}, instances, rank)
     assert report.cutoffs == [0, 50, 100, 125, 150, 200, 500]
     assert all(a >= b for a, b in zip(report.counts, report.counts[1:]))
     text = report.to_tsv()
@@ -124,45 +141,73 @@ def test_cloze_ranks_each_instance_once_per_system():
     rank = list(range(NUM_SPECIALS, 40))
     instances = [_mk([int(rng.integers(NUM_SPECIALS, 40))],
                      int(rng.integers(NUM_SPECIALS, 40))) for _ in range(60)]
-    calls = {}
+    seen = {}
 
     def counting(name, shift):
-        def ranked(context):
-            calls[name] = calls.get(name, 0) + 1
-            return [NUM_SPECIALS + (context[0] * shift + i) % 37 for i in range(37)]
-        return ranked
+        def scores(contexts):
+            seen.setdefault(name, []).append(contexts)
+            rows = np.full((len(contexts), 40), -np.inf)
+            for i, context in enumerate(contexts):   # ties among ids 34..39
+                rows[i, NUM_SPECIALS:] = np.minimum(
+                    (context[0] * shift + np.arange(37)) % 37, 30)
+            return rows
+        return scores
 
     systems = {"a": counting("a", 1), "b": counting("b", 7)}
     cutoffs, N = [0, 5, 17, 30, 37], 9
     report = evaluation.run_infrequent_cloze(systems, instances, rank,
                                              cutoffs, N)
-    assert calls == {"a": len(instances), "b": len(instances)}
+    blocks = -(-len(instances) // evaluation.BLOCK)
+    for name in systems:
+        assert len(seen[name]) == blocks
+        assert sum(seen[name], []) == [inst.context for inst in instances]
     for j, cutoff in enumerate(cutoffs):
-        kept = evaluation.filter_by_cutoff(instances, rank, cutoff)
+        kept = [inst for inst in instances if inst.answer not in rank[:cutoff]]
         assert report.counts[j] == len(kept)
-        for name, ranker in systems.items():
-            want = (evaluation.recall_at_n(ranker, kept, N) if kept
-                    else float("nan"))
+        for name, system in systems.items():
+            hits = [inst.answer in ranked_ids(system([inst.context])[0])[:N]
+                    for inst in kept]
+            want = 100.0 * sum(hits) / len(kept) if kept else float("nan")
             np.testing.assert_equal(report.recalls[name][j], want)
 
 
-def test_lm_pair_scorer_runs_the_lm_once_per_predecessor():
-    class CountingLM:
-        calls = 0
+@settings(max_examples=200)
+@given(st.data())
+def test_answer_position_is_the_ranked_ids_index(data):
+    n = data.draw(st.integers(1, 6))
+    V = data.draw(st.integers(NUM_SPECIALS + 1, 12))
+    values = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, 1e-300])
+    scores = np.array(data.draw(st.lists(st.lists(
+        values, min_size=V, max_size=V), min_size=n, max_size=n)))
+    answers = data.draw(st.lists(st.one_of(
+        st.integers(NUM_SPECIALS, min(NUM_SPECIALS + 1, V - 1)),
+        st.integers(NUM_SPECIALS, V - 1)), min_size=n, max_size=n))
+    got = evaluation.answer_positions(scores, answers)
+    assert got.tolist() == [ranked_ids(row).index(a)
+                            for row, a in zip(scores, answers)]
 
-        def next_distribution(self, history):
-            self.calls += 1
-            dist = np.arange(1.0, 9.0) + (history[0] if history else 0)
-            return dist / dist.sum()
+
+def test_lm_sheet_system_runs_the_lm_in_blocks():
+    class CountingLM:
+        vocab_size = 2 * evaluation.BLOCK + 5
+        histories = []
+
+        def next_distribution(self, histories):
+            self.histories.append(histories)
+            dist = (np.arange(1.0, self.vocab_size + 1)
+                    + np.array([h[0] if h else 0 for h in histories])[:, None])
+            return dist / dist.sum(axis=1, keepdims=True)
 
     lm = CountingLM()
-    score = evaluation.lm_pair_scorer(lm)
-    got = [score(k, l) for l in range(3, 8) for k in range(3, 8)]
-    assert lm.calls == 1 + 5
-    start = np.log(lm.next_distribution([]))
-    want = [float(start[k]) + float(np.log(lm.next_distribution([k])[l]))
-            for l in range(3, 8) for k in range(3, 8)]
-    assert got == want
+    V = lm.vocab_size
+    column = evaluation.lm_sheet_system(lm)
+    got = [column(l) for l in range(3, 8)]
+    assert [len(h) for h in lm.histories] == [evaluation.BLOCK] * 2 + [6]
+    assert sum(lm.histories, []) == [[], *([k] for k in range(V))]
+    start = np.log(lm.next_distribution([[]])[0])
+    want = [[float(start[k]) + float(np.log(lm.next_distribution([[k]])[0][l]))
+             for k in range(V)] for l in range(3, 8)]
+    assert [c.tolist() for c in got] == want
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +220,7 @@ def _sheet_setup():
     rng = np.random.default_rng(3)
     mats = {name: rng.random((len(vocab), len(vocab)))
             for name in ("s1", "s2", "s3")}
-    systems = {name: (lambda M: (lambda k, l: M[k, l]))(M)
+    systems = {name: (lambda M: (lambda l: M[:, l]))(M)
                for name, M in mats.items()}
     targets = list(vocab.event_ids())[:4]
     return systems, targets, vocab, rank
