@@ -6,9 +6,9 @@ The conditional p(e_i | e_{i-1}, history, text[, out-of-text]) is modeled as
     logits = A v_e + B v_t (+ W_O v_o)
 
 where v_e is the final GRU state over [history..., prev_event] embeddings,
-v_t encodes the previous event's text (mean or CNN mode; zero when empty),
-and v_o is the mean embedding of annotated out-of-text events (zero when
-empty; the W_O term exists only in the finetuned phase).
+v_t is the mean embedding of the previous event's text tokens, and v_o is
+the mean embedding of annotated out-of-text events (each zero when empty;
+the W_O term exists only in the finetuned phase).
 
 Intervention rows are plugin Monte Carlo averages over an adjustment set of
 sampled contexts: the intervened event replaces prev_event while each
@@ -32,7 +32,7 @@ from .errors import ConfigError, DataFormatError, open_input
 from .events import Vocabulary, int_fields, ranked_ids
 
 # the run keys the model records, under the same names
-CONFIG_KEYS = C.same("emb_dim hidden_dim text_mode history_window oot_threshold lr "
+CONFIG_KEYS = C.same("emb_dim hidden_dim history_window oot_threshold lr "
                      "lr_schedule finetune_lr clip_norm batch_size patience "
                      "max_epochs seed")
 
@@ -162,12 +162,8 @@ class ConditionalModel:
         h = self.config["hidden_dim"]
         p = {"emb": K.init_embedding(rng, self.vocab_size, d)}
         K.init_gru(rng, "enc", d, h, p)
-        if self.config["text_mode"] == "mean":
-            # mean mode feeds token embeddings straight into B: token dim = h
-            p["text_emb"] = K.init_embedding(rng, self.token_vocab_size, h)
-        else:
-            p["text_emb"] = K.init_embedding(rng, self.token_vocab_size, d)
-            K.init_cnn(rng, "text_cnn", d, h, p)
+        # the mean of the text's token embeddings goes straight into B
+        p["text_emb"] = K.init_embedding(rng, self.token_vocab_size, h)
         p["A"] = K.init_matrix(rng, self.vocab_size, h)
         p["B"] = K.init_matrix(rng, self.vocab_size, h)
         if self.phase == "finetuned":
@@ -185,24 +181,9 @@ class ConditionalModel:
                                      layout, self._ws)
         return layout.final(H), (layout, cache)
 
-    def _text_vectors(self, params, ids, lengths):
-        """(B, h) text-channel vectors + cache for backward."""
-        if not lengths.any():
-            return np.zeros((len(lengths), self.config["hidden_dim"])), ("empty", None)
-        if self.config["text_mode"] == "mean":
-            vec, cache = _mean_of_sets(params["text_emb"], ids, lengths)
-            return vec, ("mean", cache)
-        vecs = np.zeros((len(lengths), self.config["hidden_dim"]))
-        caches = []
-        for b, n in enumerate(lengths):
-            vecs[b], cache = K.encode_text_cnn(params, "text_cnn",
-                                               params["text_emb"], ids[b, :n])
-            caches.append(cache)
-        return vecs, ("cnn", caches)
-
     def _context_logits(self, params, batch):
         """The prev-event-independent logits B v_t (+ W_O v_o) + cache."""
-        v_t, text_cache = self._text_vectors(params, batch.text, batch.text_len)
+        v_t, text_cache = _mean_of_sets(params["text_emb"], batch.text, batch.text_len)
         logits = v_t @ params["B"].T
         v_o, oot_cache = None, None
         if self.phase == "finetuned":
@@ -230,23 +211,14 @@ class ConditionalModel:
         grads["A"] += dlogits.T @ v_e
         grads["B"] += dlogits.T @ v_t
         d_ve = dlogits @ params["A"]
-        d_vt = dlogits @ params["B"]
+        grads["text_emb"] += K.scatter_rows(*_mean_of_sets_backward(
+            dlogits @ params["B"], text_cache), self.token_vocab_size)
         # embedding-gradient terms: out-of-text ones first, then the GRU's
         emb_terms = []
         if self.phase == "finetuned":
             grads["W_O"] += dlogits.T @ v_o
             emb_terms.append(_mean_of_sets_backward(dlogits @ params["W_O"],
                                                     oot_cache))
-
-        # text channel
-        mode, tcache = text_cache
-        if mode == "mean":
-            grads["text_emb"] += K.scatter_rows(
-                *_mean_of_sets_backward(d_vt, tcache), self.token_vocab_size)
-        elif mode == "cnn":
-            for b, c in enumerate(tcache):
-                K.encode_text_cnn_backward(params, "text_cnn", d_vt[b], c,
-                                           grads, grads["text_emb"])
 
         # the gradient enters at each sequence's last row; shared rows add up
         layout, cache = enc_cache

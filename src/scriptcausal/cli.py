@@ -309,8 +309,8 @@ def cmd_diversity(cfg, args):
 
 def gradient_errors(seed) -> dict:
     """Worst relative finite-difference gradient error of the 2-layer event
-    LM and of the conditional model in each text mode and phase, on small
-    models and random batches drawn from ``seed``."""
+    LM and of the conditional model in each phase, on small models and
+    random batches drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     results = {}
     lm = baselines.EventLM(10, {"emb_dim": 6, "hidden_dim": 7, "num_layers": 2,
@@ -321,24 +321,22 @@ def gradient_errors(seed) -> dict:
     results["event-lm"] = kernel.finite_diff_check(
         lambda p: lm.loss_and_grads(chains, p), lm.params,
         rng=np.random.default_rng(seed))
-    for mode in ("mean", "cnn"):
-        for phase in ("pretrained", "finetuned"):
-            m = causal.ConditionalModel(
-                12, 7, {"emb_dim": 5, "hidden_dim": 8, "text_mode": mode,
-                        "seed": seed}, phase=phase)
-            if phase == "finetuned":
-                m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * 0.1
-            seqs, texts, oots, targets = [], [], [], []
-            for _ in range(10):
-                prev = int(rng.integers(3, 12))
-                seqs.append([*rng.integers(3, 12, size=rng.integers(0, 6)), prev])
-                texts.append(rng.integers(0, 7, size=rng.integers(0, 5)))
-                oots.append(rng.integers(3, 12, size=rng.integers(0, 3)))
-                targets.append(int(rng.integers(3, 12)))
-            batch = causal.PackedInstances.pack(seqs, texts, oots, targets)
-            results[f"conditional-{mode}-{phase}"] = kernel.finite_diff_check(
-                lambda p: m.loss_and_grads(batch, p), m.params,
-                rng=np.random.default_rng(seed))
+    for phase in ("pretrained", "finetuned"):
+        m = causal.ConditionalModel(
+            12, 7, {"emb_dim": 5, "hidden_dim": 8, "seed": seed}, phase=phase)
+        if phase == "finetuned":
+            m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * 0.1
+        seqs, texts, oots, targets = [], [], [], []
+        for _ in range(10):
+            prev = int(rng.integers(3, 12))
+            seqs.append([*rng.integers(3, 12, size=rng.integers(0, 6)), prev])
+            texts.append(rng.integers(0, 7, size=rng.integers(0, 5)))
+            oots.append(rng.integers(3, 12, size=rng.integers(0, 3)))
+            targets.append(int(rng.integers(3, 12)))
+        batch = causal.PackedInstances.pack(seqs, texts, oots, targets)
+        results[f"conditional-{phase}"] = kernel.finite_diff_check(
+            lambda p: m.loss_and_grads(batch, p), m.params,
+            rng=np.random.default_rng(seed))
     return results
 
 

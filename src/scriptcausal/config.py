@@ -37,7 +37,6 @@ TABLE = {
     "adjustment_n": Setting(2000, 1),
     "emb_dim": Setting(300, 1),
     "hidden_dim": Setting(300, 1),
-    "text_mode": Setting("mean", choices=("mean", "cnn")),
     "lm_emb_dim": Setting(300, 1),
     "lm_hidden_dim": Setting(512, 1),
     "lm_layers": Setting(2, 1),
@@ -119,7 +118,7 @@ def check(values, names: dict, error=ConfigError, what="config key"):
         raise error(f"{what}s must form one JSON object, not a {type(values).__name__}")
     unknown = sorted(values.keys() - names.keys())
     if unknown:
-        raise error(f"unknown {what} {unknown[0]!r}")
+        raise error(f"{what} {unknown[0]!r} is unknown")
     for key, name in names.items():
         if key not in values:
             raise error(f"{what} {key!r} is missing")
@@ -136,7 +135,8 @@ class RunConfig:
         if config_path:
             loaded = read_json(config_path, "config file")
             if not isinstance(loaded, dict):
-                raise DataFormatError("config file must hold one JSON object")
+                raise DataFormatError(
+                    f"{config_path}: config file must hold one JSON object")
             self.values.update(loaded)
         self.values.update((key, value) for key, value in (overrides or {}).items()
                            if value is not None)

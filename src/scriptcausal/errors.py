@@ -41,10 +41,12 @@ def open_input(path, mode="r"):
         raise DataFormatError(f"{path}: {e}") from e
 
 
-def read_json(path, what):
-    """The JSON value in the file ``path``, which holds a ``what``."""
+def read_json(path, what, build=lambda value: value):
+    """``build`` of the JSON value in the file ``path``, which holds a
+    ``what``; a DataFormatError that ``build`` raises names the file."""
     with open_input(path) as f:
         try:
-            return json.load(f)
+            value = json.load(f)
         except json.JSONDecodeError as e:
             raise DataFormatError(f"{what} {path} is not valid JSON: {e}") from e
+        return build(value)

@@ -359,86 +359,6 @@ def encoder_backward(params, cache, dH, grads):
 
 
 # ---------------------------------------------------------------------------
-# text encoders
-
-CNN_WINDOWS = (2, 3, 4, 5)
-
-
-def init_cnn(rng, prefix, emb_dim, out_dim, params):
-    """Conv filters over n-gram windows (2,3,4,5) + linear projection."""
-    filters = max(out_dim // len(CNN_WINDOWS), 1)
-    for n in CNN_WINDOWS:
-        params[f"{prefix}.conv{n}.W"] = init_matrix(rng, filters, n * emb_dim)
-        params[f"{prefix}.conv{n}.b"] = np.zeros(filters)
-    params[f"{prefix}.proj.W"] = init_matrix(rng, out_dim, filters * len(CNN_WINDOWS))
-    params[f"{prefix}.proj.b"] = np.zeros(out_dim)
-    return params
-
-
-def encode_text_cnn(params, prefix, embeddings, token_ids):
-    """Windowed conv + tanh + max-pool + linear projection.
-
-    Token lists shorter than a window are zero-padded to the window length;
-    an empty token list encodes to the zero vector.
-    Returns (vector, cache) for the backward pass.
-    """
-    emb_dim = embeddings.shape[1]
-    out_dim = params[f"{prefix}.proj.W"].shape[0]
-    ids = np.asarray(list(token_ids), dtype=int)
-    L = len(ids)
-    if L == 0:
-        return np.zeros(out_dim), None
-    X = embeddings[ids]
-    pooled_all = []
-    cache = {"ids": ids, "X": X, "win": {}}
-    for n in CNN_WINDOWS:
-        Xp = X if L >= n else np.vstack([X, np.zeros((n - L, emb_dim))])
-        P = Xp.shape[0] - n + 1
-        windows = np.stack([Xp[p:p + n].ravel() for p in range(P)])  # (P, n*emb)
-        act = np.tanh(windows @ params[f"{prefix}.conv{n}.W"].T
-                      + params[f"{prefix}.conv{n}.b"])
-        arg = np.argmax(act, axis=0)
-        pooled = act[arg, np.arange(act.shape[1])]
-        pooled_all.append(pooled)
-        cache["win"][n] = (windows, act, arg, Xp.shape[0])
-    cat = np.concatenate(pooled_all)
-    out = params[f"{prefix}.proj.W"] @ cat + params[f"{prefix}.proj.b"]
-    cache["cat"] = cat
-    return out, cache
-
-
-def encode_text_cnn_backward(params, prefix, d_out, cache, grads, d_embeddings):
-    if cache is None:
-        return
-    ids, X = cache["ids"], cache["X"]
-    L = len(ids)
-    emb_dim = d_embeddings.shape[1]
-    grads[f"{prefix}.proj.W"] += np.outer(d_out, cache["cat"])
-    grads[f"{prefix}.proj.b"] += d_out
-    dcat = params[f"{prefix}.proj.W"].T @ d_out
-    offset = 0
-    dX = np.zeros_like(X) if L else None
-    for n in CNN_WINDOWS:
-        windows, act, arg, Lp = cache["win"][n]
-        f = act.shape[1]
-        dpooled = dcat[offset:offset + f]
-        offset += f
-        dact = np.zeros_like(act)
-        dact[arg, np.arange(f)] = dpooled
-        da = dact * (1.0 - act * act)
-        grads[f"{prefix}.conv{n}.W"] += da.T @ windows
-        grads[f"{prefix}.conv{n}.b"] += da.sum(axis=0)
-        dwin = da @ params[f"{prefix}.conv{n}.W"]  # (P, n*emb)
-        if L:
-            dXp = np.zeros((Lp, emb_dim))
-            for p in range(dwin.shape[0]):
-                dXp[p:p + n] += dwin[p].reshape(n, emb_dim)
-            dX += dXp[:L]
-    if L:
-        np.add.at(d_embeddings, ids, dX)
-
-
-# ---------------------------------------------------------------------------
 # optimizer
 
 
@@ -624,7 +544,12 @@ def load_model(path, kind):
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, size))
             shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, size))
             raw = _read_exact(f, 8 * math.prod(shape), size)
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as e:     # a shape numpy cannot build
+                raise DataFormatError(f"model parameter {name!r}: {e}") from e
+            if not np.isfinite(params[name]).all():
+                raise DataFormatError(f"model parameter {name!r} is not finite")
     return config, params
 
 

@@ -181,6 +181,7 @@ class SyntheticCBN:
 
     @staticmethod
     def from_dict(obj: dict) -> "SyntheticCBN":
+        """The CBN a spec describes; a bad field raises DataFormatError."""
         try:
             name, event_keys = obj["name"], list(obj["events"])
             lam, L = float(obj["lambda"]), int(obj["chain_length"])
@@ -194,12 +195,12 @@ class SyntheticCBN:
                     r = 0 if source == "<s>" else index[source] + 1
                     for target, w in row.items():
                         templates[s, r, index[target]] = float(w)
+            return SyntheticCBN(name, event_keys, scenario_names, pi, templates, lam, L)
         except KeyError as e:
             raise DataFormatError(f"malformed CBN spec: missing field or "
                                   f"unknown event {e}") from e
-        except (TypeError, ValueError, AttributeError) as e:
+        except (TypeError, ValueError, AttributeError, ConfigError) as e:
             raise DataFormatError(f"malformed CBN spec: {e}") from e
-        return SyntheticCBN(name, event_keys, scenario_names, pi, templates, lam, L)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -208,7 +209,7 @@ class SyntheticCBN:
 
     @staticmethod
     def load(path) -> "SyntheticCBN":
-        return SyntheticCBN.from_dict(read_json(path, "CBN spec"))
+        return read_json(path, "CBN spec", SyntheticCBN.from_dict)
 
 
 def build_fixture(name: str) -> SyntheticCBN:

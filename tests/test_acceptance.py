@@ -6,6 +6,7 @@ F-POPCORN training pipeline behind the first two tests runs once per module
 and is shared; everything here is seeded and deterministic.
 """
 
+import json
 import math
 import time
 
@@ -23,7 +24,7 @@ from scriptcausal.events import NUM_SPECIALS, frequency_rank
 
 
 POPCORN_COND_CFG = {
-    "emb_dim": 32, "hidden_dim": 64, "text_mode": "mean",
+    "emb_dim": 32, "hidden_dim": 64,
     "lr": 0.001, "finetune_lr": 1e-5, "clip_norm": 10.0,
     "batch_size": 512, "patience": 3, "max_epochs": 2, "seed": 0,
     # annealed pretraining; each stage restarts the optimizer
@@ -120,7 +121,7 @@ def test_criterion_3_no_confounder_agreement():
     order = rng.permutation(len(instances))
     dev = instances.take(order[:5000])
     train = instances.take(order[5000:])
-    cfg = {"emb_dim": 32, "hidden_dim": 64, "text_mode": "mean",
+    cfg = {"emb_dim": 32, "hidden_dim": 64,
            "batch_size": 512, "seed": 0, "clip_norm": 10.0,
            "lr_schedule": [[0.001, 4], [0.0003, 2], [0.0001, 2]]}
     model = causal.train_conditional(train, dev, len(vocab), 1, cfg)
@@ -141,9 +142,8 @@ def test_criterion_3_no_confounder_agreement():
 
 def test_criterion_4_gradient_certification():
     results = cli.gradient_errors(0)
-    assert set(results) == {"event-lm"} | {
-        f"conditional-{mode}-{phase}" for mode in ("mean", "cnn")
-        for phase in ("pretrained", "finetuned")}
+    assert set(results) == {"event-lm", "conditional-pretrained",
+                            "conditional-finetuned"}
     for name, err in results.items():
         assert err < 1e-4, f"{name}: max relative gradient error {err:.3e}"
     worst = max(results.values())
@@ -203,8 +203,7 @@ def test_criterion_5_distribution_invariants():
     for t in range(50):
         phase = "finetuned" if t % 2 else "pretrained"
         m = causal.ConditionalModel(
-            V, 5, {"emb_dim": 5, "hidden_dim": 6, "text_mode": "mean",
-                   "seed": t}, phase=phase)
+            V, 5, {"emb_dim": 5, "hidden_dim": 6, "seed": t}, phase=phase)
         for name in m.params:
             m.params[name] = rng.normal(size=m.params[name].shape) * 0.3
         seqs, texts, oots = [], [], []
@@ -260,8 +259,9 @@ def test_criterion_6_pmi_formula_fidelity():
         counts = baselines.count_skip_bigrams(corpus, vocab, window=window)
         brute = {}
         total = 0
-        for chain in corpus.chains:
-            ids = [vocab.id_of(ce.event.key) for ce in chain.events]
+        for line in chain_lines(corpus):
+            ids = [vocab.id_of(f"{e['pred']}:{e['dep']}")
+                   for e in json.loads(line)["events"]]
             for i in range(len(ids)):
                 for j in range(i + 1, min(i + window, len(ids) - 1) + 1):
                     brute[(ids[i], ids[j])] = brute.get((ids[i], ids[j]), 0) + 1
@@ -300,7 +300,7 @@ def test_criterion_7_infrequent_cloze_crossover():
     order = rng.permutation(len(instances))
     dev = instances.take(order[:10000])
     train = instances.take(order[10000:])
-    cfg = {"emb_dim": 32, "hidden_dim": 64, "text_mode": "mean",
+    cfg = {"emb_dim": 32, "hidden_dim": 64,
            "batch_size": 512, "seed": 0, "clip_norm": 10.0,
            "lr_schedule": [[0.001, 2], [0.0003, 1]]}
     model = causal.train_conditional(train, dev, len(vocab), 1, cfg)
@@ -411,8 +411,8 @@ def test_criterion_9_round_trips(tmp_path):
     assert l1.read_bytes() == l2.read_bytes()
 
     cond = causal.ConditionalModel(
-        len(vocab), 3, {"emb_dim": 6, "hidden_dim": 7, "text_mode": "mean",
-                        "seed": 2}, phase="finetuned")
+        len(vocab), 3, {"emb_dim": 6, "hidden_dim": 7, "seed": 2},
+        phase="finetuned")
     m1, m2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
     cond.save(m1)
     causal.ConditionalModel.load(m1).save(m2)

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from scriptcausal import causal, synth
 from scriptcausal import kernel as K
-from scriptcausal.corpus import build_token_vocab, build_vocab_from, parse_chains
+from scriptcausal.corpus import (build_token_vocab, build_vocab_from, chain_lines,
+                                 parse_chains)
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS
 
-TINY = {"emb_dim": 8, "hidden_dim": 12, "text_mode": "mean",
+TINY = {"emb_dim": 8, "hidden_dim": 12,
         "history_window": 10, "oot_threshold": 3, "lr": 0.01,
         "finetune_lr": 0.01, "clip_norm": 10.0, "batch_size": 64,
         "patience": 3, "max_epochs": 12, "seed": 0}
@@ -91,7 +92,7 @@ def test_first_position_has_empty_history():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, vocab, corpus = _instances_for(cbn, 1, seed=0)
     assert inst.seq_len[0] == 1  # no history, only the prev event
-    assert inst.seq[0, 0] == vocab.id_of(corpus.chains[0].events[0].event.key)
+    assert inst.seq[0, 0] == vocab.id_of(corpus.types[corpus.type_ids[0]].key)
 
 
 def test_oot_rating_threshold():
@@ -106,17 +107,18 @@ def test_oot_rating_threshold():
 
 def _reference_instances(corpus, vocab, token_vocab, oot_threshold,
                          history_window):
-    """The per-instance fold over the chain view: (target, prev, history,
-    text, oot) for every chain position i >= 1."""
+    """The per-instance fold over the canonical chain lines: (target, prev,
+    history, text, oot) for every chain position i >= 1."""
     out = []
-    for chain in corpus.chains:
-        ids = [vocab.id_of(ce.event.key) for ce in chain.events]
+    for line in chain_lines(corpus):
+        events = json.loads(line)["events"]
+        ids = [vocab.id_of(f"{e['pred']}:{e['dep']}") for e in events]
         for i in range(1, len(ids)):
-            prev_ce = chain.events[i - 1]
+            prev = events[i - 1]
             history = ids[max(0, i - 1 - history_window):i - 1]
-            text = (token_vocab.encode(prev_ce.text_tokens).tolist()
-                    if token_vocab is not None and prev_ce.text_tokens else [])
-            oot = [vocab.id_of(key) for key, rating in prev_ce.oot_candidates or ()
+            text = (token_vocab.encode(prev["text"]).tolist()
+                    if token_vocab is not None and "text" in prev else [])
+            oot = [vocab.id_of(key) for key, rating in prev.get("oot", ())
                    if rating >= oot_threshold]
             out.append((ids[i], ids[i - 1], history, text, oot))
     return out
@@ -466,6 +468,24 @@ def test_shared_layout_gradients_equal_unshared(chains, picks, phase):
     assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
     for name in want:
         np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("phase", ["pretrained", "finetuned"])
+def test_text_free_batch_leaves_the_text_channel_out(phase):
+    """Without text, v_t is exactly zero: B and text_emb get exactly zero
+    gradients, and the loss keeps its bits when both are redrawn."""
+    rng = np.random.default_rng(6)
+    V = NUM_SPECIALS + 6
+    model = causal.ConditionalModel(V, 4, TINY, phase=phase)
+    if phase == "finetuned":
+        model.params["W_O"] = rng.normal(size=model.params["W_O"].shape)
+    batch = _pack([(5, [3, 4], [], [6]), (7, [], [], []), (4, [8, 3, 5], [], [3, 8])],
+                  [6, 3, 8])
+    loss, grads = model.loss_and_grads(batch)
+    assert not grads["B"].any() and not grads["text_emb"].any()
+    redrawn = dict(model.params, B=rng.normal(size=model.params["B"].shape),
+                   text_emb=rng.normal(size=model.params["text_emb"].shape))
+    assert model.loss_and_grads(batch, redrawn)[0] == loss
 
 
 def test_gradients_certify_when_instances_end_on_one_node():

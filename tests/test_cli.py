@@ -59,7 +59,7 @@ def test_config_that_is_not_an_object_exit_code(workdir, capsys, text):
     (workdir / "bad.json").write_text(text)
     assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
                "--n", "2", "--output", "c.jsonl") == 2
-    assert "JSON object" in capsys.readouterr().err
+    assert "bad.json: config file must hold one JSON object" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(workdir):
@@ -424,15 +424,21 @@ def _edited_spec(edit):
     lambda s: s["scenarios"][0]["kernel"].update({"c:x": {}}),
     lambda s: s["scenarios"][0]["kernel"]["<s>"].update({"c:x": 0.0}),
     lambda s: s["scenarios"].append(3),
+    lambda s: s["scenarios"][0].update(prob=0.5),
+    lambda s: s.update({"lambda": 0}),
+    lambda s: s.update(chain_length=1),
+    lambda s: s["scenarios"][0]["kernel"]["<s>"].update({"step0:nsubj": 0.5}),
 ], ids=["no-prob", "no-name", "no-kernel", "unknown-source", "unknown-target",
-        "scenario-not-an-object"])
+        "scenario-not-an-object", "prior-sum", "lambda-0", "chain-length-1",
+        "kernel-row-sum"])
 def test_malformed_cbn_spec_exit_code(workdir, capsys, edit):
     _edited_spec(edit)
     with pytest.raises(DataFormatError):
         synth.SyntheticCBN.load("spec.json")
     capsys.readouterr()
     assert run("synth", "--cbn", "spec.json", "--n", "2", "--output", "c.jsonl") == 2
-    assert "malformed CBN spec" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: spec.json: malformed CBN spec")
     assert not os.path.exists("c.jsonl")
 
 
@@ -499,7 +505,7 @@ def test_model_header_fault_exit_code(workdir, capsys, data):
     key, name = data.draw(st.sampled_from(sorted(_header_keys(kind).items())))
     least = {**_LEAST, **_HEADER_LEAST}
     faults = ["drop", "type"] + ["range"] * (
-        name in least or name in ("lr_schedule", "text_mode", "phase"))
+        name in least or name in ("lr_schedule", "phase"))
     fault = data.draw(st.sampled_from(faults))
     if fault == "drop":
         def edit(c):
@@ -555,12 +561,21 @@ def _cut(name, rows):
     return edit
 
 
+def _spoil(name, value):
+    def edit(params):
+        params[name][0, 0] = value
+    return edit
+
+
 @pytest.mark.parametrize("kind, edit, name", [
     ("finetuned", _drop("A"), "A"),
     ("finetuned", _cut("B", 5), "B"),
     ("conditional", _drop("enc.Uh"), "enc.Uh"),
     ("lm", _cut("out.W", 5), "out.W"),
-], ids=["no-A", "B-of-5-rows", "no-enc.Uh", "out.W-of-5-rows"])
+    ("finetuned", _spoil("A", np.nan), "A"),
+    ("lm", _spoil("emb", -np.inf), "emb"),
+], ids=["no-A", "B-of-5-rows", "no-enc.Uh", "out.W-of-5-rows", "nan-A",
+        "inf-emb"])
 def test_model_parameter_fault_exit_code(workdir, capsys, kind, edit, name):
     _model_files(_pipeline_inputs())
     path = _MODEL_FILES[kind]
@@ -692,3 +707,62 @@ def test_cloze_data_error_names_its_file(workdir, capsys, path, spoil, message):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: ") and message in err
     assert not os.path.exists("out.tsv")
+
+
+def test_text_mode_is_an_unknown_key(workdir, capsys):
+    """The text channel has one encoder, so a config file or model header
+    that still names ``text_mode`` is refused as naming an unknown key."""
+    (workdir / "old.json").write_text(json.dumps({"text_mode": "mean"}))
+    assert run("--config", "old.json", "synth", "--fixture", "F-DET",
+               "--n", "2", "--output", "c.jsonl") == 1
+    assert "config key 'text_mode' is unknown" in capsys.readouterr().err
+    _model_files(_pipeline_inputs())
+    _rewrite_header("m.bin", "old.bin", lambda c: dict(c, text_mode="mean"))
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *_loading_stage("conditional", "old.bin")) == 2
+    err = capsys.readouterr().err
+    assert "old.bin: model header key 'text_mode' is unknown" in err
+
+
+# the stage that reads each fuzzed file: cloze reads a vocabulary, a counts
+# file, an itable and an LM; estimate-do reads a conditional model
+_CLOZE = ["cloze", "--corpus", "c.jsonl", "--vocab", "v.tsv", "--lm", "lm.bin",
+          "--itable", "t.bin", "--counts", "cnt.tsv", "--output", "out.tsv"]
+_FUZZ_STAGES = {**dict.fromkeys(["v.tsv", "cnt.tsv", "t.bin", "lm.bin"], _CLOZE),
+                "m.bin": _loading_stage("finetuned", "m.bin"),
+                "ft.bin": _loading_stage("finetuned", "ft.bin")}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_file_loads_or_is_a_data_error(workdir, capsys, data):
+    """A vocabulary, counts file, itable or model file cut short or with one
+    byte changed either loads, or exits 2 with a data error naming it; it
+    never ends in an uncaught exception."""
+    if not os.path.exists("t.bin"):
+        _counts(workdir)
+        n = len(Vocabulary.load("v.tsv"))
+        _model_files(n)
+        causal.InterventionTable(np.full((n, n), 1.0 / n)).save("t.bin")
+    path = data.draw(st.sampled_from(sorted(_FUZZ_STAGES)))
+    blob = open(path, "rb").read()
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        bad = blob[:at]
+    else:
+        bad = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) \
+            + blob[at + 1:]
+    try:
+        with open(path, "wb") as f:
+            f.write(bad)
+        capsys.readouterr()
+        code = run("--config", "cfg.json", *_FUZZ_STAGES[path])
+    finally:
+        with open(path, "wb") as f:
+            f.write(blob)
+        for out in ("out.bin", "out.tsv"):
+            if os.path.exists(out):
+                os.remove(out)
+    err = capsys.readouterr().err
+    assert code == 0 or code == 2 and err.startswith(f"data error: {path}: "), err

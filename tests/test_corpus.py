@@ -13,6 +13,13 @@ from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS
 
 
+def _keys(corpus):
+    """Each chain's event keys, read from the arrays."""
+    keys = [corpus.types[t].key for t in corpus.type_ids]
+    off = corpus.offsets
+    return [keys[a:b] for a, b in zip(off, off[1:])]
+
+
 def _event_json(pred, fact, text, oot):
     obj = {"pred": pred, "dep": "nsubj", "fact": fact}
     if text:
@@ -42,14 +49,15 @@ BASIC = _chain_json("c1", [("eat", "pos", ["he", "ate"], []),
 def test_factual_filter(tmp_path):
     path = _write(tmp_path, [BASIC])
     corpus = load_chains(path, factual_only=True)
-    preds = [e.event.predicate for e in corpus.chains[0].events]
+    preds = [corpus.types[t].predicate
+             for t in corpus.type_ids[corpus.offsets[0]:corpus.offsets[1]]]
     assert preds == ["eat", "pay"]
 
 
 def test_factual_filter_off_keeps_all(tmp_path):
     path = _write(tmp_path, [BASIC])
     corpus = load_chains(path)
-    assert len(corpus.chains[0].events) == 3
+    assert corpus.offsets[1] - corpus.offsets[0] == 3
 
 
 def test_duplicate_chain_id_rejected(tmp_path):
@@ -89,7 +97,7 @@ def _toy_corpus(tmp_path, n=100):
 def test_split_sizes(tmp_path):
     corpus = _toy_corpus(tmp_path)
     tr, dv, te = split_corpus(corpus, (0.9, 0.05, 0.05), seed=7)
-    assert (len(tr.chains), len(dv.chains), len(te.chains)) == (90, 5, 5)
+    assert (len(tr.chain_ids), len(dv.chain_ids), len(te.chain_ids)) == (90, 5, 5)
 
 
 def test_split_deterministic(tmp_path):
@@ -97,14 +105,14 @@ def test_split_deterministic(tmp_path):
     a = split_corpus(corpus, (0.8, 0.1, 0.1), seed=3)
     b = split_corpus(corpus, (0.8, 0.1, 0.1), seed=3)
     for x, y in zip(a, b):
-        assert [c.chain_id for c in x.chains] == [c.chain_id for c in y.chains]
+        assert x.chain_ids == y.chain_ids
 
 
 def test_split_is_a_partition(tmp_path):
     corpus = _toy_corpus(tmp_path, n=37)
     parts = split_corpus(corpus, (0.6, 0.2, 0.2), seed=1)
-    ids = [c.chain_id for p in parts for c in p.chains]
-    assert sorted(ids) == sorted(c.chain_id for c in corpus.chains)
+    ids = [chain_id for p in parts for chain_id in p.chain_ids]
+    assert sorted(ids) == sorted(corpus.chain_ids)
 
 
 def test_split_bad_ratios_rejected(tmp_path):
@@ -145,8 +153,8 @@ def test_split_always_partitions(n, seed):
     corpus = parse_chains([_chain_json(f"c{i}", [("a", "pos", [], [])])
                            for i in range(n)])
     parts = split_corpus(corpus, (0.7, 0.15, 0.15), seed=seed)
-    ids = sorted(c.chain_id for p in parts for c in p.chains)
-    assert ids == sorted(c.chain_id for c in corpus.chains)
+    ids = sorted(chain_id for p in parts for chain_id in p.chain_ids)
+    assert ids == sorted(corpus.chain_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +201,8 @@ def test_write_load_write_is_byte_identical(tmp_path, chains):
     assert out1.read_text(encoding="utf-8").splitlines() == want
     write_chains(load_chains(out1), out2)
     assert out1.read_bytes() == out2.read_bytes()
-    # the object view agrees with the file
-    assert [[ce.event.key for ce in c.events] for c in corpus.chains] == \
+    # the arrays agree with the file
+    assert _keys(corpus) == \
         [[f"{ev['pred']}:{ev['dep']}" for ev in events] for events in chains]
 
 

@@ -1,7 +1,7 @@
-"""Numerics core: GRU cell, text encoders, losses, Adam, gradient checking.
+"""Numerics core: GRU cell, text encoder, losses, Adam, gradient checking.
 
-The GRU and CNN references below are independent scalar re-implementations
-(plain Python loops) used as oracles for the vectorized code.
+The GRU reference below is an independent scalar re-implementation (plain
+Python loops) used as an oracle for the vectorized code.
 """
 
 import math
@@ -107,34 +107,6 @@ def test_mean_encoder_empty_is_zero():
     emb = np.ones((4, 3))
     vec, _ = _mean_of_sets(emb, np.zeros((1, 0), dtype=int), np.array([0]))
     np.testing.assert_array_equal(vec[0], np.zeros(3))
-
-
-def test_cnn_single_token_matches_scalar_reference():
-    rng = np.random.default_rng(3)
-    emb_dim, out_dim = 4, 8
-    p = K.init_cnn(rng, "c", emb_dim, out_dim, {})
-    emb = rng.normal(size=(6, emb_dim))
-    got, _ = K.encode_text_cnn(p, "c", emb, [5])
-    # one token: every window has a single zero-padded position, so the
-    # max-pool is that padded window's tanh response
-    pooled = []
-    for n in K.CNN_WINDOWS:
-        window = np.concatenate([emb[5], np.zeros((n - 1) * emb_dim)])
-        W, b = p[f"c.conv{n}.W"], p[f"c.conv{n}.b"]
-        resp = [math.tanh(b[f] + sum(W[f][j] * window[j]
-                                     for j in range(n * emb_dim)))
-                for f in range(W.shape[0])]
-        pooled.extend(resp)
-    want = p["c.proj.W"] @ np.array(pooled) + p["c.proj.b"]
-    np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_cnn_empty_tokens_is_zero():
-    rng = np.random.default_rng(4)
-    p = K.init_cnn(rng, "c", 3, 8, {})
-    vec, cache = K.encode_text_cnn(p, "c", np.ones((2, 3)), [])
-    np.testing.assert_array_equal(vec, np.zeros(8))
-    assert cache is None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scriptcausal import synth
+from scriptcausal.corpus import chain_lines
 from scriptcausal.errors import ConfigError
+
+
+def _events(corpus):
+    """Each chain's events, as the canonical chain lines hold them."""
+    return [json.loads(line)["events"] for line in chain_lines(corpus)]
+
+
+def _key(event):
+    return f"{event['pred']}:{event['dep']}"
 
 
 @pytest.fixture(scope="module")
@@ -139,16 +149,16 @@ def test_oracle_rows_sum_to_one(popcorn):
 def test_sampling_deterministic(popcorn):
     c1 = popcorn.sample_chains(20, seed=5)
     c2 = popcorn.sample_chains(20, seed=5)
-    for a, b in zip(c1.chains, c2.chains):
-        assert [e.event.key for e in a.events] == [e.event.key for e in b.events]
+    for a, b in zip(_events(c1), _events(c2)):
+        assert list(map(_key, a)) == list(map(_key, b))
 
 
 def test_annotated_chains_carry_one_scenario_candidate(popcorn):
     corpus = popcorn.sample_chains(10, seed=3, annotate_scenario=True)
-    for chain in corpus.chains:
-        for ev in chain.events:
-            assert len(ev.oot_candidates) == 1
-            key, rating = ev.oot_candidates[0]
+    for chain in _events(corpus):
+        for ev in chain:
+            assert len(ev["oot"]) == 1
+            key, rating = ev["oot"][0]
             assert key.endswith(":scenario") and rating == 4
 
 
@@ -156,9 +166,9 @@ def test_empirical_unigram_close_to_analytic(popcorn):
     corpus = popcorn.sample_chains(20000, seed=13)
     E = popcorn.num_events
     counts = np.zeros(E)
-    for chain in corpus.chains:
-        for ev in chain.events:
-            counts[popcorn.event_index(ev.event.key)] += 1
+    for chain in _events(corpus):
+        for ev in chain:
+            counts[popcorn.event_index(_key(ev))] += 1
     empirical = counts / counts.sum()
     marginal = popcorn.position_marginals().sum(axis=1).mean(axis=0)
     l1 = np.abs(empirical - marginal).sum()
@@ -221,8 +231,8 @@ def _reference_chains(cbn, n, seed):
 def test_vectorized_sampling_matches_per_chain_choice(name, seed):
     cbn = synth.build_zipf_cbn() if name == "F-ZIPF" else synth.build_fixture(name)
     corpus = cbn.sample_chains(150, seed, annotate_scenario=True)
-    got = [(ch.events[0].oot_candidates[0][0].split(":")[0],
-            [ce.event.key for ce in ch.events]) for ch in corpus.chains]
+    chains = _events(corpus)
+    got = [(ch[0]["oot"][0][0].split(":")[0], list(map(_key, ch))) for ch in chains]
     assert got == _reference_chains(cbn, 150, seed)
-    assert all(ce.oot_candidates == [(synth.scenario_key(z), 4)]
-               for (z, _), ch in zip(got, corpus.chains) for ce in ch.events)
+    assert all(ev["oot"] == [[synth.scenario_key(z), 4]]
+               for (z, _), ch in zip(got, chains) for ev in ch)
