@@ -10,7 +10,7 @@ direction. The discounted variant multiplies raw PMI by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,23 +31,15 @@ _COUNTS_HEADER_TAG = "#scriptcausal-counts v1"
 
 @dataclass
 class OrderedCounts:
-    window: int
-    pair_counts: dict = field(default_factory=dict)
-    left_totals: dict = field(default_factory=dict)
-    right_totals: dict = field(default_factory=dict)
-    grand_total: int = 0
+    """Skip-bigram counts of one window: e2 followed e1 within it
+    ``pairs[e1, e2]`` times, a (V, V) int64 array."""
 
-    def add_pair(self, e1: int, e2: int, count: int = 1):
-        key = (e1, e2)
-        self.pair_counts[key] = self.pair_counts.get(key, 0) + count
-        self.left_totals[e1] = self.left_totals.get(e1, 0) + count
-        self.right_totals[e2] = self.right_totals.get(e2, 0) + count
-        self.grand_total += count
+    window: int
+    pairs: np.ndarray
 
 
 def count_skip_bigrams(corpus: ChainCorpus, vocab: Vocabulary,
-                       window: int = 2,
-                       include_self_pairs: bool = True) -> OrderedCounts:
+                       window: int = 2) -> OrderedCounts:
     """Every ordered pair (e_i, e_j) of a chain with 0 < j - i <= window,
     counted from the id array shifted by each gap."""
     if window < 1:
@@ -58,45 +50,26 @@ def count_skip_bigrams(corpus: ChainCorpus, vocab: Vocabulary,
     codes = [(ids[:-d] * V + ids[d:])[chain[:-d] == chain[d:]]
              for d in range(1, min(window, len(ids) - 1) + 1)]
     codes = np.concatenate(codes) if codes else ids[:0]
-    if not include_self_pairs:
-        codes = codes[codes // V != codes % V]
-    counts = OrderedCounts(window)
-    for code, c in zip(*(a.tolist() for a in np.unique(codes, return_counts=True))):
-        counts.add_pair(code // V, code % V, c)
-    return counts
-
-
-def ordered_pmi(counts: OrderedCounts, e1: int, e2: int,
-                discounted: bool = True) -> float:
-    """PMI of e2 following e1 within the window; -inf when the pair is unseen."""
-    c = counts.pair_counts.get((e1, e2), 0)
-    if c == 0:
-        return NEG_INF
-    T = counts.grand_total
-    left = counts.left_totals[e1]
-    right = counts.right_totals[e2]
-    raw = math.log((c / T) / ((left / T) * (right / T)))
-    if not discounted:
-        return raw
-    m = min(left, right)
-    return raw * (c / (c + 1.0)) * (m / (m + 1.0))
+    return OrderedCounts(window, np.bincount(codes, minlength=V * V).reshape(V, V))
 
 
 def save_counts(counts: OrderedCounts, vocab: Vocabulary, path):
+    """One line per nonzero pair, in ascending (e1, e2) order."""
+    e1, e2 = np.nonzero(counts.pairs)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{_COUNTS_HEADER_TAG}\t{counts.window}\t{counts.grand_total}\n")
-        for (e1, e2) in sorted(counts.pair_counts):
-            f.write(f"{vocab.key_of(e1)}\t{vocab.key_of(e2)}\t"
-                    f"{counts.pair_counts[(e1, e2)]}\n")
+        f.write(f"{_COUNTS_HEADER_TAG}\t{counts.window}\t{counts.pairs.sum()}\n")
+        f.writelines(f"{vocab.key_of(a)}\t{vocab.key_of(b)}\t{c}\n" for a, b, c in
+                     zip(e1.tolist(), e2.tolist(), counts.pairs[e1, e2].tolist()))
 
 
 def load_counts(path, vocab: Vocabulary) -> OrderedCounts:
+    """The counts in file ``path``; lines naming the same pair add up."""
     with open_input(path) as f:
         header = f.readline().rstrip("\n").split("\t")
         if len(header) != 3 or header[0] != _COUNTS_HEADER_TAG:
             raise DataFormatError("missing skip-bigram counts header")
         window, total = int_fields(header[1:], "counts header")
-        counts = OrderedCounts(window)
+        e1, e2, c = [], [], []
         for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
@@ -105,18 +78,33 @@ def load_counts(path, vocab: Vocabulary) -> OrderedCounts:
             if count < 1:
                 raise DataFormatError(f"counts line {lineno}: count {count} "
                                       "is not positive")
-            counts.add_pair(vocab.id_of(parts[0]), vocab.id_of(parts[1]), count)
-        if counts.grand_total != total:
+            e1.append(vocab.id_of(parts[0]))
+            e2.append(vocab.id_of(parts[1]))
+            c.append(count)
+        if sum(c) != total:
             raise DataFormatError("counts header total does not match rows")
-    return counts
+        if total >= 2 ** 63:
+            raise DataFormatError(f"counts header total {total} exceeds int64")
+    pairs = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
+    np.add.at(pairs, (e1, e2), c)
+    return OrderedCounts(window, pairs)
 
 
-def pmi_matrix(counts: OrderedCounts, V: int) -> np.ndarray:
-    """Dense (V, V) discounted PMI of every stored pair; -inf where a pair
-    is unseen."""
-    M = np.full((V, V), NEG_INF)
-    for (e1, e2) in counts.pair_counts:
-        M[e1, e2] = ordered_pmi(counts, e1, e2)
+def pmi_matrix(counts: OrderedCounts, discounted: bool = True) -> np.ndarray:
+    """Dense (V, V) ordered PMI of every seen pair, -inf where a pair is
+    unseen. With ``discounted`` the PMI is multiplied by
+    (c / (c+1)) * (m / (m+1)), m = min(left(e1), right(e2))."""
+    pairs = counts.pairs
+    left, right = pairs.sum(axis=1).tolist(), pairs.sum(axis=0).tolist()
+    T = sum(left)
+    M = np.full(pairs.shape, NEG_INF)
+    e1s, e2s = np.nonzero(pairs)
+    for e1, e2, c in zip(e1s.tolist(), e2s.tolist(), pairs[e1s, e2s].tolist()):
+        raw = math.log((c / T) / ((left[e1] / T) * (right[e2] / T)))
+        if discounted:
+            m = min(left[e1], right[e2])
+            raw = raw * (c / (c + 1.0)) * (m / (m + 1.0))
+        M[e1, e2] = raw
     return M
 
 

@@ -550,8 +550,18 @@ def top_predecessors(table: InterventionTable, target: int, topk: int,
                      exclude_top: int = 0, rank=()) -> list[int]:
     """Events k maximizing S(k, target), skipping the ``exclude_top`` most
     frequent ones of ``rank``."""
-    S = script_score_matrix(table)
-    return ranked_ids(S[:, target], rank[:exclude_top])[:topk]
+    return _candidates(script_score_matrix(table)[:, target], exclude_top,
+                       rank)[:topk]
+
+
+def _candidates(scores, exclude_top, rank) -> list[int]:
+    """``ranked_ids(scores)`` without the ``exclude_top`` most frequent
+    events of ``rank``; a ConfigError when none is left."""
+    ranked = ranked_ids(scores, rank[:exclude_top])
+    if not ranked:
+        raise ConfigError(f"no candidate left after excluding the "
+                          f"{exclude_top} most frequent events")
+    return ranked
 
 
 def mean_scores(score_matrix: np.ndarray, contexts) -> np.ndarray:
@@ -574,10 +584,7 @@ def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,
     if not context:
         raise ConfigError("chain completion requires at least one context event")
     scores = mean_scores(score_matrix, [context])[0]
-    ranked = ranked_ids(scores, rank[:exclude_top])
-    if not ranked:
-        raise ConfigError(f"no candidate left after excluding the "
-                          f"{exclude_top} most frequent events")
+    ranked = _candidates(scores, exclude_top, rank)
     if not np.isfinite(scores[ranked[0]]):
         raise ConfigError("no candidate has a finite score for this context")
     return ranked[0]

@@ -220,7 +220,7 @@ def _score_matrices(args, vocab):
         matrices["causal"] = causal.script_score_matrix(_load_itable(args, vocab))
     if args.counts:
         counts = baselines.load_counts(_require(args.counts, "PMI counts file"), vocab)
-        matrices["pmi"] = baselines.pmi_matrix(counts, len(vocab))
+        matrices["pmi"] = baselines.pmi_matrix(counts)
     return matrices
 
 

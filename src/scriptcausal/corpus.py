@@ -1,5 +1,5 @@
 """Event-chain corpora: JSON-lines reading/writing, factuality filtering,
-seeded splits, and vocabulary construction.
+seeded splits, and the event vocabulary built from the corpus arrays.
 
 Chain file format (UTF-8, one JSON object per line):
 
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, open_input
-from .events import FACTUALITY_LABELS, EventType, Vocabulary
+from .events import FACTUALITY_LABELS, SPECIAL_KEYS, EventType, Vocabulary
 
 
 @dataclass
@@ -268,20 +268,27 @@ def _first_seen(ids, size):
 
 
 def build_vocab_from(corpus: ChainCorpus, min_count: int = 10) -> Vocabulary:
-    """Intern every chain event and out-of-text candidate key in order of
-    first appearance, then finalize at min_count."""
+    """Every chain event and out-of-text candidate key seen at least
+    ``min_count`` times, in order of first appearance; UNK counts the
+    occurrences of the others."""
+    if min_count < 1:
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     # each event's type followed by its out-of-text keys, as in the file
     n = len(corpus.type_ids)
     owner = np.repeat(np.arange(n), np.diff(corpus.oot_off))
     stream = np.empty(n + len(owner), dtype=np.intp)
     stream[np.arange(n) + corpus.oot_off[:-1]] = corpus.type_ids
     stream[owner + np.arange(1, len(owner) + 1)] = corpus.oot_keys + len(corpus.types)
-    keys = [t.key for t in corpus.types] + corpus.keys
-    vocab = Vocabulary()
-    for k, count in zip(*_first_seen(stream, len(keys))):
-        ev = EventType.from_key(keys[k])
-        vocab.intern(ev.predicate, ev.relation, count)
-    return vocab.finalize(min_count)
+    # types that differ only in factuality, and out-of-text keys, share a key
+    index = {}
+    table = np.array([index.setdefault(k, len(index)) for k in
+                      [t.key for t in corpus.types] + corpus.keys], dtype=np.intp)
+    order, counts = _first_seen(table[stream], len(index))
+    keys = list(index)
+    kept = [(keys[k], c) for k, c in zip(order, counts) if c >= min_count]
+    return Vocabulary([*SPECIAL_KEYS, *(k for k, _ in kept)],
+                      [sum(counts) - sum(c for _, c in kept), 0, 0,
+                       *(c for _, c in kept)], min_count)
 
 
 @dataclass

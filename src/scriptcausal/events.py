@@ -1,4 +1,4 @@
-"""Atomic event types, vocabulary interning, frequency statistics, and the
+"""Atomic event types, the event vocabulary, frequency statistics, and the
 candidate ranking that every system shares.
 
 An atomic event is a (predicate lemma, dependency relation) pair. Its
@@ -78,27 +78,19 @@ class EventType:
 
 
 class Vocabulary:
-    """Bijective event-key <-> dense-id map with occurrence counts.
+    """Bijective event-key <-> dense-id map with occurrence counts: key
+    ``keys[i]`` has id i and count ``counts[i]``, the special keys first.
+    Keys the table does not hold map to UNK. A vocabulary is never changed
+    after it is built, so it is safe for concurrent reads."""
 
-    Lifecycle: a fresh Vocabulary is in the building phase (interning
-    allowed). ``finalize`` produces a frozen vocabulary in which rare
-    events have been remapped to UNK and ids re-densified. Frozen
-    vocabularies are immutable and safe for concurrent reads.
-    """
-
-    def __init__(self):
-        self._key_to_id = {k: i for i, k in enumerate(SPECIAL_KEYS)}
-        self._id_to_key = list(SPECIAL_KEYS)
-        self._counts = [0] * NUM_SPECIALS
-        self._frozen = False
-        self.min_count = 0
+    def __init__(self, keys, counts, min_count: int = 1):
+        self._id_to_key = list(keys)
+        self._key_to_id = {k: i for i, k in enumerate(self._id_to_key)}
+        self._counts = list(counts)
+        self.min_count = min_count
 
     def __len__(self):
         return len(self._id_to_key)
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     @property
     def num_events(self) -> int:
@@ -109,55 +101,15 @@ class Vocabulary:
         """Dense ids of the non-special events."""
         return range(NUM_SPECIALS, len(self._id_to_key))
 
-    def intern(self, predicate: str, relation: str, count: int = 1) -> int:
-        if self._frozen:
-            raise ConfigError("cannot intern into a finalized vocabulary")
-        _check_field("predicate", predicate)
-        _check_field("relation", relation)
-        key = predicate + ":" + relation
-        idx = self._key_to_id.get(key)
-        if idx is None:
-            idx = len(self._id_to_key)
-            self._key_to_id[key] = idx
-            self._id_to_key.append(key)
-            self._counts.append(0)
-        self._counts[idx] += count
-        return idx
-
     def id_of(self, key: str) -> int:
-        """Resolve a key; unknown keys map to UNK once finalized."""
-        idx = self._key_to_id.get(key)
-        if idx is None:
-            if self._frozen:
-                return UNK_ID
-            raise ConfigError(f"unknown event key {key!r} in building phase")
-        return idx
+        """The id of ``key``; UNK for a key the table does not hold."""
+        return self._key_to_id.get(key, UNK_ID)
 
     def key_of(self, idx: int) -> str:
         return self._id_to_key[idx]
 
     def count_of(self, idx: int) -> int:
         return self._counts[idx]
-
-    def finalize(self, min_count: int = 1) -> "Vocabulary":
-        """Remap events with count < min_count to UNK; re-densify ids."""
-        if min_count < 1:
-            raise ConfigError(f"min_count must be >= 1, got {min_count}")
-        out = Vocabulary()
-        absorbed = 0
-        for idx in range(NUM_SPECIALS, len(self._id_to_key)):
-            if self._counts[idx] >= min_count:
-                key = self._id_to_key[idx]
-                new_id = len(out._id_to_key)
-                out._key_to_id[key] = new_id
-                out._id_to_key.append(key)
-                out._counts.append(self._counts[idx])
-            else:
-                absorbed += self._counts[idx]
-        out._counts[UNK_ID] = absorbed
-        out.min_count = min_count
-        out._frozen = True
-        return out
 
     # -- serialization ----------------------------------------------------
 
@@ -179,28 +131,22 @@ class Vocabulary:
         header = lines[0].split("\t")
         if len(header) != 3:
             raise DataFormatError("malformed vocabulary header")
-        out = Vocabulary()
-        num_events, out.min_count = int_fields(header[1:], "vocabulary header")
-        out._id_to_key = []
-        out._key_to_id = {}
-        out._counts = []
+        num_events, min_count = int_fields(header[1:], "vocabulary header")
+        keys, counts = [], []
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataFormatError(f"vocabulary line {lineno}: expected 3 fields")
-            key = parts[0]
             idx, count = int_fields(parts[1:], f"vocabulary line {lineno}")
-            if idx != len(out._id_to_key):
+            if idx != len(keys):
                 raise DataFormatError(f"vocabulary line {lineno}: non-dense id {idx}")
-            out._key_to_id[key] = idx
-            out._id_to_key.append(key)
-            out._counts.append(count)
-        if tuple(out._id_to_key[:NUM_SPECIALS]) != SPECIAL_KEYS:
+            keys.append(parts[0])
+            counts.append(count)
+        if tuple(keys[:NUM_SPECIALS]) != SPECIAL_KEYS:
             raise DataFormatError("vocabulary must list special keys first")
-        if num_events != out.num_events:
+        if num_events != len(keys) - NUM_SPECIALS:
             raise DataFormatError("vocabulary header |E| does not match rows")
-        out._frozen = True
-        return out
+        return Vocabulary(keys, counts, min_count)
 
     @staticmethod
     def load(path) -> "Vocabulary":
@@ -221,6 +167,4 @@ def ranked_ids(scores, excluded=()) -> list[int]:
 
 def frequency_rank(vocab: Vocabulary) -> list[int]:
     """Non-special ids sorted by descending count, ties by ascending id."""
-    if not vocab.frozen:
-        raise ConfigError("frequency_rank requires a finalized vocabulary")
     return ranked_ids(vocab._counts)

@@ -94,8 +94,8 @@ def test_criterion_2_script_score_vs_pmi_ordering(popcorn):
         "script score does not rank watch-sad above popcorn for cry"
 
     counts = baselines.count_skip_bigrams(popcorn["corpus"], vocab, window=2)
-    pmi_w = baselines.ordered_pmi(counts, wk, ck, discounted=True)
-    pmi_p = baselines.ordered_pmi(counts, pk, ck, discounted=True)
+    pmi = baselines.pmi_matrix(counts, discounted=True)
+    pmi_w, pmi_p = pmi[wk, ck], pmi[pk, ck]
     assert pmi_p > pmi_w, \
         f"PMI should prefer popcorn ({pmi_p:.4f}) over watch-sad ({pmi_w:.4f})"
     print(f"criterion 2: PASS (S ranks watch-sad first; "
@@ -234,14 +234,13 @@ def test_criterion_5_distribution_invariants():
 
 
 def test_criterion_6_pmi_formula_fidelity():
-    counts = baselines.OrderedCounts(window=2)
-    counts.add_pair(0, 1, 3)
-    counts.add_pair(0, 2, 1)
-    counts.add_pair(3, 4, 6)
+    pairs = np.zeros((5, 5), dtype=np.int64)
+    pairs[0, 1], pairs[0, 2], pairs[3, 4] = 3, 1, 6
+    counts = baselines.OrderedCounts(2, pairs)
     # c=3, T=10, left=4, right=3: raw = ln(3*10 / (4*3)) = ln 2.5
-    raw = baselines.ordered_pmi(counts, 0, 1, discounted=False)
+    raw = baselines.pmi_matrix(counts, discounted=False)[0, 1]
     assert abs(raw - math.log(2.5)) <= 1e-9
-    disc = baselines.ordered_pmi(counts, 0, 1, discounted=True)
+    disc = baselines.pmi_matrix(counts, discounted=True)[0, 1]
     expected = math.log(2.5) * (3.0 / 4.0) * (3.0 / 4.0)
     assert abs(disc - expected) <= 1e-9
     assert abs(expected - 0.5154) < 5e-5  # matches the hand-derived value
@@ -257,17 +256,17 @@ def test_criterion_6_pmi_formula_fidelity():
     vocab = build_vocab_from(corpus, min_count=1)
     for window in (1, 2, 3):
         counts = baselines.count_skip_bigrams(corpus, vocab, window=window)
-        brute = {}
+        brute = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
         total = 0
         for line in chain_lines(corpus):
             ids = [vocab.id_of(f"{e['pred']}:{e['dep']}")
                    for e in json.loads(line)["events"]]
             for i in range(len(ids)):
                 for j in range(i + 1, min(i + window, len(ids) - 1) + 1):
-                    brute[(ids[i], ids[j])] = brute.get((ids[i], ids[j]), 0) + 1
+                    brute[ids[i], ids[j]] += 1
                     total += 1
-        assert counts.pair_counts == brute
-        assert counts.grand_total == total
+        assert np.array_equal(counts.pairs, brute)
+        assert counts.pairs.sum() == total
     print("criterion 6: PASS (hand values to 1e-9; brute force exact)")
 
 

@@ -4,22 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scriptcausal import baselines, evaluation
 from scriptcausal import kernel as K
 from scriptcausal.corpus import parse_chains
 from scriptcausal.errors import ConfigError
-from scriptcausal.events import END_ID, NUM_SPECIALS, START_ID, Vocabulary
+from scriptcausal.events import (END_ID, NUM_SPECIALS, SPECIAL_KEYS, START_ID,
+                                 Vocabulary)
 
 
 def _corpus_from_id_chains(id_chains, preds):
-    """Build a corpus + vocab whose dense ids follow interning order."""
+    """Build a corpus + vocab whose dense ids follow the order of ``preds``."""
     import json
-    vocab = Vocabulary()
-    for p in preds:
-        vocab.intern(p, "x")
-    vocab = vocab.finalize(1)
+    vocab = Vocabulary([*SPECIAL_KEYS, *(f"{p}:x" for p in preds)],
+                       [0] * NUM_SPECIALS + [1] * len(preds))
     lines = []
     for i, ids in enumerate(id_chains):
         events = [{"pred": preds[k - NUM_SPECIALS], "dep": "x"} for k in ids]
@@ -27,11 +26,17 @@ def _corpus_from_id_chains(id_chains, preds):
     return parse_chains(lines), vocab
 
 
+def _as_dict(counts):
+    """The nonzero pairs of ``counts`` as {(e1, e2): count}."""
+    e1, e2 = np.nonzero(counts.pairs)
+    return dict(zip(zip(e1.tolist(), e2.tolist()), counts.pairs[e1, e2].tolist()))
+
+
 def test_window_two_pair_enumeration():
     a, b, c = NUM_SPECIALS, NUM_SPECIALS + 1, NUM_SPECIALS + 2
     corpus, vocab = _corpus_from_id_chains([[a, b, c]], ["a", "b", "c"])
     counts = baselines.count_skip_bigrams(corpus, vocab, window=2)
-    assert counts.pair_counts == {(a, b): 1, (a, c): 1, (b, c): 1}
+    assert _as_dict(counts) == {(a, b): 1, (a, c): 1, (b, c): 1}
 
 
 def test_window_one_adjacent_only():
@@ -39,14 +44,14 @@ def test_window_one_adjacent_only():
     corpus, vocab = _corpus_from_id_chains([ids], list("abcd"))
     counts = baselines.count_skip_bigrams(corpus, vocab, window=1)
     want = {(ids[i], ids[i + 1]): 1 for i in range(3)}
-    assert counts.pair_counts == want
+    assert _as_dict(counts) == want
 
 
 def test_self_pairs_counted():
     a = NUM_SPECIALS
     corpus, vocab = _corpus_from_id_chains([[a, a]], ["a"])
     counts = baselines.count_skip_bigrams(corpus, vocab, window=2)
-    assert counts.pair_counts == {(a, a): 1}
+    assert _as_dict(counts) == {(a, a): 1}
 
 
 def test_counting_is_direction_sensitive():
@@ -54,8 +59,8 @@ def test_counting_is_direction_sensitive():
     corpus, vocab = _corpus_from_id_chains([[a, b], [a, b], [b, a]],
                                            ["a", "b"])
     counts = baselines.count_skip_bigrams(corpus, vocab, window=2)
-    assert counts.pair_counts[(a, b)] == 2
-    assert counts.pair_counts[(b, a)] == 1
+    assert counts.pairs[a, b] == 2
+    assert counts.pairs[b, a] == 1
 
 
 def _reference_counts(id_chains, window):
@@ -78,35 +83,34 @@ def test_counts_match_brute_force(raw_chains, window):
     id_chains = [[k + NUM_SPECIALS for k in ids] for ids in raw_chains]
     corpus, vocab = _corpus_from_id_chains(id_chains, preds)
     counts = baselines.count_skip_bigrams(corpus, vocab, window=window)
-    assert counts.pair_counts == _reference_counts(id_chains, window)
+    assert _as_dict(counts) == _reference_counts(id_chains, window)
 
 
 def test_merge_is_additive():
     a, b = NUM_SPECIALS, NUM_SPECIALS + 1
     c1, _ = _corpus_from_id_chains([[a, b]], ["a", "b"])
     c2, vocab = _corpus_from_id_chains([[b, a], [a, b]], ["a", "b"])
-    merged = baselines.count_skip_bigrams(c1, vocab)
-    for (e1, e2), c in baselines.count_skip_bigrams(c2, vocab).pair_counts.items():
-        merged.add_pair(e1, e2, c)
+    merged = (baselines.count_skip_bigrams(c1, vocab).pairs
+              + baselines.count_skip_bigrams(c2, vocab).pairs)
     both, _ = _corpus_from_id_chains([[a, b], [b, a], [a, b]], ["a", "b"])
     direct = baselines.count_skip_bigrams(both, vocab)
-    assert merged.pair_counts == direct.pair_counts
-    assert merged.grand_total == direct.grand_total
+    assert np.array_equal(merged, direct.pairs)
+    assert merged.sum() == direct.pairs.sum()
 
 
 def _fixture_counts():
     """c(x,y)=3, left(x)=4, right(y)=3, grand total 10."""
-    counts = baselines.OrderedCounts(window=2)
-    counts.add_pair(0, 1, 3)   # x -> y
-    counts.add_pair(0, 2, 1)   # pad left(x) to 4
-    counts.add_pair(3, 4, 6)   # pad the grand total to 10
-    return counts
+    pairs = np.zeros((6, 6), dtype=np.int64)
+    pairs[0, 1] = 3   # x -> y
+    pairs[0, 2] = 1   # pad left(x) to 4
+    pairs[3, 4] = 6   # pad the grand total to 10
+    return baselines.OrderedCounts(2, pairs)
 
 
 def test_pmi_raw_hand_value():
     counts = _fixture_counts()
     want = math.log((0.3) / (0.4 * 0.3))  # ln 2.5
-    got = baselines.ordered_pmi(counts, 0, 1, discounted=False)
+    got = baselines.pmi_matrix(counts, discounted=False)[0, 1]
     assert got == pytest.approx(want, abs=1e-9)
     assert got == pytest.approx(0.9163, abs=5e-5)
 
@@ -115,14 +119,14 @@ def test_pmi_discounted_hand_value():
     counts = _fixture_counts()
     raw = math.log(2.5)
     want = raw * (3 / 4) * (3 / 4)
-    got = baselines.ordered_pmi(counts, 0, 1, discounted=True)
+    got = baselines.pmi_matrix(counts, discounted=True)[0, 1]
     assert got == pytest.approx(want, abs=1e-9)
     assert got == pytest.approx(0.5154, abs=5e-5)
 
 
 def test_pmi_unseen_pair_is_neg_inf():
     counts = _fixture_counts()
-    assert baselines.ordered_pmi(counts, 1, 0) == -math.inf
+    assert baselines.pmi_matrix(counts)[1, 0] == -math.inf
 
 
 def test_counts_file_round_trip(tmp_path):
@@ -132,7 +136,7 @@ def test_counts_file_round_trip(tmp_path):
     p1, p2 = tmp_path / "c1.tsv", tmp_path / "c2.tsv"
     baselines.save_counts(counts, vocab, p1)
     loaded = baselines.load_counts(p1, vocab)
-    assert loaded.pair_counts == counts.pair_counts
+    assert np.array_equal(loaded.pairs, counts.pairs)
     baselines.save_counts(loaded, vocab, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -146,15 +150,39 @@ TINY_LM = {"emb_dim": 12, "hidden_dim": 16, "num_layers": 2, "dropout": 0.0,
            "max_epochs": 60, "seed": 0}
 
 
-def test_pmi_matrix_holds_ordered_pmi_of_every_pair():
-    counts = _fixture_counts()
-    V = 6
-    M = baselines.pmi_matrix(counts, V)
-    for e1 in range(V):
-        for e2 in range(V):
-            want = baselines.ordered_pmi(counts, e1, e2)
-            assert M[e1, e2] == want
-            assert (want == -math.inf) == ((e1, e2) not in counts.pair_counts)
+def _reference_pmi(pairs, e1, e2, discounted):
+    """Ordered PMI of one pair from scalar counts and ``math.log``."""
+    c = int(pairs[e1, e2])
+    if c == 0:
+        return -math.inf
+    T, left, right = int(pairs.sum()), int(pairs[e1].sum()), int(pairs[:, e2].sum())
+    raw = math.log((c / T) / ((left / T) * (right / T)))
+    if not discounted:
+        return raw
+    m = min(left, right)
+    return raw * (c / (c + 1.0)) * (m / (m + 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@example(([4, 6, 0, 4, 7, 0, 0, 0, 0], 2, 2))   # np.log misses ln(21/20) by 1 ulp
+@given(st.integers(1, 7).flatmap(lambda V: st.tuples(
+    st.lists(st.one_of(st.just(0), st.integers(1, 9), st.integers(1, 10**9)),
+             min_size=V * V, max_size=V * V),
+    st.integers(0, V - 1), st.integers(0, V - 1))))
+def test_pmi_matrix_equals_scalar_reference(drawn):
+    """Every entry bit for bit, raw and discounted, with one all-zero row
+    and column (-inf)."""
+    values, row, col = drawn
+    V = math.isqrt(len(values))
+    pairs = np.array(values, dtype=np.int64).reshape(V, V)
+    pairs[row], pairs[:, col] = 0, 0
+    for discounted in (False, True):
+        M = baselines.pmi_matrix(baselines.OrderedCounts(2, pairs), discounted)
+        assert M.shape == (V, V)
+        for e1 in range(V):
+            for e2 in range(V):
+                assert M[e1, e2] == _reference_pmi(pairs, e1, e2, discounted)
+        assert np.all(M[row] == -math.inf) and np.all(M[:, col] == -math.inf)
 
 
 def _memorization_corpus(pattern, n=40):

@@ -237,15 +237,20 @@ def _counts(workdir, fixture="F-DET"):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--exclude-top", "20", "eat_popcorn:nsubj"], "no candidate left"),
-    (["--exclude-top", "0", "nosuch:nsubj"], "no candidate has a finite score"),
+    (["complete", "--counts", "cnt.tsv", "--exclude-top", "20",
+      "eat_popcorn:nsubj"], "no candidate left"),
+    (["complete", "--counts", "cnt.tsv", "--exclude-top", "0", "nosuch:nsubj"],
+     "no candidate has a finite score"),
+    (["score", "--itable", "t.bin", "--exclude-top", "20",
+      "--target", "cry:nsubj"], "no candidate left"),
 ])
 def test_complete_without_a_candidate_is_a_config_error(workdir, capsys, argv,
                                                         message):
     _counts(workdir, "F-POPCORN")
+    V = len(Vocabulary.load("v.tsv"))
+    causal.InterventionTable(np.full((V, V), 1.0 / V)).save("t.bin")
     capsys.readouterr()
-    assert run("complete", "--vocab", "v.tsv", "--counts", "cnt.tsv",
-               *argv) == 1
+    assert run(argv[0], "--vocab", "v.tsv", *argv[1:]) == 1
     assert message in capsys.readouterr().err
 
 
@@ -271,6 +276,20 @@ def test_bad_integer_field_exit_code(workdir, capsys, name, lineno, field,
     assert run("complete", "--vocab", "v.tsv", "--counts", "cnt.tsv",
                "step1:nsubj") == 2
     assert where in capsys.readouterr().err
+
+
+def test_counts_beyond_int64_are_a_data_error(workdir, capsys):
+    _counts(workdir)
+    lines = (workdir / "cnt.tsv").read_text().splitlines()
+    header, first = lines[0].split("\t"), lines[1].split("\t")
+    header[2] = str(int(header[2]) - int(first[2]) + 2 ** 64)
+    first[2] = str(2 ** 64)
+    lines[:2] = ["\t".join(header), "\t".join(first)]
+    (workdir / "cnt.tsv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("complete", "--vocab", "v.tsv", "--counts", "cnt.tsv",
+               "step1:nsubj") == 2
+    assert "cnt.tsv: counts header total" in capsys.readouterr().err
 
 
 def test_output_in_missing_directory_exit_code(workdir, capsys):

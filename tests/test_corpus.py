@@ -10,7 +10,8 @@ from scriptcausal import cli
 from scriptcausal.corpus import (build_vocab_from, load_chains, parse_chains,
                                  split_corpus, write_chains)
 from scriptcausal.errors import ConfigError, DataFormatError
-from scriptcausal.events import NUM_SPECIALS
+from scriptcausal.events import (END_ID, NUM_SPECIALS, SPECIAL_KEYS, START_ID,
+                                 UNK_ID)
 
 
 def _keys(corpus):
@@ -145,6 +146,45 @@ def test_chain_ids_maps_events(tmp_path):
     vocab = build_vocab_from(corpus, min_count=1)
     ids = corpus.event_ids(vocab)[corpus.offsets[0]:corpus.offsets[1]]
     assert ids.tolist() == [vocab.id_of("a:nsubj"), vocab.id_of("b:nsubj")]
+
+
+def test_build_vocab_min_count_below_one_rejected(tmp_path):
+    with pytest.raises(ConfigError):
+        build_vocab_from(_toy_corpus(tmp_path, n=2), min_count=0)
+
+
+_VOCAB_CHAINS = st.lists(st.lists(st.fixed_dictionaries(
+    {"pred": st.sampled_from(["eat", "cry", "pay"]),
+     "dep": st.sampled_from(["nsubj", "dobj"])},
+    optional={"fact": st.sampled_from(["pos", "unc", "neg"]),
+              "oot": st.lists(st.tuples(st.sampled_from(
+                  ["sad:scenario", "eat:nsubj", "cry:dobj", "go:x"]),
+                  st.integers(0, 4)).map(list), max_size=3)}),
+    min_size=1, max_size=5), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VOCAB_CHAINS, st.integers(1, 3))
+def test_build_vocab_equals_a_fold_over_events_and_oot_keys(chains, min_count):
+    """Keys in order of first appearance, their counts, UNK's count (the
+    dropped keys' total) and dense ids after the specials, against a plain
+    fold over each event's key followed by its out-of-text keys."""
+    counts = {}
+    for events in chains:
+        for ev in events:
+            oot = [k for k, _ in ev.get("oot", [])]
+            for key in [f"{ev['pred']}:{ev['dep']}", *oot]:
+                counts[key] = counts.get(key, 0) + 1
+    kept = [k for k, c in counts.items() if c >= min_count]
+    vocab = build_vocab_from(parse_chains(_lines(chains)), min_count)
+    assert [vocab.key_of(i) for i in range(len(vocab))] == [*SPECIAL_KEYS, *kept]
+    assert [vocab.id_of(k) for k in kept] == \
+        list(range(NUM_SPECIALS, NUM_SPECIALS + len(kept)))
+    assert [vocab.count_of(vocab.id_of(k)) for k in kept] == [counts[k] for k in kept]
+    assert vocab.count_of(UNK_ID) == sum(c for c in counts.values() if c < min_count)
+    assert [vocab.count_of(i) for i in (START_ID, END_ID)] == [0, 0]
+    assert all(vocab.id_of(k) == UNK_ID for k in counts if k not in kept)
+    assert vocab.min_count == min_count
 
 
 @settings(max_examples=25)

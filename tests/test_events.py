@@ -1,12 +1,15 @@
-"""Event types, vocabulary interning, and frequency ranking."""
+"""Event types, the vocabulary table, and frequency ranking."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scriptcausal.corpus import build_vocab_from, parse_chains
 from scriptcausal.errors import ConfigError, DataFormatError
-from scriptcausal.events import (END_ID, NUM_SPECIALS, START_ID, UNK_ID,
-                                 EventType, Vocabulary, frequency_rank,
+from scriptcausal.events import (END_ID, NUM_SPECIALS, SPECIAL_KEYS, START_ID,
+                                 UNK_ID, EventType, Vocabulary, frequency_rank,
                                  ranked_ids)
 
 
@@ -16,17 +19,17 @@ def test_event_key_combines_predicate_and_relation():
     assert EventType.from_key("eat:nsubj") == ev
 
 
-def test_intern_is_idempotent():
-    v = Vocabulary()
-    a = v.intern("eat", "nsubj")
-    b = v.intern("eat", "nsubj")
-    assert a == b
-    assert v.count_of(a) == 2
+def _vocab(keys, min_count=1):
+    """The vocabulary of one chain holding the events ``keys``."""
+    events = [dict(zip(("pred", "dep"), k.split(":"))) for k in keys]
+    lines = [json.dumps({"chain_id": "c", "events": events})] if keys else []
+    return build_vocab_from(parse_chains(lines), min_count)
 
 
 def test_relation_distinguishes_events():
-    v = Vocabulary()
-    assert v.intern("eat", "nsubj") != v.intern("eat", "dobj")
+    v = _vocab(["eat:nsubj", "eat:dobj"])
+    assert v.id_of("eat:nsubj") != v.id_of("eat:dobj")
+    assert min(v.id_of("eat:nsubj"), v.id_of("eat:dobj")) >= NUM_SPECIALS
 
 
 @pytest.mark.parametrize("pred,rel", [("", "nsubj"), ("pay", ""),
@@ -37,7 +40,7 @@ def test_invalid_fields_rejected(pred, rel):
 
 
 def test_specials_occupy_fixed_ids():
-    v = Vocabulary()
+    v = Vocabulary(SPECIAL_KEYS, [0] * NUM_SPECIALS)
     assert (UNK_ID, START_ID, END_ID) == (0, 1, 2)
     assert v.key_of(UNK_ID) == "<unk>"
     assert v.key_of(START_ID) == "<s>"
@@ -46,70 +49,56 @@ def test_specials_occupy_fixed_ids():
 
 
 def test_finalize_threshold_filter():
-    v = Vocabulary()
-    for _ in range(5):
-        v.intern("a", "nsubj")
-    v.intern("b", "nsubj")
-    frozen = v.finalize(min_count=2)
-    a = frozen.id_of("a:nsubj")
+    v = _vocab(["a:nsubj"] * 5 + ["b:nsubj"], min_count=2)
+    a = v.id_of("a:nsubj")
     assert a >= NUM_SPECIALS
-    assert frozen.id_of("b:nsubj") == UNK_ID
+    assert v.id_of("b:nsubj") == UNK_ID
     # the rare event's count is absorbed by UNK
-    assert frozen.count_of(UNK_ID) == 1
+    assert v.count_of(UNK_ID) == 1
 
 
 def test_finalize_min_count_one_is_identity():
-    v = Vocabulary()
-    ids = [v.intern("a", "x"), v.intern("b", "x")]
-    frozen = v.finalize(min_count=1)
-    assert [frozen.id_of("a:x"), frozen.id_of("b:x")] == ids
+    v = _vocab(["a:x", "b:x"], min_count=1)
+    assert [v.id_of("a:x"), v.id_of("b:x")] == [NUM_SPECIALS, NUM_SPECIALS + 1]
 
 
 def test_empty_vocab_finalizes_to_specials_only():
-    frozen = Vocabulary().finalize(min_count=1)
-    assert len(frozen) == NUM_SPECIALS
-    assert frozen.num_events == 0
+    v = _vocab([])
+    assert len(v) == NUM_SPECIALS
+    assert v.num_events == 0
 
 
 def test_unknown_key_maps_to_unk_after_finalize():
-    frozen = Vocabulary().finalize(min_count=1)
-    assert frozen.id_of("never:seen") == UNK_ID
+    assert _vocab([]).id_of("never:seen") == UNK_ID
+    assert _vocab(["a:x"]).id_of("never:seen") == UNK_ID
+
+
+def _table(keys, counts):
+    return Vocabulary([*SPECIAL_KEYS, *keys], [0] * NUM_SPECIALS + counts)
 
 
 def test_frequency_rank_orders_by_count_then_id():
-    v = Vocabulary()
-    for pred, n in [("a", 3), ("b", 7), ("c", 3)]:
-        for _ in range(n):
-            v.intern(pred, "x")
-    frozen = v.finalize(1)
-    ranked = frequency_rank(frozen)
-    keys = [frozen.key_of(i) for i in ranked]
+    v = _table(["a:x", "b:x", "c:x"], [3, 7, 3])
+    keys = [v.key_of(i) for i in frequency_rank(v)]
     assert keys == ["b:x", "a:x", "c:x"]
 
 
 def test_frequency_rank_singleton():
-    v = Vocabulary()
-    v.intern("only", "x")
-    assert len(frequency_rank(v.finalize(1))) == 1
+    assert len(frequency_rank(_table(["only:x"], [1]))) == 1
 
 
 def test_frequency_rank_all_equal_counts_ascending_id():
-    v = Vocabulary()
-    ids = [v.intern(p, "x") for p in ["c", "a", "b"]]
-    frozen = v.finalize(1)
-    assert frequency_rank(frozen) == sorted(ids)
+    v = _table(["c:x", "a:x", "b:x"], [1, 1, 1])
+    assert frequency_rank(v) == [NUM_SPECIALS, NUM_SPECIALS + 1, NUM_SPECIALS + 2]
 
 
 def test_tsv_round_trip():
-    v = Vocabulary()
-    for _ in range(4):
-        v.intern("walk", "nsubj")
-    v.intern("run", "dobj")
-    frozen = v.finalize(1)
-    text = frozen.to_tsv()
+    v = _vocab(["walk:nsubj"] * 4 + ["run:dobj"], min_count=2)
+    text = v.to_tsv()
     back = Vocabulary.from_tsv(text)
     assert back.to_tsv() == text
-    assert back.id_of("walk:nsubj") == frozen.id_of("walk:nsubj")
+    assert back.id_of("walk:nsubj") == v.id_of("walk:nsubj")
+    assert back.min_count == 2
 
 
 def test_tsv_bad_header_rejected():
@@ -119,12 +108,9 @@ def test_tsv_bad_header_rejected():
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=50))
 def test_interned_counts_match_occurrences(preds):
-    v = Vocabulary()
-    for p in preds:
-        v.intern(p, "x")
-    frozen = v.finalize(1)
+    v = _vocab([f"{p}:x" for p in preds])
     for p in set(preds):
-        assert frozen.count_of(frozen.id_of(f"{p}:x")) == preds.count(p)
+        assert v.count_of(v.id_of(f"{p}:x")) == preds.count(p)
 
 
 @given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf]),
