@@ -153,7 +153,6 @@ class EventLM:
         self.config = {**C.defaults(CONFIG_KEYS), **(config or {})}
         self.vocab_size = vocab_size
         self._layers = [f"gru{layer}" for layer in range(self.config["num_layers"])]
-        self._ws = [K.Workspace() for _ in self._layers]
         self.params = params if params is not None else self._init_params(
             np.random.default_rng(self.config["seed"]))
 
@@ -185,7 +184,7 @@ class EventLM:
             masks = tuple((dropout_rng.random((T, B, n)) < keep)[at] / keep
                           for n in (self.config["emb_dim"], self.config["hidden_dim"]))
         H, cache = K.encoder_forward(params, self._layers, batch.ids[pos], layout,
-                                     self._ws, masks)
+                                     masks)
         logits = H @ params["out.W"].T + params["out.b"]
         return logits, batch.ids[pos + 1], H, cache
 
@@ -223,7 +222,7 @@ class EventLM:
             ids[b, 1:lengths[b]] = h
         layout = K.SeqLayout(lengths, ids)
         H, _ = K.encoder_forward(self.params, self._layers,
-                                 ids[layout.rows, layout.steps], layout, self._ws)
+                                 ids[layout.rows, layout.steps], layout)
         return K.softmax(H[layout.last] @ self.params["out.W"].T
                          + self.params["out.b"])
 

@@ -152,7 +152,6 @@ class ConditionalModel:
         self.vocab_size = vocab_size
         self.token_vocab_size = token_vocab_size
         self.phase = phase
-        self._ws = [K.Workspace()]
         self.params = params if params is not None else self._init_params(
             np.random.default_rng(self.config["seed"]))
 
@@ -178,7 +177,7 @@ class ConditionalModel:
         that share a prefix share its GRU rows."""
         layout = K.SeqLayout(lengths, ids)
         H, cache = K.encoder_forward(params, ("enc",), ids[layout.rows, layout.steps],
-                                     layout, self._ws)
+                                     layout)
         return layout.final(H), (layout, cache)
 
     def _context_logits(self, params, batch):
@@ -230,8 +229,8 @@ class ConditionalModel:
         return loss, grads
 
     def mean_loss(self, instances: PackedInstances):
-        """Mean loss, in batches of the training size so that the GRU
-        workspace does not grow past it."""
+        """Mean loss, in batches of the training size, which bounds the
+        encoder's memory."""
         total = 0.0
         batch_size = self.config["batch_size"]
         for start in range(0, len(instances), batch_size):
@@ -458,9 +457,9 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     contexts = packed.take(first)
     D = len(contexts)
 
-    # The last GRU step is K.gru_step with x = emb[k]. Only its input terms
-    # depend on k, so they are projected for every event at once; the z/r
-    # recurrent term depends only on the context.
+    # The last GRU step is one step of K.gru_forward with input emb[k]. Only
+    # its input terms depend on k, so they are projected for every event at
+    # once; the z/r recurrent term depends only on the context.
     W = np.concatenate([params[f"enc.W{g}"] for g in K.GATES])
     b = np.concatenate([params[f"enc.b{g}"] for g in K.GATES])
     x_proj = params["emb"] @ W.T + b                      # (V, 3h)
@@ -468,7 +467,7 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     Uh, A = params["enc.Uh"], params["A"]
 
     # per-context constants, in batches of the training size, which bounds
-    # the encoder's workspace
+    # the encoder's memory
     h_hist, const_logits = np.empty((D, h_dim)), np.empty((D, V))
     step = model.config["batch_size"]
     for start in range(0, D, step):

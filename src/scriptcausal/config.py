@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import NamedTuple
 
 from .errors import ConfigError, DataFormatError, read_json
@@ -40,11 +41,11 @@ TABLE = {
     "lm_emb_dim": Setting(300, 1),
     "lm_hidden_dim": Setting(512, 1),
     "lm_layers": Setting(2, 1),
-    "lm_dropout": Setting(0.1),
-    "lr": Setting(0.001),
+    "lm_dropout": Setting(0.1, 0),
+    "lr": Setting(0.001, 0),
     "lr_schedule": Setting(None),          # null or [[lr > 0, epochs >= 1], ...]
-    "finetune_lr": Setting(1e-5),
-    "clip_norm": Setting(10.0),
+    "finetune_lr": Setting(1e-5, 0),
+    "clip_norm": Setting(10.0, 0),
     "batch_size": Setting(512, 1),
     "lm_batch_size": Setting(64, 1),
     "patience": Setting(3, 1),
@@ -95,6 +96,13 @@ def _fits(value, default) -> bool:
                       else type(default))
 
 
+def _finite(value) -> bool:
+    """Whether every number in ``value``, lists included, is finite."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _problem(value, setting: Setting):
     """Why the table refuses ``value`` for ``setting``; None if it does not."""
     default = setting.default
@@ -102,6 +110,8 @@ def _problem(value, setting: Setting):
         return "must be " + ("null or a list of [lr, epochs] pairs" if default is None
                              else f"a list of {type(default[0]).__name__}"
                              if isinstance(default, list) else type(default).__name__)
+    if not _finite(value):
+        return "must be finite"
     if setting.least is not None and value < setting.least:
         return f"must be >= {setting.least}"
     if setting.choices and value not in setting.choices:

@@ -48,5 +48,5 @@ def read_json(path, what, build=lambda value: value):
         try:
             value = json.load(f)
         except json.JSONDecodeError as e:
-            raise DataFormatError(f"{what} {path} is not valid JSON: {e}") from e
+            raise DataFormatError(f"{what} is not valid JSON: {e}") from e
         return build(value)

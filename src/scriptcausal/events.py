@@ -132,7 +132,7 @@ class Vocabulary:
         if len(header) != 3:
             raise DataFormatError("malformed vocabulary header")
         num_events, min_count = int_fields(header[1:], "vocabulary header")
-        keys, counts = [], []
+        keys, counts, seen = [], [], set()
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split("\t")
             if len(parts) != 3:
@@ -140,6 +140,13 @@ class Vocabulary:
             idx, count = int_fields(parts[1:], f"vocabulary line {lineno}")
             if idx != len(keys):
                 raise DataFormatError(f"vocabulary line {lineno}: non-dense id {idx}")
+            if count < 0:
+                raise DataFormatError(f"vocabulary line {lineno}: "
+                                      f"negative count {count}")
+            if parts[0] in seen:
+                raise DataFormatError(f"vocabulary line {lineno}: "
+                                      f"repeated key {parts[0]!r}")
+            seen.add(parts[0])
             keys.append(parts[0])
             counts.append(count)
         if tuple(keys[:NUM_SPECIALS]) != SPECIAL_KEYS:

@@ -125,25 +125,6 @@ def gru_step(params, prefix, x, h_prev):
     return h, (x, h_prev, z, r, hc)
 
 
-class Workspace:
-    """Named scratch arrays reused from call to call.
-
-    ``get`` returns a view of a grow-only buffer, so a loop over batches of
-    varying shape stops allocating once it has seen the largest one. A view
-    stays valid until the next ``get`` of the same name.
-    """
-
-    def __init__(self):
-        self._bufs = {}
-
-    def get(self, name, *shape):
-        size = math.prod(shape)
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size:
-            buf = self._bufs[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
 class SeqLayout:
     """Packed layout of B variable-length sequences for ``gru_forward``.
 
@@ -198,7 +179,7 @@ class SeqLayout:
         return out
 
 
-def gru_forward(params, prefix, x, layout, ws=None):
+def gru_forward(params, prefix, x, layout):
     """Length-aware GRU from h_0 = 0 over packed inputs ``x`` (S, in).
 
     ``layout`` (a SeqLayout) says which step each packed row runs and
@@ -208,11 +189,8 @@ def gru_forward(params, prefix, x, layout, ws=None):
     time loop; each step then gathers h_prev by ``layout.parent`` and costs
     one GEMM for z and r and one for the candidate (none at t = 0, where
     h_prev = 0). Returns (H, cache): H (S, h) holds the state after each
-    packed row's step, written into ``ws`` (a Workspace; a fresh one when
-    None), so H and the cache live until the next call with the same
-    workspace.
+    packed row's step.
     """
-    ws = Workspace() if ws is None else ws
     W = np.concatenate([params[f"{prefix}.W{g}"] for g in GATES])   # (3h, in)
     b = np.concatenate([params[f"{prefix}.b{g}"] for g in GATES])
     U_zr = np.concatenate([params[f"{prefix}.Uz"], params[f"{prefix}.Ur"]])
@@ -222,36 +200,23 @@ def gru_forward(params, prefix, x, layout, ws=None):
     if x.shape != (S, W.shape[1]):
         raise ConfigError(f"gru_forward: inputs {x.shape} do not match "
                           f"{S} packed rows of width {W.shape[1]}")
-    xp = np.matmul(x, W.T, out=ws.get("xp", S, 3 * hd))
-    xp += b
-    zr, hc, hprev, H = (ws.get(name, S, hd * w) for name, w in
-                        (("zr", 2), ("hc", 1), ("hprev", 1), ("h", 1)))
-    tmp = ws.get("tmp", max(layout.sizes, default=0), hd)
+    xp = x @ W.T + b
+    zr, hc, H = np.empty((S, 2 * hd)), np.empty((S, hd)), np.empty((S, hd))
+    hprev = np.zeros((S, hd))                 # h_0 = 0 at step 0
     off = layout.offsets
-    for t, n in enumerate(layout.sizes):
-        s = slice(off[t], off[t] + n)
-        zr_t, hc_t, h_t = zr[s], hc[s], H[s]
-        z, r = zr_t[:, :hd], zr_t[:, hd:]
+    for t in range(len(layout.sizes)):
+        s = slice(off[t], off[t + 1])
+        z, r = zr[s, :hd], zr[s, hd:]
         if t == 0:
-            sigmoid(xp[s, :2 * hd], out=zr_t)
-            np.tanh(xp[s, 2 * hd:], out=hc_t)
-            np.multiply(z, hc_t, out=h_t)
+            sigmoid(xp[s, :2 * hd], out=zr[s])
+            np.tanh(xp[s, 2 * hd:], out=hc[s])
+            np.multiply(z, hc[s], out=H[s])
             continue
-        hp = hprev[s]
-        np.take(H, layout.parent[s], axis=0, out=hp, mode="clip")
-        np.matmul(hp, U_zr.T, out=zr_t)
-        zr_t += xp[s, :2 * hd]
-        sigmoid(zr_t, out=zr_t)
-        np.multiply(r, hp, out=tmp[:n])
-        np.matmul(tmp[:n], Uh.T, out=hc_t)
-        hc_t += xp[s, 2 * hd:]
-        np.tanh(hc_t, out=hc_t)
-        # h = (1 - z) * h_prev + z * hc
-        np.subtract(1.0, z, out=tmp[:n])
-        tmp[:n] *= hp
-        np.multiply(z, hc_t, out=h_t)
-        h_t += tmp[:n]
-    return H, (x, layout, zr, hc, hprev, W, U_zr, Uh, ws)
+        hp = hprev[s] = H[layout.parent[s]]
+        sigmoid(hp @ U_zr.T + xp[s, :2 * hd], out=zr[s])
+        np.tanh((r * hp) @ Uh.T + xp[s, 2 * hd:], out=hc[s])
+        H[s] = (1 - z) * hp + z * hc[s]
+    return H, (x, layout, zr, hc, hprev, W, U_zr, Uh)
 
 
 def gru_backward(params, prefix, cache, dh_out, grads):
@@ -261,58 +226,31 @@ def gru_backward(params, prefix, cache, dh_out, grads):
     output row. Each step keeps only the recurrent GEMMs of dh_prev, which
     ``np.add.reduceat`` sums over each row's (contiguous) children; the
     weight, bias and input gradients are one GEMM each over all steps after
-    the loop, split back into the per-gate entries of ``grads``. The
-    forward buffers double as scratch, so each forward pass is backpropagated
-    at most once.
+    the loop, split back into the per-gate entries of ``grads``.
     """
-    x, layout, zr, hc, hprev, W, U_zr, Uh, ws = cache
+    x, layout, zr, hc, hprev, W, U_zr, Uh = cache
     hd = Uh.shape[0]
     S = len(x)
     n0 = layout.offsets[1] if S else 0        # step-0 rows, with h_prev = 0
-    da = ws.get("xp", S, 3 * hd)   # gate pre-activation grads; xp is dead
-    dh_b, carry, drh_b, tmp_b = (ws.get(name, max(layout.sizes, default=0), hd)
-                                 for name in ("dh", "carry", "drh", "tmp"))
+    da = np.empty((S, 3 * hd))                 # gate pre-activation grads
     off = layout.offsets
+    carry = None                               # dh_prev of step t + 1's rows
     for t in range(len(layout.sizes) - 1, -1, -1):
-        n = layout.sizes[t]
-        s = slice(off[t], off[t] + n)
-        z, r, hc_t = zr[s, :hd], zr[s, hd:], hc[s]
-        daz, dar, dah = da[s, :hd], da[s, hd:2 * hd], da[s, 2 * hd:]
-        dh, tmp = dh_b[:n], tmp_b[:n]
-        np.copyto(dh, dh_out[s])
-        if t + 1 < len(layout.sizes):          # carry holds step t + 1's dh_prev
+        s = slice(off[t], off[t + 1])
+        z, r, hc_t, hp = zr[s, :hd], zr[s, hd:], hc[s], hprev[s]
+        dh = dh_out[s].copy()
+        if carry is not None:
             par = layout.parent[off[t + 1]:off[t + 2]] - off[t]
             heads = np.flatnonzero(np.diff(par, prepend=-1))
-            dh[par[heads]] += np.add.reduceat(carry[:len(par)], heads)
-        # dah = dh * z * (1 - hc^2)
-        np.multiply(hc_t, hc_t, out=dah)
-        np.subtract(1.0, dah, out=dah)
-        dah *= z
-        dah *= dh
-        # daz = dh * (hc - h_prev) * z * (1 - z)
-        if t:
-            np.subtract(hc_t, hprev[s], out=daz)
-        else:
-            np.copyto(daz, hc_t)
-        daz *= dh
-        daz *= z
-        np.subtract(1.0, z, out=tmp)
-        daz *= tmp
+            dh[par[heads]] += np.add.reduceat(carry, heads)
+        da[s, 2 * hd:] = (1 - hc_t * hc_t) * z * dh
+        da[s, :hd] = (hc_t - hp) * dh * z * (1 - z)
         if t == 0:
-            dar[...] = 0.0          # r only ever multiplies h_0 = 0
+            da[s, hd:2 * hd] = 0.0     # r only ever multiplies h_0 = 0
             break
-        hp, c, drh = hprev[s], carry[:n], drh_b[:n]
-        # dh_prev = dh * (1 - z) + r * drh + [daz dar] @ [Uz; Ur], drh = dah @ Uh
-        np.multiply(dh, tmp, out=c)
-        np.matmul(dah, Uh, out=drh)
-        np.multiply(drh, hp, out=dar)
-        np.subtract(1.0, r, out=tmp)
-        tmp *= r
-        dar *= tmp
-        np.multiply(drh, r, out=tmp)
-        c += tmp
-        np.matmul(da[s, :2 * hd], U_zr, out=tmp)
-        c += tmp
+        drh = da[s, 2 * hd:] @ Uh
+        da[s, hd:2 * hd] = drh * hp * ((1 - r) * r)
+        carry = dh * (1 - z) + drh * r + da[s, :2 * hd] @ U_zr
     dW = da.T @ x
     dU_zr = da[n0:, :2 * hd].T @ hprev[n0:]   # step 0 rows have h_prev = 0
     db = da.sum(axis=0)
@@ -322,22 +260,21 @@ def gru_backward(params, prefix, cache, dh_out, grads):
         grads[f"{prefix}.b{g}"] += db[rows]
     grads[f"{prefix}.Uz"] += dU_zr[:hd]
     grads[f"{prefix}.Ur"] += dU_zr[hd:]
-    rh = np.multiply(zr[n0:, hd:], hprev[n0:], out=hc[n0:])   # hc is dead
-    grads[f"{prefix}.Uh"] += da[n0:, 2 * hd:].T @ rh
-    return np.matmul(da, W, out=ws.get("dx", S, W.shape[1]))
+    grads[f"{prefix}.Uh"] += da[n0:, 2 * hd:].T @ (zr[n0:, hd:] * hprev[n0:])
+    return da @ W
 
 
-def encoder_forward(params, prefixes, ids, layout, workspaces, masks=None):
+def encoder_forward(params, prefixes, ids, layout, masks=None):
     """Embedding -> GRU stack over the packed ids (S,) of ``layout``: layer i
-    is the GRU ``prefixes[i]`` and runs in ``workspaces[i]``. The optional
-    dropout ``masks`` (S, emb) and (S, h) scale the embeddings and the top
-    states. Returns (H, cache), H (S, h) the masked top states."""
+    is the GRU ``prefixes[i]``. The optional dropout ``masks`` (S, emb) and
+    (S, h) scale the embeddings and the top states. Returns (H, cache), H
+    (S, h) the masked top states."""
     h = params["emb"][ids]
     if masks is not None:
         h *= masks[0]
     caches = []
-    for prefix, ws in zip(prefixes, workspaces):
-        h, cache = gru_forward(params, prefix, h, layout, ws)
+    for prefix in prefixes:
+        h, cache = gru_forward(params, prefix, h, layout)
         caches.append(cache)
     if masks is not None:
         h = h * masks[1]

@@ -58,7 +58,8 @@ class SyntheticCBN:
         S = len(self.scenario_names)
         if self.templates.shape != (S, E + 1, E):
             raise ConfigError(f"kernel shape {self.templates.shape} inconsistent")
-        if abs(self.pi.sum() - 1.0) > 1e-9 or np.any(self.pi < 0):
+        # written so that a NaN or infinite prior fails it
+        if not (np.all(self.pi >= 0) and abs(self.pi.sum() - 1.0) <= 1e-9):
             raise ConfigError("scenario prior must be a distribution")
         if not 0.0 < self.lam <= 1.0:
             raise ConfigError("smoothing weight must be in (0, 1]")
@@ -199,7 +200,8 @@ class SyntheticCBN:
         except KeyError as e:
             raise DataFormatError(f"malformed CBN spec: missing field or "
                                   f"unknown event {e}") from e
-        except (TypeError, ValueError, AttributeError, ConfigError) as e:
+        except (TypeError, ValueError, OverflowError, AttributeError,
+                ConfigError) as e:
             raise DataFormatError(f"malformed CBN spec: {e}") from e
 
     def save(self, path):

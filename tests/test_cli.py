@@ -1,7 +1,9 @@
 """Command-line pipeline: wiring, validation, exit codes, reproducibility."""
 
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +265,9 @@ def test_complete_without_a_candidate_is_a_config_error(workdir, capsys, argv,
     ("cnt.tsv", 1, 2, "many", "counts header"),       # grand total
     ("cnt.tsv", 3, 2, "1.5", "counts line 3"),        # pair count
     ("cnt.tsv", 3, 2, "-2", "counts line 3"),         # a count below 1
+    ("v.tsv", 5, 2, "-1", "vocabulary line 5"),       # a count below 0
+    ("v.tsv", 6, 0, "step0:nsubj", "vocabulary line 6"),  # line 5's key
+    ("v.tsv", 5, 0, "<unk>", "vocabulary line 5"),    # line 2's key
 ])
 def test_bad_integer_field_exit_code(workdir, capsys, name, lineno, field,
                                      value, where):
@@ -360,17 +365,27 @@ _LEAST = {**dict.fromkeys(
      "per_system", "topk"], 1), "history_window": 0, "exclude_top": 0,
     "seed": 0}
 
-# schedules with a stage of lr <= 0 or of fewer than one epoch
+# schedules with a stage of lr <= 0 or of fewer than one epoch, or a
+# non-finite lr
 _BAD_SCHEDULES = [[[0.1, -1]], [[0.1, 0]], [[-0.1, 1]], [[0, 2]],
-                  [[0.1, 1], [0.01, 0]]]
+                  [[0.1, 1], [0.01, 0]], [[math.inf, 1]], [[math.nan, 1]]]
+
+# out-of-range values of the other keys: a rate or weight below 0 or not
+# finite, and a ratio that is not finite
+_NOT_FINITE = [math.nan, math.inf, -math.inf]
+_BAD_VALUES = {
+    "lr_schedule": st.sampled_from(_BAD_SCHEDULES),
+    "ratios": st.sampled_from([[x, 0.5, 0.5] for x in _NOT_FINITE]),
+    **dict.fromkeys(["clip_norm", "finetune_lr", "lm_dropout", "lr"],
+                    st.sampled_from(_NOT_FINITE + [-1e-3, -1, -2.5]))}
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_out_of_range_config_value_is_a_config_error(workdir, capsys, data):
-    key = data.draw(st.sampled_from(sorted(_LEAST) + ["lr_schedule"]))
-    value = data.draw(st.sampled_from(_BAD_SCHEDULES) if key == "lr_schedule"
+    key = data.draw(st.sampled_from(sorted(_LEAST) + sorted(_BAD_VALUES)))
+    value = data.draw(_BAD_VALUES[key] if key in _BAD_VALUES
                       else st.integers(-3, _LEAST[key] - 1))
     (workdir / "bad.json").write_text(json.dumps({key: value}))
     capsys.readouterr()
@@ -447,9 +462,10 @@ def _edited_spec(edit):
     lambda s: s.update({"lambda": 0}),
     lambda s: s.update(chain_length=1),
     lambda s: s["scenarios"][0]["kernel"]["<s>"].update({"step0:nsubj": 0.5}),
+    lambda s: s["scenarios"][0].update(prob=math.nan),
 ], ids=["no-prob", "no-name", "no-kernel", "unknown-source", "unknown-target",
         "scenario-not-an-object", "prior-sum", "lambda-0", "chain-length-1",
-        "kernel-row-sum"])
+        "kernel-row-sum", "prior-nan"])
 def test_malformed_cbn_spec_exit_code(workdir, capsys, edit):
     _edited_spec(edit)
     with pytest.raises(DataFormatError):
@@ -785,3 +801,45 @@ def test_corrupted_file_loads_or_is_a_data_error(workdir, capsys, data):
                 os.remove(out)
     err = capsys.readouterr().err
     assert code == 0 or code == 2 and err.startswith(f"data error: {path}: "), err
+
+
+# a number that stands as a JSON value after a key
+_FIELD_NUMBER = re.compile(rb"(?<=: )-?\d+(\.\d+)?([eE][-+]?\d+)?")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_spec_or_config_is_a_clean_exit(workdir, capsys, data):
+    """A CBN spec or a config file cut short, with one byte changed, or with
+    NaN, Infinity, -1 or 0 in a numeric field makes ``synth --cbn`` exit 0,
+    exit 1 with a config error, or exit 2 with a data error naming the file;
+    it never ends in an uncaught exception."""
+    if not os.path.exists("spec.json"):
+        synth.build_fixture("F-DET").save("spec.json")
+    path = data.draw(st.sampled_from(["cfg.json", "spec.json"]))
+    blob = open(path, "rb").read()
+    how = data.draw(st.sampled_from(["cut", "xor", "number"]))
+    if how == "number":
+        field = data.draw(st.sampled_from(list(_FIELD_NUMBER.finditer(blob))))
+        value = data.draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity",
+                                           b"-1", b"0"]))
+        bad = blob[:field.start()] + value + blob[field.end():]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1))
+        bad = blob[:at] if how == "cut" else blob[:at] + bytes(
+            [blob[at] ^ data.draw(st.integers(1, 255))]) + blob[at + 1:]
+    try:
+        with open(path, "wb") as f:
+            f.write(bad)
+        capsys.readouterr()
+        code = run("--config", "cfg.json", "synth", "--cbn", "spec.json",
+                   "--n", "2", "--output", "c.jsonl")
+    finally:
+        with open(path, "wb") as f:
+            f.write(blob)
+        if os.path.exists("c.jsonl"):
+            os.remove("c.jsonl")
+    err = capsys.readouterr().err
+    assert code == 0 or code == 1 and err.startswith("error: ") \
+        or code == 2 and err.startswith(f"data error: {path}: "), (code, err)

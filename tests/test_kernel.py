@@ -345,8 +345,7 @@ def test_length_aware_gru_matches_per_row_fold():
     lengths = [2, 0, 6, 1, 4, 6, 3, 5, 0, 1]   # ragged, unsorted, some empty
     x = rng.normal(size=(len(lengths), 6, 3))
     layout = K.SeqLayout(lengths)
-    H, _ = K.gru_forward(p, "g", x[layout.rows, layout.steps], layout,
-                         K.Workspace())
+    H, _ = K.gru_forward(p, "g", x[layout.rows, layout.steps], layout)
     final = layout.final(H)
     for b, n in enumerate(lengths):
         want = _fold(p, x[b, :n])
@@ -385,7 +384,7 @@ def test_prefix_shared_gru_matches_per_row_fold(seqs):
     assert len(shared.steps) == len(prefixes) == shared.offsets[-1]
     for layout in (shared, K.SeqLayout(lengths)):
         H, _ = K.gru_forward(p, "g", emb[ids[layout.rows, layout.steps]],
-                             layout, K.Workspace())
+                             layout)
         final = layout.final(H)
         for b, s in enumerate(seqs):
             want = _fold(p, emb[s])[-1] if s else np.zeros(5)
@@ -401,10 +400,9 @@ def test_length_aware_gru_gradients_certify_on_a_ragged_batch():
     seqs = [[1, 4], [2, 5, 0, 3], [], [5], [0, 1, 2]]
     layout = K.SeqLayout([len(s) for s in seqs])
     ids = np.array([seqs[b][t] for b, t in zip(layout.rows, layout.steps)])
-    ws = K.Workspace()
 
     def loss_fn(params):
-        hs, cache = K.gru_forward(params, "g", params["emb"][ids], layout, ws)
+        hs, cache = K.gru_forward(params, "g", params["emb"][ids], layout)
         logits = hs @ params["out"].T                 # a loss on every step
         loss, dlogits = K.softmax_xent_batch(logits, ids % 5)
         grads = {k: np.zeros_like(v) for k, v in params.items()}
@@ -415,6 +413,31 @@ def test_length_aware_gru_gradients_certify_on_a_ragged_batch():
 
     assert K.finite_diff_check(loss_fn, p, max_coords=40,
                                rng=np.random.default_rng(0)) < 1e-4
+
+
+def test_gru_cache_backpropagates_twice_to_the_same_bits():
+    """gru_backward leaves the forward cache as it found it, so a second
+    backward pass over one forward pass gives the same gradients and dx."""
+    rng = np.random.default_rng(15)
+    p = {}
+    K.init_gru(rng, "g", 3, 4, p)
+    seqs = [[1, 4, 2], [1, 4, 0, 3], [5], [2, 2, 1, 0, 4]]
+    ids = np.zeros((len(seqs), 5), dtype=np.intp)
+    for b, s in enumerate(seqs):
+        ids[b, :len(s)] = s
+    layout = K.SeqLayout([len(s) for s in seqs], ids)
+    x = rng.normal(size=(6, 3))[ids[layout.rows, layout.steps]]
+    H, cache = K.gru_forward(p, "g", x, layout)
+    dh = rng.normal(size=H.shape)
+    runs = []
+    for _ in range(2):
+        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        dx = K.gru_backward(p, "g", cache, dh, grads)
+        runs.append((grads, dx))
+    (g1, dx1), (g2, dx2) = runs
+    assert dx1.tobytes() == dx2.tobytes()
+    for k in p:
+        assert g1[k].tobytes() == g2[k].tobytes(), k
 
 
 # ---------------------------------------------------------------------------
