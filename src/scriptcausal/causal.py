@@ -433,11 +433,10 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     contexts, the last step then costs one (n, h) x (h, h) GEMM and the
     logits GEMM, written into scratch buffers owned by one worker.
 
-    Do-values are handed out one at a time to ``worker_count(V)`` threads;
-    the calling thread is one of them, and a single worker runs the same
-    loop inline. Each row is summed by one worker over the same blocks in
-    the same order, so the table is the same bit for bit for every worker
-    count.
+    Do-values are handed out one at a time to a pool of
+    ``worker_count(V)`` threads. Each row is summed by one worker over the
+    same blocks in the same order, so the table is the same bit for bit for
+    every worker count.
     """
     params = model.params
     packed = adjustment.instances.take(adjustment.index)
@@ -482,11 +481,7 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     todo, lock = iter(range(V)), threading.Lock()
     ones = np.ones(V)
 
-    def work():
-        n = min(D, batch_size)
-        zr_buf, tmp_buf = np.empty((n, 2 * h_dim)), np.empty((n, h_dim))
-        hc_buf, logits_buf = np.empty((n, h_dim)), np.empty((n, V))
-        row_max, row_sum = np.empty((n, 1)), np.empty(n)
+    def work(zr_buf, tmp_buf, hc_buf, logits_buf, row_max, row_sum):
         while True:
             with lock:
                 k = next(todo, None)
@@ -517,17 +512,17 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
                 np.divide(w, rsum, out=rsum)
                 effect[k] += rsum @ logits
 
-    workers = worker_count(V)
-    if workers == 1:
-        work()
-    else:
-        # imported here: it adds about 0.4 MB to every process that loads it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(work) for _ in range(workers - 1)]
-            work()
-            for helper in helpers:
-                helper.result()
+    # imported here: it adds about 0.4 MB to every process that loads it
+    from concurrent.futures import ThreadPoolExecutor
+    workers, n = worker_count(V), min(D, batch_size)
+    # glibc gives each thread a malloc arena; only this one's holds the
+    # encoder's freed memory, so the workers' scratch buffers are made here
+    scratch = [(np.empty((n, 2 * h_dim)), np.empty((n, h_dim)),
+                np.empty((n, h_dim)), np.empty((n, V)), np.empty((n, 1)),
+                np.empty(n)) for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        for done in [pool.submit(work, *buffers) for buffers in scratch]:
+            done.result()
     effect /= N
     return InterventionTable(effect, model_id=model_id, seed=adjustment.seed,
                              n_samples=N)

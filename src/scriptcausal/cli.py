@@ -73,9 +73,12 @@ def _load_itable(args, vocab):
     return table
 
 
-def _instances(corpus, vocab, cfg, token_vocab=None):
+def _instances(corpus, vocab, settings, token_vocab=None):
+    """Instances cut by ``settings``'s oot_threshold and history_window: the
+    run's when training a model, the model file's when reading one."""
     return causal.extract_training_instances(
-        corpus, vocab, token_vocab, cfg["oot_threshold"], cfg["history_window"])
+        corpus, vocab, token_vocab, settings["oot_threshold"],
+        settings["history_window"])
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,8 @@ def cmd_finetune_cond(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     _check_vocab_size("the pretrained model", model.vocab_size, vocab)
     annotated = _instances(
-        load_chains(_require(args.annotated, "annotated chain file")), vocab, cfg)
+        load_chains(_require(args.annotated, "annotated chain file")), vocab,
+        model.config)
     annotated = annotated.take(np.flatnonzero(annotated.oot_len))
     tuned = causal.finetune_with_oot(
         model, annotated, cfg.slice(same("finetune_lr max_epochs seed")),
@@ -158,7 +162,8 @@ def cmd_estimate_do(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     _check_vocab_size("the conditional model", model.vocab_size, vocab)
     instances = _instances(
-        load_chains(_require(args.corpus, "adjustment-sample chain file")), vocab, cfg)
+        load_chains(_require(args.corpus, "adjustment-sample chain file")), vocab,
+        model.config)
     adjustment = causal.sample_adjustment_set(
         instances, cfg["adjustment_n"], cfg["seed"])
     table = causal.estimate_interventions(
@@ -359,9 +364,6 @@ def build_parser():
         description="Script induction via intervention-based causal effects.")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="global random seed")
-    parser.add_argument("--threads", type=int,
-                        help="accepted and ignored; BLAS threads follow "
-                             "OPENBLAS_NUM_THREADS")
     sub = parser.add_subparsers(dest="command")
 
     def add(name, summary, paths="", optional="", keys=""):

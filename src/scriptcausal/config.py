@@ -23,12 +23,12 @@ class Setting(NamedTuple):
 
     default: object
     least: float | None = None    # the least accepted number
+    below: float | None = None    # every accepted number is less than this
     choices: tuple = ()           # the accepted strings
 
 
 TABLE = {
     "seed": Setting(0, 0),
-    "threads": Setting(1),                 # accepted and ignored
     "run_log": Setting("runs.log"),
     "min_count": Setting(10, 1),
     "ratios": Setting([0.9, 0.05, 0.05]),
@@ -41,7 +41,7 @@ TABLE = {
     "lm_emb_dim": Setting(300, 1),
     "lm_hidden_dim": Setting(512, 1),
     "lm_layers": Setting(2, 1),
-    "lm_dropout": Setting(0.1, 0),
+    "lm_dropout": Setting(0.1, 0, 1),
     "lr": Setting(0.001, 0),
     "lr_schedule": Setting(None),          # null or [[lr > 0, epochs >= 1], ...]
     "finetune_lr": Setting(1e-5, 0),
@@ -114,6 +114,8 @@ def _problem(value, setting: Setting):
         return "must be finite"
     if setting.least is not None and value < setting.least:
         return f"must be >= {setting.least}"
+    if setting.below is not None and value >= setting.below:
+        return f"must be < {setting.below}"
     if setting.choices and value not in setting.choices:
         return f"must be one of {', '.join(setting.choices)}"
     if default is None and not all(lr > 0 and n >= 1 for lr, n in value or ()):

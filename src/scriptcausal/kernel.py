@@ -132,44 +132,36 @@ class SeqLayout:
     occupies rows ``offsets[t]:offsets[t + 1]`` (``sizes[t]`` of them); row
     p runs step ``steps[p]`` of sequence ``rows[p]`` from the state of row
     ``parent[p]`` (-1 at step 0); ``last[b]`` is sequence b's last row. A
-    sequence may be empty. From ``lengths`` alone every sequence keeps its
-    own rows, ordered by decreasing length (stable). Given the right-padded
-    id matrix ``ids`` too, sequences share the rows of a common prefix: each
-    distinct (parent, id) pair is one row, named by its first sequence, and
-    the children of a row are contiguous.
+    sequence may be empty. Given the right-padded id matrix ``ids``,
+    sequences share the rows of a common prefix: each distinct (parent, id)
+    pair is one row, named by its first sequence, and the children of a row
+    are contiguous. From ``lengths`` alone every sequence keeps its own
+    rows, ordered by decreasing length (stable).
     """
 
     def __init__(self, lengths, ids=None):
         self.lengths = np.asarray(lengths, dtype=np.intp)
         B = len(self.lengths)
         T = int(self.lengths.max(initial=0))
-        if ids is None:
-            order = np.argsort(-self.lengths, kind="stable")
-            sizes = B - np.cumsum(np.bincount(self.lengths, minlength=T + 1))[:T]
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-            self.steps = np.repeat(np.arange(T), sizes)
-            pos = np.arange(len(self.steps)) - offsets[self.steps]
-            self.rows = order[pos]
-            self.parent = np.where(self.steps, offsets[self.steps - 1] + pos, -1)
-            self.last = (offsets[np.maximum(self.lengths - 1, 0)]
-                         + np.argsort(order))
-        else:
-            width = int(ids.max(initial=0)) + 1
-            self.last = np.zeros(B, dtype=np.intp)   # row of the latest step
-            rows, parent, sizes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
-            for t in range(T):
-                live = np.flatnonzero(self.lengths > t)
-                _, first, node = np.unique(self.last[live] * width + ids[live, t],
-                                           return_index=True, return_inverse=True)
-                rows.append(live[first])
-                parent.append(self.last[rows[-1]] if t else -np.ones_like(first))
-                self.last[live] = sum(sizes) + node
-                sizes.append(len(first))
-            self.rows, self.parent = np.concatenate(rows), np.concatenate(parent)
-            self.steps = np.repeat(np.arange(T), sizes)
-            offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        if ids is None:   # every id of a sequence is its rank by length: no sharing
+            rank = np.empty(B, np.intp)
+            rank[np.argsort(-self.lengths, kind="stable")] = np.arange(B)
+            ids = np.broadcast_to(rank[:, None], (B, T))
+        width = int(ids.max(initial=0)) + 1
+        self.last = np.zeros(B, dtype=np.intp)   # row of the latest step
+        rows, parent, sizes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
+        for t in range(T):
+            live = np.flatnonzero(self.lengths > t)
+            _, first, node = np.unique(self.last[live] * width + ids[live, t],
+                                       return_index=True, return_inverse=True)
+            rows.append(live[first])
+            parent.append(self.last[rows[-1]] if t else -np.ones_like(first))
+            self.last[live] = sum(sizes) + node
+            sizes.append(len(first))
+        self.rows, self.parent = np.concatenate(rows), np.concatenate(parent)
+        self.steps = np.repeat(np.arange(T), sizes)
         self.sizes = [int(n) for n in sizes]
-        self.offsets = offsets.tolist()
+        self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))).tolist()
 
     def final(self, H):
         """(B, h) last state of each sequence; zeros for an empty one."""

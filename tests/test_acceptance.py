@@ -326,7 +326,7 @@ def test_criterion_7_infrequent_cloze_crossover():
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: byte-identical reruns across seeds and thread counts
+# criterion 8: byte-identical reruns across seeds and estimator worker counts
 
 
 def test_criterion_8_determinism(tmp_path, monkeypatch):
@@ -337,14 +337,19 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
            "cloze_count": 20, "exclude_top": 0}
     (tmp_path / "cfg.json").write_text(__import__("json").dumps(cfg))
 
-    def pipeline(d, threads):
+    # one BLAS thread, so the estimator runs one worker per usable CPU
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def pipeline(d, cpus):
         d.mkdir()
-        base = ["--config", "cfg.json", "--threads", str(threads)]
+        monkeypatch.setattr(causal, "usable_cpus", lambda: cpus)
+        assert causal.worker_count(100) == cpus
+        base = ["--config", "cfg.json"]
 
         def run(*argv):
             assert cli.main(list(argv)) == 0
 
-        run("--seed", "11", "--threads", str(threads), "synth",
+        run("--seed", "11", "synth",
             "--fixture", "F-POPCORN", "--n", "200", "--annotate",
             "--output", f"{d}/c.jsonl")
         run(*base, "ingest", "--input", f"{d}/c.jsonl",
@@ -372,8 +377,8 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
             f"{d}/v.tsv", "--lm", f"{d}/lm.bin", "--itable", f"{d}/t.bin",
             "--counts", f"{d}/cnt.tsv", "--output", f"{d}/cloze.tsv")
 
-    pipeline(tmp_path / "A", threads=1)
-    pipeline(tmp_path / "B", threads=4)
+    pipeline(tmp_path / "A", cpus=1)
+    pipeline(tmp_path / "B", cpus=4)
     artifacts = ["c.jsonl", "ing.jsonl", "tr.jsonl", "dv.jsonl", "te.jsonl",
                  "v.tsv", "cnt.tsv", "lm.bin", "m.bin", "ft.bin", "t.bin",
                  "t.tsv", "cloze.tsv"]

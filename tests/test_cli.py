@@ -371,13 +371,14 @@ _BAD_SCHEDULES = [[[0.1, -1]], [[0.1, 0]], [[-0.1, 1]], [[0, 2]],
                   [[0.1, 1], [0.01, 0]], [[math.inf, 1]], [[math.nan, 1]]]
 
 # out-of-range values of the other keys: a rate or weight below 0 or not
-# finite, and a ratio that is not finite
+# finite, a dropout rate of 1 or more, and a ratio that is not finite
 _NOT_FINITE = [math.nan, math.inf, -math.inf]
 _BAD_VALUES = {
     "lr_schedule": st.sampled_from(_BAD_SCHEDULES),
     "ratios": st.sampled_from([[x, 0.5, 0.5] for x in _NOT_FINITE]),
-    **dict.fromkeys(["clip_norm", "finetune_lr", "lm_dropout", "lr"],
-                    st.sampled_from(_NOT_FINITE + [-1e-3, -1, -2.5]))}
+    **dict.fromkeys(["clip_norm", "finetune_lr", "lr"],
+                    st.sampled_from(_NOT_FINITE + [-1e-3, -1, -2.5])),
+    "lm_dropout": st.sampled_from(_NOT_FINITE + [-1e-3, -1, -2.5, 1.0, 1.5])}
 
 
 @settings(max_examples=60, deadline=None,
@@ -392,6 +393,20 @@ def test_out_of_range_config_value_is_a_config_error(workdir, capsys, data):
     assert run("--config", "bad.json", "synth", "--fixture", "F-DET",
                "--n", "2", "--output", "c.jsonl") == 1
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5])
+def test_lm_dropout_of_one_or_more_is_a_config_error(workdir, capsys, value):
+    """A dropout rate of 1 or more keeps no input: train-lm refuses it as a
+    config error naming the key and writes no model."""
+    run("synth", "--fixture", "F-DET", "--n", "20", "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    (workdir / "bad.json").write_text(json.dumps({**TINY_CFG, "lm_dropout": value}))
+    capsys.readouterr()
+    assert run("--config", "bad.json", "train-lm", "--train", "c.jsonl",
+               "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "lm.bin") == 1
+    assert "'lm_dropout' must be < 1" in capsys.readouterr().err
+    assert not (workdir / "lm.bin").exists()
 
 
 @pytest.mark.parametrize("key,value", [("batch_size", 0), ("hidden_dim", 0),
@@ -673,6 +688,41 @@ def test_library_defaults_are_the_run_defaults():
     assert baselines.EventLM(5).config == run_cfg.slice(baselines.CONFIG_KEYS)
     assert causal.ConditionalModel(5).config == run_cfg.slice(causal.CONFIG_KEYS)
     assert baselines.EventLM(5).config["max_epochs"] == run_cfg["max_epochs"] == 30
+
+
+def test_every_run_key_is_read():
+    """Every run key reaches a stage: cli.py reads it as cfg["key"] or in a
+    slice of same("..."), or a model records it in its CONFIG_KEYS."""
+    source = open(cli.__file__, encoding="utf-8").read()
+    read = set(re.findall(r'cfg\["(\w+)"\]', source))
+    for keys in re.findall(r'same\("([^"]+)"\)', source):
+        read.update(keys.split())
+    read.update(causal.CONFIG_KEYS.values(), baselines.CONFIG_KEYS.values())
+    assert sorted(config.RUN_KEYS.keys() - read) == []
+
+
+def test_model_file_sets_the_instance_window(workdir):
+    """finetune-cond and estimate-do cut their instances by the history
+    window and out-of-text threshold that the model file records, whatever
+    the run's config says, so their outputs do not depend on it."""
+    (workdir / "w2.json").write_text(json.dumps(dict(TINY_CFG, history_window=2)))
+    (workdir / "w9.json").write_text(json.dumps(
+        dict(TINY_CFG, history_window=9, oot_threshold=1)))
+    run("--seed", "5", "synth", "--fixture", "F-POPCORN", "--n", "40",
+        "--annotate", "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    assert run("--config", "w2.json", "train-cond", "--train", "c.jsonl", "--dev",
+               "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 0
+    for cfg in ("w2", "w9"):
+        assert run("--config", f"{cfg}.json", "finetune-cond", "--model", "m.bin",
+                   "--annotated", "c.jsonl", "--vocab", "v.tsv",
+                   "--output", f"ft_{cfg}.bin") == 0
+        assert run("--config", f"{cfg}.json", "estimate-do", "--model", "m.bin",
+                   "--corpus", "c.jsonl", "--vocab", "v.tsv",
+                   "--output", f"t_{cfg}.bin") == 0
+    for name in ("ft", "t"):
+        assert ((workdir / f"{name}_w2.bin").read_bytes()
+                == (workdir / f"{name}_w9.bin").read_bytes()), name
 
 
 @pytest.mark.parametrize("score", ["500", "-1", "100.5", "nan", "inf", "-inf"])

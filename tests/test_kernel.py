@@ -355,6 +355,28 @@ def test_length_aware_gru_matches_per_row_fold():
                                    rtol=0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=12))
+def test_lengths_only_layout_orders_rows_by_decreasing_length(lengths):
+    """Step t's rows are the first sizes[t] sequences in stable
+    decreasing-length order, each continuing the row at its own position
+    one step before; the LM's training bits rest on this order."""
+    layout = K.SeqLayout(lengths)
+    lengths = np.array(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    assert layout.sizes == [int((lengths > t).sum())
+                            for t in range(lengths.max(initial=0))]
+    assert layout.offsets == np.concatenate(([0], np.cumsum(layout.sizes))).tolist()
+    for t, n in enumerate(layout.sizes):
+        s = slice(layout.offsets[t], layout.offsets[t + 1])
+        np.testing.assert_array_equal(layout.rows[s], order[:n])
+        np.testing.assert_array_equal(layout.steps[s], t)
+        np.testing.assert_array_equal(
+            layout.parent[s], layout.offsets[t - 1] + np.arange(n) if t else -1)
+    for position, b in enumerate(order[lengths[order] > 0]):
+        assert layout.last[b] == layout.offsets[lengths[b] - 1] + position
+
+
 @st.composite
 def _shared_prefix_batches(draw):
     """Histories cut from a few chains over a 4-id vocabulary: prefixes,
