@@ -212,15 +212,12 @@ class EventLM:
             total += K.softmax_xent_batch(logits, targets)[0]
         return total / int(chains.counts.sum())
 
-    def next_distribution(self, histories) -> np.ndarray:
-        """(n, V) softmax over the next event after each history (a list of
-        event ids), from one encoder pass over ``<s> history`` in which the
+    def next_distribution(self, ids, lengths) -> np.ndarray:
+        """(n, V) softmax over the next event after each history (right-padded
+        ids, lengths), from one encoder pass over ``<s> history`` in which the
         histories share the rows of a common prefix."""
-        lengths = np.array([len(h) + 1 for h in histories])
-        ids = np.full((len(histories), lengths.max(initial=1)), START_ID)
-        for b, h in enumerate(histories):
-            ids[b, 1:lengths[b]] = h
-        layout = K.SeqLayout(lengths, ids)
+        ids = np.column_stack((np.full(len(ids), START_ID), ids))
+        layout = K.SeqLayout(np.asarray(lengths) + 1, ids)
         H, _ = K.encoder_forward(self.params, self._layers,
                                  ids[layout.rows, layout.steps], layout)
         return K.softmax(H[layout.last] @ self.params["out.W"].T

@@ -101,16 +101,19 @@ class PackedInstances:
 def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
                                token_vocab: TokenVocab | None = None,
                                oot_threshold: int = 3,
-                               history_window: int = 10) -> PackedInstances:
-    """One instance per chain position i >= 1, by index arithmetic over the
-    chain offsets. Target: event i. Sequence: the up to ``history_window``
-    events before i - 1, then event i - 1 (the prev event). Event i - 1's
-    text ids (none without a token vocabulary) and out-of-text ids rated
-    >= ``oot_threshold``."""
+                               history_window: int = 10,
+                               select=None) -> PackedInstances:
+    """One instance per chain position i >= 1, or only (and packing only)
+    those at the indices ``select(targets)`` returns. Target: event i.
+    Sequence: the up to ``history_window`` events before i - 1, then event
+    i - 1 (the prev event). Event i - 1's text ids (none without a token
+    vocabulary) and out-of-text ids rated >= ``oot_threshold``."""
     ids = corpus.event_ids(vocab)
     off, n = corpus.offsets, len(ids)
     pos = np.arange(n) - np.repeat(off[:-1], np.diff(off))
     at = np.flatnonzero(pos)
+    if select is not None:
+        at = at[select(ids[at])]
     prev = at - 1
     seq_len = np.minimum(pos[at], history_window + 1)
     text_len = (np.diff(corpus.text_off)[prev] if token_vocab is not None
@@ -558,26 +561,25 @@ def _candidates(scores, exclude_top, rank) -> list[int]:
     return ranked
 
 
-def mean_scores(score_matrix: np.ndarray, contexts) -> np.ndarray:
+def mean_scores(score_matrix: np.ndarray, ids, lengths) -> np.ndarray:
     """(n, V): row i is the mean of score_matrix[k] (S or dense PMI) over the
-    events k of the non-empty ``contexts[i]``, added position by position as
-    ``score_matrix[context].mean(axis=0)`` adds them, so the bits agree."""
-    lengths = np.array([len(c) for c in contexts])
-    flat, starts = np.concatenate(contexts), np.cumsum(lengths) - lengths
-    total = score_matrix[flat[starts]]
+    first ``lengths[i]`` >= 1 events k of the right-padded ``ids[i]``, added
+    position by position as ``score_matrix[context].mean(axis=0)`` adds
+    them, so the bits agree."""
+    total = score_matrix[ids[:, 0]]
     for t in range(1, lengths.max()):
         live = np.flatnonzero(lengths > t)
-        total[live] += score_matrix[flat[starts[live] + t]]
+        total[live] += score_matrix[ids[live, t]]
     return total / lengths[:, None]
 
 
 def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,
                    rank=()) -> int:
     """The candidate with the highest mean score[k, candidate] over the
-    context events k; ties go to the lowest id."""
-    if not context:
+    context event ids k; ties go to the lowest id."""
+    if not len(context):
         raise ConfigError("chain completion requires at least one context event")
-    scores = mean_scores(score_matrix, [context])[0]
+    scores = mean_scores(score_matrix, np.array([context]), np.r_[len(context)])[0]
     ranked = _candidates(scores, exclude_top, rank)
     if not np.isfinite(scores[ranked[0]]):
         raise ConfigError("no candidate has a finite score for this context")

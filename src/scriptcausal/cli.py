@@ -11,6 +11,9 @@ Exit codes: 0 success, 1 usage/config error, 2 data-format error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -249,13 +252,12 @@ def cmd_cloze(cfg, args):
     rank = frequency_rank(vocab)
     corpus = load_chains(_require(args.corpus, "test chain file"))
     systems = _systems(args, vocab, lambda lm: lm.next_distribution,
-                       lambda M: lambda contexts: causal.mean_scores(M, contexts))
+                       lambda M: functools.partial(causal.mean_scores, M))
     instances = evaluation.make_cloze_set(corpus, vocab, cfg["cloze_count"],
                                           cfg["seed"])
     report = evaluation.run_infrequent_cloze(systems, instances, rank,
                                              cfg["cutoffs"], cfg["recall_n"])
-    report.save(args.output)
-    return [args.output]
+    return _emit(report.to_tsv(), args.output)
 
 
 def cmd_sheet(cfg, args):
@@ -270,9 +272,7 @@ def cmd_sheet(cfg, args):
     rows = evaluation.pairwise_sheet(systems, targets, vocab, rank,
                                      cfg["per_system"], cfg["exclude_top"],
                                      cfg["seed"])
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(evaluation.sheet_to_tsv(rows))
-    return [args.output]
+    return _emit(evaluation.sheet_to_tsv(rows), args.output)
 
 
 def cmd_score_summary(cfg, args):
@@ -434,6 +434,12 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     overrides = {k: v for k, v in vars(args).items() if k in RUN_KEYS}
+    if args.command in ("train-lm", "train-cond", "finetune-cond"):
+        # batches reuse freed memory; other stages would only gain RSS
+        with contextlib.suppress(OSError):   # no glibc: malloc's defaults
+            libc = ctypes.CDLL("libc.so.6")   # ints pass as C ints
+            libc.mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+            libc.mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
     try:
         cfg = RunConfig(args.config, overrides)
         outputs = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)

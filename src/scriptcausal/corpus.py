@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, open_input
-from .events import FACTUALITY_LABELS, SPECIAL_KEYS, EventType, Vocabulary
+from .events import SPECIAL_KEYS, EventType, Vocabulary
 
 
 @dataclass
@@ -152,9 +152,6 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
                 if not all(isinstance(v, str) for v in triple):
                     raise DataFormatError(
                         f"line {lineno}: pred, dep and fact must be strings")
-                if triple[2] not in FACTUALITY_LABELS:
-                    raise DataFormatError(
-                        f"line {lineno}: unknown factuality label {triple[2]!r}")
                 try:
                     table.append(EventType(*triple))
                 except ConfigError as e:

@@ -1,10 +1,12 @@
 """Evaluation protocols: infrequent narrative cloze with Recall@N, pairwise
 abductive task sheets, score summaries, and output-diversity reports.
 
-A system enters the cloze as a score matrix: a callable mapping a list of
-contexts (event-id lists) to an (n, V) array that scores each context's
-candidate next events, BLOCK contexts per call. A system enters a pairwise
-sheet as a predecessor column: target l -> (V,) array of score(k, l).
+A cloze instance is a row of ``causal.PackedInstances``: the events before a
+chain position, and the event there as its target. A system enters the cloze
+as a score matrix: a callable mapping right-padded contexts (ids, lengths) to
+an (n, V) array that scores each context's candidate next events, BLOCK
+contexts per call. A system enters a pairwise sheet as a predecessor column:
+target l -> (V,) array of score(k, l).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import causal
 from .config import TABLE
 from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
@@ -23,35 +26,20 @@ from .events import NUM_SPECIALS, Vocabulary, ranked_ids
 BLOCK = 16   # contexts per system call: bounds the (BLOCK, V) score blocks
 
 
-@dataclass
-class ClozeInstance:
-    context: list[int]
-    answer: int
-    chain_id: str
-
-    def __post_init__(self):
-        if not self.context:
-            raise ConfigError("cloze context must be non-empty")
-        if self.answer < NUM_SPECIALS:
-            raise ConfigError("cloze answer must be a non-special event id")
-
-
 def make_cloze_set(corpus: ChainCorpus, vocab: Vocabulary, count: int,
-                   seed: int) -> list[ClozeInstance]:
-    """Seeded uniform sample (without replacement) of (chain, split-point)
-    pairs whose held-out answer is a real event."""
-    ids, off = corpus.event_ids(vocab), corpus.offsets
-    chain = np.repeat(np.arange(len(corpus)), np.diff(off))
-    pool = np.flatnonzero((np.arange(len(ids)) > off[chain])
-                          & (ids >= NUM_SPECIALS))
-    if len(pool) < count:
-        raise ConfigError(
-            f"corpus yields {len(pool)} cloze candidates, need {count}")
-    rng = np.random.default_rng(seed)
-    at = pool[sorted(rng.choice(len(pool), size=count, replace=False))]
-    ids, off = ids.tolist(), off.tolist()
-    return [ClozeInstance(ids[off[c]:i], ids[i], corpus.chain_ids[c])
-            for i, c in zip(at.tolist(), chain[at].tolist())]
+                   seed: int) -> causal.PackedInstances:
+    """Seeded uniform sample (without replacement) of the instances whose
+    held-out answer is a real event, each with every event before it."""
+    def sample(targets):
+        pool = np.flatnonzero(targets >= NUM_SPECIALS)
+        if len(pool) < count:
+            raise ConfigError(
+                f"corpus yields {len(pool)} cloze candidates, need {count}")
+        return pool[sorted(np.random.default_rng(seed).choice(
+            len(pool), size=count, replace=False))]
+    return causal.extract_training_instances(
+        corpus, vocab, history_window=np.diff(corpus.offsets).max(initial=0),
+        select=sample)
 
 
 def answer_positions(scores, answers) -> np.ndarray:
@@ -79,12 +67,8 @@ class ClozeReport:
                          + "\t".join(f"{r:.2f}" for r in self.recalls[system]))
         return "\n".join(lines) + "\n"
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_tsv())
 
-
-def run_infrequent_cloze(systems: dict, instances, rank,
+def run_infrequent_cloze(systems: dict, instances: causal.PackedInstances, rank,
                          cutoffs=TABLE["cutoffs"].default,
                          N: int = TABLE["recall_n"].default) -> ClozeReport:
     """Recall@N per system per exclusion cutoff over a fixed instance set.
@@ -95,14 +79,14 @@ def run_infrequent_cloze(systems: dict, instances, rank,
     cutoffs = list(cutoffs)
     if any(c < 0 for c in cutoffs):
         raise ConfigError("cutoff must be >= 0")
-    if not instances:
+    if not len(instances):
         raise ConfigError("recall undefined on an empty instance set")
-    answers = np.array([inst.answer for inst in instances])
+    blocks = [instances.take(slice(i, i + BLOCK))
+              for i in range(0, len(instances), BLOCK)]
     hits = {name: np.concatenate([answer_positions(
-        system([inst.context for inst in instances[i:i + BLOCK]]),
-        answers[i:i + BLOCK]) < N for i in range(0, len(answers), BLOCK)])
+        system(b.seq, b.seq_len), b.targets) < N for b in blocks])
         for name, system in systems.items()}
-    kept = [~np.isin(answers, rank[:cutoff]) for cutoff in cutoffs]
+    kept = [~np.isin(instances.targets, rank[:cutoff]) for cutoff in cutoffs]
     counts = [int(k.sum()) for k in kept]
     recalls = {name: [100.0 * int(h[k].sum()) / n if n else float("nan")
                       for k, n in zip(kept, counts)]
@@ -154,10 +138,12 @@ def lm_sheet_system(lm):
     the next-event rows of <s> and of each one-event history, BLOCK per pass."""
     @functools.cache
     def logp():
-        histories = [[], *([k] for k in range(lm.vocab_size))]
-        out = np.empty((len(histories), lm.vocab_size))
-        for i in range(0, len(histories), BLOCK):
-            out[i:i + BLOCK] = lm.next_distribution(histories[i:i + BLOCK])
+        ids = np.r_[0, :lm.vocab_size][:, None]   # row 0: the empty history
+        lengths = np.minimum(np.arange(len(ids)), 1)
+        out = np.empty((len(ids), lm.vocab_size))
+        for i in range(0, len(ids), BLOCK):
+            out[i:i + BLOCK] = lm.next_distribution(ids[i:i + BLOCK],
+                                                    lengths[i:i + BLOCK])
         return np.log(out, out=out)
 
     return lambda target: logp()[0] + logp()[1:, target]

@@ -6,6 +6,7 @@ F-POPCORN training pipeline behind the first two tests runs once per module
 and is shared; everything here is seeded and deterministic.
 """
 
+import functools
 import json
 import math
 import time
@@ -309,7 +310,7 @@ def test_criterion_7_infrequent_cloze_crossover():
 
     cloze = evaluation.make_cloze_set(test_c, vocab, 2000, seed=5)
     systems = {"lm": lm.next_distribution,
-               "causal": lambda contexts: causal.mean_scores(S, contexts)}
+               "causal": functools.partial(causal.mean_scores, S)}
     report = evaluation.run_infrequent_cloze(systems, cloze, rank,
                                              cutoffs=[0, 50, 100, 150, 200],
                                              N=100)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scriptcausal import baselines, evaluation
+from scriptcausal import baselines, causal, evaluation
 from scriptcausal import kernel as K
 from scriptcausal.corpus import parse_chains
 from scriptcausal.errors import ConfigError
@@ -24,6 +24,12 @@ def _corpus_from_id_chains(id_chains, preds):
         events = [{"pred": preds[k - NUM_SPECIALS], "dep": "x"} for k in ids]
         lines.append(json.dumps({"chain_id": f"c{i}", "events": events}))
     return parse_chains(lines), vocab
+
+
+def _next(lm, histories):
+    """``lm.next_distribution`` of histories given as id lists."""
+    packed = causal.PackedInstances.pack(histories)
+    return lm.next_distribution(packed.seq, packed.seq_len)
 
 
 def _as_dict(counts):
@@ -195,7 +201,7 @@ def test_lm_memorizes_two_event_chain():
     corpus, vocab = _memorization_corpus(["a", "b"])
     lm = baselines.train_event_lm(corpus, corpus, vocab, TINY_LM)
     a = vocab.id_of("a:x")
-    (dist,) = lm.next_distribution([[a]])
+    (dist,) = _next(lm, [[a]])
     assert dist[vocab.id_of("b:x")] >= 0.9
 
 
@@ -203,14 +209,14 @@ def test_lm_completion_argmax_on_memorized_triple():
     corpus, vocab = _memorization_corpus(["a", "b", "c"])
     lm = baselines.train_event_lm(corpus, corpus, vocab, TINY_LM)
     a, b, c = (vocab.id_of(f"{p}:x") for p in "abc")
-    (dist,) = lm.next_distribution([[a, b]])
+    (dist,) = _next(lm, [[a, b]])
     assert int(np.argmax(dist)) == c
 
 
 def test_lm_next_distribution_is_a_distribution():
     corpus, vocab = _memorization_corpus(["a", "b"], n=4)
     lm = baselines.EventLM(len(vocab), dict(TINY_LM, max_epochs=0))
-    dists = lm.next_distribution([[NUM_SPECIALS], [], [NUM_SPECIALS, 4]])
+    dists = _next(lm, [[NUM_SPECIALS], [], [NUM_SPECIALS, 4]])
     assert dists.shape == (3, len(vocab))
     np.testing.assert_allclose(dists.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert (dists >= 0).all()
@@ -349,7 +355,7 @@ def test_lm_next_distribution_is_the_framed_forward_row():
     want = _framed_rows(lm, seqs, chains)
     histories = [s[:t] for s in seqs for t in range(len(s) + 1)]
     # rows of one batched pass against another: equal up to BLAS summation order
-    for history, got in zip(histories, lm.next_distribution(histories)):
+    for history, got in zip(histories, _next(lm, histories)):
         np.testing.assert_allclose(got, want[tuple(history)], rtol=1e-12, atol=0)
 
 
@@ -368,7 +374,7 @@ def test_lm_next_distribution_blocks_are_the_framed_forward_rows(n):
     assert n < 2 or len(set(h[:1] for h in histories)) < n   # shared prefixes
     for i in range(0, len(histories), evaluation.BLOCK):
         block = [list(h) for h in histories[i:i + evaluation.BLOCK]]
-        got = lm.next_distribution(block)
+        got = _next(lm, block)
         assert got.shape == (len(block), V)
         for history, row in zip(block, got):
             np.testing.assert_allclose(row, want[tuple(history)],

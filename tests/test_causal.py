@@ -633,7 +633,8 @@ def test_mean_scores_are_the_per_context_means_bit_for_bit():
     M[rng.random((V, V)) < 0.2] = -np.inf        # unseen PMI pairs
     contexts = [rng.integers(0, V, size=rng.integers(1, 40)).tolist()
                 for _ in range(25)]
-    got = causal.mean_scores(M, contexts)
+    packed = causal.PackedInstances.pack(contexts)
+    got = causal.mean_scores(M, packed.seq, packed.seq_len)
     assert got.shape == (len(contexts), V)
     for context, row in zip(contexts, got):
         np.testing.assert_array_equal(row, M[np.asarray(context)].mean(axis=0))

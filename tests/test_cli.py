@@ -97,6 +97,43 @@ def test_full_pipeline_and_rerun_byte_identity(workdir):
                (workdir / "B" / name).read_bytes(), name
 
 
+_TRAIN_LM = ("--config", "cfg.json", "train-lm", "--train", "c.jsonl",
+             "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "lm.bin")
+
+
+def _lm_inputs():
+    assert run("synth", "--fixture", "F-DET", "--n", "20", "--output", "c.jsonl") == 0
+    assert run("--config", "cfg.json", "vocab", "--input", "c.jsonl",
+               "--output", "v.tsv") == 0
+
+
+def test_training_stages_keep_freed_memory_through_mallopt(workdir, monkeypatch):
+    calls = []
+
+    class FakeLibc:
+        def __init__(self, name):
+            calls.append(name)
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", FakeLibc)
+    _lm_inputs()
+    assert calls == []   # the stages that do not train leave malloc alone
+    assert run(*_TRAIN_LM) == 0
+    # M_TRIM_THRESHOLD 256 MiB, M_MMAP_THRESHOLD 32 MiB
+    assert calls == ["libc.so.6", (-1, 256 << 20), (-3, 32 << 20)]
+
+
+def test_training_runs_without_a_loadable_libc(workdir, monkeypatch):
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    _lm_inputs()
+    assert run(*_TRAIN_LM) == 0
+    assert baselines.EventLM.load(workdir / "lm.bin").vocab_size == len(
+        Vocabulary.load(workdir / "v.tsv"))
+
+
 def test_score_and_complete_commands(workdir):
     run("--seed", "2", "synth", "--fixture", "F-DET", "--n", "60",
         "--output", "c.jsonl")

@@ -78,6 +78,14 @@ def test_parse_rejects_missing_fields():
         parse_chains([json.dumps({"chain_id": "x", "events": [{"pred": "a"}]})])
 
 
+def test_unknown_factuality_label_names_its_line():
+    line = json.dumps({"chain_id": "x", "events": [
+        {"pred": "a", "dep": "nsubj", "fact": "maybe"}]})
+    with pytest.raises(DataFormatError,
+                       match="line 1: unknown factuality label 'maybe'"):
+        parse_chains([line])
+
+
 def test_round_trip_is_byte_identical(tmp_path):
     src = _write(tmp_path, [
         _chain_json("a", [("go", "pos", ["went"], [["sleep:nsubj", 4]])]),

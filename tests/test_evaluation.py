@@ -1,12 +1,13 @@
 """Cloze harness, pairwise sheets, score summaries, and diversity stats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scriptcausal import evaluation
+from scriptcausal import causal, evaluation
 from scriptcausal.corpus import build_vocab_from, parse_chains
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS, Vocabulary, ranked_ids
@@ -20,16 +21,22 @@ def _corpus(chains_preds):
     return corpus, build_vocab_from(corpus, min_count=1)
 
 
-def _mk(context, answer, cid="c"):
-    return evaluation.ClozeInstance(context, answer, cid)
+def _mk(*pairs):
+    """Cloze instances from (context, answer) pairs."""
+    contexts, answers = zip(*pairs) if pairs else ((), ())
+    return causal.PackedInstances.pack(list(contexts), targets=list(answers))
+
+
+def _contexts(ids, lengths):
+    """Right-padded contexts as id lists."""
+    return [row[:n].tolist() for row, n in zip(ids, lengths)]
 
 
 def test_two_event_chain_single_instance():
     corpus, vocab = _corpus([["a", "b"]])
     instances = evaluation.make_cloze_set(corpus, vocab, 1, seed=0)
-    inst = instances[0]
-    assert inst.context == [vocab.id_of("a:x")]
-    assert inst.answer == vocab.id_of("b:x")
+    assert _contexts(instances.seq, instances.seq_len)[0] == [vocab.id_of("a:x")]
+    assert instances.targets[0] == vocab.id_of("b:x")
 
 
 def test_cloze_set_exact_count_and_determinism():
@@ -37,8 +44,44 @@ def test_cloze_set_exact_count_and_determinism():
     s1 = evaluation.make_cloze_set(corpus, vocab, 40, seed=6)
     s2 = evaluation.make_cloze_set(corpus, vocab, 40, seed=6)
     assert len(s1) == 40
-    assert [(i.context, i.answer, i.chain_id) for i in s1] == \
-           [(i.context, i.answer, i.chain_id) for i in s2]
+    for name in ("seq", "seq_len", "targets"):
+        np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
+
+
+def test_cloze_set_is_a_sample_of_the_training_instances():
+    """Each context is every event before its answer's position: the
+    instances of a history window as long as the longest chain."""
+    corpus, vocab = _corpus([list("abcdefg"), list("ab"), list("cbadc")] * 6)
+    full = causal.extract_training_instances(corpus, vocab, history_window=7)
+    cloze = evaluation.make_cloze_set(corpus, vocab, len(full), seed=1)
+    for name in ("seq", "seq_len", "targets"):
+        np.testing.assert_array_equal(getattr(cloze, name), getattr(full, name))
+    ids = corpus.event_ids(vocab).tolist()
+    starts = np.repeat(corpus.offsets[:-1], np.diff(corpus.offsets))
+    want = [ids[s:i] for i, s in enumerate(starts.tolist()) if i > s]
+    assert _contexts(cloze.seq, cloze.seq_len) == want
+
+
+def test_cloze_set_packs_only_its_sampled_rows():
+    """One long chain among many short ones: the cloze's memory follows its
+    sampled contexts, not every position padded to the longest chain, and
+    its rows are the same sample of the full instance arrays."""
+    corpus, vocab = _corpus([[f"p{i % 40}" for i in range(1000)]]
+                            + [list("abc")] * 2000)
+    full = causal.extract_training_instances(corpus, vocab, history_window=1000)
+    pool = np.flatnonzero(full.targets >= NUM_SPECIALS)
+    want = full.take(pool[sorted(np.random.default_rng(3).choice(
+        len(pool), size=20, replace=False))])
+    del full   # its (4999, 1000) id matrix alone is 40 MB
+    tracemalloc.start()
+    try:
+        cloze = evaluation.make_cloze_set(corpus, vocab, 20, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("seq", "seq_len", "targets"):
+        np.testing.assert_array_equal(getattr(cloze, name), getattr(want, name))
+    assert peak < 4 << 20   # packing every position: about 45 MB
 
 
 def test_cloze_insufficient_corpus_rejected():
@@ -52,7 +95,7 @@ def _ranking(order, V):
     in that order, then every other id at -inf."""
     row = np.full(V, -np.inf)
     row[order] = np.arange(len(order), 0, -1)
-    return lambda contexts: np.tile(row, (len(contexts), 1))
+    return lambda ids, lengths: np.tile(row, (len(lengths), 1))
 
 
 def _counts(instances, rank, cutoffs):
@@ -61,12 +104,12 @@ def _counts(instances, rank, cutoffs):
 
 
 def test_cutoff_zero_is_identity():
-    instances = [_mk([3], 4), _mk([4], 3)]
+    instances = _mk(([3], 4), ([4], 3))
     assert _counts(instances, [3, 4], [0]) == [2]
 
 
 def test_cutoff_full_vocab_empties():
-    instances = [_mk([3], 4), _mk([4], 3)]
+    instances = _mk(([3], 4), ([4], 3))
     report = evaluation.run_infrequent_cloze(
         {"s": _ranking([3, 4], 8)}, instances, [3, 4], [2], 2)
     assert report.counts == [0]
@@ -75,16 +118,16 @@ def test_cutoff_full_vocab_empties():
 
 def test_cutoff_boundary_removes_rank_equal_to_cutoff():
     # answer ranked exactly at 1-indexed position == cutoff is removed
-    instances = [_mk([5], 4)]
+    instances = _mk(([5], 4))
     assert _counts(instances, [3, 4, 5], [2, 1]) == [0, 1]
 
 
 def test_cutoff_composition():
     rng = np.random.default_rng(0)
     rank = list(range(NUM_SPECIALS, NUM_SPECIALS + 20))
-    instances = [_mk([3], int(rng.integers(NUM_SPECIALS, NUM_SPECIALS + 20)))
-                 for _ in range(50)]
-    via_5 = [inst for inst in instances if inst.answer not in rank[:5]]
+    instances = _mk(*[([3], int(rng.integers(NUM_SPECIALS, NUM_SPECIALS + 20)))
+                      for _ in range(50)])
+    via_5 = instances.take(np.flatnonzero(~np.isin(instances.targets, rank[:5])))
     system = {"s": _ranking(rank[::3], 40)}
     assert (evaluation.run_infrequent_cloze(system, via_5, rank, [12], 4)
             == evaluation.run_infrequent_cloze(system, instances, rank, [12], 4))
@@ -97,29 +140,29 @@ def _recall(order, instances, N):
 
 
 def test_recall_ratio():
-    instances = [_mk([3], 4), _mk([3], 5), _mk([3], 6), _mk([3], 7)]
+    instances = _mk(([3], 4), ([3], 5), ([3], 6), ([3], 7))
     assert _recall([4, 5], instances, 2) == 50.0   # hits the first two answers
 
 
 def test_recall_exhaustive_list_is_100():
-    instances = [_mk([3], k) for k in range(3, 8)]
+    instances = _mk(*[([3], k) for k in range(3, 8)])
     assert _recall(list(range(8)), instances, 8) == 100.0
 
 
 def test_recall_constant_miss_is_0():
-    instances = [_mk([3], 6), _mk([3], 7)]
+    instances = _mk(([3], 6), ([3], 7))
     assert _recall([3, 4], instances, 2) == 0.0
 
 
 def test_recall_empty_set_rejected():
     with pytest.raises(ConfigError):
-        evaluation.run_infrequent_cloze({"s": _ranking([], 8)}, [], [])
+        evaluation.run_infrequent_cloze({"s": _ranking([], 8)}, _mk(), [])
 
 
 def test_recall_monotone_in_n():
     rng = np.random.default_rng(1)
     order = list(range(3, 30))
-    instances = [_mk([3], int(rng.integers(3, 30))) for _ in range(40)]
+    instances = _mk(*[([3], int(rng.integers(3, 30))) for _ in range(40)])
     values = [_recall(order, instances, n) for n in range(1, 28)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -139,12 +182,14 @@ def test_cloze_report_defaults_and_monotone_counts():
 def test_cloze_ranks_each_instance_once_per_system():
     rng = np.random.default_rng(4)
     rank = list(range(NUM_SPECIALS, 40))
-    instances = [_mk([int(rng.integers(NUM_SPECIALS, 40))],
-                     int(rng.integers(NUM_SPECIALS, 40))) for _ in range(60)]
+    instances = _mk(*[([int(rng.integers(NUM_SPECIALS, 40))],
+                       int(rng.integers(NUM_SPECIALS, 40))) for _ in range(60)])
+    contexts = _contexts(instances.seq, instances.seq_len)
     seen = {}
 
     def counting(name, shift):
-        def scores(contexts):
+        def scores(ids, lengths):
+            contexts = _contexts(ids, lengths)
             seen.setdefault(name, []).append(contexts)
             rows = np.full((len(contexts), 40), -np.inf)
             for i, context in enumerate(contexts):   # ties among ids 34..39
@@ -160,13 +205,15 @@ def test_cloze_ranks_each_instance_once_per_system():
     blocks = -(-len(instances) // evaluation.BLOCK)
     for name in systems:
         assert len(seen[name]) == blocks
-        assert sum(seen[name], []) == [inst.context for inst in instances]
+        assert sum(seen[name], []) == contexts
     for j, cutoff in enumerate(cutoffs):
-        kept = [inst for inst in instances if inst.answer not in rank[:cutoff]]
+        kept = [i for i, answer in enumerate(instances.targets)
+                if answer not in rank[:cutoff]]
         assert report.counts[j] == len(kept)
         for name, system in systems.items():
-            hits = [inst.answer in ranked_ids(system([inst.context])[0])[:N]
-                    for inst in kept]
+            hits = [instances.targets[i] in ranked_ids(system(
+                instances.seq[i:i + 1], instances.seq_len[i:i + 1])[0])[:N]
+                for i in kept]
             want = 100.0 * sum(hits) / len(kept) if kept else float("nan")
             np.testing.assert_equal(report.recalls[name][j], want)
 
@@ -192,7 +239,8 @@ def test_lm_sheet_system_runs_the_lm_in_blocks():
         vocab_size = 2 * evaluation.BLOCK + 5
         histories = []
 
-        def next_distribution(self, histories):
+        def next_distribution(self, ids, lengths):
+            histories = _contexts(ids, lengths)
             self.histories.append(histories)
             dist = (np.arange(1.0, self.vocab_size + 1)
                     + np.array([h[0] if h else 0 for h in histories])[:, None])
@@ -204,9 +252,10 @@ def test_lm_sheet_system_runs_the_lm_in_blocks():
     got = [column(l) for l in range(3, 8)]
     assert [len(h) for h in lm.histories] == [evaluation.BLOCK] * 2 + [6]
     assert sum(lm.histories, []) == [[], *([k] for k in range(V))]
-    start = np.log(lm.next_distribution([[]])[0])
-    want = [[float(start[k]) + float(np.log(lm.next_distribution([[k]])[0][l]))
-             for k in range(V)] for l in range(3, 8)]
+    start = np.log(lm.next_distribution(np.zeros((1, 0), int), [0])[0])
+    want = [[float(start[k]) + float(np.log(
+        lm.next_distribution(np.array([[k]]), [1])[0][l]))
+        for k in range(V)] for l in range(3, 8)]
     assert [c.tolist() for c in got] == want
 
 
