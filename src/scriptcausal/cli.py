@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, causal, evaluation, kernel, synth
+from . import synth   # the heavier modules: in the commands that use them
 from .config import RUN_KEYS, TABLE, RunConfig, same
 from .corpus import (build_token_vocab, build_vocab_from, load_chains,
                      split_corpus, write_chains)
@@ -71,6 +71,7 @@ def _check_vocab_size(what, size, vocab):
 
 
 def _load_itable(args, vocab):
+    from . import causal
     table = causal.InterventionTable.load(_require(args.itable, "intervention table"))
     _check_vocab_size("the intervention table", len(table.effect), vocab)
     return table
@@ -79,6 +80,7 @@ def _load_itable(args, vocab):
 def _instances(corpus, vocab, settings, token_vocab=None):
     """Instances cut by ``settings``'s oot_threshold and history_window: the
     run's when training a model, the model file's when reading one."""
+    from . import causal
     return causal.extract_training_instances(
         corpus, vocab, token_vocab, settings["oot_threshold"],
         settings["history_window"])
@@ -112,6 +114,7 @@ def cmd_vocab(cfg, args):
 
 
 def cmd_count_pmi(cfg, args):
+    from . import baselines
     corpus = load_chains(_require(args.input, "chain file"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     counts = baselines.count_skip_bigrams(corpus, vocab, cfg["window"])
@@ -120,6 +123,7 @@ def cmd_count_pmi(cfg, args):
 
 
 def cmd_train_lm(cfg, args):
+    from . import baselines
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     train = load_chains(_require(args.train, "training chain file"))
     dev = load_chains(_require(args.dev, "dev chain file"))
@@ -130,6 +134,7 @@ def cmd_train_lm(cfg, args):
 
 
 def cmd_train_cond(cfg, args):
+    from . import causal
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     train = load_chains(_require(args.train, "training chain file"))
     token_vocab = build_token_vocab(train)
@@ -144,6 +149,7 @@ def cmd_train_cond(cfg, args):
 
 
 def cmd_finetune_cond(cfg, args):
+    from . import causal
     model = causal.ConditionalModel.load(
         _require(args.model, "pretrained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
@@ -160,6 +166,7 @@ def cmd_finetune_cond(cfg, args):
 
 
 def cmd_estimate_do(cfg, args):
+    from . import causal
     model = causal.ConditionalModel.load(
         _require(args.model, "trained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
@@ -180,6 +187,7 @@ def cmd_estimate_do(cfg, args):
 
 
 def cmd_score(cfg, args):
+    from . import causal
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     table = _load_itable(args, vocab)
     rank = frequency_rank(vocab)
@@ -193,6 +201,7 @@ def cmd_score(cfg, args):
 
 
 def cmd_complete(cfg, args):
+    from . import causal
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
     context = [vocab.id_of(k) for k in args.context]
@@ -214,6 +223,7 @@ def cmd_synth(cfg, args):
 
 
 def cmd_oracle(cfg, args):
+    from . import causal
     cbn = _load_cbn(args)
     rows = [cbn.exact_do_distribution(k) for k in range(cbn.num_events)]
     causal.InterventionTable(np.array(rows)).export_tsv(args.output, cbn.event_keys)
@@ -223,6 +233,7 @@ def cmd_oracle(cfg, args):
 def _score_matrices(args, vocab):
     """Dense pair-score matrices of the systems given by --itable (causal)
     and --counts (pmi)."""
+    from . import baselines, causal
     matrices = {}
     if args.itable:
         matrices["causal"] = causal.script_score_matrix(_load_itable(args, vocab))
@@ -235,6 +246,7 @@ def _score_matrices(args, vocab):
 def _systems(args, vocab, lm_system, matrix_system):
     """The systems named on the command line, in the order lm, causal,
     pmi: ``lm_system(lm)`` for the LM, ``matrix_system(M)`` for the others."""
+    from . import baselines
     systems = {}
     if args.lm:
         lm = baselines.EventLM.load(_require(args.lm, "LM model file"))
@@ -248,6 +260,7 @@ def _systems(args, vocab, lm_system, matrix_system):
 
 
 def cmd_cloze(cfg, args):
+    from . import causal, evaluation
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
     corpus = load_chains(_require(args.corpus, "test chain file"))
@@ -261,6 +274,7 @@ def cmd_cloze(cfg, args):
 
 
 def cmd_sheet(cfg, args):
+    from . import evaluation
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
     systems = _systems(args, vocab, evaluation.lm_sheet_system,
@@ -276,6 +290,7 @@ def cmd_sheet(cfg, args):
 
 
 def cmd_score_summary(cfg, args):
+    from . import evaluation
     with open_input(_require(args.input, "filled sheet")) as f:
         rows = evaluation.parse_sheet_tsv(f.read())
     summary = evaluation.score_summary(rows)
@@ -289,6 +304,7 @@ def cmd_score_summary(cfg, args):
 
 
 def cmd_diversity(cfg, args):
+    from . import evaluation
     emissions = {}
     with open_input(_require(args.input, "emissions file")) as f:
         for lineno, line in enumerate(f, start=1):
@@ -316,6 +332,7 @@ def gradient_errors(seed) -> dict:
     """Worst relative finite-difference gradient error of the 2-layer event
     LM and of the conditional model in each phase, on small models and
     random batches drawn from ``seed``."""
+    from . import baselines, causal, kernel
     rng = np.random.default_rng(seed)
     results = {}
     lm = baselines.EventLM(10, {"emb_dim": 6, "hidden_dim": 7, "num_layers": 2,

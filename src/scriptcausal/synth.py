@@ -14,6 +14,7 @@ positivity holds: any event can follow any other in any scenario.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -136,15 +137,16 @@ class SyntheticCBN:
 
     def sample_chains(self, n: int, seed: int,
                       annotate_scenario: bool = False) -> ChainCorpus:
-        """Draw n chains. Chain i takes L + 1 uniforms from its own rng
-        ``default_rng([seed, i])``: one picks the scenario, the others walk
-        its kernel from START, all chains at once. Each pick inverts the CDF
-        as ``rng.choice(p=...)`` does: ``cdf /= cdf[-1]``, then ``side="right"``."""
+        """Draw n chains. Chain i takes the L + 1 uniforms
+        ``default_rng([seed, i]).random(L + 1)``, made for all chains at once
+        by ``_uniforms`` (``test_uniforms_equal_the_per_chain_generators``
+        holds them equal bit for bit): one picks the scenario, the others
+        walk its kernel from START. Each pick inverts the CDF as
+        ``rng.choice(p=...)`` does: ``cdf /= cdf[-1]``, then ``side="right"``."""
         if n < 1:
             raise ConfigError("need n >= 1 chains")
         L = self.chain_length
-        u = np.array([np.random.default_rng([seed, i]).random(L + 1)
-                      for i in range(n)])
+        u = _uniforms(seed, n, L + 1)
         pi_cdf = self.pi.cumsum()
         z = (pi_cdf / pi_cdf[-1] <= u[:, :1]).sum(axis=1)
         events = np.empty((n, L), dtype=np.intp)
@@ -212,6 +214,58 @@ class SyntheticCBN:
     @staticmethod
     def load(path) -> "SyntheticCBN":
         return read_json(path, "CBN spec", SyntheticCBN.from_dict)
+
+
+def _hash32(x, j, init=0x43B0D7E5, mult=0x931E8875):
+    """SeedSequence's j-th hashmix of the uint32 words x; with INIT_B and
+    MULT_B, its j-th output word."""
+    c = [init * pow(mult, j + d, 1 << 32) & 0xFFFFFFFF for d in (0, 1)]
+    x = (x ^ c[0]) * c[1]
+    return x ^ x >> 16
+
+
+def _uniforms(seed, n, k):
+    """Row i is ``np.random.default_rng([seed, i]).random(k)`` bit for bit
+    (i < 2**32), with the integer arithmetic of all rows done at once:
+    SeedSequence mixes the 32-bit words of seed and i into its pool and
+    draws ``generate_state(4, uint64)`` from it (NEP 19); PCG64 seeds its
+    128-bit LCG with them and takes k steps, each giving its XSL-RR output
+    x (O'Neill 2014), in 64-bit limbs; the double is ``(x >> 11) * 2**-53``."""
+    np.random.SeedSequence(seed)   # refuses what default_rng refuses
+    seed, m32 = int(seed), 0xFFFFFFFF
+    words = [np.full(n, seed >> s & m32, np.uint32)
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(n, dtype=np.uint32))
+    j = itertools.count()
+    pool = [_hash32(w, next(j)) for w in (words + [np.zeros(n, np.uint32)] * 2)[:4]]
+    for src, dst in [*itertools.permutations(range(4), 2),
+                     *itertools.product(range(4, len(words)), range(4))]:
+        y = _hash32(pool[src] if src < 4 else words[src], next(j))
+        x = 0xCA01F9DD * pool[dst] - 0x4973F715 * y   # mix(pool[dst], y)
+        pool[dst] = x ^ x >> 16
+    out = [_hash32(pool[w % 4], w, 0x8B51F9DD, 0x58F38DED).astype(np.uint64)
+           for w in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (out[w] | out[w + 1] << 32 for w in range(0, 8, 2))
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+
+    def step(hi, lo):
+        """state * 0x2360ED051FC65DA4_4385DF649FCCF645 + inc, mod 2**128."""
+        l0, l1 = lo & m32, lo >> 32   # lo * the low word, in 32-bit halves
+        p00, p01, p10 = l0 * 0x9FCCF645, l0 * 0x4385DF64, l1 * 0x9FCCF645
+        mid = (p00 >> 32) + (p01 & m32) + (p10 & m32)
+        high = l1 * 0x4385DF64 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        low = lo * 0x4385DF649FCCF645 + inc_lo
+        return (high + lo * 0x2360ED051FC65DA4 + hi * 0x4385DF649FCCF645
+                + inc_hi + (low < inc_lo)), low
+
+    lo = inc_lo + s_lo   # the state is inc after the first step; add the seed
+    hi, lo = step(inc_hi + s_hi + (lo < s_lo), lo)
+    x = np.empty((n, k), dtype=np.uint64)
+    for t in range(k):
+        hi, lo = step(hi, lo)
+        rot = hi >> 58
+        x[:, t] = (hi ^ lo) >> rot | (hi ^ lo) << (-rot & 63)
+    return (x >> 11) * 2.0 ** -53
 
 
 def build_fixture(name: str) -> SyntheticCBN:

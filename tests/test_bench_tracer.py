@@ -10,7 +10,7 @@ import importlib
 import json
 from pathlib import Path
 
-from scriptcausal import cli
+from scriptcausal import causal, cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -68,4 +68,4 @@ def test_traced_pipeline_matches_untraced(tmp_path, monkeypatch):
                  "kernel.adam_update", "kernel.gru_forward",
                  "causal.train_conditional", "baselines.train_event_lm"):
         assert tracer.calls(name) > 0, name
-    assert not hasattr(cli.causal.train_conditional, "__wrapped__")
+    assert not hasattr(causal.train_conditional, "__wrapped__")

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +267,37 @@ def test_bad_chain_field_exit_code(workdir, capsys, field, value):
     assert run("vocab", "--input", "bad.jsonl", "--output", "v.tsv") == 2
     assert "line 2" in capsys.readouterr().err
     assert not os.path.exists("v.tsv")
+
+
+@pytest.mark.parametrize("chain_id", [None, True, 2.5, [1], {"a": 1}])
+def test_chain_id_of_another_json_type_exit_code(workdir, capsys, chain_id):
+    """A chain id is a string or an integer; a null one is not read as the
+    text "None", which a later real "None" id would then duplicate."""
+    good = {"pred": "eat", "dep": "nsubj"}
+    lines = [json.dumps({"chain_id": 7, "events": [good]}),
+             json.dumps({"chain_id": chain_id, "events": [good]}),
+             json.dumps({"chain_id": "None", "events": [good]})]
+    (workdir / "ids.jsonl").write_text("\n".join(lines) + "\n")
+    assert run("ingest", "--input", "ids.jsonl", "--output", "out.jsonl") == 2
+    assert "line 2: chain_id must be a string or an integer" in capsys.readouterr().err
+
+
+def test_corpus_commands_import_no_model_module(workdir):
+    """split and vocab run without importing the model, estimator and
+    evaluation layers."""
+    run("synth", "--fixture", "F-DET", "--n", "40", "--output", "c.jsonl")
+    code = ("import sys; from scriptcausal import cli; "
+            "assert cli.main(['split', '--input', 'c.jsonl', '--train', "
+            "'tr.jsonl', '--dev', 'dv.jsonl', '--test', 'te.jsonl']) == 0; "
+            "assert cli.main(['vocab', '--input', 'tr.jsonl', '--output', "
+            "'v.tsv']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[-1] in "
+            "('baselines', 'causal', 'evaluation', 'kernel')))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
+    assert os.path.exists("v.tsv")
 
 
 def _counts(workdir, fixture="F-DET"):

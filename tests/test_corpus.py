@@ -1,17 +1,20 @@
 """Chain file parsing, splitting, and vocabulary construction."""
 
 import json
+from dataclasses import fields
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from scriptcausal import cli
-
-from scriptcausal.corpus import (build_vocab_from, load_chains, parse_chains,
-                                 split_corpus, write_chains)
+from scriptcausal import cli, corpus as corpus_module
+from scriptcausal.corpus import (build_vocab_from, chain_lines, load_chains,
+                                 parse_chains, split_corpus, write_chains)
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import (END_ID, NUM_SPECIALS, SPECIAL_KEYS, START_ID,
                                  UNK_ID)
+from scriptcausal.synth import build_fixture
 
 
 def _keys(corpus):
@@ -285,3 +288,141 @@ def test_corrupted_line_loads_or_is_a_data_error(tmp_path, monkeypatch, chains,
         assert str(e).startswith(f"{path}: line {len(lines)}: ")
     monkeypatch.chdir(tmp_path)
     assert cli.main(["vocab", "--input", "c.jsonl", "--output", "v.tsv"]) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the canonical fast path: events read back from a memo of checked event texts
+
+_FIELD = st.text(st.sampled_from('ab},{"\\\u00e9\u2603'), min_size=1, max_size=5)
+_MEMO_EVENT = st.fixed_dictionaries(
+    {"pred": _FIELD, "dep": _FIELD},
+    optional={"fact": st.sampled_from(["pos", "unc", "neg"]),
+              "text": st.lists(st.text(st.sampled_from('a },{"\\:\u00e9\u2603'),
+                                       min_size=1, max_size=5),
+                               min_size=1, max_size=3),
+              "oot": st.lists(st.tuples(st.tuples(_FIELD, _FIELD).map(":".join),
+                                        st.integers(0, 4)).map(list),
+                              max_size=2)})
+# chains drawn from a small pool of events, so that lines share event texts
+_POOLED = st.lists(_MEMO_EVENT, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=5),
+                          min_size=1, max_size=5))
+
+
+def _arrays(corpus):
+    return {f.name: (v.tolist() if isinstance(v, np.ndarray) else v)
+            for f in fields(corpus) for v in [getattr(corpus, f.name)]}
+
+
+def _both_forms(chains):
+    """Each chain twice under two ids, as canonical lines and as json.dumps
+    writes them with its default separators."""
+    ids = [f'{n}{i}"}},{{\\\u00e9' for n in ("c", "d") for i in range(len(chains))]
+    chains = chains + chains
+    return ([_canonical(c, events) for c, events in zip(ids, chains)],
+            [json.dumps({"chain_id": c, "events": events})
+             for c, events in zip(ids, chains)])
+
+
+def _outcome(lines, factual_only=False):
+    try:
+        return _arrays(parse_chains(lines, factual_only))
+    except DataFormatError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains=_POOLED, memo_size=st.sampled_from([1, 3, 4096]),
+       factual_only=st.booleans())
+def test_canonical_lines_load_as_the_general_path_loads_them(chains, memo_size,
+                                                              factual_only):
+    """Canonical lines, read from the memo where it holds their events, give
+    the same arrays and tables as the same chains in json.dumps's default
+    form, which is decoded line by line; also with a memo of 1 or 3 texts."""
+    canonical, default = _both_forms(chains)
+    with mock.patch.object(corpus_module, "_MEMO_SIZE", memo_size):
+        got = _outcome(canonical, factual_only)
+    assert got == _outcome(default, factual_only)
+    assert not isinstance(got, str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains=_CHAINS, data=st.data())
+def test_corrupted_canonical_line_reads_as_the_general_path_does(chains, data):
+    """A truncated, byte-flipped or field-dropped copy of a canonical line,
+    after lines whose events the memo holds, loads to the same corpus, or
+    raises the same error, as after the same chains in the default form."""
+    canonical, default = _both_forms(chains)
+    bad = _canonical("bad", data.draw(st.sampled_from(chains))).encode()
+    how = data.draw(st.sampled_from(["truncate", "flip", "drop"]))
+    if how == "truncate":
+        bad = bad[:data.draw(st.integers(0, len(bad) - 1))]
+    elif how == "flip":
+        at = data.draw(st.integers(0, len(bad) - 1))
+        byte = bad[at] ^ data.draw(st.integers(1, 255))
+        bad = bad[:at] + bytes([byte]) + bad[at + 1:]
+    else:
+        obj = json.loads(bad)
+        target = data.draw(st.sampled_from([obj, *obj["events"]]))
+        del target[data.draw(st.sampled_from(sorted(target)))]
+        bad = json.dumps(obj, separators=(",", ":")).encode()
+    assert _outcome([*canonical, bad]) == _outcome([*default, bad])
+
+
+_REMEMBERED = [{"pred": "eat", "dep": "nsubj", "fact": "neg", "text": ["a b"],
+                "oot": [["x:y", 4]]}, {"pred": "pay", "dep": "dobj", "fact": "pos"}]
+
+
+@pytest.mark.parametrize("edit", ["", " ", "}", "]", "{", ",", '"', "x"])
+def test_one_character_edits_of_a_remembered_line_read_as_decoded(edit):
+    """Every one-character replacement (or, with "", deletion) in a
+    canonical line whose events the memo holds gives what the general path
+    gives: the same corpus or the same error."""
+    line = _canonical("c1", _REMEMBERED)
+    for at in range(len(line)):
+        bad = line[:at] + edit + line[at + 1:]
+        assert _outcome([_canonical("c0", _REMEMBERED), bad]) == _outcome(
+            [json.dumps({"chain_id": "c0", "events": _REMEMBERED}), bad]), bad
+
+
+def test_memo_takes_only_pieces_that_are_whole_events():
+    """A spaced boundary is no cut, so its line has fewer pieces than
+    events; in the first file a cut inside a string makes up the count. The
+    memo must take neither, or a repeat of the second file's line would
+    read as one event, and the invalid second line of the first file as two
+    copies of its first event."""
+    lines = ['{"chain_id":"c0","events":[{"pred":"a},{b","dep":"d"} , '
+             '{"pred":"c","dep":"d"}]}',
+             '{"chain_id":"c1","events":[{"pred":"a},{"pred":"a}]}']
+    with pytest.raises(DataFormatError, match="line 2: invalid JSON"):
+        parse_chains(lines)
+    line = '{"chain_id":"c0","events":[{"pred":"a","dep":"d"}, {"pred":"c","dep":"d"}]}'
+    corpus = parse_chains([line, line.replace("c0", "c1")])
+    assert np.diff(corpus.offsets).tolist() == [2, 2]
+
+
+def test_memo_answers_repeated_events_up_to_its_bound(monkeypatch):
+    """A canonical file decodes only the lines that bring an event text the
+    memo lacks. A file of more distinct events than the memo holds loads as
+    its default form does, and once the memo is full every line is decoded,
+    repeated or not."""
+    decoded = []
+
+    def loads(line, **kw):
+        decoded.append(line)
+        return json_loads(line, **kw)
+
+    json_loads = json.loads
+    monkeypatch.setattr(corpus_module.json, "loads", loads)
+    lines = list(chain_lines(build_fixture("F-POPCORN").sample_chains(
+        300, 1, annotate_scenario=True)))
+    parse_chains(lines)
+    assert 0 < len(decoded) <= 16 < len(lines)   # 8 events x 2 scenarios
+
+    size = corpus_module._MEMO_SIZE
+    chains = [[{"pred": f"p{j}", "dep": "nsubj", "fact": "pos"}
+               for j in range(i, i + 4)] for i in range(0, size + 800, 4)]
+    canonical, default = _both_forms(chains)
+    decoded.clear()
+    assert _outcome(canonical) == _outcome(default)
+    assert len(decoded) == len(canonical) * 2   # the default form's too

@@ -236,3 +236,22 @@ def test_vectorized_sampling_matches_per_chain_choice(name, seed):
     assert got == _reference_chains(cbn, 150, seed)
     assert all(ev["oot"] == [[synth.scenario_key(z), 4]]
                for (z, _), ch in zip(got, chains) for ev in ch)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 77, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
+@pytest.mark.parametrize("length", [2, 10])
+@pytest.mark.parametrize("n", [1, 3000])
+def test_uniforms_equal_the_per_chain_generators(seed, length, n):
+    """The L + 1 uniforms of every chain, made for all chains at once, are
+    those of its own ``default_rng([seed, i])``, bit for bit."""
+    want = np.array([np.random.default_rng([seed, i]).random(length + 1)
+                     for i in range(n)])
+    assert np.array_equal(synth._uniforms(seed, n, length + 1), want)
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.5, TypeError)])
+def test_sampling_refuses_the_seeds_numpy_refuses(popcorn, seed, error):
+    with pytest.raises(error):
+        np.random.default_rng([seed, 0])
+    with pytest.raises(error):
+        popcorn.sample_chains(3, seed)
