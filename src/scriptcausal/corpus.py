@@ -126,9 +126,9 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
 
     A line in the canonical writer's form is cut at ``},{``; when the memo
     holds every piece, the events come from it. Other lines are decoded and
-    checked whole; when such a line's only braces are those of its cuts,
-    each piece is the text of one event, and the memo takes the pieces (at
-    most _MEMO_SIZE texts, all checked)."""
+    checked whole; in a canonical one whose events' text has no brace but
+    those of its cuts, each piece is one whole event, and the memo takes
+    the pieces (at most _MEMO_SIZE texts, all checked)."""
     types, table, tokens, keys = {}, [], {}, {}   # value -> table id
     chain_ids, seen, lengths, text_ids, oot_pairs = [], set(), [], [], []
     rows = []    # 4 per kept event: type id, text length, oot length, has oot
