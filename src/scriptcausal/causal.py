@@ -321,32 +321,17 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
 # intervention estimation
 
 
-@dataclass
-class AdjustmentSet:
-    """Sampled contexts for the MC expectation: the rows ``index`` (sorted)
-    of ``instances``. Their prev events are ignored: the intervened value
-    replaces them."""
-
-    instances: PackedInstances
-    index: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if not len(self.index):
-            raise ConfigError("adjustment set must contain at least one context")
-
-
 def sample_adjustment_set(instances: PackedInstances, n: int,
-                          seed: int) -> AdjustmentSet:
-    """Seeded subsample (without replacement when possible) of instance contexts."""
+                          seed: int) -> PackedInstances:
+    """The contexts of a seeded sample of ``n`` instance rows (without
+    replacement when there are enough), in row order."""
     if n < 1:
         raise ConfigError("adjustment set size must be >= 1")
     rng = np.random.default_rng(seed)
     total = len(instances)
     if total == 0:
         raise ConfigError("no instances to sample an adjustment set from")
-    idx = rng.choice(total, size=n, replace=n > total)
-    return AdjustmentSet(instances, np.sort(idx), seed)
+    return instances.take(np.sort(rng.choice(total, size=n, replace=n > total)))
 
 
 @dataclass
@@ -422,10 +407,11 @@ def worker_count(tasks: int) -> int:
     return max(1, min(tasks, usable_cpus() // blas_threads()))
 
 
-def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
+def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
                            batch_size: int = 512,
                            model_id: str = "") -> InterventionTable:
-    """Plugin estimate of every do-row by Monte Carlo over the adjustment set.
+    """Plugin estimate of every do-row by Monte Carlo over the adjustment
+    sample ``contexts`` (instance rows; the intervened k replaces each prev event).
 
     Only the last encoder step depends on the intervened event k, and only
     through its input terms. So each distinct sampled context (history,
@@ -433,17 +419,17 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     was drawn, and every k-independent array is computed once and shared
     read-only: the history states, their z/r recurrent terms and the
     context logits. Per do-row and block of at most ``batch_size``
-    contexts, the last step then costs one (n, h) x (h, h) GEMM and the
-    logits GEMM, written into scratch buffers owned by one worker.
+    contexts, the last step is one ``K.gru_cell`` (an (n, h) x (h, h) GEMM)
+    and the logits GEMM, written into scratch buffers owned by one worker.
 
     Do-values are handed out one at a time to a pool of
     ``worker_count(V)`` threads. Each row is summed by one worker over the
     same blocks in the same order, so the table is the same bit for bit for
     every worker count.
     """
+    if not len(contexts):
+        raise ConfigError("adjustment set must contain at least one context")
     params = model.params
-    packed = adjustment.instances.take(adjustment.index)
-    N = len(packed)
     V = model.vocab_size
     h_dim = model.config["hidden_dim"]
 
@@ -451,22 +437,19 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     # text and out-of-text ids of a sampled row, -1-padded into one key row
     def padded(ids, lengths):
         return np.where(np.arange(ids.shape[1]) < lengths[:, None], ids, -1)
-    keys = np.hstack([padded(packed.seq[:, :-1], packed.seq_len - 1),
-                      padded(packed.text, packed.text_len),
-                      padded(packed.oot, packed.oot_len)])
+    keys = np.hstack([padded(contexts.seq[:, :-1], contexts.seq_len - 1),
+                      padded(contexts.text, contexts.text_len),
+                      padded(contexts.oot, contexts.oot_len)])
     _, first, counts = np.unique(keys, axis=0, return_index=True,
                                  return_counts=True)
-    contexts = packed.take(first)
-    D = len(contexts)
+    distinct = contexts.take(first)
+    D = len(distinct)
 
     # The last GRU step is one step of K.gru_forward with input emb[k]. Only
     # its input terms depend on k, so they are projected for every event at
     # once; the z/r recurrent term depends only on the context.
-    W = np.concatenate([params[f"enc.W{g}"] for g in K.GATES])
-    b = np.concatenate([params[f"enc.b{g}"] for g in K.GATES])
+    W, b, U_zr, Uh = K.gru_weights(params, "enc")
     x_proj = params["emb"] @ W.T + b                      # (V, 3h)
-    U_zr = np.concatenate([params["enc.Uz"], params["enc.Ur"]]).T
-    Uh, A = params["enc.Uh"], params["A"]
 
     # per-context constants, in batches of the training size, which bounds
     # the encoder's memory
@@ -474,45 +457,36 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     step = model.config["batch_size"]
     for start in range(0, D, step):
         rows = slice(start, start + step)
-        chunk = contexts.take(rows)
+        chunk = distinct.take(rows)
         h_hist[rows], _ = model._encode(params, chunk.seq, chunk.seq_len - 1)
         const_logits[rows], _ = model._context_logits(params, chunk)
-    hu_zr = h_hist @ U_zr                                 # (D, 2h)
+    hu_zr = h_hist @ U_zr.T                               # (D, 2h)
 
     blocks = [slice(s, s + batch_size) for s in range(0, D, batch_size)]
     effect = np.zeros((V, V))
     todo, lock = iter(range(V)), threading.Lock()
     ones = np.ones(V)
 
-    def work(zr_buf, tmp_buf, hc_buf, logits_buf, row_max, row_sum):
+    def work(zr_buf, rh_buf, h_buf, logits_buf, row_max, row_sum):
         while True:
             with lock:
                 k = next(todo, None)
             if k is None:
                 return
             for blk in blocks:
-                h_prev, cl, w = h_hist[blk], const_logits[blk], counts[blk]
-                m = len(h_prev)
-                zr, tmp, hc = zr_buf[:m], tmp_buf[:m], hc_buf[:m]
+                m = len(counts[blk])
+                zr, h = zr_buf[:m], h_buf[:m]
                 logits, rmax, rsum = logits_buf[:m], row_max[:m], row_sum[:m]
-                z, r = zr[:, :h_dim], zr[:, h_dim:]
                 np.add(hu_zr[blk], x_proj[k, :2 * h_dim], out=zr)
-                K.sigmoid(zr, out=zr)
-                np.multiply(r, h_prev, out=tmp)
-                np.matmul(tmp, Uh.T, out=hc)
-                hc += x_proj[k, 2 * h_dim:]
-                np.tanh(hc, out=hc)
-                # v_e = h_prev + z * (hc - h_prev)
-                hc -= h_prev
-                hc *= z
-                hc += h_prev
-                np.matmul(hc, A.T, out=logits)
-                logits += cl
+                K.gru_cell(zr, x_proj[k, 2 * h_dim:], h_hist[blk], Uh, zr, h, h,
+                           rh_buf[:m])
+                np.matmul(h, params["A"].T, out=logits)
+                logits += const_logits[blk]
                 np.max(logits, axis=1, keepdims=True, out=rmax)
                 logits -= rmax
                 np.exp(logits, out=logits)
                 np.matmul(logits, ones, out=rsum)
-                np.divide(w, rsum, out=rsum)
+                np.divide(counts[blk], rsum, out=rsum)
                 effect[k] += rsum @ logits
 
     # imported here: it adds about 0.4 MB to every process that loads it
@@ -526,9 +500,8 @@ def estimate_interventions(model: ConditionalModel, adjustment: AdjustmentSet,
     with ThreadPoolExecutor(workers) as pool:
         for done in [pool.submit(work, *buffers) for buffers in scratch]:
             done.result()
-    effect /= N
-    return InterventionTable(effect, model_id=model_id, seed=adjustment.seed,
-                             n_samples=N)
+    effect /= len(contexts)
+    return InterventionTable(effect, model_id=model_id, n_samples=len(contexts))
 
 
 # ---------------------------------------------------------------------------

@@ -174,10 +174,11 @@ def cmd_estimate_do(cfg, args):
     instances = _instances(
         load_chains(_require(args.corpus, "adjustment-sample chain file")), vocab,
         model.config)
-    adjustment = causal.sample_adjustment_set(
-        instances, cfg["adjustment_n"], cfg["seed"])
     table = causal.estimate_interventions(
-        model, adjustment, model_id=os.path.basename(args.model))
+        model, causal.sample_adjustment_set(instances, cfg["adjustment_n"],
+                                            cfg["seed"]),
+        model_id=os.path.basename(args.model))
+    table.seed = cfg["seed"]
     table.save(args.output)
     outputs = [args.output]
     if args.tsv:
@@ -192,6 +193,8 @@ def cmd_score(cfg, args):
     table = _load_itable(args, vocab)
     rank = frequency_rank(vocab)
     target = vocab.id_of(args.target)
+    if vocab.key_of(target) != args.target:
+        raise ConfigError(f"target {args.target!r} is not in the vocabulary")
     preds = causal.top_predecessors(table, target, cfg["topk"],
                                     cfg["exclude_top"], rank)
     S = causal.script_score_matrix(table)

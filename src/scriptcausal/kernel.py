@@ -171,6 +171,33 @@ class SeqLayout:
         return out
 
 
+def gru_weights(params, prefix):
+    """(W, b, U_zr, Uh) of the GRU ``prefix``: [Wz; Wr; Wh], [bz; br; bh],
+    [Uz; Ur] and Uh, the gate layout of ``gru_forward`` and ``gru_cell``."""
+    W = np.concatenate([params[f"{prefix}.W{g}"] for g in GATES])
+    b = np.concatenate([params[f"{prefix}.b{g}"] for g in GATES])
+    U_zr = np.concatenate([params[f"{prefix}.Uz"], params[f"{prefix}.Ur"]])
+    return W, b, U_zr, params[f"{prefix}.Uh"]
+
+
+def gru_cell(a_zr, a_h, h_prev, Uh, zr, hc, h, rh):
+    """One GRU step into caller-owned (n, .) arrays; allocates nothing.
+    From the z/r pre-activations ``a_zr`` (n, 2h; may be ``zr``) and the
+    candidate's input term ``a_h``, writes the gates to ``zr``, the
+    candidate to ``hc`` and h = (1 - z) h_prev + z hc to ``h`` (may be
+    ``hc``), with ``rh`` (n, h) as scratch. Returns ``h``."""
+    z, r = np.split(zr, 2, axis=1)
+    sigmoid(a_zr, out=zr)
+    np.matmul(np.multiply(r, h_prev, out=rh), Uh.T, out=hc)
+    hc += a_h
+    np.tanh(hc, out=hc)
+    np.multiply(z, hc, out=rh)
+    np.subtract(1.0, z, out=h)
+    h *= h_prev
+    h += rh
+    return h
+
+
 def gru_forward(params, prefix, x, layout):
     """Length-aware GRU from h_0 = 0 over packed inputs ``x`` (S, in).
 
@@ -178,37 +205,29 @@ def gru_forward(params, prefix, x, layout):
     from which row's state. Step t runs only its ``layout.sizes[t]`` rows,
     so no work goes into padding or into a shared prefix. The input
     projection of every step is one GEMM against [Wz; Wr; Wh] before the
-    time loop; each step then gathers h_prev by ``layout.parent`` and costs
-    one GEMM for z and r and one for the candidate (none at t = 0, where
-    h_prev = 0). Returns (H, cache): H (S, h) holds the state after each
+    time loop; each step then gathers h_prev by ``layout.parent`` and
+    runs ``gru_cell``, with one GEMM for z and r and one for the
+    candidate. Returns (H, cache): H (S, h) holds the state after each
     packed row's step.
     """
-    W = np.concatenate([params[f"{prefix}.W{g}"] for g in GATES])   # (3h, in)
-    b = np.concatenate([params[f"{prefix}.b{g}"] for g in GATES])
-    U_zr = np.concatenate([params[f"{prefix}.Uz"], params[f"{prefix}.Ur"]])
-    Uh = params[f"{prefix}.Uh"]
+    W, b, U_zr, Uh = gru_weights(params, prefix)
     hd = Uh.shape[0]
     S = len(layout.steps)
     if x.shape != (S, W.shape[1]):
         raise ConfigError(f"gru_forward: inputs {x.shape} do not match "
                           f"{S} packed rows of width {W.shape[1]}")
     xp = x @ W.T + b
-    zr, hc, H = np.empty((S, 2 * hd)), np.empty((S, hd)), np.empty((S, hd))
-    hprev = np.zeros((S, hd))                 # h_0 = 0 at step 0
+    zr, hc, hprev = np.empty((S, 2 * hd)), np.empty((S, hd)), np.empty((S, hd))
+    H = np.zeros((S + 1, hd))    # row S stays h_0 = 0: step 0's parent is -1
+    rh = np.empty((max(layout.sizes, default=0), hd))
     off = layout.offsets
     for t in range(len(layout.sizes)):
         s = slice(off[t], off[t + 1])
-        z, r = zr[s, :hd], zr[s, hd:]
-        if t == 0:
-            sigmoid(xp[s, :2 * hd], out=zr[s])
-            np.tanh(xp[s, 2 * hd:], out=hc[s])
-            np.multiply(z, hc[s], out=H[s])
-            continue
         hp = hprev[s] = H[layout.parent[s]]
-        sigmoid(hp @ U_zr.T + xp[s, :2 * hd], out=zr[s])
-        np.tanh((r * hp) @ Uh.T + xp[s, 2 * hd:], out=hc[s])
-        H[s] = (1 - z) * hp + z * hc[s]
-    return H, (x, layout, zr, hc, hprev, W, U_zr, Uh)
+        a_zr = np.matmul(hp, U_zr.T, out=zr[s])
+        a_zr += xp[s, :2 * hd]
+        gru_cell(a_zr, xp[s, 2 * hd:], hp, Uh, a_zr, hc[s], H[s], rh[:len(hp)])
+    return H[:S], (x, layout, zr, hc, hprev, W, U_zr, Uh)
 
 
 def gru_backward(params, prefix, cache, dh_out, grads):

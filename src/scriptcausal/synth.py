@@ -142,7 +142,8 @@ class SyntheticCBN:
         by ``_uniforms`` (``test_uniforms_equal_the_per_chain_generators``
         holds them equal bit for bit): one picks the scenario, the others
         walk its kernel from START. Each pick inverts the CDF as
-        ``rng.choice(p=...)`` does: ``cdf /= cdf[-1]``, then ``side="right"``."""
+        ``rng.choice(p=...)`` does: ``cdf /= cdf[-1]``, then ``side="right"``;
+        a scenario's chains walk together over its CDFs, normalised once."""
         if n < 1:
             raise ConfigError("need n >= 1 chains")
         L = self.chain_length
@@ -150,12 +151,14 @@ class SyntheticCBN:
         pi_cdf = self.pi.cumsum()
         z = (pi_cdf / pi_cdf[-1] <= u[:, :1]).sum(axis=1)
         events = np.empty((n, L), dtype=np.intp)
-        state = np.zeros(n, dtype=np.intp)  # START row
-        for t in range(L):
-            cdf = self.kernels[z, state].cumsum(axis=1)
-            cdf = cdf / cdf[:, -1:]
-            events[:, t] = (cdf <= u[:, t + 1, None]).sum(axis=1)
-            state = events[:, t] + 1
+        for s in range(self.num_scenarios):
+            rows = np.flatnonzero(z == s)
+            cdf = self.kernels[s].cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            state, us = np.zeros(len(rows), np.intp), u[rows]   # START row
+            for t in range(L):
+                events[rows, t] = (cdf[state] <= us[:, t + 1, None]).sum(axis=1)
+                state = events[rows, t] + 1
         # no text; with annotations, one (scenario, 4) pair per event
         m, a = n * L, int(annotate_scenario)
         return ChainCorpus(
@@ -276,17 +279,16 @@ def build_fixture(name: str) -> SyntheticCBN:
     return SyntheticCBN.from_dict(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def build_zipf_cbn(num_filler: int = 40, num_scenarios: int = 12,
-                   events_per_scenario: int = 25, chain_length: int = 10,
-                   filler_prob: float = 0.55, lam: float = 0.05,
-                   zipf_exponent: float = 1.2, seed: int = 0) -> SyntheticCBN:
-    """A larger generator with Zipf-skewed marginals for cloze experiments.
+def build_zipf_cbn() -> SyntheticCBN:
+    """F-ZIPF: a larger generator with Zipf-skewed marginals for cloze experiments.
 
     Filler events are shared across scenarios and Zipf-distributed (they
     dominate the frequency ranking); each scenario additionally owns a block
     of rare events that near-deterministically chain within the scenario.
     """
-    rng = np.random.default_rng(seed)
+    num_filler, num_scenarios, events_per_scenario = 40, 12, 25
+    filler_prob, zipf_exponent, lam, chain_length = 0.55, 1.2, 0.05, 10
+    rng = np.random.default_rng(0)
     fillers = [f"filler{i:03d}:nsubj" for i in range(num_filler)]
     rare = [f"s{z:02d}e{j:02d}:nsubj"
             for z in range(num_scenarios) for j in range(events_per_scenario)]

@@ -1,5 +1,6 @@
 """Conditional model, intervention estimation, and script scores."""
 
+import dataclasses
 import json
 import os
 import sys
@@ -39,10 +40,6 @@ def _dist(model, batch):
     return K.softmax(logits, axis=1)
 
 
-def _all_rows(packed, seed=0):
-    return causal.AdjustmentSet(packed, np.arange(len(packed)), seed)
-
-
 def _chain_line(chain_id, preds, **extra):
     return json.dumps({"chain_id": chain_id, "events": [
         {"pred": p, "dep": "x", **extra.get(i, {})} for i, p in enumerate(preds)]})
@@ -77,7 +74,7 @@ def test_history_window_beyond_ten():
     one = inst.take(np.array([12]))
     model = causal.ConditionalModel(len(vocab), 1,
                                     dict(TINY, history_window=12))
-    table = causal.estimate_interventions(model, _all_rows(one))
+    table = causal.estimate_interventions(model, one)
     hist = one.seq[0, :12].tolist()
     np.testing.assert_allclose(
         table.effect, _dist(model, _pack([(k, hist, [], [])
@@ -256,7 +253,7 @@ def test_model_file_round_trip(tmp_path):
 def test_single_sample_equals_substituted_conditional():
     model = causal.ConditionalModel(9, 4, TINY)
     table = causal.estimate_interventions(
-        model, _all_rows(_pack([(3, [4, 5], [2], [])])))
+        model, _pack([(3, [4, 5], [2], [])]))
     subs = _dist(model, _pack([(k, [4, 5], [2], []) for k in range(9)]))
     for k in range(9):
         np.testing.assert_allclose(table.effect[k], subs[k], atol=1e-12)
@@ -312,9 +309,30 @@ def test_estimator_matches_per_row_formula():
         assert min(lengths) == 0 < max(lengths)
 
     table = causal.estimate_interventions(
-        model, _all_rows(_pack(contexts)), batch_size=64)
+        model, _pack(contexts), batch_size=64)
     np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
                                rtol=0, atol=1e-12)
+
+
+def test_do_rows_are_mean_forward_distributions_of_intervened_rows():
+    """Every do-row k equals the mean of softmax over
+    ConditionalModel._forward on the sampled rows with their prev event set
+    to k (a context drawn c times weighs c), within 1e-13: the estimator's
+    last step from shared history states is the model's own forward pass."""
+    rng = np.random.default_rng(30)
+    V, n_tokens = 11, 6
+    model = _formula_model(rng, V, n_tokens)
+    pool = _pack(_random_contexts(rng, V, n_tokens, 40))
+    contexts = causal.sample_adjustment_set(pool, 100, seed=4)  # with replacement
+    table = causal.estimate_interventions(model, contexts, batch_size=16)
+    last = (np.arange(len(contexts)), contexts.seq_len - 1)
+    for k in range(V):
+        seq = contexts.seq.copy()
+        seq[last] = k
+        intervened = dataclasses.replace(contexts, seq=seq)
+        np.testing.assert_allclose(table.effect[k],
+                                   _dist(model, intervened).mean(axis=0),
+                                   rtol=0, atol=1e-13)
 
 
 def test_repeated_contexts_match_per_row_formula():
@@ -327,8 +345,10 @@ def test_repeated_contexts_match_per_row_formula():
     base = _random_contexts(rng, V, n_tokens, 25)
     contexts = [(int(rng.integers(NUM_SPECIALS, V)), *base[i][1:])
                 for i in rng.integers(0, len(base), size=120)]
-    adjustment = causal.sample_adjustment_set(_pack(contexts), 300, seed=3)
-    drawn = [contexts[i] for i in adjustment.index]
+    # each row's target is its index, so the sample's targets name its rows
+    adjustment = causal.sample_adjustment_set(
+        _pack(contexts, range(len(contexts))), 300, seed=3)
+    drawn = [contexts[i] for i in adjustment.targets]
     assert len({repr(c[1:]) for c in drawn}) < len({repr(c) for c in drawn})
     table = causal.estimate_interventions(model, adjustment, batch_size=8)
     assert table.n_samples == 300
@@ -348,7 +368,7 @@ def test_rows_stay_exact_when_logits_are_large():
     A[7] *= 300.0 / np.abs(A[7]).sum()
     contexts = _random_contexts(rng, V, n_tokens, 60)
     table = causal.estimate_interventions(
-        model, _all_rows(_pack(contexts)), batch_size=16)
+        model, _pack(contexts), batch_size=16)
     assert np.isfinite(table.effect).all()
     np.testing.assert_allclose(table.effect.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
@@ -374,7 +394,7 @@ def test_table_is_the_same_for_every_worker_count():
     rng = np.random.default_rng(21)
     V, n_tokens = 40, 6
     model = _formula_model(rng, V, n_tokens)
-    adjustment = _all_rows(_pack(_random_contexts(rng, V, n_tokens, 90)))
+    adjustment = _pack(_random_contexts(rng, V, n_tokens, 90))
 
     tables = []
     interval = sys.getswitchinterval()
@@ -527,10 +547,14 @@ def test_intervention_rows_are_distributions():
 def test_adjustment_sampling_deterministic():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, _, _ = _instances_for(cbn, 30, seed=5)
+    inst.targets = np.arange(len(inst))   # the sample's targets name its rows
     a = causal.sample_adjustment_set(inst, 10, seed=9)
     b = causal.sample_adjustment_set(inst, 10, seed=9)
-    np.testing.assert_array_equal(a.index, b.index)
-    assert np.all(np.diff(a.index) > 0)   # sorted, without replacement
+    np.testing.assert_array_equal(a.targets, b.targets)
+    assert np.all(np.diff(a.targets) > 0)   # sorted, without replacement
+    for name in ("seq", "seq_len", "text", "text_len", "oot", "oot_len"):
+        np.testing.assert_array_equal(getattr(a, name),
+                                      getattr(inst.take(a.targets), name))
 
 
 def test_itable_round_trip(tmp_path):

@@ -146,7 +146,7 @@ def test_score_and_complete_commands(workdir):
     run("--config", "cfg.json", "estimate-do", "--model", "m.bin",
         "--corpus", "c.jsonl", "--vocab", "v.tsv", "--output", "t.bin")
     assert run("--config", "cfg.json", "score", "--itable", "t.bin",
-               "--vocab", "v.tsv", "--target", "e1:x",
+               "--vocab", "v.tsv", "--target", "step1:nsubj",
                "--output", "preds.tsv") == 0
     lines = (workdir / "preds.tsv").read_text().splitlines()
     assert lines and all("\t" in ln for ln in lines)
@@ -324,6 +324,16 @@ def test_complete_without_a_candidate_is_a_config_error(workdir, capsys, argv,
     capsys.readouterr()
     assert run(argv[0], "--vocab", "v.tsv", *argv[1:]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_score_of_a_target_the_vocabulary_lacks_is_a_config_error(workdir, capsys):
+    _counts(workdir, "F-POPCORN")
+    V = len(Vocabulary.load("v.tsv"))
+    causal.InterventionTable(np.full((V, V), 1.0 / V)).save("t.bin")
+    capsys.readouterr()
+    assert run("score", "--itable", "t.bin", "--vocab", "v.tsv",
+               "--target", "no_such:event") == 1
+    assert "'no_such:event' is not in the vocabulary" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, lineno, field, value, where", [

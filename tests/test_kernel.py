@@ -72,6 +72,31 @@ def test_gru_matches_scalar_reference():
     np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("in_place", [False, True])
+def test_gru_cell_equals_gru_step(in_place):
+    """gru_cell, given gru_weights' fused pre-activations, writes gru_step's
+    gates, candidate and h within 1e-15; in place, the gates overwrite
+    their pre-activations and h the candidate."""
+    rng = np.random.default_rng(3)
+    p = {}
+    K.init_gru(rng, "g", 5, 6, p)
+    for name in p:
+        p[name] = rng.normal(size=p[name].shape)
+    x, h_prev = rng.normal(size=(7, 5)), rng.normal(size=(7, 6))
+    want, (_, _, z, r, hc_want) = K.gru_step(p, "g", x, h_prev)
+    W, b, U_zr, Uh = K.gru_weights(p, "g")
+    xp = x @ W.T + b
+    a_zr = h_prev @ U_zr.T + xp[:, :12]
+    zr, hc, rh = (a_zr if in_place else np.empty((7, 12))), np.empty((7, 6)), \
+        np.empty((7, 6))
+    h = hc if in_place else np.empty((7, 6))
+    assert K.gru_cell(a_zr, xp[:, 12:], h_prev, Uh, zr, hc, h, rh) is h
+    np.testing.assert_allclose(h, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(zr, np.hstack([z, r]), rtol=0, atol=1e-15)
+    if not in_place:
+        np.testing.assert_allclose(hc, hc_want, rtol=0, atol=1e-15)
+
+
 def _final_state(p, emb, ids):
     """Final GRU state over the embeddings of one id sequence."""
     H, _ = K.gru_forward(p, "g", emb[ids], K.SeqLayout([len(ids)]))

@@ -189,7 +189,7 @@ def test_invalid_kernels_rejected():
 
 
 def test_zipf_cbn_marginals_are_skewed():
-    cbn = synth.build_zipf_cbn(seed=0)
+    cbn = synth.build_zipf_cbn()
     marg = np.sort(cbn.position_marginals().sum(axis=1).mean(axis=0))[::-1]
     assert marg[0] > 10 * marg[-1]
     for k in range(0, cbn.num_events, 17):
