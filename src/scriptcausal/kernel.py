@@ -186,7 +186,8 @@ def gru_cell(a_zr, a_h, h_prev, Uh, zr, hc, h, rh):
     candidate's input term ``a_h``, writes the gates to ``zr``, the
     candidate to ``hc`` and h = (1 - z) h_prev + z hc to ``h`` (may be
     ``hc``), with ``rh`` (n, h) as scratch. Returns ``h``."""
-    z, r = np.split(zr, 2, axis=1)
+    hd = h_prev.shape[1]
+    z, r = zr[:, :hd], zr[:, hd:]
     sigmoid(a_zr, out=zr)
     np.matmul(np.multiply(r, h_prev, out=rh), Uh.T, out=hc)
     hc += a_h
