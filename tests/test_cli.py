@@ -143,8 +143,11 @@ def test_score_and_complete_commands(workdir):
         "--output", "v.tsv")
     run("--config", "cfg.json", "train-cond", "--train", "c.jsonl",
         "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin")
-    run("--config", "cfg.json", "estimate-do", "--model", "m.bin",
+    run("--config", "cfg.json", "--seed", "5", "estimate-do", "--model", "m.bin",
         "--corpus", "c.jsonl", "--vocab", "v.tsv", "--output", "t.bin")
+    table = causal.InterventionTable.load("t.bin")   # the header names the sample
+    assert (table.seed, table.n_samples, table.model_id) == (
+        5, TINY_CFG["adjustment_n"], "m.bin")
     assert run("--config", "cfg.json", "score", "--itable", "t.bin",
                "--vocab", "v.tsv", "--target", "step1:nsubj",
                "--output", "preds.tsv") == 0
