@@ -146,34 +146,35 @@ class FramedChains:
 
 
 class EventLM:
-    """Multi-layer GRU language model over framed event-id sequences."""
+    """Multi-layer GRU language model over framed event-id sequences. Its
+    ``config`` is its file header: the run keys of ``CONFIG_KEYS`` and
+    ``vocab_size``, which ``config`` must give."""
 
-    def __init__(self, vocab_size: int, config: dict | None = None,
-                 params: dict | None = None):
-        self.config = {**C.defaults(CONFIG_KEYS), **(config or {})}
-        self.vocab_size = vocab_size
+    def __init__(self, config: dict, params: dict | None = None):
+        self.config = {**C.defaults(CONFIG_KEYS), **config}
         self._layers = [f"gru{layer}" for layer in range(self.config["num_layers"])]
         self.params = params if params is not None else self._init_params(
             np.random.default_rng(self.config["seed"]))
 
     def _init_params(self, rng):
         """Fresh parameters drawn from ``rng``."""
-        d = self.config["emb_dim"]
-        h = self.config["hidden_dim"]
-        p = {"emb": K.init_embedding(rng, self.vocab_size, d)}
+        cfg = self.config
+        V, d, h = cfg["vocab_size"], cfg["emb_dim"], cfg["hidden_dim"]
+        p = {"emb": K.init_embedding(rng, V, d)}
         for layer in self._layers:
             K.init_gru(rng, layer, d, h, p)
             d = h
-        p["out.W"] = K.init_matrix(rng, self.vocab_size, h)
-        p["out.b"] = np.zeros(self.vocab_size)
+        p["out.W"] = K.init_matrix(rng, V, h)
+        p["out.b"] = np.zeros(V)
         return p
 
     # -- forward / backward -------------------------------------------------
 
     def _forward(self, params, batch: FramedChains, dropout_rng=None):
         """Logits (S, V) and targets at every input position of ``batch`` in
-        SeqLayout order, and the encoder output and cache. Dropout masks are
-        drawn as (T, B, dim) arrays, then gathered at the packed positions."""
+        SeqLayout order, and the cache: the encoder output and its cache.
+        Dropout masks are drawn as (T, B, dim) arrays, then gathered at the
+        packed positions."""
         layout = K.SeqLayout(batch.counts)
         pos = batch.starts[layout.rows] + layout.steps
         masks = None
@@ -186,13 +187,13 @@ class EventLM:
         H, cache = K.encoder_forward(params, self._layers, batch.ids[pos], layout,
                                      masks)
         logits = H @ params["out.W"].T + params["out.b"]
-        return logits, batch.ids[pos + 1], H, cache
+        return logits, batch.ids[pos + 1], (H, cache)
 
     def loss_and_grads(self, batch: FramedChains, params=None, dropout_rng=None):
         """Mean per-token loss and gradients on a batch of framed chains, at
         ``params`` (default: the model's own)."""
         params = self.params if params is None else params
-        logits, targets, H, cache = self._forward(params, batch, dropout_rng)
+        logits, targets, (H, cache) = self._forward(params, batch, dropout_rng)
         loss_sum, dlogits = K.softmax_xent_batch(logits, targets)
         n_tokens = float(len(logits))
         dlogits /= n_tokens
@@ -200,17 +201,8 @@ class EventLM:
         grads["out.W"] += dlogits.T @ H
         grads["out.b"] += dlogits.sum(axis=0)
         grads["emb"] += K.scatter_rows(*K.encoder_backward(
-            params, cache, dlogits @ params["out.W"], grads), self.vocab_size)
+            params, cache, dlogits @ params["out.W"], grads), self.config["vocab_size"])
         return loss_sum / n_tokens, grads
-
-    def mean_loss(self, chains: FramedChains, batch_size=256):
-        """Evaluation loss (no dropout) averaged per token."""
-        total = 0.0
-        for start in range(0, len(chains), batch_size):
-            logits, targets, _, _ = self._forward(
-                self.params, chains.take(slice(start, start + batch_size)))
-            total += K.softmax_xent_batch(logits, targets)[0]
-        return total / int(chains.counts.sum())
 
     def next_distribution(self, ids, lengths) -> np.ndarray:
         """(n, V) softmax over the next event after each history (right-padded
@@ -226,19 +218,14 @@ class EventLM:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
-        config = dict(self.config, vocab_size=self.vocab_size)
-        K.save_model(path, "event-lm", config, self.params)
+        K.save_model(path, "event-lm", self.config, self.params)
 
     @staticmethod
     def load(path) -> "EventLM":
         """The LM in file ``path``, whose header and parameter shapes are
         checked."""
-        config, params = K.load_model(path, "event-lm")
-        C.check(config, {**CONFIG_KEYS, **C.same("vocab_size")}, DataFormatError,
-                f"{path}: model header key")
-        lm = EventLM(config.pop("vocab_size"), config, params)
-        K.check_params(path, params, lm._init_params(K.SHAPES_ONLY))
-        return lm
+        return K.load_model(path, "event-lm", {**CONFIG_KEYS, **C.same("vocab_size")},
+                            EventLM)
 
 
 def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
@@ -248,12 +235,13 @@ def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
     The dropout masks come from the rng that orders the batches."""
     train, dev = (FramedChains.frame(c.event_ids(vocab), c.offsets)
                   for c in (train_corpus, dev_corpus))
-    lm = EventLM(len(vocab), config)
+    lm = EventLM({**(config or {}), "vocab_size": len(vocab)})
     cfg = lm.config
     rng = np.random.default_rng(cfg["seed"] + 1)
     lm.params = K.fit(
         lm.params, lambda idx: lm.loss_and_grads(train.take(idx), dropout_rng=rng)[1],
-        lambda: lm.mean_loss(dev if len(dev) else train), len(train), cfg,
-        cfg["lr"], rng, log=log and (lambda e, loss: log(
+        lambda: K.mean_loss(lambda chains: lm._forward(lm.params, chains),
+                            dev if len(dev) else train, cfg["batch_size"]),
+        len(train), cfg, cfg["lr"], rng, log=log and (lambda e, loss: log(
             f"lm epoch {e}: dev loss {loss:.4f}")))
     return lm

@@ -146,30 +146,29 @@ def _mean_of_sets_backward(d_vec, cache):
 
 
 class ConditionalModel:
-    """Parameters + phase of the conditional next-event model."""
+    """Parameters of the conditional next-event model and its ``config``,
+    which is its file header: the run keys of ``CONFIG_KEYS``, the sizes
+    ``vocab_size`` (which ``config`` must give) and ``token_vocab_size``,
+    and the ``phase``."""
 
-    def __init__(self, vocab_size: int, token_vocab_size: int = 1,
-                 config: dict | None = None, params: dict | None = None,
-                 phase: str = "pretrained"):
-        self.config = {**C.defaults(CONFIG_KEYS), **(config or {})}
-        self.vocab_size = vocab_size
-        self.token_vocab_size = token_vocab_size
-        self.phase = phase
+    def __init__(self, config: dict, params: dict | None = None):
+        self.config = {**C.defaults(CONFIG_KEYS), "token_vocab_size": 1,
+                       "phase": "pretrained", **config}
         self.params = params if params is not None else self._init_params(
             np.random.default_rng(self.config["seed"]))
 
     def _init_params(self, rng):
         """Fresh parameters drawn from ``rng``."""
-        d = self.config["emb_dim"]
-        h = self.config["hidden_dim"]
-        p = {"emb": K.init_embedding(rng, self.vocab_size, d)}
+        cfg = self.config
+        V, d, h = cfg["vocab_size"], cfg["emb_dim"], cfg["hidden_dim"]
+        p = {"emb": K.init_embedding(rng, V, d)}
         K.init_gru(rng, "enc", d, h, p)
         # the mean of the text's token embeddings goes straight into B
-        p["text_emb"] = K.init_embedding(rng, self.token_vocab_size, h)
-        p["A"] = K.init_matrix(rng, self.vocab_size, h)
-        p["B"] = K.init_matrix(rng, self.vocab_size, h)
-        if self.phase == "finetuned":
-            p["W_O"] = np.zeros((self.vocab_size, d))
+        p["text_emb"] = K.init_embedding(rng, cfg["token_vocab_size"], h)
+        p["A"] = K.init_matrix(rng, V, h)
+        p["B"] = K.init_matrix(rng, V, h)
+        if cfg["phase"] == "finetuned":
+            p["W_O"] = np.zeros((V, d))
         return p
 
     # -- forward -------------------------------------------------------------
@@ -188,23 +187,25 @@ class ConditionalModel:
         v_t, text_cache = _mean_of_sets(params["text_emb"], batch.text, batch.text_len)
         logits = v_t @ params["B"].T
         v_o, oot_cache = None, None
-        if self.phase == "finetuned":
+        if self.config["phase"] == "finetuned":
             v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot, batch.oot_len)
             logits += v_o @ params["W_O"].T
         return logits, (v_t, text_cache, v_o, oot_cache)
 
     def _forward(self, params, batch):
+        """Logits (B, V) and targets of ``batch``, and the cache."""
         v_e, enc_cache = self._encode(params, batch.seq, batch.seq_len)
         const, ctx_cache = self._context_logits(params, batch)
-        return v_e @ params["A"].T + const, (v_e, enc_cache, ctx_cache)
+        return (v_e @ params["A"].T + const, batch.targets,
+                (v_e, enc_cache, ctx_cache))
 
     def loss_and_grads(self, batch: PackedInstances, params=None):
         """Mean loss and gradients on a batch, at ``params`` (default: the
         model's own)."""
         params = self.params if params is None else params
-        logits, (v_e, enc_cache, ctx_cache) = self._forward(params, batch)
+        logits, targets, (v_e, enc_cache, ctx_cache) = self._forward(params, batch)
         B = len(batch)
-        loss_sum, dlogits = K.softmax_xent_batch(logits, batch.targets)
+        loss_sum, dlogits = K.softmax_xent_batch(logits, targets)
         loss = loss_sum / B
         dlogits /= B
         grads = {k: np.zeros_like(v) for k, v in params.items()}
@@ -214,10 +215,10 @@ class ConditionalModel:
         grads["B"] += dlogits.T @ v_t
         d_ve = dlogits @ params["A"]
         grads["text_emb"] += K.scatter_rows(*_mean_of_sets_backward(
-            dlogits @ params["B"], text_cache), self.token_vocab_size)
+            dlogits @ params["B"], text_cache), self.config["token_vocab_size"])
         # embedding-gradient terms: out-of-text ones first, then the GRU's
         emb_terms = []
-        if self.phase == "finetuned":
+        if self.config["phase"] == "finetuned":
             grads["W_O"] += dlogits.T @ v_o
             emb_terms.append(_mean_of_sets_backward(dlogits @ params["W_O"],
                                                     oot_cache))
@@ -228,40 +229,22 @@ class ConditionalModel:
         dh_out = K.scatter_rows(layout.last[live], d_ve[live], len(layout.steps))
         emb_terms.append(K.encoder_backward(params, cache, dh_out, grads))
         grads["emb"] += K.scatter_rows(
-            *map(np.concatenate, zip(*emb_terms)), self.vocab_size)
+            *map(np.concatenate, zip(*emb_terms)), self.config["vocab_size"])
         return loss, grads
-
-    def mean_loss(self, instances: PackedInstances):
-        """Mean loss, in batches of the training size, which bounds the
-        encoder's memory."""
-        total = 0.0
-        batch_size = self.config["batch_size"]
-        for start in range(0, len(instances), batch_size):
-            batch = instances.take(slice(start, start + batch_size))
-            logits, _ = self._forward(self.params, batch)
-            total += K.softmax_xent_batch(logits, batch.targets)[0]
-        return total / len(instances)
 
     # -- persistence -----------------------------------------------------------
 
     def save(self, path):
-        config = dict(self.config, vocab_size=self.vocab_size,
-                      token_vocab_size=self.token_vocab_size, phase=self.phase)
-        K.save_model(path, "conditional", config, self.params)
+        K.save_model(path, "conditional", self.config, self.params)
 
     @staticmethod
     def load(path) -> "ConditionalModel":
         """The model in file ``path``, whose header and parameter shapes
         are checked."""
-        config, params = K.load_model(path, "conditional")
-        C.check(config, {**CONFIG_KEYS, **C.same("vocab_size token_vocab_size phase")},
-                DataFormatError, f"{path}: model header key")
-        vocab_size = config.pop("vocab_size")
-        token_vocab_size = config.pop("token_vocab_size")
-        phase = config.pop("phase")
-        model = ConditionalModel(vocab_size, token_vocab_size, config, params, phase)
-        K.check_params(path, params, model._init_params(K.SHAPES_ONLY))
-        return model
+        return K.load_model(
+            path, "conditional",
+            {**CONFIG_KEYS, **C.same("vocab_size token_vocab_size phase")},
+            ConditionalModel)
 
 
 def _train(model: ConditionalModel, train: PackedInstances,
@@ -272,7 +255,8 @@ def _train(model: ConditionalModel, train: PackedInstances,
     holdout = dev if len(dev) else train
     model.params = K.fit(
         model.params, lambda idx: model.loss_and_grads(train.take(idx))[1],
-        lambda: model.mean_loss(holdout), len(train), cfg, lr,
+        lambda: K.mean_loss(lambda batch: model._forward(model.params, batch),
+                            holdout, cfg["batch_size"]), len(train), cfg, lr,
         np.random.default_rng(cfg["seed"] + 1), max_epochs,
         log and (lambda e, loss: log(f"conditional epoch {e}: "
                                      f"dev loss {loss:.4f}")))
@@ -289,8 +273,8 @@ def train_conditional(train: PackedInstances, dev: PackedInstances,
     the stages run sequentially, each with a freshly initialized optimizer;
     otherwise a single run at config["lr"] is used.
     """
-    model = ConditionalModel(vocab_size, token_vocab_size, config,
-                             phase="pretrained")
+    model = ConditionalModel({**(config or {}), "vocab_size": vocab_size,
+                              "token_vocab_size": token_vocab_size})
     stages = model.config.get("lr_schedule") or [(model.config["lr"], None)]
     for lr, epochs in stages:
         model = _train(model, train, dev, float(lr), log=log,
@@ -303,13 +287,12 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
     """Add a zero-initialized W_O term and finetune everything at the
     reduced rate. Dev split follows the 9:1 convention over the annotated
     set (seeded shuffle)."""
-    if model.phase != "finetuned" and not len(annotated):
+    if model.config["phase"] != "finetuned" and not len(annotated):
         raise ConfigError("no annotated instances to finetune on")
-    cfg = {**model.config, **(config or {})}
+    cfg = {**model.config, **(config or {}), "phase": "finetuned"}
     params = {k: v.copy() for k, v in model.params.items()}
-    params["W_O"] = np.zeros((model.vocab_size, model.config["emb_dim"]))
-    tuned = ConditionalModel(model.vocab_size, model.token_vocab_size, cfg,
-                             params, phase="finetuned")
+    params["W_O"] = np.zeros((cfg["vocab_size"], cfg["emb_dim"]))
+    tuned = ConditionalModel(cfg, params)
     rng = np.random.default_rng(cfg["seed"] + 2)
     order = rng.permutation(len(annotated))
     n_dev = max(1, len(annotated) // 10)
@@ -408,7 +391,6 @@ def worker_count(tasks: int) -> int:
 
 
 def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
-                           batch_size: int = 512,
                            model_id: str = "") -> InterventionTable:
     """Plugin estimate of every do-row by Monte Carlo over the adjustment
     sample ``contexts`` (instance rows; the intervened k replaces each prev event).
@@ -418,8 +400,9 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     text and out-of-text ids) is encoded once and weighted by how often it
     was drawn, and every k-independent array is computed once and shared
     read-only: the history states, their z/r recurrent terms and the
-    context logits. Per do-row and block of at most ``batch_size``
-    contexts, the last step is one ``K.gru_cell`` (an (n, h) x (h, h) GEMM)
+    context logits. The contexts go in blocks of at most the model's
+    training ``batch_size``, which bounds the encoder's memory. Per do-row
+    and block, the last step is one ``K.gru_cell`` (an (n, h) x (h, h) GEMM)
     and the logits GEMM, written into scratch buffers owned by one worker.
 
     Do-values are handed out one at a time to a pool of
@@ -429,9 +412,8 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     """
     if not len(contexts):
         raise ConfigError("adjustment set must contain at least one context")
-    params = model.params
-    V = model.vocab_size
-    h_dim = model.config["hidden_dim"]
+    params, cfg = model.params, model.config
+    V, h_dim, step = cfg["vocab_size"], cfg["hidden_dim"], cfg["batch_size"]
 
     # distinct contexts: the history (the sequence minus its prev event),
     # text and out-of-text ids of a sampled row, -1-padded into one key row
@@ -451,18 +433,15 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     W, b, U_zr, Uh = K.gru_weights(params, "enc")
     x_proj = params["emb"] @ W.T + b                      # (V, 3h)
 
-    # per-context constants, in batches of the training size, which bounds
-    # the encoder's memory
+    # per-context constants, block by block
+    blocks = [slice(s, s + step) for s in range(0, D, step)]
     h_hist, const_logits = np.empty((D, h_dim)), np.empty((D, V))
-    step = model.config["batch_size"]
-    for start in range(0, D, step):
-        rows = slice(start, start + step)
-        chunk = distinct.take(rows)
-        h_hist[rows], _ = model._encode(params, chunk.seq, chunk.seq_len - 1)
-        const_logits[rows], _ = model._context_logits(params, chunk)
+    for blk in blocks:
+        chunk = distinct.take(blk)
+        h_hist[blk], _ = model._encode(params, chunk.seq, chunk.seq_len - 1)
+        const_logits[blk], _ = model._context_logits(params, chunk)
     hu_zr = h_hist @ U_zr.T                               # (D, 2h)
 
-    blocks = [slice(s, s + batch_size) for s in range(0, D, batch_size)]
     effect = np.zeros((V, V))
     todo, lock = iter(range(V)), threading.Lock()
     ones = np.ones(V)
@@ -491,7 +470,7 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
 
     # imported here: it adds about 0.4 MB to every process that loads it
     from concurrent.futures import ThreadPoolExecutor
-    workers, n = worker_count(V), min(D, batch_size)
+    workers, n = worker_count(V), min(D, step)
     # glibc gives each thread a malloc arena; only this one's holds the
     # encoder's freed memory, so the workers' scratch buffers are made here
     scratch = [(np.empty((n, 2 * h_dim)), np.empty((n, h_dim)),

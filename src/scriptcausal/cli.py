@@ -56,10 +56,12 @@ def _emit(text, output):
 
 
 def _load_cbn(args):
+    if bool(args.fixture) == bool(args.cbn):
+        raise ConfigError(f"{args.command} needs one network: pass either "
+                          "--fixture or --cbn")
     if args.fixture:
         return synth.build_fixture(args.fixture)
-    path = _require(args.cbn, "CBN spec file")
-    return synth.SyntheticCBN.load(path)
+    return synth.SyntheticCBN.load(_require(args.cbn, "CBN spec file"))
 
 
 def _check_vocab_size(what, size, vocab):
@@ -153,7 +155,7 @@ def cmd_finetune_cond(cfg, args):
     model = causal.ConditionalModel.load(
         _require(args.model, "pretrained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
-    _check_vocab_size("the pretrained model", model.vocab_size, vocab)
+    _check_vocab_size("the pretrained model", model.config["vocab_size"], vocab)
     annotated = _instances(
         load_chains(_require(args.annotated, "annotated chain file")), vocab,
         model.config)
@@ -170,7 +172,7 @@ def cmd_estimate_do(cfg, args):
     model = causal.ConditionalModel.load(
         _require(args.model, "trained conditional model"))
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
-    _check_vocab_size("the conditional model", model.vocab_size, vocab)
+    _check_vocab_size("the conditional model", model.config["vocab_size"], vocab)
     instances = _instances(
         load_chains(_require(args.corpus, "adjustment-sample chain file")), vocab,
         model.config)
@@ -253,7 +255,7 @@ def _systems(args, vocab, lm_system, matrix_system):
     systems = {}
     if args.lm:
         lm = baselines.EventLM.load(_require(args.lm, "LM model file"))
-        _check_vocab_size("the LM", lm.vocab_size, vocab)
+        _check_vocab_size("the LM", lm.config["vocab_size"], vocab)
         systems["lm"] = lm_system(lm)
     for name, M in _score_matrices(args, vocab).items():
         systems[name] = matrix_system(M)
@@ -338,8 +340,8 @@ def gradient_errors(seed) -> dict:
     from . import baselines, causal, kernel
     rng = np.random.default_rng(seed)
     results = {}
-    lm = baselines.EventLM(10, {"emb_dim": 6, "hidden_dim": 7, "num_layers": 2,
-                                "dropout": 0.0, "seed": seed})
+    lm = baselines.EventLM({"vocab_size": 10, "emb_dim": 6, "hidden_dim": 7,
+                            "num_layers": 2, "dropout": 0.0, "seed": seed})
     seqs = [rng.integers(3, 10, size=rng.integers(1, 6)) for _ in range(10)]
     chains = baselines.FramedChains.frame(
         np.concatenate(seqs), np.cumsum([0, *map(len, seqs)]))
@@ -347,8 +349,9 @@ def gradient_errors(seed) -> dict:
         lambda p: lm.loss_and_grads(chains, p), lm.params,
         rng=np.random.default_rng(seed))
     for phase in ("pretrained", "finetuned"):
-        m = causal.ConditionalModel(
-            12, 7, {"emb_dim": 5, "hidden_dim": 8, "seed": seed}, phase=phase)
+        m = causal.ConditionalModel({"vocab_size": 12, "token_vocab_size": 7,
+                                     "emb_dim": 5, "hidden_dim": 8, "seed": seed,
+                                     "phase": phase})
         if phase == "finetuned":
             m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * 0.1
         seqs, texts, oots, targets = [], [], [], []

@@ -138,9 +138,10 @@ def lm_sheet_system(lm):
     the next-event rows of <s> and of each one-event history, BLOCK per pass."""
     @functools.cache
     def logp():
-        ids = np.r_[0, :lm.vocab_size][:, None]   # row 0: the empty history
+        V = lm.config["vocab_size"]
+        ids = np.r_[0, :V][:, None]   # row 0: the empty history
         lengths = np.minimum(np.arange(len(ids)), 1)
-        out = np.empty((len(ids), lm.vocab_size))
+        out = np.empty((len(ids), V))
         for i in range(0, len(ids), BLOCK):
             out[i:i + BLOCK] = lm.next_distribution(ids[i:i + BLOCK],
                                                     lengths[i:i + BLOCK])

@@ -21,6 +21,7 @@ import struct
 
 import numpy as np
 
+from . import config as C
 from .errors import ConfigError, DataFormatError, NumericalError, open_input
 
 GATES = ("z", "r", "h")
@@ -400,6 +401,19 @@ def fit(params, batch_grads, holdout_loss, n, cfg, lr, rng, max_epochs=None,
     return best_params
 
 
+def mean_loss(forward, data, batch_size):
+    """Mean cross entropy per target over ``data`` (a sized set with
+    ``take(slice)``), where ``forward(batch)`` returns (logits, targets,
+    cache). Each pass takes at most ``batch_size`` items, which bounds
+    the forward pass's memory."""
+    total, count = 0.0, 0
+    for start in range(0, len(data), batch_size):
+        logits, targets, _ = forward(data.take(slice(start, start + batch_size)))
+        total += softmax_xent_batch(logits, targets)[0]
+        count += len(targets)
+    return total / count
+
+
 # ---------------------------------------------------------------------------
 # gradient verification
 
@@ -470,9 +484,12 @@ def _read_exact(f, n, size):
     return f.read(n)
 
 
-def load_model(path, kind):
-    """Inverse of save_model for a file of model kind ``kind``. Returns
-    (config, params)."""
+def load_model(path, kind, keys, build):
+    """The model of kind ``kind`` in file ``path`` (see save_model). Its
+    header must hold the keys of ``keys`` (model key -> table key) with
+    values the table accepts; ``build(config, params)`` makes the model,
+    whose ``_init_params(SHAPES_ONLY)`` names every parameter the file
+    must hold, with its shape."""
     with open_input(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header = f.readline().decode("utf-8").rstrip("\n")
@@ -499,15 +516,13 @@ def load_model(path, kind):
                 raise DataFormatError(f"model parameter {name!r}: {e}") from e
             if not np.isfinite(params[name]).all():
                 raise DataFormatError(f"model parameter {name!r} is not finite")
-    return config, params
-
-
-def check_params(path, params, expected):
-    """Raise DataFormatError naming the first parameter of the model file
-    ``path`` whose name or shape differs from ``expected``'s."""
+    C.check(config, keys, DataFormatError, f"{path}: model header key")
+    model = build(config, params)
+    expected = model._init_params(SHAPES_ONLY)
     for name in sorted(params.keys() | expected.keys()):
         got, want = (p[name].shape if name in p else "absent"
                      for p in (params, expected))
         if got != want:
             raise DataFormatError(f"{path}: model parameter {name!r} is {got} in "
                                   f"the file but {want} by its header")
+    return model

@@ -203,8 +203,9 @@ def test_criterion_5_distribution_invariants():
     V = 20
     for t in range(50):
         phase = "finetuned" if t % 2 else "pretrained"
-        m = causal.ConditionalModel(
-            V, 5, {"emb_dim": 5, "hidden_dim": 6, "seed": t}, phase=phase)
+        m = causal.ConditionalModel({"vocab_size": V, "token_vocab_size": 5,
+                                     "emb_dim": 5, "hidden_dim": 6, "seed": t,
+                                     "phase": phase})
         for name in m.params:
             m.params[name] = rng.normal(size=m.params[name].shape) * 0.3
         seqs, texts, oots = [], [], []
@@ -407,16 +408,16 @@ def test_criterion_9_round_trips(tmp_path):
     type(vocab).load(v1).save(v2)
     assert v1.read_bytes() == v2.read_bytes()
 
-    lm = baselines.EventLM(len(vocab), {"emb_dim": 6, "hidden_dim": 7,
-                                        "num_layers": 2, "seed": 1})
+    lm = baselines.EventLM({"vocab_size": len(vocab), "emb_dim": 6,
+                            "hidden_dim": 7, "num_layers": 2, "seed": 1})
     l1, l2 = tmp_path / "lm1.bin", tmp_path / "lm2.bin"
     lm.save(l1)
     baselines.EventLM.load(l1).save(l2)
     assert l1.read_bytes() == l2.read_bytes()
 
     cond = causal.ConditionalModel(
-        len(vocab), 3, {"emb_dim": 6, "hidden_dim": 7, "seed": 2},
-        phase="finetuned")
+        {"vocab_size": len(vocab), "token_vocab_size": 3, "emb_dim": 6,
+         "hidden_dim": 7, "seed": 2, "phase": "finetuned"})
     m1, m2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
     cond.save(m1)
     causal.ConditionalModel.load(m1).save(m2)

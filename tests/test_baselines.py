@@ -215,7 +215,7 @@ def test_lm_completion_argmax_on_memorized_triple():
 
 def test_lm_next_distribution_is_a_distribution():
     corpus, vocab = _memorization_corpus(["a", "b"], n=4)
-    lm = baselines.EventLM(len(vocab), dict(TINY_LM, max_epochs=0))
+    lm = baselines.EventLM(dict(TINY_LM, vocab_size=len(vocab), max_epochs=0))
     dists = _next(lm, [[NUM_SPECIALS], [], [NUM_SPECIALS, 4]])
     assert dists.shape == (3, len(vocab))
     np.testing.assert_allclose(dists.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -224,7 +224,7 @@ def test_lm_next_distribution_is_a_distribution():
 
 def test_lm_chain_scores_exponentiate_to_one():
     corpus, vocab = _memorization_corpus(["a", "b"], n=4)
-    lm = baselines.EventLM(len(vocab), TINY_LM)
+    lm = baselines.EventLM(dict(TINY_LM, vocab_size=len(vocab)))
     column = evaluation.lm_sheet_system(lm)   # log p(k, l) of a 2-event chain
     total = sum(math.exp(score) for cand in range(len(vocab))
                 for score in column(cand))
@@ -253,8 +253,9 @@ def test_lm_beats_unigram_perplexity():
     lm = baselines.train_event_lm(corpus, corpus, vocab,
                                   dict(TINY_LM, max_epochs=25))
     ids = corpus.event_ids(vocab)
-    lm_ppl = math.exp(lm.mean_loss(
-        baselines.FramedChains.frame(ids, corpus.offsets)))
+    lm_ppl = math.exp(K.mean_loss(
+        lambda chains: lm._forward(lm.params, chains),
+        baselines.FramedChains.frame(ids, corpus.offsets), lm.config["batch_size"]))
     # unigram oracle over the same framed token stream (events + </s>)
     from collections import Counter
     seqs = np.split(ids, corpus.offsets[1:-1])
@@ -320,7 +321,7 @@ def _random_chains(rng, n, V):
 def test_lm_step_on_framed_chains_equals_padded_reference(dropout):
     rng = np.random.default_rng(7)
     V = 11
-    lm = baselines.EventLM(V, dict(TINY_LM, dropout=dropout, num_layers=3))
+    lm = baselines.EventLM(dict(TINY_LM, vocab_size=V, dropout=dropout, num_layers=3))
     seqs, chains = _random_chains(rng, 9, V)
     batch = np.array([4, 0, 8, 2, 7])
     loss, grads = lm.loss_and_grads(chains.take(batch),
@@ -333,10 +334,23 @@ def test_lm_step_on_framed_chains_equals_padded_reference(dropout):
         np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
 
 
+@pytest.mark.parametrize("batch_size", [1, 4, 9, 64])
+def test_mean_loss_is_the_loss_per_target_of_one_pass(batch_size):
+    """kernel.mean_loss, over batches of chains that hold different numbers
+    of targets, is the cross entropy per target of one pass over them all."""
+    V = 10
+    lm = baselines.EventLM(dict(TINY_LM, vocab_size=V))
+    _, chains = _random_chains(np.random.default_rng(4), 9, V)
+    logits, targets, _ = lm._forward(lm.params, chains)
+    want = K.softmax_xent_batch(logits, targets)[0] / len(targets)
+    got = K.mean_loss(lambda batch: lm._forward(lm.params, batch), chains, batch_size)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def _framed_rows(lm, seqs, chains):
     """{history: softmax row} of every prefix of ``seqs`` from the batch
     forward pass over the framed chains."""
-    logits, targets, _, _ = lm._forward(lm.params, chains)
+    logits, targets, _ = lm._forward(lm.params, chains)
     layout = K.SeqLayout(chains.counts)
     rows = {}
     for b, s in enumerate(seqs):
@@ -350,7 +364,7 @@ def _framed_rows(lm, seqs, chains):
 def test_lm_next_distribution_is_the_framed_forward_row():
     rng = np.random.default_rng(8)
     V = 9
-    lm = baselines.EventLM(V, TINY_LM)
+    lm = baselines.EventLM(dict(TINY_LM, vocab_size=V))
     seqs, chains = _random_chains(rng, 6, V)
     want = _framed_rows(lm, seqs, chains)
     histories = [s[:t] for s in seqs for t in range(len(s) + 1)]
@@ -366,7 +380,7 @@ def test_lm_next_distribution_blocks_are_the_framed_forward_rows(n):
     n = 0 scores the empty history alone."""
     rng = np.random.default_rng(9)
     V = 10
-    lm = baselines.EventLM(V, TINY_LM)
+    lm = baselines.EventLM(dict(TINY_LM, vocab_size=V))
     seqs, chains = _random_chains(rng, 20, V)
     want = _framed_rows(lm, seqs, chains)
     histories = sorted(want, key=lambda h: (-len(h), h))[:n] if n else [()]

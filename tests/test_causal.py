@@ -36,7 +36,7 @@ def _pack(contexts, targets=None):
 
 def _dist(model, batch):
     """The model's next-event distribution of every row of a batch."""
-    logits, _ = model._forward(model.params, batch)
+    logits, _, _ = model._forward(model.params, batch)
     return K.softmax(logits, axis=1)
 
 
@@ -72,8 +72,8 @@ def test_history_window_beyond_ten():
     inst = causal.extract_training_instances(corpus, vocab, history_window=12)
     assert inst.seq_len[12] - 1 == 12  # position i = 13
     one = inst.take(np.array([12]))
-    model = causal.ConditionalModel(len(vocab), 1,
-                                    dict(TINY, history_window=12))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=len(vocab),
+                                         history_window=12))
     table = causal.estimate_interventions(model, one)
     hist = one.seq[0, :12].tolist()
     np.testing.assert_allclose(
@@ -159,28 +159,27 @@ def test_extraction_equals_per_instance_fold(chains, window, threshold,
 
 
 def test_distribution_sums_to_one():
-    model = causal.ConditionalModel(9, 4, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
     dist = _dist(model, _pack([(3, [4, 5], [1, 2], [])]))[0]
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
     assert (dist >= 0).all()
 
 
 def test_prev_event_changes_distribution():
-    model = causal.ConditionalModel(9, 4, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
     d1, d2 = _dist(model, _pack([(3, [4], [], []), (5, [4], [], [])]))
     assert not np.allclose(d1, d2)
 
 
 def _with_zero_wo(model):
     params = {k: v.copy() for k, v in model.params.items()}
-    params["W_O"] = np.zeros((model.vocab_size, model.config["emb_dim"]))
-    return causal.ConditionalModel(model.vocab_size, model.token_vocab_size,
-                                   model.config, params=params,
-                                   phase="finetuned")
+    params["W_O"] = np.zeros((model.config["vocab_size"], model.config["emb_dim"]))
+    return causal.ConditionalModel(dict(model.config, phase="finetuned"),
+                                   params=params)
 
 
 def test_zero_wo_matches_pretrained_bitwise():
-    model = causal.ConditionalModel(9, 4, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
     tuned = _with_zero_wo(model)
     assert not np.any(tuned.params["W_O"])
     batch = _pack([(3, [4, 5], [1], [6])])
@@ -189,7 +188,7 @@ def test_zero_wo_matches_pretrained_bitwise():
 
 def test_empty_oot_set_reduces_to_pretrained_form():
     rng = np.random.default_rng(0)
-    model = causal.ConditionalModel(9, 4, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
     tuned = _with_zero_wo(model)
     tuned.params["W_O"] = rng.normal(size=tuned.params["W_O"].shape)
     batch = _pack([(3, [4], [], [])])   # no out-of-text events
@@ -237,11 +236,12 @@ def test_finetune_lowers_heldout_xent_with_annotations():
 
 
 def test_model_file_round_trip(tmp_path):
-    model = causal.ConditionalModel(9, 4, TINY, phase="finetuned")
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4,
+                                         phase="finetuned"))
     p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
     model.save(p1)
     loaded = causal.ConditionalModel.load(p1)
-    assert loaded.phase == "finetuned"
+    assert loaded.config["phase"] == "finetuned"
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -251,7 +251,7 @@ def test_model_file_round_trip(tmp_path):
 
 
 def test_single_sample_equals_substituted_conditional():
-    model = causal.ConditionalModel(9, 4, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
     table = causal.estimate_interventions(
         model, _pack([(3, [4, 5], [2], [])]))
     subs = _dist(model, _pack([(k, [4, 5], [2], []) for k in range(9)]))
@@ -259,9 +259,11 @@ def test_single_sample_equals_substituted_conditional():
         np.testing.assert_allclose(table.effect[k], subs[k], atol=1e-12)
 
 
-def _formula_model(rng, V, n_tokens):
-    """A finetuned model whose text and out-of-text terms are not small."""
-    model = causal.ConditionalModel(V, n_tokens, TINY, phase="finetuned")
+def _formula_model(rng, V, n_tokens, batch_size):
+    """A finetuned model whose text and out-of-text terms are not small, and
+    whose estimator blocks hold ``batch_size`` contexts."""
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=n_tokens,
+                                         batch_size=batch_size, phase="finetuned"))
     p = model.params
     p["W_O"] = rng.normal(size=p["W_O"].shape)
     p["A"] *= 4.0
@@ -281,7 +283,7 @@ def _random_contexts(rng, V, n_tokens, count):
 def _per_context_rows(model, contexts):
     """mean_j softmax(A gru_step(emb[k], h_j) + B v_t + W_O v_o), computed
     context by context."""
-    p, V, h_dim = model.params, model.vocab_size, TINY["hidden_dim"]
+    p, V, h_dim = model.params, model.config["vocab_size"], TINY["hidden_dim"]
     expected = np.zeros((V, V))
     for _, hist, text, oot in contexts:
         h = np.zeros((1, h_dim))
@@ -302,14 +304,13 @@ def test_estimator_matches_per_row_formula():
     W_O v_o), computed context by context, across block boundaries."""
     rng = np.random.default_rng(8)
     V, n_tokens = 11, 6
-    model = _formula_model(rng, V, n_tokens)
+    model = _formula_model(rng, V, n_tokens, batch_size=64)
     contexts = _random_contexts(rng, V, n_tokens, 150)
     for channel in (1, 2, 3):   # history, text, out-of-text
         lengths = [len(c[channel]) for c in contexts]
         assert min(lengths) == 0 < max(lengths)
 
-    table = causal.estimate_interventions(
-        model, _pack(contexts), batch_size=64)
+    table = causal.estimate_interventions(model, _pack(contexts))
     np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
                                rtol=0, atol=1e-12)
 
@@ -321,10 +322,10 @@ def test_do_rows_are_mean_forward_distributions_of_intervened_rows():
     last step from shared history states is the model's own forward pass."""
     rng = np.random.default_rng(30)
     V, n_tokens = 11, 6
-    model = _formula_model(rng, V, n_tokens)
+    model = _formula_model(rng, V, n_tokens, batch_size=16)
     pool = _pack(_random_contexts(rng, V, n_tokens, 40))
     contexts = causal.sample_adjustment_set(pool, 100, seed=4)  # with replacement
-    table = causal.estimate_interventions(model, contexts, batch_size=16)
+    table = causal.estimate_interventions(model, contexts)
     last = (np.arange(len(contexts)), contexts.seq_len - 1)
     for k in range(V):
         seq = contexts.seq.copy()
@@ -341,7 +342,7 @@ def test_repeated_contexts_match_per_row_formula():
     every drawn row."""
     rng = np.random.default_rng(12)
     V, n_tokens = 11, 6
-    model = _formula_model(rng, V, n_tokens)
+    model = _formula_model(rng, V, n_tokens, batch_size=8)
     base = _random_contexts(rng, V, n_tokens, 25)
     contexts = [(int(rng.integers(NUM_SPECIALS, V)), *base[i][1:])
                 for i in rng.integers(0, len(base), size=120)]
@@ -350,7 +351,7 @@ def test_repeated_contexts_match_per_row_formula():
         _pack(contexts, range(len(contexts))), 300, seed=3)
     drawn = [contexts[i] for i in adjustment.targets]
     assert len({repr(c[1:]) for c in drawn}) < len({repr(c) for c in drawn})
-    table = causal.estimate_interventions(model, adjustment, batch_size=8)
+    table = causal.estimate_interventions(model, adjustment)
     assert table.n_samples == 300
     np.testing.assert_allclose(table.effect, _per_context_rows(model, drawn),
                                rtol=0, atol=1e-12)
@@ -362,13 +363,12 @@ def test_rows_stay_exact_when_logits_are_large():
     sums to 1 and matches the per-context formula."""
     rng = np.random.default_rng(5)
     V, n_tokens = 11, 6
-    model = _formula_model(rng, V, n_tokens)
+    model = _formula_model(rng, V, n_tokens, batch_size=16)
     A = model.params["A"]
     A[4] *= 1500.0 / np.abs(A[4]).sum()
     A[7] *= 300.0 / np.abs(A[7]).sum()
     contexts = _random_contexts(rng, V, n_tokens, 60)
-    table = causal.estimate_interventions(
-        model, _pack(contexts), batch_size=16)
+    table = causal.estimate_interventions(model, _pack(contexts))
     assert np.isfinite(table.effect).all()
     np.testing.assert_allclose(table.effect.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
@@ -393,7 +393,7 @@ def test_table_is_the_same_for_every_worker_count():
     summed twice would show."""
     rng = np.random.default_rng(21)
     V, n_tokens = 40, 6
-    model = _formula_model(rng, V, n_tokens)
+    model = _formula_model(rng, V, n_tokens, batch_size=16)
     adjustment = _pack(_random_contexts(rng, V, n_tokens, 90))
 
     tables = []
@@ -404,8 +404,7 @@ def test_table_is_the_same_for_every_worker_count():
             cpu_patch, env_patch = _host(cpus, OPENBLAS_NUM_THREADS="1")
             with cpu_patch, env_patch:
                 assert causal.worker_count(V) == cpus
-                tables.append(causal.estimate_interventions(
-                    model, adjustment, batch_size=16).effect)
+                tables.append(causal.estimate_interventions(model, adjustment).effect)
     finally:
         sys.setswitchinterval(interval)
     for other in tables[1:]:
@@ -439,7 +438,7 @@ def test_batched_forward_matches_per_row_fold():
     context the distribution of a gru_step fold over its own sequence."""
     rng = np.random.default_rng(9)
     V = 10
-    model = causal.ConditionalModel(V, 4, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=4))
     p = model.params
     contexts = [(int(rng.integers(NUM_SPECIALS, V)),
                  [int(e) for e in rng.integers(NUM_SPECIALS, V, size=n)], [], [])
@@ -475,7 +474,8 @@ def test_shared_layout_gradients_equal_unshared(chains, picks, phase):
     picks = [(c % len(chains), end, w) for c, end, w in picks]
     contexts = _contexts_from(chains, picks, V)
     targets = [NUM_SPECIALS + (i % 3) for i in range(len(contexts))]
-    model = causal.ConditionalModel(V, 3, TINY, phase=phase)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=3,
+                                         phase=phase))
     if phase == "finetuned":
         model.params["W_O"] = np.random.default_rng(1).normal(
             size=model.params["W_O"].shape) * 0.1
@@ -496,7 +496,8 @@ def test_text_free_batch_leaves_the_text_channel_out(phase):
     gradients, and the loss keeps its bits when both are redrawn."""
     rng = np.random.default_rng(6)
     V = NUM_SPECIALS + 6
-    model = causal.ConditionalModel(V, 4, TINY, phase=phase)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=4,
+                                         phase=phase))
     if phase == "finetuned":
         model.params["W_O"] = rng.normal(size=model.params["W_O"].shape)
     batch = _pack([(5, [3, 4], [], [6]), (7, [], [], []), (4, [8, 3, 5], [], [3, 8])],
@@ -512,7 +513,7 @@ def test_gradients_certify_when_instances_end_on_one_node():
     """Two instances with the same history and prev event but different
     targets end on one packed row; both gradients must reach it."""
     V = NUM_SPECIALS + 5
-    model = causal.ConditionalModel(V, 3, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=3))
     packed = _pack([(5, [3, 4], [1], []), (5, [3, 4], [2], []),
                     (6, [3], [], []), (7, [3, 4, 5], [1], [])], [6, 7, 3, 4])
     layout = K.SeqLayout(packed.seq_len, packed.seq)
@@ -538,7 +539,7 @@ def test_packed_batch_is_a_trimmed_row_gather():
 def test_intervention_rows_are_distributions():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, vocab, _ = _instances_for(cbn, 40, seed=4)
-    model = causal.ConditionalModel(len(vocab), 1, TINY)
+    model = causal.ConditionalModel(dict(TINY, vocab_size=len(vocab)))
     adj = causal.sample_adjustment_set(inst, 50, seed=1)
     table = causal.estimate_interventions(model, adj)
     np.testing.assert_allclose(table.effect.sum(axis=1), 1.0, atol=1e-9)

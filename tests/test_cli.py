@@ -132,7 +132,7 @@ def test_training_runs_without_a_loadable_libc(workdir, monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
     _lm_inputs()
     assert run(*_TRAIN_LM) == 0
-    assert baselines.EventLM.load(workdir / "lm.bin").vocab_size == len(
+    assert baselines.EventLM.load(workdir / "lm.bin").config["vocab_size"] == len(
         Vocabulary.load(workdir / "v.tsv"))
 
 
@@ -228,8 +228,8 @@ def _vocab_and_model(workdir):
     run("--config", "cfg.json", "vocab", "--input", "c.jsonl",
         "--output", "v.tsv")
     vocab = Vocabulary.load("v.tsv")
-    causal.ConditionalModel(len(vocab), 1,
-                            {"emb_dim": 4, "hidden_dim": 5}).save("m.bin")
+    causal.ConditionalModel({"vocab_size": len(vocab), "emb_dim": 4,
+                             "hidden_dim": 5}).save("m.bin")
     return len(vocab)
 
 
@@ -588,11 +588,12 @@ _MODEL_FILES = {"conditional": "m.bin", "finetuned": "ft.bin", "lm": "lm.bin"}
 
 def _model_files(n):
     """A conditional model, a finetuned one and an LM, all of ``n`` ids."""
-    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5}).save("m.bin")
-    causal.ConditionalModel(n, 1, {"emb_dim": 4, "hidden_dim": 5},
-                            phase="finetuned").save("ft.bin")
-    baselines.EventLM(n, {"emb_dim": 4, "hidden_dim": 5,
-                          "num_layers": 1}).save("lm.bin")
+    causal.ConditionalModel({"vocab_size": n, "emb_dim": 4,
+                             "hidden_dim": 5}).save("m.bin")
+    causal.ConditionalModel({"vocab_size": n, "emb_dim": 4, "hidden_dim": 5,
+                             "phase": "finetuned"}).save("ft.bin")
+    baselines.EventLM({"vocab_size": n, "emb_dim": 4, "hidden_dim": 5,
+                       "num_layers": 1}).save("lm.bin")
 
 
 def _loading_stage(kind, model):
@@ -675,11 +676,7 @@ def test_model_header_keys_are_in_the_table_and_round_trip(workdir, kind):
     model = loader.load(path)
     model.save("again.bin")
     assert open("again.bin", "rb").read() == open(path, "rb").read()
-    if kind == "lm":
-        assert dict(model.config, vocab_size=model.vocab_size) == header
-    else:
-        assert dict(model.config, vocab_size=model.vocab_size, phase=model.phase,
-                    token_vocab_size=model.token_vocab_size) == header
+    assert model.config == header
 
 
 def _drop(name):
@@ -768,9 +765,20 @@ def test_non_utf8_input_exit_code(workdir, capsys, what):
 
 def test_library_defaults_are_the_run_defaults():
     run_cfg = config.RunConfig()
-    assert baselines.EventLM(5).config == run_cfg.slice(baselines.CONFIG_KEYS)
-    assert causal.ConditionalModel(5).config == run_cfg.slice(causal.CONFIG_KEYS)
-    assert baselines.EventLM(5).config["max_epochs"] == run_cfg["max_epochs"] == 30
+    sizes = {"vocab_size": 5}
+    assert baselines.EventLM(sizes).config == {
+        **run_cfg.slice(baselines.CONFIG_KEYS), **sizes}
+    assert causal.ConditionalModel(sizes).config == {
+        **run_cfg.slice(causal.CONFIG_KEYS), **sizes, "token_vocab_size": 1,
+        "phase": "pretrained"}
+    assert baselines.EventLM(sizes).config["max_epochs"] == run_cfg["max_epochs"] == 30
+
+
+def test_a_model_needs_its_vocabulary_size():
+    with pytest.raises(KeyError, match="vocab_size"):
+        baselines.EventLM({})
+    with pytest.raises(KeyError, match="vocab_size"):
+        causal.ConditionalModel({"token_vocab_size": 3})
 
 
 def test_every_run_key_is_read():
@@ -976,3 +984,101 @@ def test_corrupted_spec_or_config_is_a_clean_exit(workdir, capsys, data):
     err = capsys.readouterr().err
     assert code == 0 or code == 1 and err.startswith("error: ") \
         or code == 2 and err.startswith(f"data error: {path}: "), (code, err)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("synth", ["--fixture", "F-POPCORN", "--cbn", "det.json"]),
+    ("synth", []),
+    ("oracle", ["--fixture", "F-POPCORN", "--cbn", "det.json"]),
+    ("oracle", []),
+], ids=["synth-both", "synth-neither", "oracle-both", "oracle-neither"])
+def test_synth_and_oracle_take_exactly_one_network(workdir, capsys, command, flags):
+    """--fixture and --cbn both, or neither, is a config error; neither
+    network is silently preferred."""
+    synth.build_fixture("F-DET").save("det.json")
+    argv = [command, *flags, "--output", "out"] + (["--n", "3"] if command == "synth"
+                                                   else [])
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (f"error: {command} needs one network: pass "
+                                       "either --fixture or --cbn\n")
+    assert not os.path.exists("out")
+
+
+def test_gradcheck_certifies_every_model(workdir, capsys):
+    assert run("gradcheck") == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["event-lm", "conditional-pretrained",
+                                        "conditional-finetuned"]
+    assert all(row[2] == "ok" and float(row[1]) < 1e-4 for row in rows)
+
+
+def test_gradcheck_failure_is_a_numerical_error(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gradient_errors",
+                        lambda seed: {"event-lm": 1e-6, "conditional-pretrained": 2e-4})
+    assert run("gradcheck") == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "conditional-pretrained\t2.000e-04\tFAIL"
+    assert err == "numerical error: gradient check exceeded 1e-4 relative error\n"
+    assert not os.path.exists("runs.log")
+
+
+_ONE_EVENT_VOCAB = ("#scriptcausal-vocab v1\t1\t1\n<unk>\t0\t0\n<s>\t1\t0\n"
+                    "</s>\t2\t0\na:x\t3\t3\n")
+
+
+def _chain_file(events):
+    return json.dumps({"chain_id": "c", "events": events}) + "\n"
+
+
+_THREE_A = _chain_file([{"pred": "a", "dep": "x"}] * 3)
+_SCORE_BAD_VOCAB = ["score", "--itable", "t.bin", "--vocab", "bad", "--target", "a:x"]
+_VOCAB_OF_BAD = ["vocab", "--input", "bad", "--output", "out"]
+_SHEET_HEADER = "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscore\n"
+
+
+@pytest.mark.parametrize("files, argv, code, message", [
+    ({"bad": _chain_file(3)}, _VOCAB_OF_BAD, 2, "bad: line 1: events must be a list"),
+    ({"bad": _chain_file([])}, _VOCAB_OF_BAD, 2, "bad: line 1: chain has no events"),
+    ({"bad": _chain_file([{"pred": 3, "dep": "x"}])}, _VOCAB_OF_BAD, 2,
+     "bad: line 1: pred, dep and fact must be strings"),
+    ({"bad": _chain_file([{"pred": "a", "dep": "x", "oot": [["a:x", 7]]}])},
+     _VOCAB_OF_BAD, 2, "bad: line 1: out-of-text rating 7 for 'a:x' outside [0, 4]"),
+    ({"bad": "#scriptcausal-vocab v1\t1\n"}, _SCORE_BAD_VOCAB, 2,
+     "bad: malformed vocabulary header"),
+    ({"bad": _ONE_EVENT_VOCAB.replace("a:x\t3", "a:x\t4")}, _SCORE_BAD_VOCAB, 2,
+     "bad: vocabulary line 5: non-dense id 4"),
+    ({"bad": _ONE_EVENT_VOCAB.replace("<unk>", "b:x")}, _SCORE_BAD_VOCAB, 2,
+     "bad: vocabulary must list special keys first"),
+    ({"bad": "task_id\tscore\n"}, ["score-summary", "--input", "bad"], 2,
+     "bad: missing or malformed sheet header"),
+    ({"bad": _SHEET_HEADER + "1\ta:x\ta:x\tlm\n"}, ["score-summary", "--input", "bad"],
+     2, "bad: sheet line 2: wrong column count"),
+    ({"bad": "lm\ta:x\nlm\n"}, ["diversity", "--input", "bad"], 2,
+     "bad: emissions line 2: expected 'system\\tevent'"),
+    ({"v.tsv": _ONE_EVENT_VOCAB, "bad": "#scriptcausal-itable v1 4 0 0\n"},
+     ["score", "--itable", "bad", "--vocab", "v.tsv", "--target", "a:x"], 2,
+     "bad: malformed intervention table header"),
+    ({"c.jsonl": _THREE_A, "cfg.json": '{"ratios": [1.0, 0.0, 0.0]}'},
+     ["--config", "cfg.json", "split", "--input", "c.jsonl", "--train", "out",
+      "--dev", "dv", "--test", "te"], 1, "split ratios must be positive"),
+    ({"c.jsonl": _THREE_A, "v.tsv": _ONE_EVENT_VOCAB},
+     ["cloze", "--corpus", "c.jsonl", "--vocab", "v.tsv", "--output", "out"], 1,
+     "no systems given: pass --lm, --itable, and/or --counts"),
+    ({"c.jsonl": _THREE_A, "v.tsv": _ONE_EVENT_VOCAB,
+      "cnt.tsv": "#scriptcausal-counts v1\t2\t3\na:x\ta:x\t3\n",
+      "cfg.json": '{"cutoffs": [-1], "cloze_count": 1}'},
+     ["--config", "cfg.json", "cloze", "--corpus", "c.jsonl", "--vocab", "v.tsv",
+      "--counts", "cnt.tsv", "--output", "out"], 1, "cutoff must be >= 0"),
+], ids=["events-not-a-list", "no-events", "pred-not-a-string", "rating-7",
+        "vocab-header", "vocab-id-gap", "vocab-specials-last", "sheet-header",
+        "sheet-columns", "emissions-line", "itable-header-3-fields",
+        "split-ratio-0", "cloze-no-system", "negative-cutoff"])
+def test_bad_input_is_a_clean_exit(workdir, capsys, files, argv, code, message):
+    """Each malformed input or setting ends in its exit code (1 config, 2
+    data) with one message line naming the fault, and no output."""
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    assert run(*argv) == code
+    prefix = "data error" if code == 2 else "error"
+    assert capsys.readouterr().err == f"{prefix}: {message}\n"
+    assert not os.path.exists("out")

@@ -236,18 +236,18 @@ def test_answer_position_is_the_ranked_ids_index(data):
 
 def test_lm_sheet_system_runs_the_lm_in_blocks():
     class CountingLM:
-        vocab_size = 2 * evaluation.BLOCK + 5
+        config = {"vocab_size": 2 * evaluation.BLOCK + 5}
         histories = []
 
         def next_distribution(self, ids, lengths):
             histories = _contexts(ids, lengths)
             self.histories.append(histories)
-            dist = (np.arange(1.0, self.vocab_size + 1)
+            dist = (np.arange(1.0, self.config["vocab_size"] + 1)
                     + np.array([h[0] if h else 0 for h in histories])[:, None])
             return dist / dist.sum(axis=1, keepdims=True)
 
     lm = CountingLM()
-    V = lm.vocab_size
+    V = lm.config["vocab_size"]
     column = evaluation.lm_sheet_system(lm)
     got = [column(l) for l in range(3, 8)]
     assert [len(h) for h in lm.histories] == [evaluation.BLOCK] * 2 + [6]

@@ -491,20 +491,53 @@ def test_gru_cache_backpropagates_twice_to_the_same_bits():
 # model files
 
 
+class _Stub:
+    """A model of two parameters, "a" (3, dim) and "b" (7,), whose header
+    holds dim under the table key emb_dim."""
+
+    KEYS = {"dim": "emb_dim"}
+
+    def __init__(self, config, params):
+        self.config, self.params = config, params
+
+    def _init_params(self, rng):
+        return {"a": K.init_matrix(rng, 3, self.config["dim"]), "b": np.zeros(7)}
+
+
 def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=7)}
     path = tmp_path / "m.bin"
     K.save_model(path, "test-kind", {"dim": 4}, params)
-    config, loaded = K.load_model(path, "test-kind")
-    assert config == {"dim": 4}
+    model = K.load_model(path, "test-kind", _Stub.KEYS, _Stub)
+    assert model.config == {"dim": 4}
     for name in params:
-        np.testing.assert_array_equal(loaded[name], params[name])
+        np.testing.assert_array_equal(model.params[name], params[name])
     path2 = tmp_path / "m2.bin"
-    K.save_model(path2, "test-kind", config, loaded)
+    K.save_model(path2, "test-kind", model.config, model.params)
     assert path.read_bytes() == path2.read_bytes()
     with pytest.raises(DataFormatError, match="expected other-kind model file"):
-        K.load_model(path, "other-kind")
+        K.load_model(path, "other-kind", _Stub.KEYS, _Stub)
+
+
+@pytest.mark.parametrize("config, params, message", [
+    ({}, {"a": np.ones((3, 4)), "b": np.ones(7)}, "model header key 'dim' is missing"),
+    ({"dim": 0}, {"a": np.ones((3, 0)), "b": np.ones(7)}, "'dim' must be >= 1"),
+    ({"dim": 4, "x": 1}, {"a": np.ones((3, 4)), "b": np.ones(7)}, "'x' is unknown"),
+    ({"dim": 4}, {"a": np.ones((3, 5)), "b": np.ones(7)},
+     r"parameter 'a' is \(3, 5\) in the file but \(3, 4\) by its header"),
+    ({"dim": 4}, {"a": np.ones((3, 4))}, "parameter 'b' is absent in the file"),
+    ({"dim": 4}, {"a": np.ones((3, 4)), "b": np.ones(7), "c": np.ones(1)},
+     r"parameter 'c' is \(1,\) in the file but absent"),
+])
+def test_model_file_must_match_its_header(tmp_path, config, params, message):
+    """load_model checks the header against the table and every parameter's
+    name and shape against the model the header builds."""
+    path = tmp_path / "m.bin"
+    K.save_model(path, "test-kind", config, params)
+    with pytest.raises(DataFormatError, match=message) as caught:
+        K.load_model(path, "test-kind", _Stub.KEYS, _Stub)
+    assert str(path) in str(caught.value)
 
 
 def test_truncated_model_file_is_a_data_error(tmp_path):
@@ -516,4 +549,4 @@ def test_truncated_model_file_is_a_data_error(tmp_path):
     for cut in (body + 2, body + 5, body + 9, body + 20, len(blob) - 1):
         (tmp_path / "cut.bin").write_bytes(blob[:cut])
         with pytest.raises(DataFormatError):
-            K.load_model(tmp_path / "cut.bin", "test-kind")
+            K.load_model(tmp_path / "cut.bin", "test-kind", _Stub.KEYS, _Stub)

@@ -4,9 +4,11 @@ The reference computations here are independent plain-Python enumerations
 over the serialized fixture parameters.
 """
 
+import importlib.util
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +257,18 @@ def test_sampling_refuses_the_seeds_numpy_refuses(popcorn, seed, error):
         np.random.default_rng([seed, 0])
     with pytest.raises(error):
         popcorn.sample_chains(3, seed)
+
+
+def test_fixtures_match_their_generator(tmp_path, monkeypatch):
+    """demos/make_fixtures.py rebuilds every packaged fixture byte for byte."""
+    path = Path(__file__).resolve().parent.parent / "demos" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "OUT", tmp_path)
+    make_fixtures.main()
+    fixtures = resources.files("scriptcausal.fixtures")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["f_det.json", "f_popcorn.json", "f_uniform.json"]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == fixtures.joinpath(name).read_bytes()
