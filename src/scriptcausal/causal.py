@@ -27,8 +27,8 @@ import numpy as np
 
 from . import config as C
 from . import kernel as K
-from .corpus import ChainCorpus, TokenVocab
-from .errors import ConfigError, DataFormatError, open_input
+from .corpus import ChainCorpus
+from .errors import ConfigError, DataFormatError, NumericalError, open_input
 from .events import Vocabulary, int_fields, ranked_ids
 
 # the run keys the model records, under the same names
@@ -99,15 +99,16 @@ class PackedInstances:
 
 
 def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
-                               token_vocab: TokenVocab | None = None,
+                               tokens: list[str] | None = None,
                                oot_threshold: int = 3,
                                history_window: int = 10,
                                select=None) -> PackedInstances:
     """One instance per chain position i >= 1, or only (and packing only)
     those at the indices ``select(targets)`` returns. Target: event i.
     Sequence: the up to ``history_window`` events before i - 1, then event
-    i - 1 (the prev event). Event i - 1's text ids (none without a token
-    vocabulary) and out-of-text ids rated >= ``oot_threshold``."""
+    i - 1 (the prev event). Event i - 1's text as ids into ``tokens``
+    (unknown tokens are id 0, ``<unk>``; no text without ``tokens``) and its
+    out-of-text ids rated >= ``oot_threshold``."""
     ids = corpus.event_ids(vocab)
     off, n = corpus.offsets, len(ids)
     pos = np.arange(n) - np.repeat(off[:-1], np.diff(off))
@@ -116,16 +117,19 @@ def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
         at = at[select(ids[at])]
     prev = at - 1
     seq_len = np.minimum(pos[at], history_window + 1)
-    text_len = (np.diff(corpus.text_off)[prev] if token_vocab is not None
-                else np.zeros_like(prev))
+    if tokens is None:
+        text, text_len = ids[:0], np.zeros_like(prev)
+    else:
+        index = {t: i for i, t in enumerate(tokens)}
+        text = np.array([index.get(t, 0) for t in corpus.tokens],
+                        np.intp)[corpus.text_ids]
+        text_len = np.diff(corpus.text_off)[prev]
     keep = corpus.oot_ratings >= oot_threshold
     oot_len = np.bincount(np.repeat(np.arange(n), np.diff(corpus.oot_off))[keep],
                           minlength=n)
     return PackedInstances(
         *_pack_sequences(ids, at - seq_len, seq_len),
-        *_pack_sets(token_vocab.encode(corpus.tokens)[corpus.text_ids]
-                    if token_vocab is not None else ids[:0],
-                    corpus.text_off[prev], text_len),
+        *_pack_sets(text, corpus.text_off[prev], text_len),
         *_pack_sets(corpus.event_ids(vocab, oot=True)[keep],
                     (np.cumsum(oot_len) - oot_len)[prev], oot_len[prev]),
         ids[at])
@@ -147,13 +151,13 @@ def _mean_of_sets_backward(d_vec, cache):
 
 class ConditionalModel:
     """Parameters of the conditional next-event model and its ``config``,
-    which is its file header: the run keys of ``CONFIG_KEYS``, the sizes
-    ``vocab_size`` (which ``config`` must give) and ``token_vocab_size``,
-    and the ``phase``."""
+    which is its file header: the run keys of ``CONFIG_KEYS``, the size
+    ``vocab_size`` (which ``config`` must give), the text channel's
+    ``tokens`` and the ``phase``."""
 
     def __init__(self, config: dict, params: dict | None = None):
-        self.config = {**C.defaults(CONFIG_KEYS), "token_vocab_size": 1,
-                       "phase": "pretrained", **config}
+        self.config = {**C.defaults({**CONFIG_KEYS, **C.same("tokens phase")}),
+                       **config}
         self.params = params if params is not None else self._init_params(
             np.random.default_rng(self.config["seed"]))
 
@@ -164,7 +168,7 @@ class ConditionalModel:
         p = {"emb": K.init_embedding(rng, V, d)}
         K.init_gru(rng, "enc", d, h, p)
         # the mean of the text's token embeddings goes straight into B
-        p["text_emb"] = K.init_embedding(rng, cfg["token_vocab_size"], h)
+        p["text_emb"] = K.init_embedding(rng, len(cfg["tokens"]), h)
         p["A"] = K.init_matrix(rng, V, h)
         p["B"] = K.init_matrix(rng, V, h)
         if cfg["phase"] == "finetuned":
@@ -215,7 +219,7 @@ class ConditionalModel:
         grads["B"] += dlogits.T @ v_t
         d_ve = dlogits @ params["A"]
         grads["text_emb"] += K.scatter_rows(*_mean_of_sets_backward(
-            dlogits @ params["B"], text_cache), self.config["token_vocab_size"])
+            dlogits @ params["B"], text_cache), len(self.config["tokens"]))
         # embedding-gradient terms: out-of-text ones first, then the GRU's
         emb_terms = []
         if self.config["phase"] == "finetuned":
@@ -243,7 +247,7 @@ class ConditionalModel:
         are checked."""
         return K.load_model(
             path, "conditional",
-            {**CONFIG_KEYS, **C.same("vocab_size token_vocab_size phase")},
+            {**CONFIG_KEYS, **C.same("vocab_size tokens phase")},
             ConditionalModel)
 
 
@@ -264,17 +268,16 @@ def _train(model: ConditionalModel, train: PackedInstances,
 
 
 def train_conditional(train: PackedInstances, dev: PackedInstances,
-                      vocab_size: int, token_vocab_size: int = 1,
-                      config: dict | None = None,
+                      vocab_size: int, config: dict | None = None,
                       log=None) -> ConditionalModel:
-    """Pretraining phase: out-of-text events are ignored.
+    """Pretraining phase: out-of-text events are ignored. ``config`` may
+    carry the ``tokens`` that the instances' text ids index.
 
     When the config carries an "lr_schedule" (a list of [lr, epochs] stages),
     the stages run sequentially, each with a freshly initialized optimizer;
     otherwise a single run at config["lr"] is used.
     """
-    model = ConditionalModel({**(config or {}), "vocab_size": vocab_size,
-                              "token_vocab_size": token_vocab_size})
+    model = ConditionalModel({**(config or {}), "vocab_size": vocab_size})
     stages = model.config.get("lr_schedule") or [(model.config["lr"], None)]
     for lr, epochs in stages:
         model = _train(model, train, dev, float(lr), log=log,
@@ -408,7 +411,8 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     Do-values are handed out one at a time to a pool of
     ``worker_count(V)`` threads. Each row is summed by one worker over the
     same blocks in the same order, so the table is the same bit for bit for
-    every worker count.
+    every worker count. A non-finite shared array or table raises a
+    NumericalError.
     """
     if not len(contexts):
         raise ConfigError("adjustment set must contain at least one context")
@@ -440,6 +444,10 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
         chunk = distinct.take(blk)
         h_hist[blk], _ = model._encode(params, chunk.seq, chunk.seq_len - 1)
         const_logits[blk], _ = model._context_logits(params, chunk)
+    for name, arr in [("input projection", x_proj), ("history states", h_hist),
+                      ("context logits", const_logits)]:
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"non-finite {name} in the model")
     hu_zr = h_hist @ U_zr.T                               # (D, 2h)
 
     effect = np.zeros((V, V))
@@ -480,6 +488,8 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
         for done in [pool.submit(work, *buffers) for buffers in scratch]:
             done.result()
     effect /= len(contexts)
+    if not np.isfinite(effect).all():
+        raise NumericalError("the estimated intervention table is not finite")
     return InterventionTable(effect, model_id=model_id, n_samples=len(contexts))
 
 

@@ -79,12 +79,13 @@ def _load_itable(args, vocab):
     return table
 
 
-def _instances(corpus, vocab, settings, token_vocab=None):
-    """Instances cut by ``settings``'s oot_threshold and history_window: the
-    run's when training a model, the model file's when reading one."""
+def _instances(corpus, vocab, settings):
+    """Instances whose text ``settings``'s tokens encode, cut by its
+    oot_threshold and history_window: the settings of the model that is
+    trained or read."""
     from . import causal
     return causal.extract_training_instances(
-        corpus, vocab, token_vocab, settings["oot_threshold"],
+        corpus, vocab, settings["tokens"], settings["oot_threshold"],
         settings["history_window"])
 
 
@@ -139,13 +140,12 @@ def cmd_train_cond(cfg, args):
     from . import causal
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     train = load_chains(_require(args.train, "training chain file"))
-    token_vocab = build_token_vocab(train)
-    train_inst = _instances(train, vocab, cfg, token_vocab)
+    settings = {**cfg.slice(causal.CONFIG_KEYS), "tokens": build_token_vocab(train)}
+    train_inst = _instances(train, vocab, settings)
     dev_inst = _instances(load_chains(_require(args.dev, "dev chain file")),
-                          vocab, cfg, token_vocab)
-    model = causal.train_conditional(
-        train_inst, dev_inst, len(vocab), len(token_vocab),
-        cfg.slice(causal.CONFIG_KEYS), log=lambda m: print(m, file=sys.stderr))
+                          vocab, settings)
+    model = causal.train_conditional(train_inst, dev_inst, len(vocab), settings,
+                                     log=lambda m: print(m, file=sys.stderr))
     model.save(args.output)
     return [args.output]
 
@@ -230,8 +230,7 @@ def cmd_synth(cfg, args):
 def cmd_oracle(cfg, args):
     from . import causal
     cbn = _load_cbn(args)
-    rows = [cbn.exact_do_distribution(k) for k in range(cbn.num_events)]
-    causal.InterventionTable(np.array(rows)).export_tsv(args.output, cbn.event_keys)
+    causal.InterventionTable(cbn.do_rows()).export_tsv(args.output, cbn.event_keys)
     return [args.output]
 
 
@@ -349,7 +348,7 @@ def gradient_errors(seed) -> dict:
         lambda p: lm.loss_and_grads(chains, p), lm.params,
         rng=np.random.default_rng(seed))
     for phase in ("pretrained", "finetuned"):
-        m = causal.ConditionalModel({"vocab_size": 12, "token_vocab_size": 7,
+        m = causal.ConditionalModel({"vocab_size": 12, "tokens": ["<unk>", *"abcdef"],
                                      "emb_dim": 5, "hidden_dim": 8, "seed": seed,
                                      "phase": phase})
         if phase == "finetuned":

@@ -60,7 +60,7 @@ TABLE = {
     "factual_only": Setting(False),
     # header keys only
     "vocab_size": Setting(1, 1),
-    "token_vocab_size": Setting(1, 1),
+    "tokens": Setting(["<unk>"]),          # the text channel's tokens, by id
     "phase": Setting("pretrained", choices=("pretrained", "finetuned")),
 }
 
@@ -71,7 +71,7 @@ def same(keys: str) -> dict:
 
 
 RUN_KEYS = {key: key for key in TABLE
-            if key not in ("vocab_size", "token_vocab_size", "phase")}
+            if key not in ("vocab_size", "tokens", "phase")}
 
 
 def defaults(names: dict) -> dict:
@@ -120,6 +120,8 @@ def _problem(value, setting: Setting):
         return f"must be one of {', '.join(setting.choices)}"
     if default is None and not all(lr > 0 and n >= 1 for lr, n in value or ()):
         return "needs lr > 0 and epochs >= 1 in every stage"
+    if default == ["<unk>"] and (value[:1] != default or len(set(value)) < len(value)):
+        return "must be distinct strings, '<unk>' first"
 
 
 def check(values, names: dict, error=ConfigError, what="config key"):

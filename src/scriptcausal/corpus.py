@@ -333,25 +333,8 @@ def build_vocab_from(corpus: ChainCorpus, min_count: int = 10) -> Vocabulary:
                        *(c for _, c in kept)], min_count)
 
 
-@dataclass
-class TokenVocab:
-    """Token-string vocabulary for the text channel; id 0 is UNK."""
-
-    tokens: list[str]
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def encode(self, tokens) -> np.ndarray:
-        """Ids of ``tokens`` (unknown -> 0)."""
-        index = {t: i for i, t in enumerate(self.tokens)}
-        return np.array([index.get(t, 0) for t in tokens], dtype=np.intp)
-
-
-def build_token_vocab(corpus: ChainCorpus, min_count: int = 1) -> TokenVocab:
-    """Every text token seen at least ``min_count`` times, in order of first
-    appearance."""
-    return TokenVocab(["<unk>"] + [
-        corpus.tokens[t] for t, c in zip(*_first_seen(corpus.text_ids,
-                                                      len(corpus.tokens)))
-        if c >= min_count])
+def build_token_vocab(corpus: ChainCorpus) -> list[str]:
+    """``<unk>``, then every other text token in order of first appearance:
+    the text channel's token ids."""
+    return ["<unk>"] + [corpus.tokens[t] for t in _first_seen(
+        corpus.text_ids, len(corpus.tokens))[0] if corpus.tokens[t] != "<unk>"]

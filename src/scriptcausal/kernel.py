@@ -374,7 +374,8 @@ def fit(params, batch_grads, holdout_loss, n, cfg, lr, rng, max_epochs=None,
     too. ``holdout_loss()`` is evaluated after every epoch, and training
     stops after ``cfg["patience"]`` epochs without improvement or after
     ``max_epochs`` (default ``cfg["max_epochs"]``). ``log(epoch, loss)``
-    is called once per epoch.
+    is called once per epoch; a non-finite holdout loss raises a
+    NumericalError.
     """
     if not n:
         raise ConfigError("empty training set")
@@ -390,6 +391,8 @@ def fit(params, batch_grads, holdout_loss, n, cfg, lr, rng, max_epochs=None,
         loss = holdout_loss()
         if log:
             log(epoch, loss)
+        if not math.isfinite(loss):
+            raise NumericalError(f"holdout loss is {loss} after epoch {epoch}")
         if loss < best_loss:
             best_loss = loss
             best_params = {k: v.copy() for k, v in params.items()}

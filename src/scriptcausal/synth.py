@@ -70,7 +70,6 @@ class SyntheticCBN:
         if self.chain_length < 2:
             raise ConfigError("chain_length must be >= 2")
         self.kernels = (1.0 - self.lam) * self.templates + self.lam / E
-        self._key_index = {k: i for i, k in enumerate(self.event_keys)}
 
     @property
     def num_events(self) -> int:
@@ -80,22 +79,7 @@ class SyntheticCBN:
     def num_scenarios(self) -> int:
         return len(self.scenario_names)
 
-    def event_index(self, key) -> int:
-        if isinstance(key, (int, np.integer)):
-            if not 0 <= key < self.num_events:
-                raise ConfigError(f"event index {key} out of range")
-            return int(key)
-        idx = self._key_index.get(key)
-        if idx is None:
-            raise ConfigError(f"unknown event key {key!r}")
-        return idx
-
     # -- exact oracles -----------------------------------------------------
-
-    def exact_do_distribution(self, k) -> np.ndarray:
-        """p(e_i | do(e_{i-1}=k)) = sum_z pi(z) g_z(. | k); position-free."""
-        ki = self.event_index(k)
-        return self.pi @ self.kernels[:, ki + 1, :]
 
     def position_marginals(self) -> np.ndarray:
         """p(z, e_t) for t = 1..L as an (L, S, |E|) array."""
@@ -108,30 +92,23 @@ class SyntheticCBN:
             v = np.einsum("se,sef->sf", v, self.kernels[:, 1:, :])
         return out
 
-    def exact_conditional(self, k, position: int) -> np.ndarray:
-        """p(e_{t+1} | e_t = k) at 1-based position t, by enumeration."""
-        if not 1 <= position <= self.chain_length - 1:
+    def do_rows(self) -> np.ndarray:
+        """(|E|, |E|): row k is p(e_i | do(e_{i-1} = k)) = sum_z pi(z)
+        g_z(. | k), the same at every position."""
+        return np.einsum("z,zkl->kl", self.pi, self.kernels[:, 1:, :])
+
+    def observed_rows(self, position: int | None = None) -> np.ndarray:
+        """(|E|, |E|): row k is p(e_{t+1} | e_t = k) at 1-based position t,
+        or pooled over t = 1..L-1 when ``position`` is None. Every event has
+        mass at every position, since ``lam`` > 0."""
+        if position is not None and not 1 <= position <= self.chain_length - 1:
             raise ConfigError(
-                f"position {position} outside [1, {self.chain_length - 1}]"
-            )
-        ki = self.event_index(k)
-        joint = self.position_marginals()[position - 1][:, ki]  # p(z, e_t=k)
-        total = joint.sum()
-        if total <= 0:
-            raise ConfigError(f"event {k!r} has zero probability at position {position}")
-        return (joint / total) @ self.kernels[:, ki + 1, :]
-
-    def aggregate_conditional(self, k) -> np.ndarray:
-        """p(e_{t+1} | e_t = k) pooled over all positions t = 1..L-1."""
-        ki = self.event_index(k)
-        joint = self.position_marginals()[: self.chain_length - 1, :, ki].sum(axis=0)
-        return (joint / joint.sum()) @ self.kernels[:, ki + 1, :]
-
-    def confounding_gap(self, k, l) -> float:
-        """Observational minus interventional probability of l after k."""
-        ki, li = self.event_index(k), self.event_index(l)
-        return float(self.aggregate_conditional(ki)[li]
-                     - self.exact_do_distribution(ki)[li])
+                f"position {position} outside [1, {self.chain_length - 1}]")
+        marginals = self.position_marginals()    # p(z, e_t = k), t = 1..L
+        joint = (marginals[:-1].sum(axis=0) if position is None
+                 else marginals[position - 1])
+        rows = np.einsum("zk,zkl->kl", joint, self.kernels[:, 1:, :])
+        return rows / joint.sum(axis=0)[:, None]
 
     # -- sampling ----------------------------------------------------------
 

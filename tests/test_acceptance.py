@@ -44,7 +44,7 @@ def popcorn():
     order = rng.permutation(len(instances))
     dev = instances.take(order[:10000])
     train = instances.take(order[10000:])
-    model = causal.train_conditional(train, dev, len(vocab), 1,
+    model = causal.train_conditional(train, dev, len(vocab),
                                      POPCORN_COND_CFG)
     tuned = causal.finetune_with_oot(model, instances, POPCORN_COND_CFG)
     adjustment = causal.sample_adjustment_set(instances, 2000, seed=7)
@@ -57,8 +57,7 @@ def popcorn():
 def test_criterion_1_deconfounding_vs_oracle(popcorn):
     cbn, vocab, table = popcorn["cbn"], popcorn["vocab"], popcorn["table"]
     ids = [vocab.id_of(k) for k in cbn.event_keys]
-    oracle = np.array([cbn.exact_do_distribution(k)
-                       for k in range(cbn.num_events)])
+    oracle = cbn.do_rows()
     est = table.effect[np.ix_(ids, ids)]
     l1 = np.abs(est - oracle).sum(axis=1)
     assert l1.max() <= 0.05, f"worst do-row L1 {l1.max():.4f} > 0.05"
@@ -73,7 +72,8 @@ def test_criterion_1_deconfounding_vs_oracle(popcorn):
     after_pk = same_chain & (ev[:-1] == pk)
     num, den = int(np.sum(after_pk & (ev[1:] == ck))), int(np.sum(after_pk))
     gap_est = num / den - table.effect[pk, ck]
-    gap_oracle = cbn.confounding_gap("eat_popcorn:nsubj", "cry:nsubj")
+    p, c = map(cbn.event_keys.index, ["eat_popcorn:nsubj", "cry:nsubj"])
+    gap_oracle = cbn.observed_rows()[p, c] - cbn.do_rows()[p, c]
     assert gap_est * gap_oracle > 0, "confounding gap sign mismatch"
     ratio = gap_est / gap_oracle
     assert 0.7 <= ratio <= 1.3, f"gap ratio {ratio:.3f} outside [0.7, 1.3]"
@@ -125,12 +125,11 @@ def test_criterion_3_no_confounder_agreement():
     cfg = {"emb_dim": 32, "hidden_dim": 64,
            "batch_size": 512, "seed": 0, "clip_norm": 10.0,
            "lr_schedule": [[0.001, 4], [0.0003, 2], [0.0001, 2]]}
-    model = causal.train_conditional(train, dev, len(vocab), 1, cfg)
+    model = causal.train_conditional(train, dev, len(vocab), cfg)
     adjustment = causal.sample_adjustment_set(instances, 2000, seed=7)
     table = causal.estimate_interventions(model, adjustment)
     ids = [vocab.id_of(k) for k in cbn.event_keys]
-    oracle = np.array([cbn.exact_conditional(k, 1)
-                       for k in range(cbn.num_events)])
+    oracle = cbn.observed_rows(1)
     est = table.effect[np.ix_(ids, ids)]
     l1 = np.abs(est - oracle).sum(axis=1)
     assert l1.max() <= 0.05, f"worst conditional-row L1 {l1.max():.4f} > 0.05"
@@ -187,11 +186,9 @@ def test_criterion_5_distribution_invariants():
     while cases < 8000:
         cbn = _random_cbn(rng, tag)
         tag += 1
-        rows = [cbn.exact_do_distribution(k) for k in range(cbn.num_events)]
-        rows += [cbn.aggregate_conditional(k) for k in range(cbn.num_events)]
-        rows += [cbn.exact_conditional(k, pos)
-                 for k in range(cbn.num_events)
-                 for pos in range(1, cbn.chain_length)]
+        at = [cbn.observed_rows(pos) for pos in range(1, cbn.chain_length)]
+        rows = [*cbn.do_rows(), *cbn.observed_rows()]
+        rows += [rows_at[k] for k in range(cbn.num_events) for rows_at in at]
         for row in rows:
             assert abs(row.sum() - 1.0) <= tol and np.all(row >= 0.0)
             cases += 1
@@ -203,7 +200,8 @@ def test_criterion_5_distribution_invariants():
     V = 20
     for t in range(50):
         phase = "finetuned" if t % 2 else "pretrained"
-        m = causal.ConditionalModel({"vocab_size": V, "token_vocab_size": 5,
+        m = causal.ConditionalModel({"vocab_size": V,
+                                     "tokens": ["<unk>", *"abcd"],
                                      "emb_dim": 5, "hidden_dim": 6, "seed": t,
                                      "phase": phase})
         for name in m.params:
@@ -303,7 +301,7 @@ def test_criterion_7_infrequent_cloze_crossover():
     cfg = {"emb_dim": 32, "hidden_dim": 64,
            "batch_size": 512, "seed": 0, "clip_norm": 10.0,
            "lr_schedule": [[0.001, 2], [0.0003, 1]]}
-    model = causal.train_conditional(train, dev, len(vocab), 1, cfg)
+    model = causal.train_conditional(train, dev, len(vocab), cfg)
     adjustment = causal.sample_adjustment_set(instances, 2000, seed=7)
     table = causal.estimate_interventions(model, adjustment)
     S = causal.script_score_matrix(table)
@@ -416,7 +414,7 @@ def test_criterion_9_round_trips(tmp_path):
     assert l1.read_bytes() == l2.read_bytes()
 
     cond = causal.ConditionalModel(
-        {"vocab_size": len(vocab), "token_vocab_size": 3, "emb_dim": 6,
+        {"vocab_size": len(vocab), "tokens": ["<unk>", "a", "b"], "emb_dim": 6,
          "hidden_dim": 7, "seed": 2, "phase": "finetuned"})
     m1, m2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
     cond.save(m1)

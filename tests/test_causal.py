@@ -14,7 +14,7 @@ from scriptcausal import causal, synth
 from scriptcausal import kernel as K
 from scriptcausal.corpus import (build_token_vocab, build_vocab_from, chain_lines,
                                  parse_chains)
-from scriptcausal.errors import ConfigError, DataFormatError
+from scriptcausal.errors import ConfigError, DataFormatError, NumericalError
 from scriptcausal.events import NUM_SPECIALS
 
 TINY = {"emb_dim": 8, "hidden_dim": 12,
@@ -25,6 +25,11 @@ TINY = {"emb_dim": 8, "hidden_dim": 12,
 
 # ---------------------------------------------------------------------------
 # helpers: hand-built contexts are (prev, history, text, oot) tuples
+
+
+def _tokens(n):
+    """A token list of ``n`` ids."""
+    return ["<unk>", *(f"w{i}" for i in range(1, n))]
 
 
 def _pack(contexts, targets=None):
@@ -102,7 +107,7 @@ def test_oot_rating_threshold():
     assert inst.oot[0, :inst.oot_len[0]].tolist() == [vocab.id_of("high:x")]
 
 
-def _reference_instances(corpus, vocab, token_vocab, oot_threshold,
+def _reference_instances(corpus, vocab, tokens, oot_threshold,
                          history_window):
     """The per-instance fold over the canonical chain lines: (target, prev,
     history, text, oot) for every chain position i >= 1."""
@@ -113,8 +118,8 @@ def _reference_instances(corpus, vocab, token_vocab, oot_threshold,
         for i in range(1, len(ids)):
             prev = events[i - 1]
             history = ids[max(0, i - 1 - history_window):i - 1]
-            text = (token_vocab.encode(prev["text"]).tolist()
-                    if token_vocab is not None and "text" in prev else [])
+            text = ([tokens.index(t) if t in tokens else 0 for t in prev["text"]]
+                    if tokens is not None and "text" in prev else [])
             oot = [vocab.id_of(key) for key, rating in prev.get("oot", ())
                    if rating >= oot_threshold]
             out.append((ids[i], ids[i - 1], history, text, oot))
@@ -140,7 +145,7 @@ def test_extraction_equals_per_instance_fold(chains, window, threshold,
         for p, text, oot in events]}) for c, events in enumerate(chains)]
     corpus = parse_chains(lines)
     vocab = build_vocab_from(corpus, min_count=min_count)
-    tokens = build_token_vocab(corpus, min_count) if with_tokens else None
+    tokens = build_token_vocab(corpus) if with_tokens else None
     got = causal.extract_training_instances(corpus, vocab, tokens, threshold,
                                             window)
     want = _reference_instances(corpus, vocab, tokens, threshold, window)
@@ -159,14 +164,14 @@ def test_extraction_equals_per_instance_fold(chains, window, threshold,
 
 
 def test_distribution_sums_to_one():
-    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4)))
     dist = _dist(model, _pack([(3, [4, 5], [1, 2], [])]))[0]
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
     assert (dist >= 0).all()
 
 
 def test_prev_event_changes_distribution():
-    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4)))
     d1, d2 = _dist(model, _pack([(3, [4], [], []), (5, [4], [], [])]))
     assert not np.allclose(d1, d2)
 
@@ -179,7 +184,7 @@ def _with_zero_wo(model):
 
 
 def test_zero_wo_matches_pretrained_bitwise():
-    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4)))
     tuned = _with_zero_wo(model)
     assert not np.any(tuned.params["W_O"])
     batch = _pack([(3, [4, 5], [1], [6])])
@@ -188,7 +193,7 @@ def test_zero_wo_matches_pretrained_bitwise():
 
 def test_empty_oot_set_reduces_to_pretrained_form():
     rng = np.random.default_rng(0)
-    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4)))
     tuned = _with_zero_wo(model)
     tuned.params["W_O"] = rng.normal(size=tuned.params["W_O"].shape)
     batch = _pack([(3, [4], [], [])])   # no out-of-text events
@@ -202,7 +207,7 @@ def test_training_is_deterministic():
     cfg = dict(TINY, max_epochs=2)
     models = [causal.train_conditional(inst.take(slice(0, 300)),
                                        inst.take(slice(300, 350)), len(vocab),
-                                       1, cfg) for _ in range(2)]
+                                       cfg) for _ in range(2)]
     for name in models[0].params:
         np.testing.assert_array_equal(models[0].params[name],
                                       models[1].params[name])
@@ -213,7 +218,7 @@ def test_deterministic_kernel_heldout_accuracy():
     inst, vocab, _ = _instances_for(cbn, 400, seed=2)
     split = int(0.9 * len(inst))
     train, held = inst.take(slice(0, split)), inst.take(slice(split, None))
-    model = causal.train_conditional(train, held, len(vocab), 1, TINY)
+    model = causal.train_conditional(train, held, len(vocab), TINY)
     hits = np.sum(np.argmax(_dist(model, held), axis=1) == held.targets)
     assert hits / len(held) >= 0.95
 
@@ -224,7 +229,7 @@ def test_finetune_lowers_heldout_xent_with_annotations():
     split = int(0.9 * len(inst))
     train, held = inst.take(slice(0, split)), inst.take(slice(split, None))
     pre = causal.train_conditional(
-        train, held, len(vocab), 1, dict(TINY, max_epochs=8))
+        train, held, len(vocab), dict(TINY, max_epochs=8))
     tuned = causal.finetune_with_oot(pre, train,
                                      dict(TINY, max_epochs=8))
 
@@ -236,7 +241,7 @@ def test_finetune_lowers_heldout_xent_with_annotations():
 
 
 def test_model_file_round_trip(tmp_path):
-    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4,
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4),
                                          phase="finetuned"))
     p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
     model.save(p1)
@@ -251,7 +256,7 @@ def test_model_file_round_trip(tmp_path):
 
 
 def test_single_sample_equals_substituted_conditional():
-    model = causal.ConditionalModel(dict(TINY, vocab_size=9, token_vocab_size=4))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4)))
     table = causal.estimate_interventions(
         model, _pack([(3, [4, 5], [2], [])]))
     subs = _dist(model, _pack([(k, [4, 5], [2], []) for k in range(9)]))
@@ -262,7 +267,7 @@ def test_single_sample_equals_substituted_conditional():
 def _formula_model(rng, V, n_tokens, batch_size):
     """A finetuned model whose text and out-of-text terms are not small, and
     whose estimator blocks hold ``batch_size`` contexts."""
-    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=n_tokens,
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, tokens=_tokens(n_tokens),
                                          batch_size=batch_size, phase="finetuned"))
     p = model.params
     p["W_O"] = rng.normal(size=p["W_O"].shape)
@@ -375,6 +380,20 @@ def test_rows_stay_exact_when_logits_are_large():
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name, what", [
+    ("emb", "input projection"), ("enc.Uz", "history states"),
+    ("B", "context logits"), ("A", "intervention table")])
+def test_a_non_finite_model_is_a_numerical_error(name, what):
+    """A NaN in one parameter reaches the first shared array built from it,
+    or, through ``A``, only the table; each is refused, not written."""
+    rng = np.random.default_rng(6)
+    model = _formula_model(rng, 11, 6, batch_size=16)
+    model.params[name][0, 0] = np.nan
+    contexts = _pack(_random_contexts(rng, 11, 6, 30))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=what):
+        causal.estimate_interventions(model, contexts)
+
+
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -438,7 +457,7 @@ def test_batched_forward_matches_per_row_fold():
     context the distribution of a gru_step fold over its own sequence."""
     rng = np.random.default_rng(9)
     V = 10
-    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=4))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, tokens=_tokens(4)))
     p = model.params
     contexts = [(int(rng.integers(NUM_SPECIALS, V)),
                  [int(e) for e in rng.integers(NUM_SPECIALS, V, size=n)], [], [])
@@ -474,7 +493,7 @@ def test_shared_layout_gradients_equal_unshared(chains, picks, phase):
     picks = [(c % len(chains), end, w) for c, end, w in picks]
     contexts = _contexts_from(chains, picks, V)
     targets = [NUM_SPECIALS + (i % 3) for i in range(len(contexts))]
-    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=3,
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, tokens=_tokens(3),
                                          phase=phase))
     if phase == "finetuned":
         model.params["W_O"] = np.random.default_rng(1).normal(
@@ -496,7 +515,7 @@ def test_text_free_batch_leaves_the_text_channel_out(phase):
     gradients, and the loss keeps its bits when both are redrawn."""
     rng = np.random.default_rng(6)
     V = NUM_SPECIALS + 6
-    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=4,
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, tokens=_tokens(4),
                                          phase=phase))
     if phase == "finetuned":
         model.params["W_O"] = rng.normal(size=model.params["W_O"].shape)
@@ -513,7 +532,7 @@ def test_gradients_certify_when_instances_end_on_one_node():
     """Two instances with the same history and prev event but different
     targets end on one packed row; both gradients must reach it."""
     V = NUM_SPECIALS + 5
-    model = causal.ConditionalModel(dict(TINY, vocab_size=V, token_vocab_size=3))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=V, tokens=_tokens(3)))
     packed = _pack([(5, [3, 4], [1], []), (5, [3, 4], [2], []),
                     (6, [3], [], []), (7, [3, 4, 5], [1], [])], [6, 7, 3, 4])
     layout = K.SeqLayout(packed.seq_len, packed.seq)

@@ -419,7 +419,8 @@ def _fits(key, value):
             and type(s[1]) is int for s in value)
     if type(default) is list:
         return type(value) is list and all(
-            type(x) in ((int, float) if type(default[0]) is float else (int,))
+            type(x) in ((int, float) if type(default[0]) is float
+                        else (type(default[0]),))
             for x in value)
     if type(default) is float:
         return type(value) in (int, float)
@@ -580,7 +581,7 @@ def _header_keys(kind):
     if kind == "lm":
         return {**baselines.CONFIG_KEYS, "vocab_size": "vocab_size"}
     return {**causal.CONFIG_KEYS,
-            **config.same("vocab_size token_vocab_size phase")}
+            **config.same("vocab_size tokens phase")}
 
 
 _MODEL_FILES = {"conditional": "m.bin", "finetuned": "ft.bin", "lm": "lm.bin"}
@@ -626,7 +627,10 @@ def _pipeline_inputs():
 
 
 # the least value of each header key that no run sets
-_HEADER_LEAST = {"vocab_size": 1, "token_vocab_size": 1}
+_HEADER_LEAST = {"vocab_size": 1}
+
+# token lists without <unk> first, or with a token twice
+_BAD_TOKENS = [[], ["a"], ["a", "<unk>"], ["<unk>", "<unk>"], ["<unk>", "a", "a"]]
 
 
 @settings(max_examples=80, deadline=None,
@@ -639,7 +643,7 @@ def test_model_header_fault_exit_code(workdir, capsys, data):
     key, name = data.draw(st.sampled_from(sorted(_header_keys(kind).items())))
     least = {**_LEAST, **_HEADER_LEAST}
     faults = ["drop", "type"] + ["range"] * (
-        name in least or name in ("lr_schedule", "phase"))
+        name in least or name in ("lr_schedule", "phase", "tokens"))
     fault = data.draw(st.sampled_from(faults))
     if fault == "drop":
         def edit(c):
@@ -651,6 +655,8 @@ def test_model_header_fault_exit_code(workdir, capsys, data):
                 [v for v in _JSON_VALUES if not _fits(name, v)]))
         elif name == "lr_schedule":
             value = data.draw(st.sampled_from(_BAD_SCHEDULES))
+        elif name == "tokens":
+            value = data.draw(st.sampled_from(_BAD_TOKENS))
         elif name in least:
             value = data.draw(st.integers(-3, least[name] - 1))
         else:
@@ -769,7 +775,7 @@ def test_library_defaults_are_the_run_defaults():
     assert baselines.EventLM(sizes).config == {
         **run_cfg.slice(baselines.CONFIG_KEYS), **sizes}
     assert causal.ConditionalModel(sizes).config == {
-        **run_cfg.slice(causal.CONFIG_KEYS), **sizes, "token_vocab_size": 1,
+        **run_cfg.slice(causal.CONFIG_KEYS), **sizes, "tokens": ["<unk>"],
         "phase": "pretrained"}
     assert baselines.EventLM(sizes).config["max_epochs"] == run_cfg["max_epochs"] == 30
 
@@ -778,7 +784,7 @@ def test_a_model_needs_its_vocabulary_size():
     with pytest.raises(KeyError, match="vocab_size"):
         baselines.EventLM({})
     with pytest.raises(KeyError, match="vocab_size"):
-        causal.ConditionalModel({"token_vocab_size": 3})
+        causal.ConditionalModel({"tokens": ["<unk>", "a"]})
 
 
 def test_every_run_key_is_read():
@@ -898,6 +904,86 @@ def test_text_mode_is_an_unknown_key(workdir, capsys):
     assert run("--config", "cfg.json", *_loading_stage("conditional", "old.bin")) == 2
     err = capsys.readouterr().err
     assert "old.bin: model header key 'text_mode' is unknown" in err
+
+
+def _text_chains(path, words, texts):
+    """Two-event annotated chains: the second event is b after "left" and c
+    otherwise, and the first event's text is the matching word of ``texts``."""
+    with open(path, "w", encoding="utf-8") as f:
+        for i, (word, text) in enumerate(zip(words, texts)):
+            events = [{"pred": "a", "dep": "x", "text": [str(text)],
+                       "oot": [["a:x", 4]]},
+                      {"pred": "b" if word == "left" else "c", "dep": "x"}]
+            f.write(json.dumps({"chain_id": f"c{i}", "events": events}) + "\n")
+
+
+def test_finetune_and_estimate_read_the_text(workdir):
+    """The model file's tokens encode the text in every stage: corpora that
+    differ only in their text give different finetuned models and
+    different intervention tables."""
+    words = np.random.default_rng(0).choice(["left", "right"], size=200)
+    _text_chains("c.jsonl", words, words)
+    for text in ("left", "right"):
+        _text_chains(f"{text}.jsonl", words, [text] * len(words))
+    (workdir / "text.json").write_text(json.dumps(dict(TINY_CFG, lr=0.05,
+                                                       max_epochs=5)))
+    run("--config", "text.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    assert run("--config", "text.json", "train-cond", "--train", "c.jsonl",
+               "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 0
+    assert causal.ConditionalModel.load("m.bin").config["tokens"] == [
+        "<unk>", *dict.fromkeys(words)]
+    for text in ("left", "right"):
+        assert run("--config", "text.json", "finetune-cond", "--model", "m.bin",
+                   "--annotated", f"{text}.jsonl", "--vocab", "v.tsv",
+                   "--output", f"ft_{text}.bin") == 0
+        assert run("--config", "text.json", "estimate-do", "--model", "m.bin",
+                   "--corpus", f"{text}.jsonl", "--vocab", "v.tsv",
+                   "--output", f"t_{text}.bin") == 0
+    for name in ("ft", "t"):
+        assert ((workdir / f"{name}_left.bin").read_bytes()
+                != (workdir / f"{name}_right.bin").read_bytes()), name
+    left = causal.InterventionTable.load("t_left.bin").effect
+    right = causal.InterventionTable.load("t_right.bin").effect
+    b, c = (Vocabulary.load("v.tsv").id_of(k) for k in ("b:x", "c:x"))
+    assert (left[:, b] > right[:, b]).all() and (left[:, c] < right[:, c]).all()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: {**{k: v for k, v in c.items() if k != "tokens"},
+                "token_vocab_size": 1}, "'token_vocab_size' is unknown"),
+    (lambda c: dict(c, tokens=["<unk>", "a", "a"]),
+     "'tokens' must be distinct strings, '<unk>' first"),
+], ids=["old-model-file", "repeated-token"])
+def test_a_model_header_without_a_token_list_exit_code(workdir, capsys, edit,
+                                                       message):
+    _model_files(_pipeline_inputs())
+    _rewrite_header("m.bin", "old.bin", edit)
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *_loading_stage("conditional", "old.bin")) == 2
+    err = capsys.readouterr().err
+    assert f"old.bin: model header key {message}" in err
+    assert not os.path.exists("out.bin")
+
+
+def test_a_diverging_model_writes_no_table(workdir, capsys):
+    """Trained at lr 1e300, the model's dev loss stays finite (about 1e304),
+    so train-cond exits 0; the estimator's input projection overflows, and
+    estimate-do exits 3 without writing a table."""
+    (workdir / "lr.json").write_text(json.dumps(
+        {"emb_dim": 16, "hidden_dim": 24, "lr": 1e300, "min_count": 1,
+         "max_epochs": 2}))
+    run("synth", "--fixture", "F-POPCORN", "--n", "400", "--annotate",
+        "--output", "c.jsonl")
+    run("--config", "lr.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("--config", "lr.json", "train-cond", "--train", "c.jsonl",
+                   "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 0
+        capsys.readouterr()
+        assert run("--config", "lr.json", "estimate-do", "--model", "m.bin",
+                   "--corpus", "c.jsonl", "--vocab", "v.tsv",
+                   "--output", "t.bin") == 3
+    assert "numerical error: non-finite input projection" in capsys.readouterr().err
+    assert not os.path.exists("t.bin")
 
 
 # the stage that reads each fuzzed file: cloze reads a vocabulary, a counts

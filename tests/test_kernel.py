@@ -287,6 +287,19 @@ def test_fit_batches_every_item_once_per_epoch_up_to_max_epochs():
     assert sorted(sum(batches[:3], [])) == list(range(5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_refuses_a_non_finite_holdout_loss(bad):
+    params = {"w": np.array([0.0])}
+    losses = iter([1.0, bad])
+    seen = []
+    cfg = {"batch_size": 1, "patience": 3, "max_epochs": 5, "clip_norm": 10.0}
+    with pytest.raises(NumericalError, match="holdout loss is .* after epoch 1"):
+        K.fit(params, lambda idx: {"w": params["w"] - 1.0}, lambda: next(losses),
+              1, cfg, 0.1, np.random.default_rng(0),
+              log=lambda epoch, loss: seen.append(loss))
+    assert seen == [1.0, bad]
+
+
 # ---------------------------------------------------------------------------
 # gradient certification
 

@@ -43,14 +43,14 @@ def test_uniform_fixture_do_rows_uniform():
     cbn = synth.build_fixture("F-UNIFORM")
     E = cbn.num_events
     for k in range(E):
-        np.testing.assert_allclose(cbn.exact_do_distribution(k),
+        np.testing.assert_allclose(cbn.do_rows()[k],
                                    np.full(E, 1.0 / E), atol=1e-12)
 
 
 def test_det_fixture_concentrates_on_successor():
     cbn = synth.build_fixture("F-DET")
     for k in range(cbn.num_events):
-        row = cbn.exact_do_distribution(k)
+        row = cbn.do_rows()[k]
         assert row.max() >= 0.98
         # deterministic cycle: designated successor is k+1 mod |E|
         assert int(np.argmax(row)) == (k + 1) % cbn.num_events
@@ -70,7 +70,7 @@ def test_popcorn_do_matches_reference_summation(popcorn):
         for j, key in enumerate(keys):
             smoothed = (1.0 - lam) * row.get(key, 0.0) + lam / E
             want[j] += pi_z * smoothed
-    got = popcorn.exact_do_distribution(k)
+    got = popcorn.do_rows()[k]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -103,28 +103,28 @@ def _reference_conditional(raw, k_key, position):
 
 def test_popcorn_conditional_matches_reference(popcorn):
     raw = _fixture_json("F-POPCORN")
+    k = popcorn.event_keys.index("watch_sad:nsubj")
     for pos in (1, 2, 4):
         want = _reference_conditional(raw, "watch_sad:nsubj", pos)
-        got = popcorn.exact_conditional("watch_sad:nsubj", pos)
+        got = popcorn.observed_rows(pos)[k]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_popcorn_confounding_direction(popcorn):
     """Observational cry-after-popcorn exceeds the interventional effect."""
-    k = "eat_popcorn:nsubj"
-    cry = popcorn.event_index("cry:nsubj")
-    do_val = popcorn.exact_do_distribution(k)[cry]
+    k, cry = map(popcorn.event_keys.index, ["eat_popcorn:nsubj", "cry:nsubj"])
+    do_val = popcorn.do_rows()[k, cry]
     for pos in range(2, popcorn.chain_length):
-        assert popcorn.exact_conditional(k, pos)[cry] > do_val
-    assert popcorn.confounding_gap(k, "cry:nsubj") > 0
+        assert popcorn.observed_rows(pos)[k, cry] > do_val
+    assert popcorn.observed_rows()[k, cry] - do_val > 0
 
 
 def test_single_scenario_conditional_equals_do():
     cbn = synth.build_fixture("F-DET")
     assert cbn.num_scenarios == 1
     for k in range(cbn.num_events):
-        np.testing.assert_allclose(cbn.aggregate_conditional(k),
-                                   cbn.exact_do_distribution(k), atol=1e-12)
+        np.testing.assert_allclose(cbn.observed_rows()[k],
+                                   cbn.do_rows()[k], atol=1e-12)
 
 
 def test_half_half_mixture_is_elementwise_mean():
@@ -136,15 +136,14 @@ def test_half_half_mixture_is_elementwise_mean():
                              lam=0.1, chain_length=4)
     for k in range(E):
         want = 0.5 * (cbn.kernels[0, k + 1] + cbn.kernels[1, k + 1])
-        np.testing.assert_allclose(cbn.exact_do_distribution(k), want,
-                                   atol=1e-12)
+        np.testing.assert_allclose(cbn.do_rows()[k], want, atol=1e-12)
 
 
 def test_oracle_rows_sum_to_one(popcorn):
     for k in range(popcorn.num_events):
-        assert popcorn.exact_do_distribution(k).sum() == pytest.approx(1, abs=1e-12)
+        assert popcorn.do_rows()[k].sum() == pytest.approx(1, abs=1e-12)
         for pos in range(1, popcorn.chain_length):
-            row = popcorn.exact_conditional(k, pos)
+            row = popcorn.observed_rows(pos)[k]
             assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -170,7 +169,7 @@ def test_empirical_unigram_close_to_analytic(popcorn):
     counts = np.zeros(E)
     for chain in _events(corpus):
         for ev in chain:
-            counts[popcorn.event_index(_key(ev))] += 1
+            counts[popcorn.event_keys.index(_key(ev))] += 1
     empirical = counts / counts.sum()
     marginal = popcorn.position_marginals().sum(axis=1).mean(axis=0)
     l1 = np.abs(empirical - marginal).sum()
@@ -195,7 +194,7 @@ def test_zipf_cbn_marginals_are_skewed():
     marg = np.sort(cbn.position_marginals().sum(axis=1).mean(axis=0))[::-1]
     assert marg[0] > 10 * marg[-1]
     for k in range(0, cbn.num_events, 17):
-        assert cbn.exact_do_distribution(k).sum() == pytest.approx(1, abs=1e-9)
+        assert cbn.do_rows()[k].sum() == pytest.approx(1, abs=1e-9)
 
 
 @settings(max_examples=15, deadline=None)
@@ -208,8 +207,30 @@ def test_random_cbn_oracle_rows_are_distributions(E, S, seed):
                              [f"s{j}" for j in range(S)], pi, t,
                              lam=0.05, chain_length=5)
     for k in range(E):
-        assert cbn.exact_do_distribution(k).sum() == pytest.approx(1, abs=1e-9)
-        assert cbn.aggregate_conditional(k).sum() == pytest.approx(1, abs=1e-9)
+        assert cbn.do_rows()[k].sum() == pytest.approx(1, abs=1e-9)
+        assert cbn.observed_rows()[k].sum() == pytest.approx(1, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["F-POPCORN", "F-DET", "F-UNIFORM", "F-ZIPF"])
+def test_oracle_matrices_equal_the_bench_reference(name, monkeypatch):
+    """bench/reference.py computes both matrices apart from the package,
+    from the spec the CBN serialises to."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    reference = importlib.import_module("reference")
+    cbn = synth.build_zipf_cbn() if name == "F-ZIPF" else synth.build_fixture(name)
+    spec = cbn.to_dict()
+    np.testing.assert_allclose(cbn.do_rows(), reference.exact_do_rows(spec),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(cbn.observed_rows(),
+                               reference.exact_observed_rows(spec),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("position", [0, -1, 6, 7])
+def test_observed_rows_refuse_a_position_outside_the_chain(popcorn, position):
+    assert popcorn.chain_length == 6
+    with pytest.raises(ConfigError, match="outside"):
+        popcorn.observed_rows(position)
 
 
 def _reference_chains(cbn, n, seed):
