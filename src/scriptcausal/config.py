@@ -120,7 +120,8 @@ def _problem(value, setting: Setting):
         return f"must be one of {', '.join(setting.choices)}"
     if default is None and not all(lr > 0 and n >= 1 for lr, n in value or ()):
         return "needs lr > 0 and epochs >= 1 in every stage"
-    if default == ["<unk>"] and (value[:1] != default or len(set(value)) < len(value)):
+    if setting is TABLE["tokens"] and (value[:1] != default
+                                       or len(set(value)) < len(value)):
         return "must be distinct strings, '<unk>' first"
 
 
