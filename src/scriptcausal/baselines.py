@@ -93,18 +93,21 @@ def load_counts(path, vocab: Vocabulary) -> OrderedCounts:
 def pmi_matrix(counts: OrderedCounts, discounted: bool = True) -> np.ndarray:
     """Dense (V, V) ordered PMI of every seen pair, -inf where a pair is
     unseen. With ``discounted`` the PMI is multiplied by
-    (c / (c+1)) * (m / (m+1)), m = min(left(e1), right(e2))."""
+    (c / (c+1)) * (m / (m+1)), m = min(left(e1), right(e2)). The ratios
+    are float64 arithmetic, exact on counts below 2**53, and each log is
+    ``math.log``'s, so every entry has the bits of the per-pair formula."""
     pairs = counts.pairs
-    left, right = pairs.sum(axis=1).tolist(), pairs.sum(axis=0).tolist()
-    T = sum(left)
-    M = np.full(pairs.shape, NEG_INF)
     e1s, e2s = np.nonzero(pairs)
-    for e1, e2, c in zip(e1s.tolist(), e2s.tolist(), pairs[e1s, e2s].tolist()):
-        raw = math.log((c / T) / ((left[e1] / T) * (right[e2] / T)))
-        if discounted:
-            m = min(left[e1], right[e2])
-            raw = raw * (c / (c + 1.0)) * (m / (m + 1.0))
-        M[e1, e2] = raw
+    T = float(pairs.sum())
+    c, left, right = (a.astype(float) for a in (
+        pairs[e1s, e2s], pairs.sum(axis=1)[e1s], pairs.sum(axis=0)[e2s]))
+    ratio = (c / T) / ((left / T) * (right / T))
+    raw = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+    if discounted:
+        m = np.minimum(left, right)
+        raw = raw * (c / (c + 1.0)) * (m / (m + 1.0))
+    M = np.full(pairs.shape, NEG_INF)
+    M[e1s, e2s] = raw
     return M
 
 

@@ -3,12 +3,12 @@ distributions, and the normalized script-compatibility score.
 
 The conditional p(e_i | e_{i-1}, history, text[, out-of-text]) is modeled as
 
-    logits = A v_e + B v_t (+ W_O v_o)
+    logits = A v_e + B v_t + W_O v_o
 
 where v_e is the final GRU state over [history..., prev_event] embeddings,
 v_t is the mean embedding of the previous event's text tokens, and v_o is
-the mean embedding of annotated out-of-text events (each zero when empty;
-the W_O term exists only in the finetuned phase).
+the mean embedding of annotated out-of-text events (each zero when empty).
+W_O stays zero until finetuning: pretraining clears the out-of-text ids.
 
 Intervention rows are plugin Monte Carlo averages over an adjustment set of
 sampled contexts: the intervened event replaces prev_event while each
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class ConditionalModel:
     """Parameters of the conditional next-event model and its ``config``,
     which is its file header: the run keys of ``CONFIG_KEYS``, the size
     ``vocab_size`` (which ``config`` must give), the text channel's
-    ``tokens`` and the ``phase``."""
+    ``tokens`` and the ``phase`` label."""
 
     def __init__(self, config: dict, params: dict | None = None):
         self.config = {**C.defaults({**CONFIG_KEYS, **C.same("tokens phase")}),
@@ -171,8 +171,7 @@ class ConditionalModel:
         p["text_emb"] = K.init_embedding(rng, len(cfg["tokens"]), h)
         p["A"] = K.init_matrix(rng, V, h)
         p["B"] = K.init_matrix(rng, V, h)
-        if cfg["phase"] == "finetuned":
-            p["W_O"] = np.zeros((V, d))
+        p["W_O"] = np.zeros((V, d))    # zero until finetuning, and last
         return p
 
     # -- forward -------------------------------------------------------------
@@ -187,13 +186,11 @@ class ConditionalModel:
         return layout.final(H), (layout, cache)
 
     def _context_logits(self, params, batch):
-        """The prev-event-independent logits B v_t (+ W_O v_o) + cache."""
+        """The prev-event-independent logits B v_t + W_O v_o + cache."""
         v_t, text_cache = _mean_of_sets(params["text_emb"], batch.text, batch.text_len)
+        v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot, batch.oot_len)
         logits = v_t @ params["B"].T
-        v_o, oot_cache = None, None
-        if self.config["phase"] == "finetuned":
-            v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot, batch.oot_len)
-            logits += v_o @ params["W_O"].T
+        logits += v_o @ params["W_O"].T      # in place: one (n, V) temporary
         return logits, (v_t, text_cache, v_o, oot_cache)
 
     def _forward(self, params, batch):
@@ -217,23 +214,20 @@ class ConditionalModel:
         v_t, text_cache, v_o, oot_cache = ctx_cache
         grads["A"] += dlogits.T @ v_e
         grads["B"] += dlogits.T @ v_t
+        grads["W_O"] += dlogits.T @ v_o
         d_ve = dlogits @ params["A"]
         grads["text_emb"] += K.scatter_rows(*_mean_of_sets_backward(
             dlogits @ params["B"], text_cache), len(self.config["tokens"]))
-        # embedding-gradient terms: out-of-text ones first, then the GRU's
-        emb_terms = []
-        if self.config["phase"] == "finetuned":
-            grads["W_O"] += dlogits.T @ v_o
-            emb_terms.append(_mean_of_sets_backward(dlogits @ params["W_O"],
-                                                    oot_cache))
 
         # the gradient enters at each sequence's last row; shared rows add up
         layout, cache = enc_cache
         live = layout.lengths > 0
         dh_out = K.scatter_rows(layout.last[live], d_ve[live], len(layout.steps))
-        emb_terms.append(K.encoder_backward(params, cache, dh_out, grads))
-        grads["emb"] += K.scatter_rows(
-            *map(np.concatenate, zip(*emb_terms)), self.config["vocab_size"])
+        # embedding-gradient terms: out-of-text ones first, then the GRU's
+        grads["emb"] += K.scatter_rows(*map(np.concatenate, zip(
+            _mean_of_sets_backward(dlogits @ params["W_O"], oot_cache),
+            K.encoder_backward(params, cache, dh_out, grads))),
+            self.config["vocab_size"])
         return loss, grads
 
     # -- persistence -----------------------------------------------------------
@@ -270,14 +264,16 @@ def _train(model: ConditionalModel, train: PackedInstances,
 def train_conditional(train: PackedInstances, dev: PackedInstances,
                       vocab_size: int, config: dict | None = None,
                       log=None) -> ConditionalModel:
-    """Pretraining phase: out-of-text events are ignored. ``config`` may
-    carry the ``tokens`` that the instances' text ids index.
+    """Pretraining on the instances without their out-of-text ids, so W_O
+    stays zero. ``config`` may carry the ``tokens`` their text ids index.
 
     When the config carries an "lr_schedule" (a list of [lr, epochs] stages),
     the stages run sequentially, each with a freshly initialized optimizer;
     otherwise a single run at config["lr"] is used.
     """
     model = ConditionalModel({**(config or {}), "vocab_size": vocab_size})
+    train, dev = (replace(i, oot=i.oot[:, :0], oot_len=np.zeros(len(i), np.intp))
+                  for i in (train, dev))
     stages = model.config.get("lr_schedule") or [(model.config["lr"], None)]
     for lr, epochs in stages:
         model = _train(model, train, dev, float(lr), log=log,
@@ -287,18 +283,20 @@ def train_conditional(train: PackedInstances, dev: PackedInstances,
 
 def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
                       config: dict | None = None, log=None) -> ConditionalModel:
-    """Add a zero-initialized W_O term and finetune everything at the
-    reduced rate. Dev split follows the 9:1 convention over the annotated
-    set (seeded shuffle)."""
-    if model.config["phase"] != "finetuned" and not len(annotated):
+    """Finetune everything at the reduced rate, from W_O restarted at zero
+    and last, on the instances that carry out-of-text ids; the dev split is
+    9:1 over them (seeded shuffle)."""
+    # the split takes these rows: no filtered copy beside the caller's set
+    rows = np.flatnonzero(annotated.oot_len)
+    if not len(rows):
         raise ConfigError("no annotated instances to finetune on")
     cfg = {**model.config, **(config or {}), "phase": "finetuned"}
-    params = {k: v.copy() for k, v in model.params.items()}
-    params["W_O"] = np.zeros((cfg["vocab_size"], cfg["emb_dim"]))
+    params = {k: v.copy() for k, v in model.params.items() if k != "W_O"}
+    params["W_O"] = np.zeros_like(model.params["W_O"])
     tuned = ConditionalModel(cfg, params)
     rng = np.random.default_rng(cfg["seed"] + 2)
-    order = rng.permutation(len(annotated))
-    n_dev = max(1, len(annotated) // 10)
+    order = rows[rng.permutation(len(rows))]
+    n_dev = max(1, len(rows) // 10)
     return _train(tuned, annotated.take(order[n_dev:]),
                   annotated.take(order[:n_dev]), cfg["finetune_lr"], log=log)
 

@@ -79,6 +79,15 @@ def _load_itable(args, vocab):
     return table
 
 
+def _known_id(vocab, key, what):
+    """The id of event ``key``; a ConfigError naming it as ``what`` when
+    the vocabulary lacks it."""
+    idx = vocab.id_of(key)
+    if vocab.key_of(idx) != key:
+        raise ConfigError(f"{what} {key!r} is not in the vocabulary")
+    return idx
+
+
 def _instances(corpus, vocab, settings):
     """Instances whose text ``settings``'s tokens encode, cut by its
     oot_threshold and history_window: the settings of the model that is
@@ -159,7 +168,6 @@ def cmd_finetune_cond(cfg, args):
     annotated = _instances(
         load_chains(_require(args.annotated, "annotated chain file")), vocab,
         model.config)
-    annotated = annotated.take(np.flatnonzero(annotated.oot_len))
     tuned = causal.finetune_with_oot(
         model, annotated, cfg.slice(same("finetune_lr max_epochs seed")),
         log=lambda m: print(m, file=sys.stderr))
@@ -194,9 +202,7 @@ def cmd_score(cfg, args):
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     table = _load_itable(args, vocab)
     rank = frequency_rank(vocab)
-    target = vocab.id_of(args.target)
-    if vocab.key_of(target) != args.target:
-        raise ConfigError(f"target {args.target!r} is not in the vocabulary")
+    target = _known_id(vocab, args.target, "target")
     preds = causal.top_predecessors(table, target, cfg["topk"],
                                     cfg["exclude_top"], rank)
     S = causal.script_score_matrix(table)
@@ -209,11 +215,11 @@ def cmd_complete(cfg, args):
     from . import causal
     vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
     rank = frequency_rank(vocab)
-    context = [vocab.id_of(k) for k in args.context]
     if bool(args.itable) == bool(args.counts):
         raise ConfigError("complete answers from one system: pass either "
                           "--itable or --counts")
     (matrix,) = _score_matrices(args, vocab).values()
+    context = [_known_id(vocab, k, "context event") for k in args.context]
     choice = causal.complete_chain(matrix, context, cfg["exclude_top"], rank)
     print(vocab.key_of(choice))
     return []
@@ -334,8 +340,8 @@ def cmd_diversity(cfg, args):
 
 def gradient_errors(seed) -> dict:
     """Worst relative finite-difference gradient error of the 2-layer event
-    LM and of the conditional model in each phase, on small models and
-    random batches drawn from ``seed``."""
+    LM and of the conditional model as pretrained (W_O zero) and as
+    finetuned, on small models and random batches drawn from ``seed``."""
     from . import baselines, causal, kernel
     rng = np.random.default_rng(seed)
     results = {}
@@ -347,12 +353,10 @@ def gradient_errors(seed) -> dict:
     results["event-lm"] = kernel.finite_diff_check(
         lambda p: lm.loss_and_grads(chains, p), lm.params,
         rng=np.random.default_rng(seed))
-    for phase in ("pretrained", "finetuned"):
+    for phase, wo_scale in (("pretrained", 0.0), ("finetuned", 0.1)):
         m = causal.ConditionalModel({"vocab_size": 12, "tokens": ["<unk>", *"abcdef"],
-                                     "emb_dim": 5, "hidden_dim": 8, "seed": seed,
-                                     "phase": phase})
-        if phase == "finetuned":
-            m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * 0.1
+                                     "emb_dim": 5, "hidden_dim": 8, "seed": seed})
+        m.params["W_O"] = rng.normal(size=m.params["W_O"].shape) * wo_scale
         seqs, texts, oots, targets = [], [], [], []
         for _ in range(10):
             prev = int(rng.integers(3, 12))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from typing import NamedTuple
 
 from .errors import ConfigError, DataFormatError, read_json
@@ -63,6 +64,11 @@ TABLE = {
     "tokens": Setting(["<unk>"]),          # the text channel's tokens, by id
     "phase": Setting("pretrained", choices=("pretrained", "finetuned")),
 }
+
+
+# echoes a refused value or key in a bounded length
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring = 2, 60
 
 
 def same(keys: str) -> dict:
@@ -120,9 +126,14 @@ def _problem(value, setting: Setting):
         return f"must be one of {', '.join(setting.choices)}"
     if default is None and not all(lr > 0 and n >= 1 for lr, n in value or ()):
         return "needs lr > 0 and epochs >= 1 in every stage"
-    if setting is TABLE["tokens"] and (value[:1] != default
-                                       or len(set(value)) < len(value)):
-        return "must be distinct strings, '<unk>' first"
+    if setting is TABLE["tokens"]:
+        rule, seen = "must be distinct strings, '<unk>' first", set()
+        for token in value:
+            if token in seen:
+                return f"{rule}; {_ECHO.repr(token)} repeats"
+            seen.add(token)
+        if value[:1] != default:
+            return rule
 
 
 def check(values, names: dict, error=ConfigError, what="config key"):
@@ -133,13 +144,13 @@ def check(values, names: dict, error=ConfigError, what="config key"):
         raise error(f"{what}s must form one JSON object, not a {type(values).__name__}")
     unknown = sorted(values.keys() - names.keys())
     if unknown:
-        raise error(f"{what} {unknown[0]!r} is unknown")
+        raise error(f"{what} {_ECHO.repr(unknown[0])} is unknown")
     for key, name in names.items():
         if key not in values:
             raise error(f"{what} {key!r} is missing")
         problem = _problem(values[key], TABLE[name])
         if problem:
-            raise error(f"{what} {key!r} {problem}, got {values[key]!r}")
+            raise error(f"{what} {key!r} {problem}, got {_ECHO.repr(values[key])}")
 
 
 class RunConfig:

@@ -240,6 +240,54 @@ def test_finetune_lowers_heldout_xent_with_annotations():
     assert xent(tuned) < xent(pre)
 
 
+def test_pretraining_ignores_out_of_text_annotations():
+    """The same chains, with and without out-of-text annotations, pretrain
+    to the same parameters bit for bit, and W_O stays zero in both."""
+    cbn = synth.build_fixture("F-POPCORN")
+    annotated, vocab, _ = _instances_for(cbn, 80, seed=3, annotate=True)
+    plain = causal.extract_training_instances(cbn.sample_chains(80, 3), vocab)
+    assert annotated.oot_len.all() and not plain.oot_len.any()
+    models = [causal.train_conditional(inst.take(slice(0, 300)),
+                                       inst.take(slice(300, None)), len(vocab),
+                                       dict(TINY, max_epochs=2))
+              for inst in (annotated, plain)]
+    assert list(models[0].params)[-1] == "W_O"
+    for name in models[0].params:
+        np.testing.assert_array_equal(models[0].params[name],
+                                      models[1].params[name])
+    assert not models[0].params["W_O"].any()
+
+
+def test_finetuning_a_finetuned_model_restarts_w_o(tmp_path):
+    """A finetuned model read from its file holds a nonzero W_O in name
+    order. Finetuning it again starts W_O at zero and last, bit for bit as
+    from the same model with a zero W_O, on only the instances that carry
+    out-of-text ids, and refuses a set with none."""
+    cbn = synth.build_fixture("F-POPCORN")
+    annotated, vocab, _ = _instances_for(cbn, 60, seed=3, annotate=True)
+    causal.ConditionalModel(dict(TINY, vocab_size=len(vocab))).save(tmp_path / "m.bin")
+    pre = causal.ConditionalModel.load(tmp_path / "m.bin")
+    rng = np.random.default_rng(4)
+    causal.ConditionalModel(dict(pre.config, phase="finetuned"), dict(
+        pre.params, W_O=rng.normal(size=pre.params["W_O"].shape))).save(
+        tmp_path / "ft.bin")
+    tuned = causal.ConditionalModel.load(tmp_path / "ft.bin")
+    assert tuned.params["W_O"].any() and list(tuned.params)[-1] != "W_O"
+    # the first 40 instances lose their out-of-text ids
+    mixed = dataclasses.replace(annotated, oot_len=np.where(
+        np.arange(len(annotated)) < 40, 0, annotated.oot_len))
+    cfg = {"max_epochs": 1}
+    want = causal.finetune_with_oot(pre, annotated.take(slice(40, None)), cfg)
+    got = causal.finetune_with_oot(tuned, mixed, cfg)
+    assert list(got.params) == list(want.params) and list(got.params)[-1] == "W_O"
+    for name in want.params:
+        np.testing.assert_array_equal(got.params[name], want.params[name])
+    plain = dataclasses.replace(annotated, oot_len=0 * annotated.oot_len)
+    for model in (pre, tuned):
+        with pytest.raises(ConfigError, match="no annotated instances"):
+            causal.finetune_with_oot(model, plain, cfg)
+
+
 def test_model_file_round_trip(tmp_path):
     model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4),
                                          phase="finetuned"))

@@ -154,7 +154,7 @@ def test_score_and_complete_commands(workdir):
     lines = (workdir / "preds.tsv").read_text().splitlines()
     assert lines and all("\t" in ln for ln in lines)
     assert run("--config", "cfg.json", "complete", "--vocab", "v.tsv",
-               "--itable", "t.bin", "e0:x", "e1:x") == 0
+               "--itable", "t.bin", "step0:nsubj", "step1:nsubj") == 0
 
 
 def test_manifest_lines_written(workdir):
@@ -314,7 +314,7 @@ def _counts(workdir, fixture="F-DET"):
 @pytest.mark.parametrize("argv, message", [
     (["complete", "--counts", "cnt.tsv", "--exclude-top", "20",
       "eat_popcorn:nsubj"], "no candidate left"),
-    (["complete", "--counts", "cnt.tsv", "--exclude-top", "0", "nosuch:nsubj"],
+    (["complete", "--counts", "cnt.tsv", "--exclude-top", "0", "</s>"],
      "no candidate has a finite score"),
     (["score", "--itable", "t.bin", "--exclude-top", "20",
       "--target", "cry:nsubj"], "no candidate left"),
@@ -337,6 +337,20 @@ def test_score_of_a_target_the_vocabulary_lacks_is_a_config_error(workdir, capsy
     assert run("score", "--itable", "t.bin", "--vocab", "v.tsv",
                "--target", "no_such:event") == 1
     assert "'no_such:event' is not in the vocabulary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scores", [["--itable", "t.bin"], ["--counts", "cnt.tsv"]])
+def test_complete_of_a_context_the_vocabulary_lacks_is_a_config_error(
+        workdir, capsys, scores):
+    _counts(workdir, "F-POPCORN")
+    V = len(Vocabulary.load("v.tsv"))
+    causal.InterventionTable(np.full((V, V), 1.0 / V)).save("t.bin")
+    capsys.readouterr()
+    assert run("complete", "--vocab", "v.tsv", *scores, "--exclude-top", "0",
+               "cry:nsubj", "nosuch:nsubj") == 1
+    out = capsys.readouterr()
+    assert "context event 'nosuch:nsubj' is not in the vocabulary" in out.err
+    assert not out.out
 
 
 @pytest.mark.parametrize("name, lineno, field, value, where", [
@@ -962,6 +976,33 @@ def test_a_model_header_without_a_token_list_exit_code(workdir, capsys, edit,
     assert run("--config", "cfg.json", *_loading_stage("conditional", "old.bin")) == 2
     err = capsys.readouterr().err
     assert f"old.bin: model header key {message}" in err
+    assert not os.path.exists("out.bin")
+
+
+def test_a_refused_token_list_is_echoed_in_a_bounded_message(workdir, capsys):
+    """A 20,002-entry token list that repeats ``w0`` is named by its
+    repeated token, not printed whole."""
+    _model_files(_pipeline_inputs())
+    _rewrite_header("m.bin", "old.bin", lambda c: dict(
+        c, tokens=["<unk>", *(f"w{i}" for i in range(20000)), "w0"]))
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *_loading_stage("conditional", "old.bin")) == 2
+    err = capsys.readouterr().err
+    assert "old.bin: model header key 'tokens' must be distinct" in err
+    assert "'w0' repeats" in err and len(err) < 500
+
+
+def test_a_pretrained_model_file_without_w_o_exit_code(workdir, capsys):
+    """Every conditional model holds W_O, so a pretrained model file that
+    lacks it, as the earlier format wrote them, exits 2 naming it."""
+    _model_files(_pipeline_inputs())
+    model = causal.ConditionalModel.load("m.bin")
+    del model.params["W_O"]
+    model.save("old.bin")
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *_loading_stage("conditional", "old.bin")) == 2
+    err = capsys.readouterr().err
+    assert "old.bin: model parameter 'W_O' is absent in the file" in err
     assert not os.path.exists("out.bin")
 
 
