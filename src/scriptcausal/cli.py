@@ -20,12 +20,12 @@ import sys
 
 import numpy as np
 
-from . import synth   # the heavier modules: in the commands that use them
+# the model, generator and evaluation modules load in the commands that use them
 from .config import RUN_KEYS, TABLE, RunConfig, same
 from .corpus import (build_token_vocab, build_vocab_from, load_chains,
                      split_corpus, write_chains)
 from .errors import ConfigError, DataFormatError, NumericalError, open_input
-from .events import Vocabulary, frequency_rank
+from .events import NUM_SPECIALS, Vocabulary, frequency_rank
 
 
 def _require(path, what):
@@ -56,6 +56,7 @@ def _emit(text, output):
 
 
 def _load_cbn(args):
+    from . import synth
     if bool(args.fixture) == bool(args.cbn):
         raise ConfigError(f"{args.command} needs one network: pass either "
                           "--fixture or --cbn")
@@ -81,10 +82,10 @@ def _load_itable(args, vocab):
 
 def _known_id(vocab, key, what):
     """The id of event ``key``; a ConfigError naming it as ``what`` when
-    the vocabulary lacks it."""
-    idx = vocab.id_of(key)
-    if vocab.key_of(idx) != key:
-        raise ConfigError(f"{what} {key!r} is not in the vocabulary")
+    the vocabulary lacks it or it is a special key."""
+    idx = vocab.id_of(key)   # UNK_ID for a key the vocabulary lacks
+    if idx < NUM_SPECIALS:
+        raise ConfigError(f"{what} {key!r} is not in the vocabulary's events")
     return idx
 
 
@@ -430,14 +431,12 @@ def build_parser():
     p = add("complete", "chain completion by mean pairwise score", "vocab",
             "itable counts", "exclude_top")
     p.add_argument("context", nargs="+", help="context event keys")
-    p = add("synth", "sample a synthetic corpus", "output")
-    p.add_argument("--fixture", choices=synth.FIXTURE_NAMES)
+    p = add("synth", "sample a synthetic corpus", "output", "fixture")
     p.add_argument("--cbn", help="CBN spec file (alternative to --fixture)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--annotate", action="store_true",
                    help="expose the scenario on the out-of-text channel")
-    p = add("oracle", "exact do-distributions of a CBN", "output", "cbn")
-    p.add_argument("--fixture", choices=synth.FIXTURE_NAMES)
+    add("oracle", "exact do-distributions of a CBN", "output", "cbn fixture")
     add("cloze", "infrequent narrative cloze report", "corpus vocab output",
         "lm itable counts", "cloze_count recall_n")
     add("sheet", "pairwise abductive task sheet", "vocab output", "lm itable counts",

@@ -7,9 +7,10 @@ Chain file format (UTF-8, one JSON object per line):
      "events": [{"pred": "eat", "dep": "nsubj", "fact": "pos",
                  "text": ["he", "ate"], "oot": [["order:nsubj", 4]]}, ...]}
 
-``text`` and ``oot`` are optional. The canonical writer emits keys in the
-order shown with no extra whitespace, so load -> write -> load is
-byte-stable.
+``fact`` (default ``pos``), ``text`` and ``oot`` are optional. An empty
+``oot`` list is no annotation, the same as a missing one. The canonical
+writer emits keys in the order shown with no extra whitespace and leaves
+out empty lists, so load -> write -> load is byte-stable.
 
 In memory a corpus is one integer corpus (``ChainCorpus``): event-type ids
 with chain offsets, and CSR arrays of text tokens and out-of-text (key,
@@ -59,9 +60,9 @@ def _csr_take(offsets, rows):
 class ChainCorpus:
     """Chain c holds events ``offsets[c]:offsets[c + 1]``. Event j is
     ``types[type_ids[j]]``, with text ``tokens[text_ids[text_off[j]:text_off[j
-    + 1]]]`` (absent when empty) and out-of-text pairs ``(keys[oot_keys[p]],
-    oot_ratings[p])`` for p in ``oot_off[j]:oot_off[j + 1]`` (absent unless
-    ``has_oot[j]``). The tables list each value once."""
+    + 1]]]`` and out-of-text pairs ``(keys[oot_keys[p]], oot_ratings[p])``
+    for p in ``oot_off[j]:oot_off[j + 1]``, each absent when empty. The
+    tables list each value once."""
 
     chain_ids: list[str]
     offsets: np.ndarray
@@ -73,7 +74,6 @@ class ChainCorpus:
     oot_off: np.ndarray
     oot_keys: np.ndarray
     oot_ratings: np.ndarray
-    has_oot: np.ndarray
     keys: list[str]
 
     def __len__(self):
@@ -94,8 +94,7 @@ class ChainCorpus:
         return ChainCorpus([self.chain_ids[i] for i in rows], offsets,
                            self.type_ids[ev], self.types, text_off,
                            self.text_ids[tx], self.tokens, oot_off,
-                           self.oot_keys[oo], self.oot_ratings[oo],
-                           self.has_oot[ev], self.keys)
+                           self.oot_keys[oo], self.oot_ratings[oo], self.keys)
 
     @cached_property
     def chains(self) -> list[EventChain]:
@@ -107,9 +106,8 @@ class ChainCorpus:
                        self.oot_ratings.tolist()))
         events = [ChainEvent(self.types[t],
                              text[text_off[j]:text_off[j + 1]] or None,
-                             oot[oot_off[j]:oot_off[j + 1]] if has else None)
-                  for j, (t, has) in enumerate(zip(self.type_ids.tolist(),
-                                                   self.has_oot.tolist()))]
+                             oot[oot_off[j]:oot_off[j + 1]] or None)
+                  for j, t in enumerate(self.type_ids.tolist())]
         off = self.offsets.tolist()
         return [EventChain(cid, events[a:b])
                 for cid, a, b in zip(self.chain_ids, off, off[1:])]
@@ -131,7 +129,7 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
     the pieces (at most _MEMO_SIZE texts, all checked)."""
     types, table, tokens, keys = {}, [], {}, {}   # value -> table id
     chain_ids, seen, lengths, text_ids, oot_pairs = [], set(), [], [], []
-    rows = []    # 4 per kept event: type id, text length, oot length, has oot
+    rows = []    # 3 per kept event: type id, text length, oot length
     memo = {}    # event text -> its (row, text ids, oot pairs) or three ()
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -213,8 +211,7 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
                             keys[key] = len(keys)
                 if factual_only and table[t].factuality != "pos":
                     continue
-                rows += (t, len(text) if text else 0, len(oot) if oot else 0,
-                         oot is not None)
+                rows += (t, len(text) if text else 0, len(oot) if oot else 0)
                 if text:
                     text_ids += [tokens.setdefault(x, len(tokens)) for x in text]
                 if oot:
@@ -232,21 +229,20 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
                         memo[piece] = (), (), ()   # dropped
                         continue
                     nx, no = rows[r + 1], 2 * rows[r + 2]
-                    memo[piece] = rows[r:r + 4], text_ids[x:x + nx], oot_pairs[o:o + no]
-                    r, x, o = r + 4, x + nx, o + no
+                    memo[piece] = rows[r:r + 3], text_ids[x:x + nx], oot_pairs[o:o + no]
+                    r, x, o = r + 3, x + nx, o + no
         if chain_id in seen:
             raise DataFormatError(f"line {lineno}: duplicate chain_id {chain_id!r}")
         seen.add(chain_id)
         if len(rows) > start:
             chain_ids.append(chain_id)
-            lengths.append((len(rows) - start) // 4)
-    type_ids, text_len, oot_len, has_oot = np.array(
-        rows, dtype=np.intp).reshape(-1, 4).T
+            lengths.append((len(rows) - start) // 3)
+    type_ids, text_len, oot_len = np.array(rows, dtype=np.intp).reshape(-1, 3).T
     oot_keys, oot_ratings = np.array(oot_pairs, dtype=np.intp).reshape(-1, 2).T
     return ChainCorpus(chain_ids, _offsets(lengths), type_ids, table,
                        _offsets(text_len), np.array(text_ids, dtype=np.intp),
                        list(tokens), _offsets(oot_len), oot_keys, oot_ratings,
-                       has_oot.astype(bool), list(keys))
+                       list(keys))
 
 
 def load_chains(path, factual_only: bool = False) -> ChainCorpus:
@@ -261,17 +257,15 @@ def chain_lines(corpus: ChainCorpus):
     heads = [f'{{"pred":{dumps(t.predicate)},"dep":{dumps(t.relation)},'
              f'"fact":{dumps(t.factuality)}' for t in corpus.types]
     events = [heads[t] for t in corpus.type_ids.tolist()]
-    tokens = [dumps(t) for t in corpus.tokens]
-    text_off = corpus.text_off.tolist()
+    tokens, keys = [dumps(t) for t in corpus.tokens], [dumps(k) for k in corpus.keys]
     text = [tokens[i] for i in corpus.text_ids.tolist()]
-    for j in np.flatnonzero(np.diff(corpus.text_off)).tolist():
-        events[j] += ',"text":[' + ",".join(text[text_off[j]:text_off[j + 1]]) + "]"
-    keys = [dumps(k) for k in corpus.keys]
-    oot_off = corpus.oot_off.tolist()
-    pairs = [f"[{keys[k]},{r}]" for k, r in zip(corpus.oot_keys.tolist(),
-                                                corpus.oot_ratings.tolist())]
-    for j in np.flatnonzero(corpus.has_oot).tolist():
-        events[j] += ',"oot":[' + ",".join(pairs[oot_off[j]:oot_off[j + 1]]) + "]"
+    oot = [f"[{keys[k]},{r}]" for k, r in zip(corpus.oot_keys.tolist(),
+                                              corpus.oot_ratings.tolist())]
+    for prefix, items, offsets in ((',"text":[', text, corpus.text_off),
+                                   (',"oot":[', oot, corpus.oot_off)):
+        span = offsets.tolist()
+        for j in np.flatnonzero(np.diff(offsets)).tolist():   # non-empty spans
+            events[j] += prefix + ",".join(items[span[j]:span[j + 1]]) + "]"
     off = corpus.offsets.tolist()
     for chain_id, a, b in zip(corpus.chain_ids, off, off[1:]):
         yield ('{"chain_id":' + dumps(chain_id) + ',"events":['

@@ -23,7 +23,7 @@ from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
 from .events import NUM_SPECIALS, Vocabulary, ranked_ids
 
-BLOCK = 16   # contexts per system call: bounds the (BLOCK, V) score blocks
+BLOCK = 64   # contexts per system call: bounds the (BLOCK, V) score blocks
 
 
 def make_cloze_set(corpus: ChainCorpus, vocab: Vocabulary, count: int,

@@ -143,7 +143,7 @@ class SyntheticCBN:
             np.arange(0, m + 1, L), events.ravel(),
             [EventType.from_key(k) for k in self.event_keys],
             np.zeros(m + 1, np.intp), np.zeros(0, np.intp), [], np.arange(m + 1) * a,
-            np.repeat(z, L * a), np.full(m * a, 4), np.full(m, bool(a)),
+            np.repeat(z, L * a), np.full(m * a, 4),
             [scenario_key(s) for s in self.scenario_names])
 
     # -- serialization -----------------------------------------------------

@@ -381,7 +381,8 @@ def test_lm_next_distribution_blocks_are_the_framed_forward_rows(n):
     rng = np.random.default_rng(9)
     V = 10
     lm = baselines.EventLM(dict(TINY_LM, vocab_size=V))
-    seqs, chains = _random_chains(rng, 20, V)
+    # more distinct histories than the largest n
+    seqs, chains = _random_chains(rng, 3 * evaluation.BLOCK, V)
     want = _framed_rows(lm, seqs, chains)
     histories = sorted(want, key=lambda h: (-len(h), h))[:n] if n else [()]
     assert len(histories) == max(n, 1)

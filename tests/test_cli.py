@@ -286,21 +286,39 @@ def test_chain_id_of_another_json_type_exit_code(workdir, capsys, chain_id):
 
 
 def test_corpus_commands_import_no_model_module(workdir):
-    """split and vocab run without importing the model, estimator and
-    evaluation layers."""
+    """split and vocab run without importing the model, estimator,
+    evaluation and generator layers, and score without the generator."""
     run("synth", "--fixture", "F-DET", "--n", "40", "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    vocab = Vocabulary.load("v.tsv")
+    V, target = len(vocab), vocab.key_of(NUM_SPECIALS)
+    causal.InterventionTable(np.full((V, V), 1.0 / V)).save("t.bin")
     code = ("import sys; from scriptcausal import cli; "
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[-1] in "
+            "('baselines', 'causal', 'evaluation', 'kernel', 'synth')); "
             "assert cli.main(['split', '--input', 'c.jsonl', '--train', "
             "'tr.jsonl', '--dev', 'dv.jsonl', '--test', 'te.jsonl']) == 0; "
             "assert cli.main(['vocab', '--input', 'tr.jsonl', '--output', "
-            "'v.tsv']) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[-1] in "
-            "('baselines', 'causal', 'evaluation', 'kernel')))")
+            "'v2.tsv']) == 0; print(loaded()); "
+            "assert cli.main(['score', '--itable', 't.bin', '--vocab', 'v.tsv', "
+            f"'--target', {target!r}, '--exclude-top', '0', '--output', 's.tsv']) "
+            "== 0; print(loaded())")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "[]"
-    assert os.path.exists("v.tsv")
+    assert out.stdout.splitlines() == [
+        "[]", "['scriptcausal.causal', 'scriptcausal.kernel']"]
+    assert os.path.exists("v2.tsv") and os.path.exists("s.tsv")
+
+
+@pytest.mark.parametrize("command", ["synth", "oracle"])
+def test_an_unknown_fixture_is_a_config_error(workdir, capsys, command):
+    argv = [command, "--fixture", "F-NOPE", "--output", "out"]
+    assert run(*argv, *(["--n", "5"] if command == "synth" else [])) == 1
+    err = capsys.readouterr().err
+    assert "unknown fixture 'F-NOPE'" in err
+    assert all(name in err for name in synth.FIXTURE_NAMES)
+    assert not os.path.exists("out")
 
 
 def _counts(workdir, fixture="F-DET"):
@@ -314,7 +332,7 @@ def _counts(workdir, fixture="F-DET"):
 @pytest.mark.parametrize("argv, message", [
     (["complete", "--counts", "cnt.tsv", "--exclude-top", "20",
       "eat_popcorn:nsubj"], "no candidate left"),
-    (["complete", "--counts", "cnt.tsv", "--exclude-top", "0", "</s>"],
+    (["complete", "--counts", "cnt.tsv", "--exclude-top", "0", "go_home:nsubj"],
      "no candidate has a finite score"),
     (["score", "--itable", "t.bin", "--exclude-top", "20",
       "--target", "cry:nsubj"], "no candidate left"),
@@ -322,11 +340,29 @@ def _counts(workdir, fixture="F-DET"):
 def test_complete_without_a_candidate_is_a_config_error(workdir, capsys, argv,
                                                         message):
     _counts(workdir, "F-POPCORN")
+    # one pair, so go_home:nsubj's PMI row has no finite entry
+    (workdir / "cnt.tsv").write_text("#scriptcausal-counts v1\t2\t1\n"
+                                     "cry:nsubj\tgo_home:nsubj\t1\n")
     V = len(Vocabulary.load("v.tsv"))
     causal.InterventionTable(np.full((V, V), 1.0 / V)).save("t.bin")
     capsys.readouterr()
     assert run(argv[0], "--vocab", "v.tsv", *argv[1:]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["<unk>", "<s>", "</s>"])
+@pytest.mark.parametrize("argv", [
+    ["score", "--itable", "t.bin", "--target"],
+    ["complete", "--itable", "t.bin", "--exclude-top", "0"]], ids=["score", "complete"])
+def test_a_special_key_is_no_target_or_context_event(workdir, capsys, argv, key):
+    _counts(workdir, "F-POPCORN")
+    V = len(Vocabulary.load("v.tsv"))
+    causal.InterventionTable(np.full((V, V), 1.0 / V)).save("t.bin")
+    capsys.readouterr()
+    assert run(argv[0], "--vocab", "v.tsv", *argv[1:], key) == 1
+    out = capsys.readouterr()
+    assert f"{key!r} is not in the vocabulary's events" in out.err
+    assert out.out == ""
 
 
 def test_score_of_a_target_the_vocabulary_lacks_is_a_config_error(workdir, capsys):

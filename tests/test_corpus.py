@@ -231,11 +231,11 @@ def _lines(chains):
 
 def _canonical(chain_id, events):
     """The canonical line: json.dumps of the events in key order pred, dep,
-    fact, text, oot, with fact defaulting to pos."""
+    fact, text, oot, with fact defaulting to pos and an empty oot left out."""
     out = []
     for ev in events:
         obj = {"pred": ev["pred"], "dep": ev["dep"], "fact": ev.get("fact", "pos")}
-        obj.update({k: ev[k] for k in ("text", "oot") if k in ev})
+        obj.update({k: ev[k] for k in ("text", "oot") if ev.get(k)})
         out.append(obj)
     return json.dumps({"chain_id": chain_id, "events": out}, separators=(",", ":"))
 
@@ -426,3 +426,14 @@ def test_memo_answers_repeated_events_up_to_its_bound(monkeypatch):
     decoded.clear()
     assert _outcome(canonical) == _outcome(default)
     assert len(decoded) == len(canonical) * 2   # the default form's too
+
+
+def test_an_empty_oot_list_is_no_annotation():
+    """An event with "oot": [], decoded or read from the memo, loads as the
+    same event without the key does, and is written back without it."""
+    bare = [f'{{"chain_id":"c{i}","events":[{{"pred":"eat","dep":"nsubj","fact":"pos"'
+            for i in range(2)]
+    corpus = parse_chains([line + ',"oot":[]}]}' for line in bare])
+    assert _arrays(corpus) == _arrays(parse_chains([line + "}]}" for line in bare]))
+    assert corpus.chains[1].events[0].oot_candidates is None
+    assert list(chain_lines(corpus)) == [line + "}]}\n" for line in bare]
