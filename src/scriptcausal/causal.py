@@ -245,16 +245,18 @@ class ConditionalModel:
             ConditionalModel)
 
 
-def _train(model: ConditionalModel, train: PackedInstances,
+def _train(model: ConditionalModel, train: PackedInstances, rows,
            dev: PackedInstances, lr, log=None, max_epochs=None):
-    """Fit ``model`` in place with early stopping on ``dev`` (on ``train``
-    when ``dev`` is empty); every call starts a fresh optimizer and rng."""
+    """Fit ``model`` in place on the instances ``train.take(rows)``, each
+    batch taken from ``train`` itself, with early stopping on ``dev`` (on
+    the training instances when ``dev`` is empty); every call starts a
+    fresh optimizer and rng."""
     cfg = model.config
-    holdout = dev if len(dev) else train
+    holdout = dev if len(dev) else train.take(rows)
     model.params = K.fit(
-        model.params, lambda idx: model.loss_and_grads(train.take(idx))[1],
+        model.params, lambda idx: model.loss_and_grads(train.take(rows[idx]))[1],
         lambda: K.mean_loss(lambda batch: model._forward(model.params, batch),
-                            holdout, cfg["batch_size"]), len(train), cfg, lr,
+                            holdout, cfg["batch_size"]), len(rows), cfg, lr,
         np.random.default_rng(cfg["seed"] + 1), max_epochs,
         log and (lambda e, loss: log(f"conditional epoch {e}: "
                                      f"dev loss {loss:.4f}")))
@@ -276,8 +278,8 @@ def train_conditional(train: PackedInstances, dev: PackedInstances,
                   for i in (train, dev))
     stages = model.config.get("lr_schedule") or [(model.config["lr"], None)]
     for lr, epochs in stages:
-        model = _train(model, train, dev, float(lr), log=log,
-                       max_epochs=None if epochs is None else int(epochs))
+        model = _train(model, train, np.arange(len(train)), dev, float(lr),
+                       log=log, max_epochs=None if epochs is None else int(epochs))
     return model
 
 
@@ -286,7 +288,7 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
     """Finetune everything at the reduced rate, from W_O restarted at zero
     and last, on the instances that carry out-of-text ids; the dev split is
     9:1 over them (seeded shuffle)."""
-    # the split takes these rows: no filtered copy beside the caller's set
+    # batches are taken from the caller's set: the training rows are no copy
     rows = np.flatnonzero(annotated.oot_len)
     if not len(rows):
         raise ConfigError("no annotated instances to finetune on")
@@ -297,7 +299,7 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
     rng = np.random.default_rng(cfg["seed"] + 2)
     order = rows[rng.permutation(len(rows))]
     n_dev = max(1, len(rows) // 10)
-    return _train(tuned, annotated.take(order[n_dev:]),
+    return _train(tuned, annotated, order[n_dev:],
                   annotated.take(order[:n_dev]), cfg["finetune_lr"], log=log)
 
 

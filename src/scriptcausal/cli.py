@@ -111,6 +111,9 @@ def cmd_ingest(cfg, args):
 
 
 def cmd_split(cfg, args):
+    if len(cfg["ratios"]) != 3:   # one per output file
+        raise ConfigError("config key 'ratios' must hold 3 ratios (train, dev, "
+                          f"test), got {len(cfg['ratios'])}")
     corpus = load_chains(_require(args.input, "chain file"))
     parts = split_corpus(corpus, cfg["ratios"], cfg["seed"])
     outputs = [args.train, args.dev, args.test]
@@ -152,6 +155,7 @@ def cmd_train_cond(cfg, args):
     train = load_chains(_require(args.train, "training chain file"))
     settings = {**cfg.slice(causal.CONFIG_KEYS), "tokens": build_token_vocab(train)}
     train_inst = _instances(train, vocab, settings)
+    del train   # training reads only the instances
     dev_inst = _instances(load_chains(_require(args.dev, "dev chain file")),
                           vocab, settings)
     model = causal.train_conditional(train_inst, dev_inst, len(vocab), settings,

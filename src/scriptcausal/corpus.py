@@ -31,16 +31,9 @@ from .events import SPECIAL_KEYS, EventType, Vocabulary
 
 
 @dataclass
-class ChainEvent:
-    event: EventType
-    text_tokens: list[str] | None = None
-    oot_candidates: list[tuple[str, int]] | None = None
-
-
-@dataclass
 class EventChain:
     chain_id: str
-    events: list[ChainEvent]
+    events: list[EventType]
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -98,16 +91,9 @@ class ChainCorpus:
 
     @cached_property
     def chains(self) -> list[EventChain]:
-        """An EventChain view of the corpus, built on first use. The
-        pipeline itself reads only the arrays."""
-        text_off, oot_off = self.text_off.tolist(), self.oot_off.tolist()
-        text = [self.tokens[i] for i in self.text_ids.tolist()]
-        oot = list(zip([self.keys[k] for k in self.oot_keys.tolist()],
-                       self.oot_ratings.tolist()))
-        events = [ChainEvent(self.types[t],
-                             text[text_off[j]:text_off[j + 1]] or None,
-                             oot[oot_off[j]:oot_off[j + 1]] or None)
-                  for j, t in enumerate(self.type_ids.tolist())]
+        """Each chain's id and event types, built on first use. The pipeline
+        itself reads only the arrays."""
+        events = [self.types[t] for t in self.type_ids.tolist()]
         off = self.offsets.tolist()
         return [EventChain(cid, events[a:b])
                 for cid, a, b in zip(self.chain_ids, off, off[1:])]

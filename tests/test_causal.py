@@ -288,6 +288,32 @@ def test_finetuning_a_finetuned_model_restarts_w_o(tmp_path):
             causal.finetune_with_oot(model, plain, cfg)
 
 
+def test_finetune_batches_are_rows_of_the_callers_set():
+    """Finetuning takes each training batch from the caller's set by row
+    index, and fits the same parameters bit for bit as a fit on copies of
+    the same seeded 9:1 split."""
+    cbn = synth.build_fixture("F-POPCORN")
+    annotated, vocab, _ = _instances_for(cbn, 60, seed=3, annotate=True)
+    pre = causal.ConditionalModel(dict(TINY, vocab_size=len(vocab)))
+    got = causal.finetune_with_oot(pre, annotated, {"max_epochs": 3})
+    cfg = {**pre.config, "max_epochs": 3}
+    rows = np.flatnonzero(annotated.oot_len)
+    order = rows[np.random.default_rng(cfg["seed"] + 2).permutation(len(rows))]
+    n_dev = max(1, len(rows) // 10)
+    train, dev = annotated.take(order[n_dev:]), annotated.take(order[:n_dev])
+    assert len(train) > cfg["batch_size"]
+    params = {k: v.copy() for k, v in pre.params.items() if k != "W_O"}
+    params["W_O"] = np.zeros_like(pre.params["W_O"])
+    want = K.fit(params, lambda idx: pre.loss_and_grads(train.take(idx), params)[1],
+                 lambda: K.mean_loss(lambda batch: pre._forward(params, batch),
+                                     dev, cfg["batch_size"]),
+                 len(train), cfg, cfg["finetune_lr"],
+                 np.random.default_rng(cfg["seed"] + 1))
+    assert list(got.params) == list(want)
+    for name in want:
+        assert np.array_equal(got.params[name], want[name])
+
+
 def test_model_file_round_trip(tmp_path):
     model = causal.ConditionalModel(dict(TINY, vocab_size=9, tokens=_tokens(4),
                                          phase="finetuned"))

@@ -1167,6 +1167,24 @@ def test_synth_and_oracle_take_exactly_one_network(workdir, capsys, command, fla
     assert not os.path.exists("out")
 
 
+@pytest.mark.parametrize("ratios", [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]])
+def test_split_needs_one_ratio_per_output(workdir, capsys, monkeypatch, ratios):
+    """split writes a train, a dev and a test file: any other number of
+    ratios is refused before the chain file is read, and nothing is
+    written."""
+    assert run("synth", "--fixture", "F-POPCORN", "--n", "40",
+               "--output", "c.jsonl") == 0
+    (workdir / "cfg.json").write_text(json.dumps({"ratios": ratios}))
+    monkeypatch.setattr(cli, "load_chains", None)   # a read would fail
+    assert run("--config", "cfg.json", "split", "--input", "c.jsonl",
+               "--train", "tr", "--dev", "dv", "--test", "te") == 1
+    assert capsys.readouterr().err == (
+        "error: config key 'ratios' must hold 3 ratios (train, dev, test), "
+        f"got {len(ratios)}\n")
+    assert not any(os.path.exists(p) for p in ("tr", "dv", "te"))
+    assert (workdir / "runs.log").read_text().count("\n") == 1   # synth's line
+
+
 def test_gradcheck_certifies_every_model(workdir, capsys):
     assert run("gradcheck") == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from scriptcausal import cli, corpus as corpus_module
-from scriptcausal.corpus import (build_vocab_from, chain_lines, load_chains,
-                                 parse_chains, split_corpus, write_chains)
+from scriptcausal.corpus import (EventChain, build_vocab_from, chain_lines,
+                                 load_chains, parse_chains, split_corpus,
+                                 write_chains)
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import (END_ID, NUM_SPECIALS, SPECIAL_KEYS, START_ID,
-                                 UNK_ID)
+                                 UNK_ID, EventType)
 from scriptcausal.synth import build_fixture
 
 
@@ -145,7 +146,7 @@ def test_build_vocab_counts_and_threshold(tmp_path):
     assert vocab.id_of("sprint:nsubj") == 0  # below threshold → UNK
 
 
-def test_build_vocab_includes_oot_candidates(tmp_path):
+def test_build_vocab_includes_oot_keys(tmp_path):
     lines = [_chain_json("c0", [("go", "pos", [], [["sleep:dobj", 4]])])]
     corpus = load_chains(_write(tmp_path, lines))
     vocab = build_vocab_from(corpus, min_count=1)
@@ -435,5 +436,16 @@ def test_an_empty_oot_list_is_no_annotation():
             for i in range(2)]
     corpus = parse_chains([line + ',"oot":[]}]}' for line in bare])
     assert _arrays(corpus) == _arrays(parse_chains([line + "}]}" for line in bare]))
-    assert corpus.chains[1].events[0].oot_candidates is None
     assert list(chain_lines(corpus)) == [line + "}]}\n" for line in bare]
+
+
+def test_chains_view_holds_ids_and_event_types():
+    """``.chains`` gives each chain's id and its event types in file order;
+    the text and out-of-text annotations stay in the arrays."""
+    corpus = parse_chains([
+        _chain_json("c0", [("go", "pos", ["he"], [["sleep:dobj", 4]]),
+                           ("eat", "neg", [], [])]),
+        _chain_json("c1", [("go", "pos", [], [])])])
+    go, eat = EventType("go", "nsubj"), EventType("eat", "nsubj", "neg")
+    assert corpus.chains == [EventChain("c0", [go, eat]), EventChain("c1", [go])]
+    assert corpus.take(np.array([1])).chains == [EventChain("c1", [go])]
