@@ -3,8 +3,8 @@ sequence language model.
 
 PMI follows the ordered skip-bigram scheme with a window of 2: within each
 chain, (e_i, e_j) is counted for every j with i < j <= i + window, keeping
-direction. The discounted variant multiplies raw PMI by
-(c / (c+1)) * (m / (m+1)) with m = min(left(e1), right(e2)).
+direction. The discount multiplies raw PMI by (c / (c+1)) * (m / (m+1))
+with m = min(left(e1), right(e2)).
 """
 
 from __future__ import annotations
@@ -90,24 +90,22 @@ def load_counts(path, vocab: Vocabulary) -> OrderedCounts:
     return OrderedCounts(window, pairs)
 
 
-def pmi_matrix(counts: OrderedCounts, discounted: bool = True) -> np.ndarray:
-    """Dense (V, V) ordered PMI of every seen pair, -inf where a pair is
-    unseen. With ``discounted`` the PMI is multiplied by
-    (c / (c+1)) * (m / (m+1)), m = min(left(e1), right(e2)). The ratios
-    are float64 arithmetic, exact on counts below 2**53, and each log is
-    ``math.log``'s, so every entry has the bits of the per-pair formula."""
+def pmi_matrix(counts: OrderedCounts) -> np.ndarray:
+    """Dense (V, V) discounted ordered PMI of every seen pair, -inf where a
+    pair is unseen: the PMI times (c / (c+1)) * (m / (m+1)),
+    m = min(left(e1), right(e2)). The ratios are float64 arithmetic, exact
+    on counts below 2**53, and each log is ``math.log``'s, so every entry
+    has the bits of the per-pair formula."""
     pairs = counts.pairs
     e1s, e2s = np.nonzero(pairs)
     T = float(pairs.sum())
     c, left, right = (a.astype(float) for a in (
         pairs[e1s, e2s], pairs.sum(axis=1)[e1s], pairs.sum(axis=0)[e2s]))
     ratio = (c / T) / ((left / T) * (right / T))
-    raw = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
-    if discounted:
-        m = np.minimum(left, right)
-        raw = raw * (c / (c + 1.0)) * (m / (m + 1.0))
+    pmi = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+    m = np.minimum(left, right)
     M = np.full(pairs.shape, NEG_INF)
-    M[e1s, e2s] = raw
+    M[e1s, e2s] = pmi * (c / (c + 1.0)) * (m / (m + 1.0))
     return M
 
 
@@ -148,16 +146,16 @@ class FramedChains:
         return FramedChains(self.ids, self.starts[idx], self.counts[idx])
 
 
-class EventLM:
+class EventLM(K.Model):
     """Multi-layer GRU language model over framed event-id sequences. Its
-    ``config`` is its file header: the run keys of ``CONFIG_KEYS`` and
-    ``vocab_size``, which ``config`` must give."""
+    header holds the run keys of ``CONFIG_KEYS`` and ``vocab_size``."""
 
-    def __init__(self, config: dict, params: dict | None = None):
-        self.config = {**C.defaults(CONFIG_KEYS), **config}
-        self._layers = [f"gru{layer}" for layer in range(self.config["num_layers"])]
-        self.params = params if params is not None else self._init_params(
-            np.random.default_rng(self.config["seed"]))
+    KIND = "event-lm"
+    HEADER = {**CONFIG_KEYS, **C.same("vocab_size")}
+
+    @property
+    def _layers(self):
+        return [f"gru{layer}" for layer in range(self.config["num_layers"])]
 
     def _init_params(self, rng):
         """Fresh parameters drawn from ``rng``."""
@@ -173,30 +171,31 @@ class EventLM:
 
     # -- forward / backward -------------------------------------------------
 
-    def _forward(self, params, batch: FramedChains, dropout_rng=None):
+    def _forward(self, params, batch: FramedChains, rng=None):
         """Logits (S, V) and targets at every input position of ``batch`` in
         SeqLayout order, and the cache: the encoder output and its cache.
         Dropout masks are drawn as (T, B, dim) arrays, then gathered at the
-        packed positions."""
+        packed positions; there is no dropout without ``rng``."""
         layout = K.SeqLayout(batch.counts)
         pos = batch.starts[layout.rows] + layout.steps
         masks = None
         p = self.config["dropout"]
-        if dropout_rng is not None and p > 0:
+        if rng is not None and p > 0:
             T, B, keep = len(layout.sizes), len(batch), 1.0 - p
             at = (layout.steps, layout.rows)
-            masks = tuple((dropout_rng.random((T, B, n)) < keep)[at] / keep
+            masks = tuple((rng.random((T, B, n)) < keep)[at] / keep
                           for n in (self.config["emb_dim"], self.config["hidden_dim"]))
         H, cache = K.encoder_forward(params, self._layers, batch.ids[pos], layout,
                                      masks)
         logits = H @ params["out.W"].T + params["out.b"]
         return logits, batch.ids[pos + 1], (H, cache)
 
-    def loss_and_grads(self, batch: FramedChains, params=None, dropout_rng=None):
+    def loss_and_grads(self, batch: FramedChains, params=None, rng=None):
         """Mean per-token loss and gradients on a batch of framed chains, at
-        ``params`` (default: the model's own)."""
+        ``params`` (default: the model's own), with dropout masks drawn
+        from ``rng``."""
         params = self.params if params is None else params
-        logits, targets, (H, cache) = self._forward(params, batch, dropout_rng)
+        logits, targets, (H, cache) = self._forward(params, batch, rng)
         loss_sum, dlogits = K.softmax_xent_batch(logits, targets)
         n_tokens = float(len(logits))
         dlogits /= n_tokens
@@ -218,18 +217,6 @@ class EventLM:
         return K.softmax(H[layout.last] @ self.params["out.W"].T
                          + self.params["out.b"])
 
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path):
-        K.save_model(path, "event-lm", self.config, self.params)
-
-    @staticmethod
-    def load(path) -> "EventLM":
-        """The LM in file ``path``, whose header and parameter shapes are
-        checked."""
-        return K.load_model(path, "event-lm", {**CONFIG_KEYS, **C.same("vocab_size")},
-                            EventLM)
-
 
 def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
                    vocab: Vocabulary, config: dict | None = None,
@@ -239,12 +226,4 @@ def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
     train, dev = (FramedChains.frame(c.event_ids(vocab), c.offsets)
                   for c in (train_corpus, dev_corpus))
     lm = EventLM({**(config or {}), "vocab_size": len(vocab)})
-    cfg = lm.config
-    rng = np.random.default_rng(cfg["seed"] + 1)
-    lm.params = K.fit(
-        lm.params, lambda idx: lm.loss_and_grads(train.take(idx), dropout_rng=rng)[1],
-        lambda: K.mean_loss(lambda chains: lm._forward(lm.params, chains),
-                            dev if len(dev) else train, cfg["batch_size"]),
-        len(train), cfg, cfg["lr"], rng, log=log and (lambda e, loss: log(
-            f"lm epoch {e}: dev loss {loss:.4f}")))
-    return lm
+    return K.fit(lm, train, np.arange(len(train)), dev, lm.config["lr"], "lm", log)

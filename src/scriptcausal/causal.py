@@ -149,17 +149,13 @@ def _mean_of_sets_backward(d_vec, cache):
     return ids[mask], (d_vec / safe)[np.nonzero(mask)[0]]
 
 
-class ConditionalModel:
-    """Parameters of the conditional next-event model and its ``config``,
-    which is its file header: the run keys of ``CONFIG_KEYS``, the size
-    ``vocab_size`` (which ``config`` must give), the text channel's
-    ``tokens`` and the ``phase`` label."""
+class ConditionalModel(K.Model):
+    """The conditional next-event model. Its header holds the run keys of
+    ``CONFIG_KEYS``, the size ``vocab_size``, the text channel's ``tokens``
+    and the ``phase`` label."""
 
-    def __init__(self, config: dict, params: dict | None = None):
-        self.config = {**C.defaults({**CONFIG_KEYS, **C.same("tokens phase")}),
-                       **config}
-        self.params = params if params is not None else self._init_params(
-            np.random.default_rng(self.config["seed"]))
+    KIND = "conditional"
+    HEADER = {**CONFIG_KEYS, **C.same("vocab_size tokens phase")}
 
     def _init_params(self, rng):
         """Fresh parameters drawn from ``rng``."""
@@ -200,9 +196,9 @@ class ConditionalModel:
         return (v_e @ params["A"].T + const, batch.targets,
                 (v_e, enc_cache, ctx_cache))
 
-    def loss_and_grads(self, batch: PackedInstances, params=None):
+    def loss_and_grads(self, batch: PackedInstances, params=None, rng=None):
         """Mean loss and gradients on a batch, at ``params`` (default: the
-        model's own)."""
+        model's own). The model draws nothing from ``rng``."""
         params = self.params if params is None else params
         logits, targets, (v_e, enc_cache, ctx_cache) = self._forward(params, batch)
         B = len(batch)
@@ -230,38 +226,6 @@ class ConditionalModel:
             self.config["vocab_size"])
         return loss, grads
 
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, path):
-        K.save_model(path, "conditional", self.config, self.params)
-
-    @staticmethod
-    def load(path) -> "ConditionalModel":
-        """The model in file ``path``, whose header and parameter shapes
-        are checked."""
-        return K.load_model(
-            path, "conditional",
-            {**CONFIG_KEYS, **C.same("vocab_size tokens phase")},
-            ConditionalModel)
-
-
-def _train(model: ConditionalModel, train: PackedInstances, rows,
-           dev: PackedInstances, lr, log=None, max_epochs=None):
-    """Fit ``model`` in place on the instances ``train.take(rows)``, each
-    batch taken from ``train`` itself, with early stopping on ``dev`` (on
-    the training instances when ``dev`` is empty); every call starts a
-    fresh optimizer and rng."""
-    cfg = model.config
-    holdout = dev if len(dev) else train.take(rows)
-    model.params = K.fit(
-        model.params, lambda idx: model.loss_and_grads(train.take(rows[idx]))[1],
-        lambda: K.mean_loss(lambda batch: model._forward(model.params, batch),
-                            holdout, cfg["batch_size"]), len(rows), cfg, lr,
-        np.random.default_rng(cfg["seed"] + 1), max_epochs,
-        log and (lambda e, loss: log(f"conditional epoch {e}: "
-                                     f"dev loss {loss:.4f}")))
-    return model
-
 
 def train_conditional(train: PackedInstances, dev: PackedInstances,
                       vocab_size: int, config: dict | None = None,
@@ -276,10 +240,10 @@ def train_conditional(train: PackedInstances, dev: PackedInstances,
     model = ConditionalModel({**(config or {}), "vocab_size": vocab_size})
     train, dev = (replace(i, oot=i.oot[:, :0], oot_len=np.zeros(len(i), np.intp))
                   for i in (train, dev))
-    stages = model.config.get("lr_schedule") or [(model.config["lr"], None)]
+    stages = model.config["lr_schedule"] or [(model.config["lr"], None)]
     for lr, epochs in stages:
-        model = _train(model, train, np.arange(len(train)), dev, float(lr),
-                       log=log, max_epochs=None if epochs is None else int(epochs))
+        K.fit(model, train, np.arange(len(train)), dev, float(lr), "conditional",
+              log, None if epochs is None else int(epochs))
     return model
 
 
@@ -299,8 +263,8 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
     rng = np.random.default_rng(cfg["seed"] + 2)
     order = rows[rng.permutation(len(rows))]
     n_dev = max(1, len(rows) // 10)
-    return _train(tuned, annotated, order[n_dev:],
-                  annotated.take(order[:n_dev]), cfg["finetune_lr"], log=log)
+    return K.fit(tuned, annotated, order[n_dev:], annotated.take(order[:n_dev]),
+                 cfg["finetune_lr"], "conditional", log)
 
 
 # ---------------------------------------------------------------------------

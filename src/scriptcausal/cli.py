@@ -3,9 +3,10 @@
 Configuration precedence: command-line flags > JSON config file (--config)
 > the defaults of ``config.TABLE``.
 
-Exit codes: 0 success, 1 usage/config error, 2 data-format error,
-3 numerical failure. Every successful run appends a manifest line
-(command, config hash, seed, output paths) to the run log.
+Exit codes: 0 success, 1 usage/config error (a request too large for
+memory included), 2 data-format error, 3 numerical failure. Every
+successful run appends a manifest line (command, config hash, seed,
+output paths) to the run log.
 """
 
 from __future__ import annotations
@@ -485,6 +486,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as e:
         print(f"error: {e.strerror}: {e.filename}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: not enough memory: {e}", file=sys.stderr)
         return 1
 
 

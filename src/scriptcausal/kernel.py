@@ -10,6 +10,9 @@ Sequences of different lengths reach the GRU packed as a prefix tree
 work goes into padding or into a shared prefix. Parameters keep their
 per-gate names (``enc.Wz``, ``gru0.Uh``, ...); the GRU concatenates the
 gates in memory and splits the gradients back.
+
+Both GRU models share one life cycle: ``Model`` makes their config and
+parameters and reads and writes their files, and ``fit`` trains them.
 """
 
 from __future__ import annotations
@@ -364,54 +367,63 @@ def adam_update(state: AdamState, grads):
     state.flat -= np.divide(s, g, out=s)
 
 
-def fit(params, batch_grads, holdout_loss, n, cfg, lr, rng, max_epochs=None,
-        log=None):
-    """Adam with early stopping; returns a copy of the best-holdout params.
+def fit(model, items, rows, dev, lr, label, log=None, max_epochs=None):
+    """Adam with early stopping on ``model`` (a ``Model``) in place; returns
+    it at its best holdout loss.
 
-    Each epoch permutes the ``n`` training items with ``rng`` and updates
-    ``params`` in place with ``batch_grads(index_array)``, one call per
-    batch of ``cfg["batch_size"]``; ``batch_grads`` may draw from ``rng``
-    too. ``holdout_loss()`` is evaluated after every epoch, and training
-    stops after ``cfg["patience"]`` epochs without improvement or after
-    ``max_epochs`` (default ``cfg["max_epochs"]``). ``log(epoch, loss)``
-    is called once per epoch; a non-finite holdout loss raises a
-    NumericalError.
+    Each epoch permutes the training ``rows`` of ``items`` (a sized set
+    with ``take``) and makes one update per batch of the config's
+    ``batch_size`` from ``model.loss_and_grads(items.take(batch), rng=rng)``.
+    The rng is fresh on every call, from the config's seed + 1: it orders
+    the batches, and the model may draw from it too. The holdout loss is
+    ``mean_loss`` over ``dev``, or over the training rows when ``dev`` is
+    empty, after every epoch; ``log`` gets one line per epoch, headed by
+    ``label``. Training stops after the config's ``patience`` epochs
+    without improvement or after ``max_epochs`` (default: the config's).
+    A non-finite holdout loss raises a NumericalError.
     """
-    if not n:
+    if not len(rows):
         raise ConfigError("empty training set")
-    opt = AdamState(params, lr=lr, clip_norm=cfg["clip_norm"])
+    cfg = model.config
+    holdout = dev if len(dev) else items.take(rows)
+    rng = np.random.default_rng(cfg["seed"] + 1)
+    opt = AdamState(model.params, lr=lr, clip_norm=cfg["clip_norm"])
     best_loss = float("inf")
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = {k: v.copy() for k, v in model.params.items()}
     stale = 0
     batch_size = cfg["batch_size"]
     for epoch in range(cfg["max_epochs"] if max_epochs is None else max_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            adam_update(opt, batch_grads(order[start:start + batch_size]))
-        loss = holdout_loss()
+        order = rows[rng.permutation(len(rows))]
+        for start in range(0, len(order), batch_size):
+            adam_update(opt, model.loss_and_grads(
+                items.take(order[start:start + batch_size]), rng=rng)[1])
+        loss = mean_loss(model, holdout)
         if log:
-            log(epoch, loss)
+            log(f"{label} epoch {epoch}: dev loss {loss:.4f}")
         if not math.isfinite(loss):
             raise NumericalError(f"holdout loss is {loss} after epoch {epoch}")
         if loss < best_loss:
             best_loss = loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = {k: v.copy() for k, v in model.params.items()}
             stale = 0
         else:
             stale += 1
             if stale >= cfg["patience"]:
                 break
-    return best_params
+    model.params = best_params
+    return model
 
 
-def mean_loss(forward, data, batch_size):
-    """Mean cross entropy per target over ``data`` (a sized set with
-    ``take(slice)``), where ``forward(batch)`` returns (logits, targets,
-    cache). Each pass takes at most ``batch_size`` items, which bounds
-    the forward pass's memory."""
+def mean_loss(model, data):
+    """Mean cross entropy per target of ``model`` over ``data`` (a sized set
+    with ``take(slice)``), where ``model._forward(params, batch)`` returns
+    (logits, targets, cache). Each pass takes at most the model's
+    ``batch_size`` items, which bounds the forward pass's memory."""
     total, count = 0.0, 0
+    batch_size = model.config["batch_size"]
     for start in range(0, len(data), batch_size):
-        logits, targets, _ = forward(data.take(slice(start, start + batch_size)))
+        logits, targets, _ = model._forward(
+            model.params, data.take(slice(start, start + batch_size)))
         total += softmax_xent_batch(logits, targets)[0]
         count += len(targets)
     return total / count
@@ -462,7 +474,7 @@ def finite_diff_check(loss_fn, params, eps=1e-5, max_coords=20, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# model parameter files
+# model files and the model base
 
 
 def save_model(path, kind, config, params):
@@ -529,3 +541,29 @@ def load_model(path, kind, keys, build):
             raise DataFormatError(f"{path}: model parameter {name!r} is {got} in "
                                   f"the file but {want} by its header")
     return model
+
+
+class Model:
+    """The life cycle both GRU models share. ``config`` is the model's file
+    header, of kind ``KIND``: the keys of ``HEADER`` (model key -> table
+    key), each the table's default unless given, except ``vocab_size``,
+    which the caller must give. ``params`` are drawn from the config's
+    seed unless given; a subclass makes them in ``_init_params(rng)``."""
+
+    KIND = ""
+    HEADER = {}
+
+    def __init__(self, config: dict, params: dict | None = None):
+        self.config = {**C.defaults({k: t for k, t in self.HEADER.items()
+                                     if k != "vocab_size"}), **config}
+        self.params = params if params is not None else self._init_params(
+            np.random.default_rng(self.config["seed"]))
+
+    def save(self, path):
+        save_model(path, self.KIND, self.config, self.params)
+
+    @classmethod
+    def load(cls, path):
+        """The model in file ``path``, whose header and parameter shapes
+        are checked."""
+        return load_model(path, cls.KIND, cls.HEADER, cls)

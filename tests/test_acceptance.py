@@ -95,7 +95,7 @@ def test_criterion_2_script_score_vs_pmi_ordering(popcorn):
         "script score does not rank watch-sad above popcorn for cry"
 
     counts = baselines.count_skip_bigrams(popcorn["corpus"], vocab, window=2)
-    pmi = baselines.pmi_matrix(counts, discounted=True)
+    pmi = baselines.pmi_matrix(counts)
     pmi_w, pmi_p = pmi[wk, ck], pmi[pk, ck]
     assert pmi_p > pmi_w, \
         f"PMI should prefer popcorn ({pmi_p:.4f}) over watch-sad ({pmi_w:.4f})"
@@ -236,10 +236,9 @@ def test_criterion_6_pmi_formula_fidelity():
     pairs = np.zeros((5, 5), dtype=np.int64)
     pairs[0, 1], pairs[0, 2], pairs[3, 4] = 3, 1, 6
     counts = baselines.OrderedCounts(2, pairs)
-    # c=3, T=10, left=4, right=3: raw = ln(3*10 / (4*3)) = ln 2.5
-    raw = baselines.pmi_matrix(counts, discounted=False)[0, 1]
-    assert abs(raw - math.log(2.5)) <= 1e-9
-    disc = baselines.pmi_matrix(counts, discounted=True)[0, 1]
+    # c=3, T=10, left=4, right=3: ln(3*10 / (4*3)) = ln 2.5, discounted by
+    # c/(c+1) = 3/4 and m/(m+1) = 3/4 with m = min(left, right) = 3
+    disc = baselines.pmi_matrix(counts)[0, 1]
     expected = math.log(2.5) * (3.0 / 4.0) * (3.0 / 4.0)
     assert abs(disc - expected) <= 1e-9
     assert abs(expected - 0.5154) < 5e-5  # matches the hand-derived value

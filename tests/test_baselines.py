@@ -113,19 +113,11 @@ def _fixture_counts():
     return baselines.OrderedCounts(2, pairs)
 
 
-def test_pmi_raw_hand_value():
-    counts = _fixture_counts()
-    want = math.log((0.3) / (0.4 * 0.3))  # ln 2.5
-    got = baselines.pmi_matrix(counts, discounted=False)[0, 1]
-    assert got == pytest.approx(want, abs=1e-9)
-    assert got == pytest.approx(0.9163, abs=5e-5)
-
-
 def test_pmi_discounted_hand_value():
     counts = _fixture_counts()
     raw = math.log(2.5)
     want = raw * (3 / 4) * (3 / 4)
-    got = baselines.pmi_matrix(counts, discounted=True)[0, 1]
+    got = baselines.pmi_matrix(counts)[0, 1]
     assert got == pytest.approx(want, abs=1e-9)
     assert got == pytest.approx(0.5154, abs=5e-5)
 
@@ -156,15 +148,13 @@ TINY_LM = {"emb_dim": 12, "hidden_dim": 16, "num_layers": 2, "dropout": 0.0,
            "max_epochs": 60, "seed": 0}
 
 
-def _reference_pmi(pairs, e1, e2, discounted):
-    """Ordered PMI of one pair from scalar counts and ``math.log``."""
+def _reference_pmi(pairs, e1, e2):
+    """Discounted ordered PMI of one pair from scalar counts and ``math.log``."""
     c = int(pairs[e1, e2])
     if c == 0:
         return -math.inf
     T, left, right = int(pairs.sum()), int(pairs[e1].sum()), int(pairs[:, e2].sum())
     raw = math.log((c / T) / ((left / T) * (right / T)))
-    if not discounted:
-        return raw
     m = min(left, right)
     return raw * (c / (c + 1.0)) * (m / (m + 1.0))
 
@@ -176,19 +166,17 @@ def _reference_pmi(pairs, e1, e2, discounted):
              min_size=V * V, max_size=V * V),
     st.integers(0, V - 1), st.integers(0, V - 1))))
 def test_pmi_matrix_equals_scalar_reference(drawn):
-    """Every entry bit for bit, raw and discounted, with one all-zero row
-    and column (-inf)."""
+    """Every entry bit for bit, with one all-zero row and column (-inf)."""
     values, row, col = drawn
     V = math.isqrt(len(values))
     pairs = np.array(values, dtype=np.int64).reshape(V, V)
     pairs[row], pairs[:, col] = 0, 0
-    for discounted in (False, True):
-        M = baselines.pmi_matrix(baselines.OrderedCounts(2, pairs), discounted)
-        assert M.shape == (V, V)
-        for e1 in range(V):
-            for e2 in range(V):
-                assert M[e1, e2] == _reference_pmi(pairs, e1, e2, discounted)
-        assert np.all(M[row] == -math.inf) and np.all(M[:, col] == -math.inf)
+    M = baselines.pmi_matrix(baselines.OrderedCounts(2, pairs))
+    assert M.shape == (V, V)
+    for e1 in range(V):
+        for e2 in range(V):
+            assert M[e1, e2] == _reference_pmi(pairs, e1, e2)
+    assert np.all(M[row] == -math.inf) and np.all(M[:, col] == -math.inf)
 
 
 def _memorization_corpus(pattern, n=40):
@@ -240,6 +228,21 @@ def test_lm_deterministic_training():
         np.testing.assert_array_equal(lm1.params[name], lm2.params[name])
 
 
+def test_lm_with_no_dev_set_holds_out_the_training_chains():
+    """With an empty dev corpus, early stopping reads the training chains:
+    the same dev losses and parameters bit for bit as with dev = them."""
+    rng = np.random.default_rng(2)
+    corpus, vocab = _corpus_from_id_chains(
+        [rng.integers(NUM_SPECIALS, NUM_SPECIALS + 4, size=rng.integers(1, 6))
+         for _ in range(30)], list("abcd"))
+    cfg, logs = dict(TINY_LM, max_epochs=3, dropout=0.2), ([], [])
+    got, want = (baselines.train_event_lm(corpus, dev, vocab, cfg, log.append)
+                 for dev, log in zip((corpus.take(np.arange(0)), corpus), logs))
+    assert logs[0] == logs[1] and len(logs[0]) == 3
+    for name in want.params:
+        np.testing.assert_array_equal(got.params[name], want.params[name])
+
+
 def test_lm_beats_unigram_perplexity():
     # mixed corpus with real sequential structure
     rng = np.random.default_rng(0)
@@ -253,9 +256,7 @@ def test_lm_beats_unigram_perplexity():
     lm = baselines.train_event_lm(corpus, corpus, vocab,
                                   dict(TINY_LM, max_epochs=25))
     ids = corpus.event_ids(vocab)
-    lm_ppl = math.exp(K.mean_loss(
-        lambda chains: lm._forward(lm.params, chains),
-        baselines.FramedChains.frame(ids, corpus.offsets), lm.config["batch_size"]))
+    lm_ppl = math.exp(K.mean_loss(lm, baselines.FramedChains.frame(ids, corpus.offsets)))
     # unigram oracle over the same framed token stream (events + </s>)
     from collections import Counter
     seqs = np.split(ids, corpus.offsets[1:-1])
@@ -266,7 +267,7 @@ def test_lm_beats_unigram_perplexity():
     assert lm_ppl < uni_ppl
 
 
-def _padded_lm_loss_and_grads(lm, sequences, dropout_rng=None):
+def _padded_lm_loss_and_grads(lm, sequences, rng=None):
     """Reference LM step over right-padded (T, B) input, target and mask
     matrices, one GRU layer after another."""
     framed = [[START_ID, *s, END_ID] for s in sequences]
@@ -278,9 +279,9 @@ def _padded_lm_loss_and_grads(lm, sequences, dropout_rng=None):
         inputs[:n, b], targets[:n, b], mask[:n, b] = s[:-1], s[1:], 1.0
     p, cfg = lm.params, lm.config
     masks = None
-    if dropout_rng is not None:
+    if rng is not None:
         keep = 1.0 - cfg["dropout"]
-        masks = [(dropout_rng.random((T, B, cfg[k])) < keep) / keep
+        masks = [(rng.random((T, B, cfg[k])) < keep) / keep
                  for k in ("emb_dim", "hidden_dim")]
     layout = K.SeqLayout(mask.sum(axis=0).astype(np.intp))
     at = (layout.steps, layout.rows)
@@ -324,8 +325,7 @@ def test_lm_step_on_framed_chains_equals_padded_reference(dropout):
     lm = baselines.EventLM(dict(TINY_LM, vocab_size=V, dropout=dropout, num_layers=3))
     seqs, chains = _random_chains(rng, 9, V)
     batch = np.array([4, 0, 8, 2, 7])
-    loss, grads = lm.loss_and_grads(chains.take(batch),
-                                    dropout_rng=np.random.default_rng(3))
+    loss, grads = lm.loss_and_grads(chains.take(batch), rng=np.random.default_rng(3))
     want_loss, want = _padded_lm_loss_and_grads(
         lm, [seqs[i] for i in batch], np.random.default_rng(3))
     assert loss == want_loss
@@ -339,11 +339,11 @@ def test_mean_loss_is_the_loss_per_target_of_one_pass(batch_size):
     """kernel.mean_loss, over batches of chains that hold different numbers
     of targets, is the cross entropy per target of one pass over them all."""
     V = 10
-    lm = baselines.EventLM(dict(TINY_LM, vocab_size=V))
+    lm = baselines.EventLM(dict(TINY_LM, vocab_size=V, batch_size=batch_size))
     _, chains = _random_chains(np.random.default_rng(4), 9, V)
     logits, targets, _ = lm._forward(lm.params, chains)
     want = K.softmax_xent_batch(logits, targets)[0] / len(targets)
-    got = K.mean_loss(lambda batch: lm._forward(lm.params, batch), chains, batch_size)
+    got = K.mean_loss(lm, chains)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 

@@ -213,6 +213,19 @@ def test_training_is_deterministic():
                                       models[1].params[name])
 
 
+def test_no_dev_set_holds_out_the_training_instances():
+    """With an empty dev set, early stopping reads the training instances:
+    the same dev losses and parameters bit for bit as with dev = them."""
+    cbn = synth.build_fixture("F-DET")
+    inst, vocab, _ = _instances_for(cbn, 60, seed=1)
+    train, cfg, logs = inst.take(slice(0, 300)), dict(TINY, max_epochs=3), ([], [])
+    got, want = (causal.train_conditional(train, dev, len(vocab), cfg, log.append)
+                 for dev, log in zip((train.take(slice(0, 0)), train), logs))
+    assert logs[0] == logs[1] and len(logs[0]) == 3
+    for name in want.params:
+        np.testing.assert_array_equal(got.params[name], want.params[name])
+
+
 def test_deterministic_kernel_heldout_accuracy():
     cbn = synth.build_fixture("F-DET")
     inst, vocab, _ = _instances_for(cbn, 400, seed=2)
@@ -304,11 +317,8 @@ def test_finetune_batches_are_rows_of_the_callers_set():
     assert len(train) > cfg["batch_size"]
     params = {k: v.copy() for k, v in pre.params.items() if k != "W_O"}
     params["W_O"] = np.zeros_like(pre.params["W_O"])
-    want = K.fit(params, lambda idx: pre.loss_and_grads(train.take(idx), params)[1],
-                 lambda: K.mean_loss(lambda batch: pre._forward(params, batch),
-                                     dev, cfg["batch_size"]),
-                 len(train), cfg, cfg["finetune_lr"],
-                 np.random.default_rng(cfg["seed"] + 1))
+    want = K.fit(causal.ConditionalModel(cfg, params), train, np.arange(len(train)),
+                 dev, cfg["finetune_lr"], "conditional").params
     assert list(got.params) == list(want)
     for name in want:
         assert np.array_equal(got.params[name], want[name])

@@ -53,6 +53,23 @@ def test_estimate_do_missing_model_exit_code(workdir):
     assert not os.path.exists("t.bin")
 
 
+def test_a_request_too_large_for_memory_exits_1(workdir, capsys):
+    """An adjustment sample of 10**15 contexts needs more memory than the
+    address space holds, so numpy refuses it before allocating any: one
+    error line and exit 1, no traceback and no table."""
+    run("synth", "--fixture", "F-POPCORN", "--n", "20", "--output", "c.jsonl")
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    causal.ConditionalModel({"vocab_size": len(Vocabulary.load("v.tsv")),
+                             "emb_dim": 4, "hidden_dim": 5}).save("m.bin")
+    capsys.readouterr()
+    assert run("--config", "cfg.json", "estimate-do", "--model", "m.bin",
+               "--corpus", "c.jsonl", "--vocab", "v.tsv", "--output", "t.bin",
+               "--adjustment-n", str(10 ** 15)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not os.path.exists("t.bin")
+
+
 def test_malformed_chain_file_exit_code(workdir):
     (workdir / "bad.jsonl").write_text("{not json\n")
     assert run("vocab", "--input", "bad.jsonl", "--output", "v.tsv") == 2

@@ -252,52 +252,78 @@ def test_flat_adam_matches_per_array_adam_bit_for_bit():
         np.testing.assert_array_equal(params[name], want[name])
 
 
+class _Items:
+    """A sized set of item numbers with ``take``."""
+
+    def __init__(self, ids):
+        self.ids = np.asarray(ids, dtype=np.intp)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def take(self, idx):
+        return _Items(self.ids[idx])
+
+
+class _Pull:
+    """A one-parameter model for ``fit``: every batch's gradient pulls w
+    towards 1. Each holdout pass is one row of logits [-value(w), 0] at
+    target 0, a loss of softplus(value(w)); ``seen`` records (loss, w) of
+    each pass and ``batches`` the items of each training batch."""
+
+    def __init__(self, value, **config):
+        self.config = {"batch_size": 1, "patience": 3, "max_epochs": 50,
+                       "clip_norm": 10.0, "seed": 0, **config}
+        self.params = {"w": np.array([0.0])}
+        self.value, self.seen, self.batches = value, [], []
+
+    def loss_and_grads(self, batch, rng=None):
+        self.batches.append(sorted(batch.ids.tolist()))
+        return 0.0, {"w": 2.0 * (self.params["w"] - 1.0)}
+
+    def _forward(self, params, batch):
+        logits, targets = np.array([[-self.value(params["w"][0]), 0.0]]), np.array([0])
+        self.seen.append((K.softmax_xent_batch(logits, targets)[0], params["w"][0]))
+        return logits, targets, None
+
+
 def test_fit_stops_after_patience_and_returns_best_params():
     # training pulls w towards 1; the holdout loss is lowest near w = 0.3
-    params = {"w": np.array([0.0])}
-    seen = []
-
-    def log(epoch, loss):
-        seen.append((loss, params["w"][0]))
-
-    cfg = {"batch_size": 1, "patience": 2, "max_epochs": 50, "clip_norm": 10.0}
-    best = K.fit(params, lambda idx: {"w": 2.0 * (params["w"] - 1.0)},
-                 lambda: float((params["w"][0] - 0.3) ** 2), 1, cfg, 0.1,
-                 np.random.default_rng(0), log=log)
-    losses = [loss for loss, _ in seen]
+    model = _Pull(lambda w: (w - 0.3) ** 2, patience=2)
+    lines = []
+    best = K.fit(model, _Items([0]), np.arange(1), _Items([]), 0.1, "pull",
+                 lines.append)
+    losses = [loss for loss, _ in model.seen]
     best_epoch = int(np.argmin(losses))
-    assert len(seen) == best_epoch + 1 + cfg["patience"] < cfg["max_epochs"]
+    cfg = model.config
+    assert len(lines) == len(model.seen) == best_epoch + 1 + cfg["patience"] \
+        < cfg["max_epochs"]
+    assert lines[best_epoch] == (f"pull epoch {best_epoch}: "
+                                 f"dev loss {losses[best_epoch]:.4f}")
     assert all(loss >= losses[best_epoch] for loss in losses[best_epoch + 1:])
-    assert best["w"][0] == seen[best_epoch][1] != params["w"][0]
+    assert best is model
+    assert model.params["w"][0] == model.seen[best_epoch][1] != model.seen[-1][1]
 
 
 def test_fit_batches_every_item_once_per_epoch_up_to_max_epochs():
-    params = {"w": np.array([0.0])}
-    batches = []
-
-    def batch_grads(idx):
-        batches.append(sorted(idx))
-        return {"w": params["w"] - 1.0}
-
     # the holdout loss improves every epoch, so only max_epochs stops it
-    cfg = {"batch_size": 2, "patience": 3, "max_epochs": 4, "clip_norm": 10.0}
-    K.fit(params, batch_grads, lambda: -float(params["w"][0]), 5, cfg, 0.1,
-          np.random.default_rng(0), max_epochs=2)
-    assert [len(b) for b in batches] == [2, 2, 1] * 2
-    assert sorted(sum(batches[:3], [])) == list(range(5))
+    model = _Pull(lambda w: -w, batch_size=2, patience=3, max_epochs=4)
+    rows = np.array([1, 3, 4, 6, 7])
+    K.fit(model, _Items(range(8)), rows, _Items([0]), 0.1, "pull", max_epochs=2)
+    assert [len(b) for b in model.batches] == [2, 2, 1] * 2
+    assert sorted(sum(model.batches[:3], [])) == rows.tolist()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_fit_refuses_a_non_finite_holdout_loss(bad):
-    params = {"w": np.array([0.0])}
-    losses = iter([1.0, bad])
-    seen = []
-    cfg = {"batch_size": 1, "patience": 3, "max_epochs": 5, "clip_norm": 10.0}
+    values = iter([1.0, bad])
+    model = _Pull(lambda w: next(values), max_epochs=5)
+    lines = []
     with pytest.raises(NumericalError, match="holdout loss is .* after epoch 1"):
-        K.fit(params, lambda idx: {"w": params["w"] - 1.0}, lambda: next(losses),
-              1, cfg, 0.1, np.random.default_rng(0),
-              log=lambda epoch, loss: seen.append(loss))
-    assert seen == [1.0, bad]
+        K.fit(model, _Items([0]), np.arange(1), _Items([]), 0.1, "pull",
+              lines.append)
+    assert lines == [f"pull epoch 0: dev loss {math.log1p(math.e):.4f}",
+                     f"pull epoch 1: dev loss {bad}"]
 
 
 # ---------------------------------------------------------------------------
