@@ -120,35 +120,21 @@ CONFIG_KEYS = {"emb_dim": "lm_emb_dim", "hidden_dim": "lm_hidden_dim",
                **C.same("lr clip_norm patience max_epochs seed")}
 
 
-@dataclass
-class FramedChains:
-    """Chains framed once as flat ids ``<s> events... </s>``: chain b's
-    inputs are ``ids[starts[b]:starts[b] + counts[b]]`` (its events + 1),
-    and its targets sit one position later."""
-
-    ids: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
-
-    @staticmethod
-    def frame(ids, offsets) -> "FramedChains":
-        """Frame the chains ``ids[offsets[c]:offsets[c + 1]]``."""
-        n = np.diff(offsets)
-        at = np.column_stack((offsets[:-1], offsets[1:])).ravel()
-        return FramedChains(np.insert(ids, at, np.tile([START_ID, END_ID], len(n))),
-                            offsets[:-1] + 2 * np.arange(len(n)), n + 1)
-
-    def __len__(self):
-        return len(self.counts)
-
-    def take(self, idx) -> "FramedChains":
-        """Chains ``idx`` (an index array or slice)."""
-        return FramedChains(self.ids, self.starts[idx], self.counts[idx])
+def frame(seqs: K.Windows) -> K.Windows:
+    """The rows of ``seqs`` framed as ``<s> ids... </s>`` in new flat ids:
+    row r of the result is row r's inputs ``<s> ids...``, and its targets
+    sit one position later."""
+    heads = np.cumsum(seqs.lengths) - seqs.lengths
+    at = np.column_stack((heads, heads + seqs.lengths)).ravel()
+    return K.Windows(np.insert(seqs.at(*seqs.elements()), at,
+                               np.tile([START_ID, END_ID], len(seqs))),
+                     heads + 2 * np.arange(len(seqs)), seqs.lengths + 1)
 
 
 class EventLM(K.Model):
-    """Multi-layer GRU language model over framed event-id sequences. Its
-    header holds the run keys of ``CONFIG_KEYS`` and ``vocab_size``."""
+    """Multi-layer GRU language model over framed event-id sequences
+    (``frame``). Its header holds the run keys of ``CONFIG_KEYS`` and
+    ``vocab_size``."""
 
     KIND = "event-lm"
     HEADER = {**CONFIG_KEYS, **C.same("vocab_size")}
@@ -171,13 +157,12 @@ class EventLM(K.Model):
 
     # -- forward / backward -------------------------------------------------
 
-    def _forward(self, params, batch: FramedChains, rng=None):
-        """Logits (S, V) and targets at every input position of ``batch`` in
-        SeqLayout order, and the cache: the encoder output and its cache.
-        Dropout masks are drawn as (T, B, dim) arrays, then gathered at the
-        packed positions; there is no dropout without ``rng``."""
-        layout = K.SeqLayout(batch.counts)
-        pos = batch.starts[layout.rows] + layout.steps
+    def _forward(self, params, batch: K.Windows, rng=None):
+        """Logits (S, V) and targets at every input position of the framed
+        chains ``batch`` in SeqLayout order, and the cache: the encoder output
+        and its cache. Dropout masks are drawn as (T, B, dim) arrays, then
+        gathered at the packed positions; there is no dropout without ``rng``."""
+        layout = K.SeqLayout.unshared(batch.lengths)
         masks = None
         p = self.config["dropout"]
         if rng is not None and p > 0:
@@ -185,12 +170,11 @@ class EventLM(K.Model):
             at = (layout.steps, layout.rows)
             masks = tuple((rng.random((T, B, n)) < keep)[at] / keep
                           for n in (self.config["emb_dim"], self.config["hidden_dim"]))
-        H, cache = K.encoder_forward(params, self._layers, batch.ids[pos], layout,
-                                     masks)
+        H, cache = K.encoder_forward(params, self._layers, batch, layout, masks)
         logits = H @ params["out.W"].T + params["out.b"]
-        return logits, batch.ids[pos + 1], (H, cache)
+        return logits, batch.at(layout.rows, layout.steps + 1), (H, cache)
 
-    def loss_and_grads(self, batch: FramedChains, params=None, rng=None):
+    def loss_and_grads(self, batch: K.Windows, params=None, rng=None):
         """Mean per-token loss and gradients on a batch of framed chains, at
         ``params`` (default: the model's own), with dropout masks drawn
         from ``rng``."""
@@ -206,14 +190,13 @@ class EventLM(K.Model):
             params, cache, dlogits @ params["out.W"], grads), self.config["vocab_size"])
         return loss_sum / n_tokens, grads
 
-    def next_distribution(self, ids, lengths) -> np.ndarray:
-        """(n, V) softmax over the next event after each history (right-padded
-        ids, lengths), from one encoder pass over ``<s> history`` in which the
-        histories share the rows of a common prefix."""
-        ids = np.column_stack((np.full(len(ids), START_ID), ids))
-        layout = K.SeqLayout(np.asarray(lengths) + 1, ids)
-        H, _ = K.encoder_forward(self.params, self._layers,
-                                 ids[layout.rows, layout.steps], layout)
+    def next_distribution(self, histories: K.Windows) -> np.ndarray:
+        """(n, V) softmax over the next event after each row of
+        ``histories``, from one encoder pass over ``<s> history`` in which
+        the histories share the rows of a common prefix."""
+        framed = frame(histories)
+        layout = K.SeqLayout(framed)
+        H, _ = K.encoder_forward(self.params, self._layers, framed, layout)
         return K.softmax(H[layout.last] @ self.params["out.W"].T
                          + self.params["out.b"])
 
@@ -223,7 +206,8 @@ def train_event_lm(train_corpus: ChainCorpus, dev_corpus: ChainCorpus,
                    log=None) -> EventLM:
     """Train with Adam + early stopping; returns the best-dev checkpoint.
     The dropout masks come from the rng that orders the batches."""
-    train, dev = (FramedChains.frame(c.event_ids(vocab), c.offsets)
+    train, dev = (frame(K.Windows(c.event_ids(vocab), c.offsets[:-1],
+                                  np.diff(c.offsets)))
                   for c in (train_corpus, dev_corpus))
     lm = EventLM({**(config or {}), "vocab_size": len(vocab)})
     return K.fit(lm, train, np.arange(len(train)), dev, lm.config["lr"], "lm", log)

@@ -14,11 +14,14 @@ Intervention rows are plugin Monte Carlo averages over an adjustment set of
 sampled contexts: the intervened event replaces prev_event while each
 sampled history/text/out-of-text stays untouched (graph surgery, not
 resampling).
+
+Instances hold their ids as ``kernel.Windows`` of the corpus's flat id
+arrays, so a batch or an adjustment sample gathers only their starts and
+lengths.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -39,82 +42,52 @@ CONFIG_KEYS = C.same("emb_dim hidden_dim history_window oot_threshold lr "
 _ITABLE_HEADER_TAG = "#scriptcausal-itable v1"
 
 
-def _pack_sets(values, starts, lengths):
-    """Right-padded (N, M) id matrix whose row r holds
-    ``values[starts[r]:starts[r] + lengths[r]]``, and the lengths."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    ends = np.cumsum(lengths)
-    ids = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = values[
-        np.arange(ends[-1] if len(ends) else 0)
-        + np.repeat(starts - ends + lengths, lengths)]
-    return ids, lengths
+def _pack_sets(sets, fill):
+    """(N, M) id matrix whose row r holds row r of ``sets`` (a Windows) and
+    then ``fill``: the one padded form, for keys that compare whole rows."""
+    out = np.full((len(sets), sets.lengths.max(initial=0)), fill, np.intp)
+    rows, steps = sets.elements()
+    out[rows, steps] = sets.at(rows, steps)
+    return out
 
 
 # A [history..., prev_event] sequence is a window of the flat event ids, so
-# it packs as a set does.
+# it pads as a set does.
 _pack_sequences = _pack_sets
 
 
 @dataclass
 class PackedInstances:
-    """Instances as right-padded id arrays plus lengths, built once per
-    instance set, so that a batch is a row gather."""
+    """Instances as windows of flat id arrays, so that a batch gathers only
+    the windows' starts and lengths."""
 
-    seq: np.ndarray         # (N, T) [history..., prev_event]
-    seq_len: np.ndarray
-    text: np.ndarray        # (N, M) text token ids
-    text_len: np.ndarray
-    oot: np.ndarray         # (N, M') out-of-text event ids
-    oot_len: np.ndarray
+    seq: K.Windows          # [history..., prev_event]
+    text: K.Windows         # text token ids
+    oot: K.Windows          # out-of-text event ids
     targets: np.ndarray     # (N,)
-
-    @staticmethod
-    def pack(seqs, texts=None, oots=None, targets=None) -> "PackedInstances":
-        """Pack instances given as id lists: [history..., prev_event]
-        sequences, and text and out-of-text id sets (all empty when None)."""
-        def rows(lists):
-            lengths = np.fromiter(map(len, lists), np.intp, len(lists))
-            flat = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
-                               lengths.sum())
-            return flat, np.cumsum(lengths) - lengths, lengths
-        empty = [()] * len(seqs)
-        targets = np.zeros(len(seqs), np.intp) if targets is None \
-            else np.asarray(targets, dtype=np.intp)
-        return PackedInstances(*_pack_sequences(*rows(seqs)),
-                               *_pack_sets(*rows(texts or empty)),
-                               *_pack_sets(*rows(oots or empty)), targets)
 
     def __len__(self):
         return len(self.targets)
 
     def take(self, idx) -> "PackedInstances":
-        """Rows ``idx`` (an index array or slice), padding trimmed to them."""
-        def cut(ids, lengths):
-            lengths = lengths[idx]
-            return ids[idx, :lengths.max(initial=0)], lengths
-        return PackedInstances(*cut(self.seq, self.seq_len),
-                               *cut(self.text, self.text_len),
-                               *cut(self.oot, self.oot_len), self.targets[idx])
+        """Rows ``idx`` (an index array or slice)."""
+        return PackedInstances(self.seq.take(idx), self.text.take(idx),
+                               self.oot.take(idx), self.targets[idx])
 
 
 def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
                                tokens: list[str] | None = None,
                                oot_threshold: int = 3,
-                               history_window: int = 10,
-                               select=None) -> PackedInstances:
-    """One instance per chain position i >= 1, or only (and packing only)
-    those at the indices ``select(targets)`` returns. Target: event i.
-    Sequence: the up to ``history_window`` events before i - 1, then event
-    i - 1 (the prev event). Event i - 1's text as ids into ``tokens``
-    (unknown tokens are id 0, ``<unk>``; no text without ``tokens``) and its
-    out-of-text ids rated >= ``oot_threshold``."""
+                               history_window: int = 10) -> PackedInstances:
+    """One instance per chain position i >= 1. Target: event i. Sequence:
+    the up to ``history_window`` events before i - 1, then event i - 1 (the
+    prev event). Event i - 1's text as ids into ``tokens`` (unknown tokens
+    are id 0, ``<unk>``; no text without ``tokens``) and its out-of-text
+    ids rated >= ``oot_threshold``."""
     ids = corpus.event_ids(vocab)
     off, n = corpus.offsets, len(ids)
     pos = np.arange(n) - np.repeat(off[:-1], np.diff(off))
     at = np.flatnonzero(pos)
-    if select is not None:
-        at = at[select(ids[at])]
     prev = at - 1
     seq_len = np.minimum(pos[at], history_window + 1)
     if tokens is None:
@@ -128,25 +101,27 @@ def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
     oot_len = np.bincount(np.repeat(np.arange(n), np.diff(corpus.oot_off))[keep],
                           minlength=n)
     return PackedInstances(
-        *_pack_sequences(ids, at - seq_len, seq_len),
-        *_pack_sets(text, corpus.text_off[prev], text_len),
-        *_pack_sets(corpus.event_ids(vocab, oot=True)[keep],
-                    (np.cumsum(oot_len) - oot_len)[prev], oot_len[prev]),
+        K.Windows(ids, at - seq_len, seq_len),
+        K.Windows(text, corpus.text_off[prev], text_len),
+        K.Windows(corpus.event_ids(vocab, oot=True)[keep],
+                  (np.cumsum(oot_len) - oot_len)[prev], oot_len[prev]),
         ids[at])
 
 
-def _mean_of_sets(emb, ids, lengths):
-    """Per-row mean of embedding rows; zero vector for empty rows."""
-    mask = np.arange(ids.shape[1]) < lengths[:, None]
-    safe = np.maximum(lengths, 1)[:, None]
-    vec = (emb[ids] * mask[:, :, None]).sum(axis=1) / safe
-    return vec, (ids, mask, safe)
+def _mean_of_sets(emb, sets):
+    """Per-row mean of the embedding rows of ``sets`` (a Windows); zero
+    vector for empty rows."""
+    rows, steps = sets.elements()
+    ids = sets.at(rows, steps)
+    safe = np.maximum(sets.lengths, 1)[:, None]
+    vec = K.scatter_rows(rows, emb[ids], len(sets)) / safe
+    return vec, (ids, rows, safe)
 
 
 def _mean_of_sets_backward(d_vec, cache):
     """The (embedding row, gradient row) terms of a _mean_of_sets pass."""
-    ids, mask, safe = cache
-    return ids[mask], (d_vec / safe)[np.nonzero(mask)[0]]
+    ids, rows, safe = cache
+    return ids, (d_vec / safe)[rows]
 
 
 class ConditionalModel(K.Model):
@@ -172,26 +147,24 @@ class ConditionalModel(K.Model):
 
     # -- forward -------------------------------------------------------------
 
-    def _encode(self, params, ids, lengths):
-        """Final encoder states (B, h) over right-padded id sequences (zeros
-        for an empty one), and the cache for the backward pass. Sequences
-        that share a prefix share its GRU rows."""
-        layout = K.SeqLayout(lengths, ids)
-        H, cache = K.encoder_forward(params, ("enc",), ids[layout.rows, layout.steps],
-                                     layout)
+    def _encode(self, params, seqs):
+        """Final encoder states (B, h) over the Windows ``seqs`` (zeros for
+        an empty row) and the backward cache; a shared prefix shares its GRU rows."""
+        layout = K.SeqLayout(seqs)
+        H, cache = K.encoder_forward(params, ("enc",), seqs, layout)
         return layout.final(H), (layout, cache)
 
     def _context_logits(self, params, batch):
         """The prev-event-independent logits B v_t + W_O v_o + cache."""
-        v_t, text_cache = _mean_of_sets(params["text_emb"], batch.text, batch.text_len)
-        v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot, batch.oot_len)
+        v_t, text_cache = _mean_of_sets(params["text_emb"], batch.text)
+        v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot)
         logits = v_t @ params["B"].T
         logits += v_o @ params["W_O"].T      # in place: one (n, V) temporary
         return logits, (v_t, text_cache, v_o, oot_cache)
 
     def _forward(self, params, batch):
         """Logits (B, V) and targets of ``batch``, and the cache."""
-        v_e, enc_cache = self._encode(params, batch.seq, batch.seq_len)
+        v_e, enc_cache = self._encode(params, batch.seq)
         const, ctx_cache = self._context_logits(params, batch)
         return (v_e @ params["A"].T + const, batch.targets,
                 (v_e, enc_cache, ctx_cache))
@@ -238,7 +211,7 @@ def train_conditional(train: PackedInstances, dev: PackedInstances,
     otherwise a single run at config["lr"] is used.
     """
     model = ConditionalModel({**(config or {}), "vocab_size": vocab_size})
-    train, dev = (replace(i, oot=i.oot[:, :0], oot_len=np.zeros(len(i), np.intp))
+    train, dev = (replace(i, oot=replace(i.oot, lengths=np.zeros(len(i), np.intp)))
                   for i in (train, dev))
     stages = model.config["lr_schedule"] or [(model.config["lr"], None)]
     for lr, epochs in stages:
@@ -251,9 +224,9 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
                       config: dict | None = None, log=None) -> ConditionalModel:
     """Finetune everything at the reduced rate, from W_O restarted at zero
     and last, on the instances that carry out-of-text ids; the dev split is
-    9:1 over them (seeded shuffle)."""
+    9:1 over them (seeded shuffle), and empty below 10 of them."""
     # batches are taken from the caller's set: the training rows are no copy
-    rows = np.flatnonzero(annotated.oot_len)
+    rows = np.flatnonzero(annotated.oot.lengths)
     if not len(rows):
         raise ConfigError("no annotated instances to finetune on")
     cfg = {**model.config, **(config or {}), "phase": "finetuned"}
@@ -262,7 +235,7 @@ def finetune_with_oot(model: ConditionalModel, annotated: PackedInstances,
     tuned = ConditionalModel(cfg, params)
     rng = np.random.default_rng(cfg["seed"] + 2)
     order = rows[rng.permutation(len(rows))]
-    n_dev = max(1, len(rows) // 10)
+    n_dev = len(rows) // 10
     return K.fit(tuned, annotated, order[n_dev:], annotated.take(order[:n_dev]),
                  cfg["finetune_lr"], "conditional", log)
 
@@ -385,14 +358,12 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
 
     # distinct contexts: the history (the sequence minus its prev event),
     # text and out-of-text ids of a sampled row, -1-padded into one key row
-    def padded(ids, lengths):
-        return np.where(np.arange(ids.shape[1]) < lengths[:, None], ids, -1)
-    keys = np.hstack([padded(contexts.seq[:, :-1], contexts.seq_len - 1),
-                      padded(contexts.text, contexts.text_len),
-                      padded(contexts.oot, contexts.oot_len)])
+    history = replace(contexts.seq, lengths=contexts.seq.lengths - 1)
+    keys = np.hstack([_pack_sequences(history, -1), _pack_sets(contexts.text, -1),
+                      _pack_sets(contexts.oot, -1)])
     _, first, counts = np.unique(keys, axis=0, return_index=True,
                                  return_counts=True)
-    distinct = contexts.take(first)
+    distinct, history = contexts.take(first), history.take(first)
     D = len(distinct)
 
     # The last GRU step is one step of K.gru_forward with input emb[k]. Only
@@ -405,9 +376,8 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     blocks = [slice(s, s + step) for s in range(0, D, step)]
     h_hist, const_logits = np.empty((D, h_dim)), np.empty((D, V))
     for blk in blocks:
-        chunk = distinct.take(blk)
-        h_hist[blk], _ = model._encode(params, chunk.seq, chunk.seq_len - 1)
-        const_logits[blk], _ = model._context_logits(params, chunk)
+        h_hist[blk], _ = model._encode(params, history.take(blk))
+        const_logits[blk], _ = model._context_logits(params, distinct.take(blk))
     for name, arr in [("input projection", x_proj), ("history states", h_hist),
                       ("context logits", const_logits)]:
         if not np.isfinite(arr).all():
@@ -487,16 +457,16 @@ def _candidates(scores, exclude_top, rank) -> list[int]:
     return ranked
 
 
-def mean_scores(score_matrix: np.ndarray, ids, lengths) -> np.ndarray:
+def mean_scores(score_matrix: np.ndarray, contexts: K.Windows) -> np.ndarray:
     """(n, V): row i is the mean of score_matrix[k] (S or dense PMI) over the
-    first ``lengths[i]`` >= 1 events k of the right-padded ``ids[i]``, added
-    position by position as ``score_matrix[context].mean(axis=0)`` adds
-    them, so the bits agree."""
-    total = score_matrix[ids[:, 0]]
-    for t in range(1, lengths.max()):
-        live = np.flatnonzero(lengths > t)
-        total[live] += score_matrix[ids[live, t]]
-    return total / lengths[:, None]
+    events k of row i of ``contexts`` (at least one each), added position
+    by position as ``score_matrix[context].mean(axis=0)`` adds them, so the
+    bits agree."""
+    total = score_matrix[contexts.at(slice(None), 0)]
+    for t in range(1, contexts.lengths.max()):
+        live = np.flatnonzero(contexts.lengths > t)
+        total[live] += score_matrix[contexts.at(live, t)]
+    return total / contexts.lengths[:, None]
 
 
 def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,
@@ -505,7 +475,7 @@ def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,
     context event ids k; ties go to the lowest id."""
     if not len(context):
         raise ConfigError("chain completion requires at least one context event")
-    scores = mean_scores(score_matrix, np.array([context]), np.r_[len(context)])[0]
+    scores = mean_scores(score_matrix, K.Windows.of([context]))[0]
     ranked = _candidates(scores, exclude_top, rank)
     if not np.isfinite(scores[ranked[0]]):
         raise ConfigError("no candidate has a finite score for this context")

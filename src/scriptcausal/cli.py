@@ -354,8 +354,7 @@ def gradient_errors(seed) -> dict:
     lm = baselines.EventLM({"vocab_size": 10, "emb_dim": 6, "hidden_dim": 7,
                             "num_layers": 2, "dropout": 0.0, "seed": seed})
     seqs = [rng.integers(3, 10, size=rng.integers(1, 6)) for _ in range(10)]
-    chains = baselines.FramedChains.frame(
-        np.concatenate(seqs), np.cumsum([0, *map(len, seqs)]))
+    chains = baselines.frame(kernel.Windows.of(seqs))
     results["event-lm"] = kernel.finite_diff_check(
         lambda p: lm.loss_and_grads(chains, p), lm.params,
         rng=np.random.default_rng(seed))
@@ -370,7 +369,8 @@ def gradient_errors(seed) -> dict:
             texts.append(rng.integers(0, 7, size=rng.integers(0, 5)))
             oots.append(rng.integers(3, 12, size=rng.integers(0, 3)))
             targets.append(int(rng.integers(3, 12)))
-        batch = causal.PackedInstances.pack(seqs, texts, oots, targets)
+        batch = causal.PackedInstances(*map(kernel.Windows.of, (seqs, texts, oots)),
+                                       np.array(targets))
         results[f"conditional-{phase}"] = kernel.finite_diff_check(
             lambda p: m.loss_and_grads(batch, p), m.params,
             rng=np.random.default_rng(seed))

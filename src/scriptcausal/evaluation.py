@@ -2,11 +2,11 @@
 abductive task sheets, score summaries, and output-diversity reports.
 
 A cloze instance is a row of ``causal.PackedInstances``: the events before a
-chain position, and the event there as its target. A system enters the cloze
-as a score matrix: a callable mapping right-padded contexts (ids, lengths) to
-an (n, V) array that scores each context's candidate next events, BLOCK
-contexts per call. A system enters a pairwise sheet as a predecessor column:
-target l -> (V,) array of score(k, l).
+chain position, a window of the corpus's flat event ids, and the event there
+as its target. A system enters the cloze as a score matrix: a callable
+mapping contexts (a ``kernel.Windows``) to an (n, V) array that scores each
+context's candidate next events, BLOCK contexts per call. A system enters a
+pairwise sheet as a predecessor column: target l -> (V,) array of score(k, l).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import causal
+from . import kernel as K
 from .config import TABLE
 from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError
@@ -30,16 +31,13 @@ def make_cloze_set(corpus: ChainCorpus, vocab: Vocabulary, count: int,
                    seed: int) -> causal.PackedInstances:
     """Seeded uniform sample (without replacement) of the instances whose
     held-out answer is a real event, each with every event before it."""
-    def sample(targets):
-        pool = np.flatnonzero(targets >= NUM_SPECIALS)
-        if len(pool) < count:
-            raise ConfigError(
-                f"corpus yields {len(pool)} cloze candidates, need {count}")
-        return pool[sorted(np.random.default_rng(seed).choice(
-            len(pool), size=count, replace=False))]
-    return causal.extract_training_instances(
-        corpus, vocab, history_window=np.diff(corpus.offsets).max(initial=0),
-        select=sample)
+    instances = causal.extract_training_instances(
+        corpus, vocab, history_window=np.diff(corpus.offsets).max(initial=0))
+    pool = np.flatnonzero(instances.targets >= NUM_SPECIALS)
+    if len(pool) < count:
+        raise ConfigError(f"corpus yields {len(pool)} cloze candidates, need {count}")
+    return instances.take(pool[sorted(np.random.default_rng(seed).choice(
+        len(pool), size=count, replace=False))])
 
 
 def answer_positions(scores, answers) -> np.ndarray:
@@ -84,7 +82,7 @@ def run_infrequent_cloze(systems: dict, instances: causal.PackedInstances, rank,
     blocks = [instances.take(slice(i, i + BLOCK))
               for i in range(0, len(instances), BLOCK)]
     hits = {name: np.concatenate([answer_positions(
-        system(b.seq, b.seq_len), b.targets) < N for b in blocks])
+        system(b.seq), b.targets) < N for b in blocks])
         for name, system in systems.items()}
     kept = [~np.isin(instances.targets, rank[:cutoff]) for cutoff in cutoffs]
     counts = [int(k.sum()) for k in kept]
@@ -139,12 +137,10 @@ def lm_sheet_system(lm):
     @functools.cache
     def logp():
         V = lm.config["vocab_size"]
-        ids = np.r_[0, :V][:, None]   # row 0: the empty history
-        lengths = np.minimum(np.arange(len(ids)), 1)
-        out = np.empty((len(ids), V))
-        for i in range(0, len(ids), BLOCK):
-            out[i:i + BLOCK] = lm.next_distribution(ids[i:i + BLOCK],
-                                                    lengths[i:i + BLOCK])
+        histories = K.Windows.of([()] + [(k,) for k in range(V)])
+        out = np.empty((len(histories), V))
+        for i in range(0, len(histories), BLOCK):
+            out[i:i + BLOCK] = lm.next_distribution(histories.take(slice(i, i + BLOCK)))
         return np.log(out, out=out)
 
     return lambda target: logp()[0] + logp()[1:, target]

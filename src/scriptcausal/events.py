@@ -126,9 +126,9 @@ class Vocabulary:
     @staticmethod
     def from_tsv(text: str) -> "Vocabulary":
         lines = text.splitlines()
-        if not lines or not lines[0].startswith(_VOCAB_HEADER_TAG):
+        header = lines[0].split("\t") if lines else []
+        if not header or header[0] != _VOCAB_HEADER_TAG:
             raise DataFormatError("missing vocabulary header")
-        header = lines[0].split("\t")
         if len(header) != 3:
             raise DataFormatError("malformed vocabulary header")
         num_events, min_count = int_fields(header[1:], "vocabulary header")

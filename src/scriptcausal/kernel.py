@@ -5,9 +5,10 @@ Everything runs in float64 numpy. Parameters live in flat dicts
 no autodiff: every backward pass here is derived by hand and certified by
 ``finite_diff_check``.
 
-Sequences of different lengths reach the GRU packed as a prefix tree
-(``SeqLayout``), so each step runs only the sequences still active and no
-work goes into padding or into a shared prefix. Parameters keep their
+Ragged id rows are ``Windows`` of one flat id array, so a batch gathers
+only their starts and lengths. Sequences reach the GRU packed as a prefix
+tree (``SeqLayout``): each step runs only the sequences still active, and
+no work goes into padding or into a shared prefix. Parameters keep their
 per-gate names (``enc.Wz``, ``gru0.Uh``, ...); the GRU concatenates the
 gates in memory and splits the gradients back.
 
@@ -17,10 +18,12 @@ parameters and reads and writes their files, and ``fit`` trains them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,6 +110,46 @@ def scatter_rows(idx, rows, n):
 
 
 # ---------------------------------------------------------------------------
+# ragged ids
+
+
+@dataclass
+class Windows:
+    """Ragged id rows over one flat array: row r is ``values[starts[r]:
+    starts[r] + lengths[r]]``. Rows may overlap, and ``take`` gathers only
+    ``starts`` and ``lengths``, so a batch copies no ids."""
+
+    values: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    @staticmethod
+    def of(rows) -> "Windows":
+        """The id sequences ``rows``, laid end to end."""
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        values = np.fromiter(itertools.chain.from_iterable(rows), np.intp,
+                             lengths.sum())
+        return Windows(values, np.cumsum(lengths) - lengths, lengths)
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def take(self, idx) -> "Windows":
+        """Rows ``idx`` (an index array or slice)."""
+        return Windows(self.values, self.starts[idx], self.lengths[idx])
+
+    def at(self, rows, steps):
+        """The id at step ``steps`` of each row of ``rows``."""
+        return self.values[self.starts[rows] + steps]
+
+    def elements(self):
+        """(row, step) of every id, row by row."""
+        rows = np.repeat(np.arange(len(self)), self.lengths)
+        heads = np.cumsum(self.lengths) - self.lengths
+        return rows, np.arange(len(rows)) - np.repeat(heads, self.lengths)
+
+
+# ---------------------------------------------------------------------------
 # GRU
 
 
@@ -130,33 +173,27 @@ def gru_step(params, prefix, x, h_prev):
 
 
 class SeqLayout:
-    """Packed layout of B variable-length sequences for ``gru_forward``.
+    """Packed layout of the sequences ``seqs`` (a Windows) for ``gru_forward``.
 
     The packed rows are the nodes of a prefix tree, grouped by step: step t
     occupies rows ``offsets[t]:offsets[t + 1]`` (``sizes[t]`` of them); row
     p runs step ``steps[p]`` of sequence ``rows[p]`` from the state of row
     ``parent[p]`` (-1 at step 0); ``last[b]`` is sequence b's last row. A
-    sequence may be empty. Given the right-padded id matrix ``ids``,
-    sequences share the rows of a common prefix: each distinct (parent, id)
-    pair is one row, named by its first sequence, and the children of a row
-    are contiguous. From ``lengths`` alone every sequence keeps its own
-    rows, ordered by decreasing length (stable).
+    sequence may be empty. Sequences share the rows of a common prefix:
+    each distinct (parent, id) pair is one row, named by its first
+    sequence, and the children of a row are contiguous. In the layout of
+    ``unshared`` every sequence keeps its own rows.
     """
 
-    def __init__(self, lengths, ids=None):
-        self.lengths = np.asarray(lengths, dtype=np.intp)
-        B = len(self.lengths)
-        T = int(self.lengths.max(initial=0))
-        if ids is None:   # every id of a sequence is its rank by length: no sharing
-            rank = np.empty(B, np.intp)
-            rank[np.argsort(-self.lengths, kind="stable")] = np.arange(B)
-            ids = np.broadcast_to(rank[:, None], (B, T))
-        width = int(ids.max(initial=0)) + 1
+    def __init__(self, seqs):
+        self.lengths = np.asarray(seqs.lengths, dtype=np.intp)
+        B, T = len(self.lengths), int(self.lengths.max(initial=0))
+        width = int(seqs.at(*seqs.elements()).max(initial=0)) + 1
         self.last = np.zeros(B, dtype=np.intp)   # row of the latest step
         rows, parent, sizes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
         for t in range(T):
             live = np.flatnonzero(self.lengths > t)
-            _, first, node = np.unique(self.last[live] * width + ids[live, t],
+            _, first, node = np.unique(self.last[live] * width + seqs.at(live, t),
                                        return_index=True, return_inverse=True)
             rows.append(live[first])
             parent.append(self.last[rows[-1]] if t else -np.ones_like(first))
@@ -166,6 +203,15 @@ class SeqLayout:
         self.steps = np.repeat(np.arange(T), sizes)
         self.sizes = [int(n) for n in sizes]
         self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp))).tolist()
+
+    @classmethod
+    def unshared(cls, lengths) -> "SeqLayout":
+        """The layout of sequences of ``lengths`` that each read their rank
+        by length (stable) at every step: no two share a row."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        rank = np.argsort(np.argsort(-lengths, kind="stable"))
+        return cls(Windows(np.repeat(rank, lengths), np.cumsum(lengths) - lengths,
+                           lengths))
 
     def final(self, H):
         """(B, h) last state of each sequence; zeros for an empty one."""
@@ -280,11 +326,12 @@ def gru_backward(params, prefix, cache, dh_out, grads):
     return da @ W
 
 
-def encoder_forward(params, prefixes, ids, layout, masks=None):
-    """Embedding -> GRU stack over the packed ids (S,) of ``layout``: layer i
-    is the GRU ``prefixes[i]``. The optional dropout ``masks`` (S, emb) and
-    (S, h) scale the embeddings and the top states. Returns (H, cache), H
-    (S, h) the masked top states."""
+def encoder_forward(params, prefixes, seqs, layout, masks=None):
+    """Embedding -> GRU stack over the sequences ``seqs`` (a Windows) packed
+    by ``layout``: layer i is the GRU ``prefixes[i]``. The optional dropout
+    ``masks`` (S, emb) and (S, h) scale the embeddings and the top states.
+    Returns (H, cache), H (S, h) the masked top states."""
+    ids = seqs.at(layout.rows, layout.steps)
     h = params["emb"][ids]
     if masks is not None:
         h *= masks[0]

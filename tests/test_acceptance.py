@@ -213,7 +213,8 @@ def test_criterion_5_distribution_invariants():
                          prev])
             texts.append(rng.integers(0, 5, size=rng.integers(0, 4)))
             oots.append(rng.integers(NUM_SPECIALS, V, size=rng.integers(0, 3)))
-        contexts = causal.PackedInstances.pack(seqs, texts, oots)
+        contexts = causal.PackedInstances(
+            *map(kernel.Windows.of, (seqs, texts, oots)), np.zeros(len(seqs), np.intp))
         table = causal.estimate_interventions(m, contexts)
         assert np.all(np.abs(table.effect.sum(axis=1) - 1.0) <= tol)
         assert np.all(table.effect >= 0.0)

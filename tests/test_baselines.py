@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scriptcausal import baselines, causal, evaluation
+from scriptcausal import baselines, evaluation
 from scriptcausal import kernel as K
 from scriptcausal.corpus import parse_chains
 from scriptcausal.errors import ConfigError
@@ -28,8 +28,7 @@ def _corpus_from_id_chains(id_chains, preds):
 
 def _next(lm, histories):
     """``lm.next_distribution`` of histories given as id lists."""
-    packed = causal.PackedInstances.pack(histories)
-    return lm.next_distribution(packed.seq, packed.seq_len)
+    return lm.next_distribution(K.Windows.of(histories))
 
 
 def _as_dict(counts):
@@ -256,7 +255,8 @@ def test_lm_beats_unigram_perplexity():
     lm = baselines.train_event_lm(corpus, corpus, vocab,
                                   dict(TINY_LM, max_epochs=25))
     ids = corpus.event_ids(vocab)
-    lm_ppl = math.exp(K.mean_loss(lm, baselines.FramedChains.frame(ids, corpus.offsets)))
+    lm_ppl = math.exp(K.mean_loss(lm, baselines.frame(
+        K.Windows(ids, corpus.offsets[:-1], np.diff(corpus.offsets)))))
     # unigram oracle over the same framed token stream (events + </s>)
     from collections import Counter
     seqs = np.split(ids, corpus.offsets[1:-1])
@@ -283,7 +283,7 @@ def _padded_lm_loss_and_grads(lm, sequences, rng=None):
         keep = 1.0 - cfg["dropout"]
         masks = [(rng.random((T, B, cfg[k])) < keep) / keep
                  for k in ("emb_dim", "hidden_dim")]
-    layout = K.SeqLayout(mask.sum(axis=0).astype(np.intp))
+    layout = K.SeqLayout.unshared(mask.sum(axis=0).astype(np.intp))
     at = (layout.steps, layout.rows)
     h = p["emb"][inputs[at]]
     if masks:
@@ -314,8 +314,7 @@ def _padded_lm_loss_and_grads(lm, sequences, rng=None):
 def _random_chains(rng, n, V):
     seqs = [rng.integers(NUM_SPECIALS, V, size=rng.integers(0, 6))
             for _ in range(n)]
-    offsets = np.cumsum([0, *map(len, seqs)])
-    return seqs, baselines.FramedChains.frame(np.concatenate(seqs), offsets)
+    return seqs, baselines.frame(K.Windows.of(seqs))
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
@@ -332,6 +331,19 @@ def test_lm_step_on_framed_chains_equals_padded_reference(dropout):
     assert grads.keys() == want.keys()
     for name in want:
         np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
+
+def test_frame_gathers_each_window_between_start_and_end():
+    """``frame`` of windows that skip and overlap ids is the framing of their
+    id lists: each row's inputs ``<s> ids...``, its targets one later."""
+    seqs = K.Windows(np.array([5, 6, 7, 8]), np.array([1, 0, 4, 2]),
+                     np.array([3, 2, 0, 1]))
+    framed = baselines.frame(seqs)
+    np.testing.assert_array_equal(framed.lengths, [4, 3, 1, 2])
+    rows = [framed.values[s:s + n + 1].tolist()
+            for s, n in zip(framed.starts, framed.lengths)]
+    assert rows == [[START_ID, 6, 7, 8, END_ID], [START_ID, 5, 6, END_ID],
+                    [START_ID, END_ID], [START_ID, 7, END_ID]]
 
 
 @pytest.mark.parametrize("batch_size", [1, 4, 9, 64])
@@ -351,7 +363,7 @@ def _framed_rows(lm, seqs, chains):
     """{history: softmax row} of every prefix of ``seqs`` from the batch
     forward pass over the framed chains."""
     logits, targets, _ = lm._forward(lm.params, chains)
-    layout = K.SeqLayout(chains.counts)
+    layout = K.SeqLayout.unshared(chains.lengths)
     rows = {}
     for b, s in enumerate(seqs):
         for t in range(len(s) + 1):

@@ -33,10 +33,18 @@ def _tokens(n):
 
 
 def _pack(contexts, targets=None):
-    return causal.PackedInstances.pack(
-        [[*hist, prev] for prev, hist, _, _ in contexts],
-        [text for _, _, text, _ in contexts], [oot for *_, oot in contexts],
-        targets)
+    return causal.PackedInstances(
+        K.Windows.of([[*hist, prev] for prev, hist, _, _ in contexts]),
+        K.Windows.of([text for _, _, text, _ in contexts]),
+        K.Windows.of([oot for *_, oot in contexts]),
+        np.zeros(len(contexts), np.intp) if targets is None
+        else np.asarray(targets, dtype=np.intp))
+
+
+def _rows(windows):
+    """The id rows of a ``K.Windows`` as lists."""
+    return [windows.values[s:s + n].tolist()
+            for s, n in zip(windows.starts, windows.lengths)]
 
 
 def _dist(model, batch):
@@ -66,7 +74,7 @@ def test_history_window_is_ten():
     corpus = parse_chains([_chain_line("c", [f"e{i % 5}" for i in range(12)])])
     vocab = build_vocab_from(corpus, min_count=1)
     inst = causal.extract_training_instances(corpus, vocab)
-    assert inst.seq_len[10] - 1 == 10  # position i = 11: history + prev
+    assert inst.seq.lengths[10] - 1 == 10  # position i = 11: history + prev
 
 
 def test_history_window_beyond_ten():
@@ -75,12 +83,12 @@ def test_history_window_beyond_ten():
     corpus = parse_chains(lines)
     vocab = build_vocab_from(corpus, min_count=1)
     inst = causal.extract_training_instances(corpus, vocab, history_window=12)
-    assert inst.seq_len[12] - 1 == 12  # position i = 13
+    assert inst.seq.lengths[12] - 1 == 12  # position i = 13
     one = inst.take(np.array([12]))
     model = causal.ConditionalModel(dict(TINY, vocab_size=len(vocab),
                                          history_window=12))
     table = causal.estimate_interventions(model, one)
-    hist = one.seq[0, :12].tolist()
+    hist = _rows(one.seq)[0][:12]
     np.testing.assert_allclose(
         table.effect, _dist(model, _pack([(k, hist, [], [])
                                           for k in range(len(vocab))])),
@@ -93,8 +101,8 @@ def test_history_window_beyond_ten():
 def test_first_position_has_empty_history():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, vocab, corpus = _instances_for(cbn, 1, seed=0)
-    assert inst.seq_len[0] == 1  # no history, only the prev event
-    assert inst.seq[0, 0] == vocab.id_of(corpus.types[corpus.type_ids[0]].key)
+    assert inst.seq.lengths[0] == 1  # no history, only the prev event
+    assert inst.seq.at(0, 0) == vocab.id_of(corpus.types[corpus.type_ids[0]].key)
 
 
 def test_oot_rating_threshold():
@@ -104,7 +112,7 @@ def test_oot_rating_threshold():
     corpus = parse_chains([line])
     vocab = build_vocab_from(corpus, min_count=1)
     inst = causal.extract_training_instances(corpus, vocab, oot_threshold=3)
-    assert inst.oot[0, :inst.oot_len[0]].tolist() == [vocab.id_of("high:x")]
+    assert _rows(inst.oot)[0] == [vocab.id_of("high:x")]
 
 
 def _reference_instances(corpus, vocab, tokens, oot_threshold,
@@ -151,12 +159,11 @@ def test_extraction_equals_per_instance_fold(chains, window, threshold,
     want = _reference_instances(corpus, vocab, tokens, threshold, window)
     assert len(got) == len(want)
     if want:
-        ref = causal.PackedInstances.pack(
-            [[*h, p] for _, p, h, _, _ in want], [t for *_, t, _ in want],
-            [o for *_, o in want], [t for t, *_ in want])
-        for name in ("seq", "seq_len", "text", "text_len", "oot", "oot_len",
-                     "targets"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        ref = _pack([(p, h, t, o) for _, p, h, t, o in want],
+                    [t for t, *_ in want])
+        for name in ("seq", "text", "oot"):
+            assert _rows(getattr(got, name)) == _rows(getattr(ref, name))
+        np.testing.assert_array_equal(got.targets, ref.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +266,7 @@ def test_pretraining_ignores_out_of_text_annotations():
     cbn = synth.build_fixture("F-POPCORN")
     annotated, vocab, _ = _instances_for(cbn, 80, seed=3, annotate=True)
     plain = causal.extract_training_instances(cbn.sample_chains(80, 3), vocab)
-    assert annotated.oot_len.all() and not plain.oot_len.any()
+    assert annotated.oot.lengths.all() and not plain.oot.lengths.any()
     models = [causal.train_conditional(inst.take(slice(0, 300)),
                                        inst.take(slice(300, None)), len(vocab),
                                        dict(TINY, max_epochs=2))
@@ -287,15 +294,17 @@ def test_finetuning_a_finetuned_model_restarts_w_o(tmp_path):
     tuned = causal.ConditionalModel.load(tmp_path / "ft.bin")
     assert tuned.params["W_O"].any() and list(tuned.params)[-1] != "W_O"
     # the first 40 instances lose their out-of-text ids
-    mixed = dataclasses.replace(annotated, oot_len=np.where(
-        np.arange(len(annotated)) < 40, 0, annotated.oot_len))
+    mixed = dataclasses.replace(annotated, oot=dataclasses.replace(
+        annotated.oot, lengths=np.where(np.arange(len(annotated)) < 40, 0,
+                                        annotated.oot.lengths)))
     cfg = {"max_epochs": 1}
     want = causal.finetune_with_oot(pre, annotated.take(slice(40, None)), cfg)
     got = causal.finetune_with_oot(tuned, mixed, cfg)
     assert list(got.params) == list(want.params) and list(got.params)[-1] == "W_O"
     for name in want.params:
         np.testing.assert_array_equal(got.params[name], want.params[name])
-    plain = dataclasses.replace(annotated, oot_len=0 * annotated.oot_len)
+    plain = dataclasses.replace(annotated, oot=dataclasses.replace(
+        annotated.oot, lengths=0 * annotated.oot.lengths))
     for model in (pre, tuned):
         with pytest.raises(ConfigError, match="no annotated instances"):
             causal.finetune_with_oot(model, plain, cfg)
@@ -310,9 +319,9 @@ def test_finetune_batches_are_rows_of_the_callers_set():
     pre = causal.ConditionalModel(dict(TINY, vocab_size=len(vocab)))
     got = causal.finetune_with_oot(pre, annotated, {"max_epochs": 3})
     cfg = {**pre.config, "max_epochs": 3}
-    rows = np.flatnonzero(annotated.oot_len)
+    rows = np.flatnonzero(annotated.oot.lengths)
     order = rows[np.random.default_rng(cfg["seed"] + 2).permutation(len(rows))]
-    n_dev = max(1, len(rows) // 10)
+    n_dev = len(rows) // 10
     train, dev = annotated.take(order[n_dev:]), annotated.take(order[:n_dev])
     assert len(train) > cfg["batch_size"]
     params = {k: v.copy() for k, v in pre.params.items() if k != "W_O"}
@@ -415,11 +424,10 @@ def test_do_rows_are_mean_forward_distributions_of_intervened_rows():
     pool = _pack(_random_contexts(rng, V, n_tokens, 40))
     contexts = causal.sample_adjustment_set(pool, 100, seed=4)  # with replacement
     table = causal.estimate_interventions(model, contexts)
-    last = (np.arange(len(contexts)), contexts.seq_len - 1)
+    seqs = _rows(contexts.seq)
     for k in range(V):
-        seq = contexts.seq.copy()
-        seq[last] = k
-        intervened = dataclasses.replace(contexts, seq=seq)
+        intervened = dataclasses.replace(
+            contexts, seq=K.Windows.of([[*seq[:-1], k] for seq in seqs]))
         np.testing.assert_allclose(table.effect[k],
                                    _dist(model, intervened).mean(axis=0),
                                    rtol=0, atol=1e-13)
@@ -584,9 +592,8 @@ def test_shared_layout_gradients_equal_unshared(chains, picks, phase):
             size=model.params["W_O"].shape) * 0.1
     batch = _pack(contexts, targets)
     loss, grads = model.loss_and_grads(batch)
-    unshared = K.SeqLayout
-    with mock.patch.object(K, "SeqLayout",
-                           lambda lengths, ids=None: unshared(lengths)):
+    unshared = K.SeqLayout.unshared
+    with mock.patch.object(K, "SeqLayout", lambda seqs: unshared(seqs.lengths)):
         want_loss, want = model.loss_and_grads(batch)
     assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
     for name in want:
@@ -619,7 +626,7 @@ def test_gradients_certify_when_instances_end_on_one_node():
     model = causal.ConditionalModel(dict(TINY, vocab_size=V, tokens=_tokens(3)))
     packed = _pack([(5, [3, 4], [1], []), (5, [3, 4], [2], []),
                     (6, [3], [], []), (7, [3, 4, 5], [1], [])], [6, 7, 3, 4])
-    layout = K.SeqLayout(packed.seq_len, packed.seq)
+    layout = K.SeqLayout(packed.seq)
     assert layout.last[0] == layout.last[1] and len(layout.steps) == 5
     err = K.finite_diff_check(
         lambda p: model.loss_and_grads(packed, p), model.params,
@@ -627,16 +634,49 @@ def test_gradients_certify_when_instances_end_on_one_node():
     assert err < 1e-4
 
 
-def test_packed_batch_is_a_trimmed_row_gather():
+def test_packed_batch_is_a_window_gather():
+    """A batch is a gather of the windows' starts and lengths: its rows are
+    the instances' ids, and its ids are the packed set's own arrays."""
     packed = _pack([(3, [4, 5, 6], [1], []), (7, [], [], [8, 9]),
                     (5, [4], [2, 3], [])], [4, 5, 6])
     batch = packed.take(np.array([2, 1]))
-    np.testing.assert_array_equal(batch.seq, [[4, 5], [7, 0]])
-    np.testing.assert_array_equal(batch.seq_len, [2, 1])
-    np.testing.assert_array_equal(batch.text, [[2, 3], [0, 0]])
-    np.testing.assert_array_equal(batch.oot, [[0, 0], [8, 9]])
+    assert _rows(batch.seq) == [[4, 5], [7]]
+    np.testing.assert_array_equal(batch.seq.lengths, [2, 1])
+    assert _rows(batch.text) == [[2, 3], []]
+    assert _rows(batch.oot) == [[], [8, 9]]
     np.testing.assert_array_equal(batch.targets, [6, 5])
     assert len(batch) == 2
+    for name in ("seq", "text", "oot"):
+        assert getattr(batch, name).values is getattr(packed, name).values
+
+
+def test_batches_share_the_extracted_ids():
+    """PackedInstances.take and every batch of K.fit gather only the
+    windows' starts and lengths: their ids are the extracted set's own
+    arrays, never a copy."""
+    rng = np.random.default_rng(2)
+    corpus = parse_chains([json.dumps({"chain_id": f"c{c}", "events": [
+        {"pred": f"p{rng.integers(4)}", "dep": "x", "text": ["w", f"t{i % 3}"],
+         "oot": [[f"p{rng.integers(4)}:x", int(rng.integers(5))]]}
+        for i in range(rng.integers(2, 9))]}) for c in range(20)])
+    vocab, tokens = build_vocab_from(corpus, min_count=1), build_token_vocab(corpus)
+    inst = causal.extract_training_instances(corpus, vocab, tokens)
+    assert all(len(getattr(inst, name).values) for name in ("seq", "text", "oot"))
+    model = causal.ConditionalModel(dict(TINY, vocab_size=len(vocab), tokens=tokens,
+                                         batch_size=16))
+    batches, loss_and_grads = [], model.loss_and_grads
+
+    def recording(batch, rng=None):
+        batches.append(batch)
+        return loss_and_grads(batch, rng=rng)
+    model.loss_and_grads = recording
+    K.fit(model, inst, np.arange(len(inst)), inst.take(np.arange(0)), 0.01,
+          "conditional", max_epochs=1)
+    assert len(batches) == -(-len(inst) // 16)
+    for batch in [inst.take(np.array([5, 2, 5])), *batches]:
+        for name in ("seq", "text", "oot"):
+            assert np.shares_memory(getattr(batch, name).values,
+                                    getattr(inst, name).values)
 
 
 def test_intervention_rows_are_distributions():
@@ -656,9 +696,8 @@ def test_adjustment_sampling_deterministic():
     b = causal.sample_adjustment_set(inst, 10, seed=9)
     np.testing.assert_array_equal(a.targets, b.targets)
     assert np.all(np.diff(a.targets) > 0)   # sorted, without replacement
-    for name in ("seq", "seq_len", "text", "text_len", "oot", "oot_len"):
-        np.testing.assert_array_equal(getattr(a, name),
-                                      getattr(inst.take(a.targets), name))
+    for name in ("seq", "text", "oot"):
+        assert _rows(getattr(a, name)) == _rows(getattr(inst.take(a.targets), name))
 
 
 def test_itable_round_trip(tmp_path):
@@ -761,8 +800,7 @@ def test_mean_scores_are_the_per_context_means_bit_for_bit():
     M[rng.random((V, V)) < 0.2] = -np.inf        # unseen PMI pairs
     contexts = [rng.integers(0, V, size=rng.integers(1, 40)).tolist()
                 for _ in range(25)]
-    packed = causal.PackedInstances.pack(contexts)
-    got = causal.mean_scores(M, packed.seq, packed.seq_len)
+    got = causal.mean_scores(M, K.Windows.of(contexts))
     assert got.shape == (len(contexts), V)
     for context, row in zip(contexts, got):
         np.testing.assert_array_equal(row, M[np.asarray(context)].mean(axis=0))

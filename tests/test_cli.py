@@ -433,6 +433,18 @@ def test_bad_integer_field_exit_code(workdir, capsys, name, lineno, field,
     assert where in capsys.readouterr().err
 
 
+def test_vocabulary_header_tag_is_compared_exactly(workdir, capsys):
+    """A vocabulary of a later format version is not read as v1."""
+    _counts(workdir)
+    text = (workdir / "v.tsv").read_text()
+    assert text.startswith("#scriptcausal-vocab v1\t")
+    (workdir / "v.tsv").write_text(text.replace("v1\t", "v17\t", 1))
+    capsys.readouterr()
+    assert run("complete", "--vocab", "v.tsv", "--counts", "cnt.tsv",
+               "step1:nsubj") == 2
+    assert "v.tsv: missing vocabulary header" in capsys.readouterr().err
+
+
 def test_counts_beyond_int64_are_a_data_error(workdir, capsys):
     _counts(workdir)
     lines = (workdir / "cnt.tsv").read_text().splitlines()
@@ -982,6 +994,27 @@ def _text_chains(path, words, texts):
                        "oot": [["a:x", 4]]},
                       {"pred": "b" if word == "left" else "c", "dep": "x"}]
             f.write(json.dumps({"chain_id": f"c{i}", "events": events}) + "\n")
+
+
+def test_finetune_on_one_annotated_instance(workdir):
+    """Below 10 annotated instances the dev split is empty and finetuning
+    holds out its training rows, as train-cond does: a file with exactly
+    one annotated instance finetunes on it."""
+    words = ["left", "right", "left"]
+    _text_chains("c.jsonl", words, words)
+    chains = [json.loads(line) for line in open("c.jsonl", encoding="utf-8")]
+    for chain in chains[1:]:
+        del chain["events"][0]["oot"]
+    with open("one.jsonl", "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(chain) + "\n" for chain in chains)
+    run("--config", "cfg.json", "vocab", "--input", "c.jsonl", "--output", "v.tsv")
+    assert run("--config", "cfg.json", "train-cond", "--train", "c.jsonl",
+               "--dev", "c.jsonl", "--vocab", "v.tsv", "--output", "m.bin") == 0
+    assert run("--config", "cfg.json", "finetune-cond", "--model", "m.bin",
+               "--annotated", "one.jsonl", "--vocab", "v.tsv",
+               "--output", "ft.bin") == 0
+    tuned = causal.ConditionalModel.load("ft.bin")
+    assert tuned.config["phase"] == "finetuned" and tuned.params["W_O"].any()
 
 
 def test_finetune_and_estimate_read_the_text(workdir):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scriptcausal import causal, evaluation
+from scriptcausal import kernel as K
 from scriptcausal.corpus import build_vocab_from, parse_chains
 from scriptcausal.errors import ConfigError, DataFormatError
 from scriptcausal.events import NUM_SPECIALS, Vocabulary, ranked_ids
@@ -24,18 +25,21 @@ def _corpus(chains_preds):
 def _mk(*pairs):
     """Cloze instances from (context, answer) pairs."""
     contexts, answers = zip(*pairs) if pairs else ((), ())
-    return causal.PackedInstances.pack(list(contexts), targets=list(answers))
+    empty = K.Windows.of([()] * len(contexts))
+    return causal.PackedInstances(K.Windows.of(contexts), empty, empty,
+                                  np.array(answers, dtype=np.intp))
 
 
-def _contexts(ids, lengths):
-    """Right-padded contexts as id lists."""
-    return [row[:n].tolist() for row, n in zip(ids, lengths)]
+def _contexts(windows):
+    """The contexts of a ``K.Windows`` as id lists."""
+    return [windows.values[s:s + n].tolist()
+            for s, n in zip(windows.starts, windows.lengths)]
 
 
 def test_two_event_chain_single_instance():
     corpus, vocab = _corpus([["a", "b"]])
     instances = evaluation.make_cloze_set(corpus, vocab, 1, seed=0)
-    assert _contexts(instances.seq, instances.seq_len)[0] == [vocab.id_of("a:x")]
+    assert _contexts(instances.seq)[0] == [vocab.id_of("a:x")]
     assert instances.targets[0] == vocab.id_of("b:x")
 
 
@@ -44,8 +48,8 @@ def test_cloze_set_exact_count_and_determinism():
     s1 = evaluation.make_cloze_set(corpus, vocab, 40, seed=6)
     s2 = evaluation.make_cloze_set(corpus, vocab, 40, seed=6)
     assert len(s1) == 40
-    for name in ("seq", "seq_len", "targets"):
-        np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
+    assert _contexts(s1.seq) == _contexts(s2.seq)
+    np.testing.assert_array_equal(s1.targets, s2.targets)
 
 
 def test_cloze_set_is_a_sample_of_the_training_instances():
@@ -54,33 +58,35 @@ def test_cloze_set_is_a_sample_of_the_training_instances():
     corpus, vocab = _corpus([list("abcdefg"), list("ab"), list("cbadc")] * 6)
     full = causal.extract_training_instances(corpus, vocab, history_window=7)
     cloze = evaluation.make_cloze_set(corpus, vocab, len(full), seed=1)
-    for name in ("seq", "seq_len", "targets"):
-        np.testing.assert_array_equal(getattr(cloze, name), getattr(full, name))
+    assert _contexts(cloze.seq) == _contexts(full.seq)
+    np.testing.assert_array_equal(cloze.targets, full.targets)
     ids = corpus.event_ids(vocab).tolist()
     starts = np.repeat(corpus.offsets[:-1], np.diff(corpus.offsets))
     want = [ids[s:i] for i, s in enumerate(starts.tolist()) if i > s]
-    assert _contexts(cloze.seq, cloze.seq_len) == want
+    assert _contexts(cloze.seq) == want
 
 
 def test_cloze_set_packs_only_its_sampled_rows():
-    """One long chain among many short ones: the cloze's memory follows its
-    sampled contexts, not every position padded to the longest chain, and
-    its rows are the same sample of the full instance arrays."""
+    """One long chain among many short ones: the cloze's memory follows the
+    corpus's ids and its sampled contexts, not every position padded to the
+    longest chain, and its rows are the same sample of the full instance
+    windows, over the same ids."""
     corpus, vocab = _corpus([[f"p{i % 40}" for i in range(1000)]]
                             + [list("abc")] * 2000)
     full = causal.extract_training_instances(corpus, vocab, history_window=1000)
     pool = np.flatnonzero(full.targets >= NUM_SPECIALS)
     want = full.take(pool[sorted(np.random.default_rng(3).choice(
         len(pool), size=20, replace=False))])
-    del full   # its (4999, 1000) id matrix alone is 40 MB
+    del full   # padded to the longest chain, its ids alone would be 40 MB
     tracemalloc.start()
     try:
         cloze = evaluation.make_cloze_set(corpus, vocab, 20, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for name in ("seq", "seq_len", "targets"):
-        np.testing.assert_array_equal(getattr(cloze, name), getattr(want, name))
+    assert _contexts(cloze.seq) == _contexts(want.seq)
+    np.testing.assert_array_equal(cloze.targets, want.targets)
+    assert np.array_equal(cloze.seq.values, want.seq.values)
     assert peak < 4 << 20   # packing every position: about 45 MB
 
 
@@ -95,7 +101,7 @@ def _ranking(order, V):
     in that order, then every other id at -inf."""
     row = np.full(V, -np.inf)
     row[order] = np.arange(len(order), 0, -1)
-    return lambda ids, lengths: np.tile(row, (len(lengths), 1))
+    return lambda contexts: np.tile(row, (len(contexts), 1))
 
 
 def _counts(instances, rank, cutoffs):
@@ -184,12 +190,12 @@ def test_cloze_ranks_each_instance_once_per_system():
     rank = list(range(NUM_SPECIALS, 40))
     instances = _mk(*[([int(rng.integers(NUM_SPECIALS, 40))],
                        int(rng.integers(NUM_SPECIALS, 40))) for _ in range(60)])
-    contexts = _contexts(instances.seq, instances.seq_len)
+    contexts = _contexts(instances.seq)
     seen = {}
 
     def counting(name, shift):
-        def scores(ids, lengths):
-            contexts = _contexts(ids, lengths)
+        def scores(windows):
+            contexts = _contexts(windows)
             seen.setdefault(name, []).append(contexts)
             rows = np.full((len(contexts), 40), -np.inf)
             for i, context in enumerate(contexts):   # ties among ids 34..39
@@ -212,7 +218,7 @@ def test_cloze_ranks_each_instance_once_per_system():
         assert report.counts[j] == len(kept)
         for name, system in systems.items():
             hits = [instances.targets[i] in ranked_ids(system(
-                instances.seq[i:i + 1], instances.seq_len[i:i + 1])[0])[:N]
+                instances.seq.take(slice(i, i + 1)))[0])[:N]
                 for i in kept]
             want = 100.0 * sum(hits) / len(kept) if kept else float("nan")
             np.testing.assert_equal(report.recalls[name][j], want)
@@ -239,8 +245,8 @@ def test_lm_sheet_system_runs_the_lm_in_blocks():
         config = {"vocab_size": 2 * evaluation.BLOCK + 5}
         histories = []
 
-        def next_distribution(self, ids, lengths):
-            histories = _contexts(ids, lengths)
+        def next_distribution(self, windows):
+            histories = _contexts(windows)
             self.histories.append(histories)
             dist = (np.arange(1.0, self.config["vocab_size"] + 1)
                     + np.array([h[0] if h else 0 for h in histories])[:, None])
@@ -252,9 +258,9 @@ def test_lm_sheet_system_runs_the_lm_in_blocks():
     got = [column(l) for l in range(3, 8)]
     assert [len(h) for h in lm.histories] == [evaluation.BLOCK] * 2 + [6]
     assert sum(lm.histories, []) == [[], *([k] for k in range(V))]
-    start = np.log(lm.next_distribution(np.zeros((1, 0), int), [0])[0])
+    start = np.log(lm.next_distribution(K.Windows.of([()]))[0])
     want = [[float(start[k]) + float(np.log(
-        lm.next_distribution(np.array([[k]]), [1])[0][l]))
+        lm.next_distribution(K.Windows.of([[k]]))[0][l]))
         for k in range(V)] for l in range(3, 8)]
     assert [c.tolist() for c in got] == want
 
