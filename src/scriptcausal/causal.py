@@ -154,11 +154,12 @@ class ConditionalModel(K.Model):
         H, cache = K.encoder_forward(params, ("enc",), seqs, layout)
         return layout.final(H), (layout, cache)
 
-    def _context_logits(self, params, batch):
-        """The prev-event-independent logits B v_t + W_O v_o + cache."""
+    def _context_logits(self, params, batch, out=None):
+        """The prev-event-independent logits B v_t + W_O v_o (written into
+        ``out`` when given) and the cache."""
         v_t, text_cache = _mean_of_sets(params["text_emb"], batch.text)
         v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot)
-        logits = v_t @ params["B"].T
+        logits = np.matmul(v_t, params["B"].T, out=out)
         logits += v_o @ params["W_O"].T      # in place: one (n, V) temporary
         return logits, (v_t, text_cache, v_o, oot_cache)
 
@@ -299,8 +300,8 @@ class InterventionTable:
         """The do-rows as TSV, headed and keyed by the event ``keys``."""
         with open(path, "w", encoding="utf-8") as f:
             f.write("do_event\t" + "\t".join(keys) + "\n")
-            for key, row in zip(keys, self.effect.tolist()):
-                f.write(key + "\t" + "\t".join(map(repr, row)) + "\n")
+            for key, row in zip(keys, self.effect):
+                f.write(key + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 def usable_cpus() -> int:
@@ -338,23 +339,30 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     Only the last encoder step depends on the intervened event k, and only
     through its input terms. So each distinct sampled context (history,
     text and out-of-text ids) is encoded once and weighted by how often it
-    was drawn, and every k-independent array is computed once and shared
-    read-only: the history states, their z/r recurrent terms and the
-    context logits. The contexts go in blocks of at most the model's
-    training ``batch_size``, which bounds the encoder's memory. Per do-row
-    and block, the last step is one ``K.gru_cell`` (an (n, h) x (h, h) GEMM)
-    and the logits GEMM, written into scratch buffers owned by one worker.
+    was drawn. The distinct contexts go in the fewest blocks of at most
+    min(``batch_size``, 2**16 // V) rows, evenly filled, so one (n, V)
+    logits array stays within 512 KiB and the memory is bounded by the
+    vocabulary, not by the sample. Per block, the history states, their
+    z/r recurrent terms and the context logits are computed once and shared
+    read-only; per do-row and block, the last step is one ``K.gru_cell``
+    (an (n, h) x (h, h) GEMM) and the logits GEMM, written into scratch
+    buffers owned by one worker.
 
-    Do-values are handed out one at a time to a pool of
-    ``worker_count(V)`` threads. Each row is summed by one worker over the
-    same blocks in the same order, so the table is the same bit for bit for
-    every worker count. A non-finite shared array or table raises a
-    NumericalError.
+    Every |h| <= 1, so logit l is at most c_l + ||A_l||_1, and the row max
+    lies within 2 max_l ||A_l||_1 of max_l (c_l + ||A_l||_1). Each block's
+    context logits are shifted by that bound, which keeps the largest term
+    of every softmax above exp(-600) and needs no max pass. A model whose
+    span 2 max_l ||A_l||_1 exceeds 600 takes each row's own max instead.
+
+    Per block, the V do-values are handed out one at a time to a pool of
+    ``worker_count(V)`` threads. Each row sums the blocks in block order,
+    so the table is the same bit for bit for every worker count. A
+    non-finite shared array or table raises a NumericalError.
     """
     if not len(contexts):
         raise ConfigError("adjustment set must contain at least one context")
     params, cfg = model.params, model.config
-    V, h_dim, step = cfg["vocab_size"], cfg["hidden_dim"], cfg["batch_size"]
+    V, h_dim = cfg["vocab_size"], cfg["hidden_dim"]
 
     # distinct contexts: the history (the sequence minus its prev event),
     # text and out-of-text ids of a sampled row, -1-padded into one key row
@@ -365,62 +373,77 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
                                  return_counts=True)
     distinct, history = contexts.take(first), history.take(first)
     D = len(distinct)
+    n_blocks = -(-D // max(1, min(cfg["batch_size"], 2**16 // V)))
+    step = -(-D // n_blocks)
 
     # The last GRU step is one step of K.gru_forward with input emb[k]. Only
     # its input terms depend on k, so they are projected for every event at
     # once; the z/r recurrent term depends only on the context.
     W, b, U_zr, Uh = K.gru_weights(params, "enc")
     x_proj = params["emb"] @ W.T + b                      # (V, 3h)
-
-    # per-context constants, block by block
-    blocks = [slice(s, s + step) for s in range(0, D, step)]
-    h_hist, const_logits = np.empty((D, h_dim)), np.empty((D, V))
-    for blk in blocks:
-        h_hist[blk], _ = model._encode(params, history.take(blk))
-        const_logits[blk], _ = model._context_logits(params, distinct.take(blk))
-    for name, arr in [("input projection", x_proj), ("history states", h_hist),
-                      ("context logits", const_logits)]:
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"non-finite {name} in the model")
-    hu_zr = h_hist @ U_zr.T                               # (D, 2h)
+    if not np.isfinite(x_proj).all():
+        raise NumericalError("non-finite input projection in the model")
+    A = params["A"]
+    a_norm = np.abs(A).sum(axis=1)
+    # exp(-600) is far above float64's smallest normal number
+    per_row_max = 2 * a_norm.max() > 600
 
     effect = np.zeros((V, V))
-    todo, lock = iter(range(V)), threading.Lock()
+    lock = threading.Lock()
     ones = np.ones(V)
 
-    def work(zr_buf, rh_buf, h_buf, logits_buf, row_max, row_sum):
+    def sweep(todo, block, zr_buf, rh_buf, h_buf, logits_buf, max_buf, sum_buf):
+        h_hist, hu_zr, const, weight = block
+        m = len(weight)
+        zr, rh, h = zr_buf[:m], rh_buf[:m], h_buf[:m]
+        logits, rmax, rsum = logits_buf[:m], max_buf[:m], sum_buf[:m]
         while True:
             with lock:
                 k = next(todo, None)
             if k is None:
                 return
-            for blk in blocks:
-                m = len(counts[blk])
-                zr, h = zr_buf[:m], h_buf[:m]
-                logits, rmax, rsum = logits_buf[:m], row_max[:m], row_sum[:m]
-                np.add(hu_zr[blk], x_proj[k, :2 * h_dim], out=zr)
-                K.gru_cell(zr, x_proj[k, 2 * h_dim:], h_hist[blk], Uh, zr, h, h,
-                           rh_buf[:m])
-                np.matmul(h, params["A"].T, out=logits)
-                logits += const_logits[blk]
+            np.add(hu_zr, x_proj[k, :2 * h_dim], out=zr)
+            K.gru_cell(zr, x_proj[k, 2 * h_dim:], h_hist, Uh, zr, h, h, rh)
+            np.matmul(h, A.T, out=logits)
+            logits += const
+            if per_row_max:
                 np.max(logits, axis=1, keepdims=True, out=rmax)
                 logits -= rmax
-                np.exp(logits, out=logits)
-                np.matmul(logits, ones, out=rsum)
-                np.divide(counts[blk], rsum, out=rsum)
-                effect[k] += rsum @ logits
+            np.exp(logits, out=logits)
+            np.matmul(logits, ones, out=rsum)
+            np.divide(weight, rsum, out=rsum)
+            effect[k] += rsum @ logits
 
     # imported here: it adds about 0.4 MB to every process that loads it
     from concurrent.futures import ThreadPoolExecutor
-    workers, n = worker_count(V), min(D, step)
-    # glibc gives each thread a malloc arena; only this one's holds the
-    # encoder's freed memory, so the workers' scratch buffers are made here
-    scratch = [(np.empty((n, 2 * h_dim)), np.empty((n, h_dim)),
-                np.empty((n, h_dim)), np.empty((n, V)), np.empty((n, 1)),
-                np.empty(n)) for _ in range(workers)]
+    workers, scratch = worker_count(V), None
     with ThreadPoolExecutor(workers) as pool:
-        for done in [pool.submit(work, *buffers) for buffers in scratch]:
-            done.result()
+        for start in range(0, D, step):
+            blk = slice(start, start + step)
+            # only the states: a cache kept to the next block would hold the
+            # encoder's packed arrays through the sweep
+            h_hist = model._encode(params, history.take(blk))[0]
+            if scratch is None:
+                # glibc gives each thread a malloc arena; only this one's
+                # holds the first encode's freed memory, so the buffers are
+                # made here, after it
+                ctx_buf = np.empty((step, V))
+                scratch = [(np.empty((step, 2 * h_dim)), np.empty((step, h_dim)),
+                            np.empty((step, h_dim)), np.empty((step, V)),
+                            np.empty((step, 1)), np.empty(step))
+                           for _ in range(workers)]
+            const = ctx_buf[:len(h_hist)]
+            model._context_logits(params, distinct.take(blk), out=const)
+            for name, arr in [("history states", h_hist), ("context logits", const)]:
+                if not np.isfinite(arr).all():
+                    raise NumericalError(f"non-finite {name} in the model")
+            if not per_row_max:
+                const -= (const + a_norm).max(axis=1, keepdims=True)
+            block = (h_hist, h_hist @ U_zr.T, const, counts[blk])
+            todo = iter(range(V))
+            for done in [pool.submit(sweep, todo, block, *buffers)
+                         for buffers in scratch]:
+                done.result()
     effect /= len(contexts)
     if not np.isfinite(effect).all():
         raise NumericalError("the estimated intervention table is not finite")

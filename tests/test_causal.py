@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -472,6 +473,48 @@ def test_rows_stay_exact_when_logits_are_large():
                                rtol=0, atol=1e-12)
 
 
+def test_rows_stay_exact_when_the_shift_is_near_its_bound():
+    """With max_l ||A_l||_1 = 290, the logit span 2 * 290 stays inside 600,
+    so the estimator shifts each block's context logits by the bound on
+    their logits instead of taking each row's max; over 4 blocks of 16
+    contexts every row still sums to 1 and matches the per-context
+    formula."""
+    rng = np.random.default_rng(9)
+    V, n_tokens = 11, 6
+    model = _formula_model(rng, V, n_tokens, batch_size=16)
+    A = model.params["A"]
+    A[3] *= 290.0 / np.abs(A[3]).sum()
+    assert np.abs(A).sum(axis=1).max() == pytest.approx(290.0)
+    contexts = _random_contexts(rng, V, n_tokens, 60)
+    table = causal.estimate_interventions(model, _pack(contexts))
+    np.testing.assert_allclose(table.effect.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
+                               rtol=0, atol=1e-12)
+
+
+def test_estimator_memory_does_not_grow_with_the_adjustment_set():
+    """The estimator holds one block of distinct contexts at a time, so its
+    traced peak grows by less than one (D, V) float64 array when the sample
+    goes from D to 4 D distinct contexts."""
+    rng = np.random.default_rng(14)
+    V, n_tokens, D = 300, 6, 500
+    model = _formula_model(rng, V, n_tokens, batch_size=512)
+    contexts = [(int(rng.integers(NUM_SPECIALS, V)),
+                 [int(e) for e in rng.integers(NUM_SPECIALS, V, size=3)], [], [])
+                for _ in range(4 * D)]
+
+    def peak(sample):
+        adjustment = _pack(sample)
+        tracemalloc.start()
+        try:
+            causal.estimate_interventions(model, adjustment)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(contexts) - peak(contexts[:D]) < D * V * 8
+
+
 @pytest.mark.parametrize("name, what", [
     ("emb", "input projection"), ("enc.Uz", "history states"),
     ("B", "context logits"), ("A", "intervention table")])
@@ -503,23 +546,27 @@ def test_table_is_the_same_for_every_worker_count():
     even when the workers switch every microsecond, where a row skipped or
     summed twice would show."""
     rng = np.random.default_rng(21)
-    V, n_tokens = 40, 6
-    model = _formula_model(rng, V, n_tokens, batch_size=16)
-    adjustment = _pack(_random_contexts(rng, V, n_tokens, 90))
+    # blocks of at most batch_size = 16 rows; and of at most 2**16 // V = 93
+    # rows, fewer than the distinct contexts
+    for V, batch_size, count in ((40, 16, 90), (700, 512, 150)):
+        n_tokens = 6
+        model = _formula_model(rng, V, n_tokens, batch_size=batch_size)
+        adjustment = _pack(_random_contexts(rng, V, n_tokens, count))
 
-    tables = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 2, 3, 6):
-            cpu_patch, env_patch = _host(cpus, OPENBLAS_NUM_THREADS="1")
-            with cpu_patch, env_patch:
-                assert causal.worker_count(V) == cpus
-                tables.append(causal.estimate_interventions(model, adjustment).effect)
-    finally:
-        sys.setswitchinterval(interval)
-    for other in tables[1:]:
-        assert np.array_equal(other, tables[0])
+        tables = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 6):
+                cpu_patch, env_patch = _host(cpus, OPENBLAS_NUM_THREADS="1")
+                with cpu_patch, env_patch:
+                    assert causal.worker_count(V) == cpus
+                    tables.append(
+                        causal.estimate_interventions(model, adjustment).effect)
+        finally:
+            sys.setswitchinterval(interval)
+        for other in tables[1:]:
+            assert np.array_equal(other, tables[0])
 
 
 @pytest.mark.parametrize("cpus, blas, tasks, workers", [
@@ -711,6 +758,27 @@ def test_itable_round_trip(tmp_path):
     assert (loaded.seed, loaded.n_samples) == (3, 7)
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_tsv_export_writes_row_by_row(tmp_path):
+    """A 1,000 x 1,000 table exports the bytes of the whole-table form
+    while holding one row's floats at a time: its traced peak stays below
+    1 MB, where the whole table's float objects take about 30 MB."""
+    V = 1000
+    effect = np.random.default_rng(2).dirichlet(np.ones(V), size=V)
+    keys = [f"e{k}" for k in range(V)]
+    table = causal.InterventionTable(effect)
+    tracemalloc.start()
+    try:
+        table.export_tsv(tmp_path / "t.tsv", keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = "do_event\t" + "\t".join(keys) + "\n" + "".join(
+        key + "\t" + "\t".join(map(repr, row)) + "\n"
+        for key, row in zip(keys, effect.tolist()))
+    assert (tmp_path / "t.tsv").read_bytes() == expected.encode()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0],
