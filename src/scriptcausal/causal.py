@@ -266,9 +266,18 @@ class InterventionTable:
     n_samples: int = 0
 
     def save(self, path):
+        """Write the table to ``path``, refusing first a model id that is
+        not one line of UTF-8 text, which ``load`` could not read back."""
+        try:
+            header = (f"{_ITABLE_HEADER_TAG} {self.effect.shape[0]} {self.n_samples} "
+                      f"{self.seed} {self.model_id}\n").encode()
+        except UnicodeEncodeError:
+            header = b""
+        if header.count(b"\n") != 1:
+            raise ConfigError(f"model id {self.model_id!r} is not one line of "
+                              "UTF-8 text")
         with open(path, "wb") as f:
-            f.write(f"{_ITABLE_HEADER_TAG} {self.effect.shape[0]} "
-                    f"{self.n_samples} {self.seed} {self.model_id}\n".encode())
+            f.write(header)
             f.write(np.ascontiguousarray(self.effect, dtype="<f8").tobytes())
 
     @staticmethod

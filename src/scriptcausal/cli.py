@@ -29,14 +29,6 @@ from .errors import ConfigError, DataFormatError, NumericalError, open_input
 from .events import NUM_SPECIALS, Vocabulary, frequency_rank
 
 
-def _require(path, what):
-    if path is None:
-        raise ConfigError(f"missing required path for {what}")
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
-    return path
-
-
 def _write_manifest(cfg: RunConfig, command: str, outputs):
     line = json.dumps({"command": command, "config_hash": cfg.hash(),
                        "seed": cfg["seed"], "outputs": list(outputs)},
@@ -63,7 +55,7 @@ def _load_cbn(args):
                           "--fixture or --cbn")
     if args.fixture:
         return synth.build_fixture(args.fixture)
-    return synth.SyntheticCBN.load(_require(args.cbn, "CBN spec file"))
+    return synth.SyntheticCBN.load(args.cbn)
 
 
 def _check_vocab_size(what, size, vocab):
@@ -76,7 +68,7 @@ def _check_vocab_size(what, size, vocab):
 
 def _load_itable(args, vocab):
     from . import causal
-    table = causal.InterventionTable.load(_require(args.itable, "intervention table"))
+    table = causal.InterventionTable.load(args.itable)
     _check_vocab_size("the intervention table", len(table.effect), vocab)
     return table
 
@@ -105,8 +97,7 @@ def _instances(corpus, vocab, settings):
 
 
 def cmd_ingest(cfg, args):
-    corpus = load_chains(_require(args.input, "chain file"),
-                         factual_only=cfg["factual_only"])
+    corpus = load_chains(args.input, factual_only=cfg["factual_only"])
     write_chains(corpus, args.output)
     return [args.output]
 
@@ -115,7 +106,7 @@ def cmd_split(cfg, args):
     if len(cfg["ratios"]) != 3:   # one per output file
         raise ConfigError("config key 'ratios' must hold 3 ratios (train, dev, "
                           f"test), got {len(cfg['ratios'])}")
-    corpus = load_chains(_require(args.input, "chain file"))
+    corpus = load_chains(args.input)
     parts = split_corpus(corpus, cfg["ratios"], cfg["seed"])
     outputs = [args.train, args.dev, args.test]
     for part, path in zip(parts, outputs):
@@ -124,7 +115,7 @@ def cmd_split(cfg, args):
 
 
 def cmd_vocab(cfg, args):
-    corpus = load_chains(_require(args.input, "chain file"))
+    corpus = load_chains(args.input)
     vocab = build_vocab_from(corpus, cfg["min_count"])
     vocab.save(args.output)
     return [args.output]
@@ -132,8 +123,8 @@ def cmd_vocab(cfg, args):
 
 def cmd_count_pmi(cfg, args):
     from . import baselines
-    corpus = load_chains(_require(args.input, "chain file"))
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    corpus = load_chains(args.input)
+    vocab = Vocabulary.load(args.vocab)
     counts = baselines.count_skip_bigrams(corpus, vocab, cfg["window"])
     baselines.save_counts(counts, vocab, args.output)
     return [args.output]
@@ -141,9 +132,9 @@ def cmd_count_pmi(cfg, args):
 
 def cmd_train_lm(cfg, args):
     from . import baselines
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
-    train = load_chains(_require(args.train, "training chain file"))
-    dev = load_chains(_require(args.dev, "dev chain file"))
+    vocab = Vocabulary.load(args.vocab)
+    train = load_chains(args.train)
+    dev = load_chains(args.dev)
     lm = baselines.train_event_lm(train, dev, vocab, cfg.slice(baselines.CONFIG_KEYS),
                                   log=lambda m: print(m, file=sys.stderr))
     lm.save(args.output)
@@ -152,13 +143,12 @@ def cmd_train_lm(cfg, args):
 
 def cmd_train_cond(cfg, args):
     from . import causal
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
-    train = load_chains(_require(args.train, "training chain file"))
+    vocab = Vocabulary.load(args.vocab)
+    train = load_chains(args.train)
     settings = {**cfg.slice(causal.CONFIG_KEYS), "tokens": build_token_vocab(train)}
     train_inst = _instances(train, vocab, settings)
     del train   # training reads only the instances
-    dev_inst = _instances(load_chains(_require(args.dev, "dev chain file")),
-                          vocab, settings)
+    dev_inst = _instances(load_chains(args.dev), vocab, settings)
     model = causal.train_conditional(train_inst, dev_inst, len(vocab), settings,
                                      log=lambda m: print(m, file=sys.stderr))
     model.save(args.output)
@@ -167,13 +157,10 @@ def cmd_train_cond(cfg, args):
 
 def cmd_finetune_cond(cfg, args):
     from . import causal
-    model = causal.ConditionalModel.load(
-        _require(args.model, "pretrained conditional model"))
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    model = causal.ConditionalModel.load(args.model)
+    vocab = Vocabulary.load(args.vocab)
     _check_vocab_size("the pretrained model", model.config["vocab_size"], vocab)
-    annotated = _instances(
-        load_chains(_require(args.annotated, "annotated chain file")), vocab,
-        model.config)
+    annotated = _instances(load_chains(args.annotated), vocab, model.config)
     tuned = causal.finetune_with_oot(
         model, annotated, cfg.slice(same("finetune_lr max_epochs seed")),
         log=lambda m: print(m, file=sys.stderr))
@@ -183,13 +170,10 @@ def cmd_finetune_cond(cfg, args):
 
 def cmd_estimate_do(cfg, args):
     from . import causal
-    model = causal.ConditionalModel.load(
-        _require(args.model, "trained conditional model"))
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    model = causal.ConditionalModel.load(args.model)
+    vocab = Vocabulary.load(args.vocab)
     _check_vocab_size("the conditional model", model.config["vocab_size"], vocab)
-    instances = _instances(
-        load_chains(_require(args.corpus, "adjustment-sample chain file")), vocab,
-        model.config)
+    instances = _instances(load_chains(args.corpus), vocab, model.config)
     table = causal.estimate_interventions(
         model, causal.sample_adjustment_set(instances, cfg["adjustment_n"],
                                             cfg["seed"]),
@@ -205,7 +189,7 @@ def cmd_estimate_do(cfg, args):
 
 def cmd_score(cfg, args):
     from . import causal
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    vocab = Vocabulary.load(args.vocab)
     table = _load_itable(args, vocab)
     rank = frequency_rank(vocab)
     target = _known_id(vocab, args.target, "target")
@@ -219,7 +203,7 @@ def cmd_score(cfg, args):
 
 def cmd_complete(cfg, args):
     from . import causal
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    vocab = Vocabulary.load(args.vocab)
     rank = frequency_rank(vocab)
     if bool(args.itable) == bool(args.counts):
         raise ConfigError("complete answers from one system: pass either "
@@ -254,7 +238,7 @@ def _score_matrices(args, vocab):
     if args.itable:
         matrices["causal"] = causal.script_score_matrix(_load_itable(args, vocab))
     if args.counts:
-        counts = baselines.load_counts(_require(args.counts, "PMI counts file"), vocab)
+        counts = baselines.load_counts(args.counts, vocab)
         matrices["pmi"] = baselines.pmi_matrix(counts)
     return matrices
 
@@ -265,7 +249,7 @@ def _systems(args, vocab, lm_system, matrix_system):
     from . import baselines
     systems = {}
     if args.lm:
-        lm = baselines.EventLM.load(_require(args.lm, "LM model file"))
+        lm = baselines.EventLM.load(args.lm)
         _check_vocab_size("the LM", lm.config["vocab_size"], vocab)
         systems["lm"] = lm_system(lm)
     for name, M in _score_matrices(args, vocab).items():
@@ -277,9 +261,9 @@ def _systems(args, vocab, lm_system, matrix_system):
 
 def cmd_cloze(cfg, args):
     from . import causal, evaluation
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    vocab = Vocabulary.load(args.vocab)
     rank = frequency_rank(vocab)
-    corpus = load_chains(_require(args.corpus, "test chain file"))
+    corpus = load_chains(args.corpus)
     systems = _systems(args, vocab, lambda lm: lm.next_distribution,
                        lambda M: functools.partial(causal.mean_scores, M))
     instances = evaluation.make_cloze_set(corpus, vocab, cfg["cloze_count"],
@@ -291,7 +275,7 @@ def cmd_cloze(cfg, args):
 
 def cmd_sheet(cfg, args):
     from . import evaluation
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary file"))
+    vocab = Vocabulary.load(args.vocab)
     rank = frequency_rank(vocab)
     systems = _systems(args, vocab, evaluation.lm_sheet_system,
                        lambda M: lambda target: M[:, target])
@@ -307,7 +291,7 @@ def cmd_sheet(cfg, args):
 
 def cmd_score_summary(cfg, args):
     from . import evaluation
-    with open_input(_require(args.input, "filled sheet")) as f:
+    with open_input(args.input) as f:
         rows = evaluation.parse_sheet_tsv(f.read())
     summary = evaluation.score_summary(rows)
     lines = ["system\tavg_score\tavg_rank\tcount"]
@@ -322,7 +306,7 @@ def cmd_score_summary(cfg, args):
 def cmd_diversity(cfg, args):
     from . import evaluation
     emissions = {}
-    with open_input(_require(args.input, "emissions file")) as f:
+    with open_input(args.input) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -362,17 +362,16 @@ def encoder_backward(params, cache, dH, grads):
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Adam with global-norm gradient clipping applied before the moments.
     Each array of ``params`` is replaced in the dict by a view of one flat
     buffer, so that a step runs each ufunc once over all of them."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8,
-                 clip_norm=10.0):
+    def __init__(self, params, lr=0.001, clip_norm=10.0):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.clip_norm = clip_norm
         self.step = 0
         self.names = list(params)
@@ -400,7 +399,7 @@ def adam_update(state: AdamState, grads):
         g *= state.clip_norm / norm
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m *= b1                                # m = b1 * m + (1 - b1) * g
     m += np.multiply(g, 1 - b1, out=s)
     v *= b2                                # v = b2 * v + (1 - b2) * (g * g)
@@ -408,7 +407,7 @@ def adam_update(state: AdamState, grads):
     v += np.multiply(g, 1 - b2, out=g)
     # p -= lr * m_hat / (sqrt(v_hat) + epsilon)
     np.sqrt(np.divide(v, 1 - b2 ** t, out=g), out=g)
-    g += state.epsilon
+    g += ADAM_EPSILON
     np.divide(m, 1 - b1 ** t, out=s)
     s *= state.lr
     state.flat -= np.divide(s, g, out=s)

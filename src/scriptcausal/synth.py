@@ -25,13 +25,12 @@ from .corpus import ChainCorpus
 from .errors import ConfigError, DataFormatError, read_json
 from .events import EventType
 
-FIXTURE_NAMES = ("F-POPCORN", "F-DET", "F-UNIFORM")
-
 _FIXTURE_FILES = {
     "F-POPCORN": "f_popcorn.json",
     "F-DET": "f_det.json",
     "F-UNIFORM": "f_uniform.json",
 }
+FIXTURE_NAMES = tuple(_FIXTURE_FILES)
 
 SCENARIO_RELATION = "scenario"
 
@@ -69,6 +68,8 @@ class SyntheticCBN:
             raise ConfigError("every kernel row must be a distribution")
         if self.chain_length < 2:
             raise ConfigError("chain_length must be >= 2")
+        for key in [*self.event_keys, *map(scenario_key, self.scenario_names)]:
+            EventType.from_key(key)   # chain files must be able to hold it
         self.kernels = (1.0 - self.lam) * self.templates + self.lam / E
 
     @property
@@ -183,7 +184,7 @@ class SyntheticCBN:
             raise DataFormatError(f"malformed CBN spec: missing field or "
                                   f"unknown event {e}") from e
         except (TypeError, ValueError, OverflowError, AttributeError,
-                ConfigError) as e:
+                ConfigError, DataFormatError) as e:
             raise DataFormatError(f"malformed CBN spec: {e}") from e
 
     def save(self, path):
@@ -249,7 +250,7 @@ def _uniforms(seed, n, k):
 
 
 def build_fixture(name: str) -> SyntheticCBN:
-    """Load one of the packaged fixtures: F-POPCORN, F-DET, F-UNIFORM."""
+    """Load the packaged fixture ``name``, one of FIXTURE_NAMES."""
     if name not in _FIXTURE_FILES:
         raise ConfigError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
     ref = resources.files("scriptcausal.fixtures") / _FIXTURE_FILES[name]

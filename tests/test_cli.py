@@ -1313,3 +1313,93 @@ def test_bad_input_is_a_clean_exit(workdir, capsys, files, argv, code, message):
     prefix = "data error" if code == 2 else "error"
     assert capsys.readouterr().err == f"{prefix}: {message}\n"
     assert not os.path.exists("out")
+
+
+# every command that reads a file, with each of its inputs present; a
+# command that takes either of two inputs appears once with each
+_READERS = [
+    "ingest --input c.jsonl --output out",
+    "split --input c.jsonl --train out --dev out2 --test out3",
+    "vocab --input c.jsonl --output out",
+    "count-pmi --input c.jsonl --vocab v.tsv --output out",
+    "train-lm --train c.jsonl --dev c.jsonl --vocab v.tsv --output out",
+    "train-cond --train c.jsonl --dev c.jsonl --vocab v.tsv --output out",
+    "finetune-cond --model m.bin --annotated c.jsonl --vocab v.tsv --output out",
+    "estimate-do --model m.bin --corpus c.jsonl --vocab v.tsv --output out "
+    "--tsv out2",
+    "score --itable t.bin --vocab v.tsv --target step1:nsubj --output out",
+    "complete --vocab v.tsv --itable t.bin step0:nsubj",
+    "complete --vocab v.tsv --counts cnt.tsv step0:nsubj",
+    "synth --cbn spec.json --n 2 --output out",
+    "oracle --cbn spec.json --output out",
+    "score-summary --input sheet.tsv --output out",
+    "diversity --input e.tsv --output out",
+    "cloze --corpus c.jsonl --vocab v.tsv --lm lm.bin --itable t.bin "
+    "--counts cnt.tsv --output out",
+    "sheet --vocab v.tsv --lm lm.bin --itable t.bin --counts cnt.tsv --output out",
+]
+_INPUTS = {"c.jsonl", "v.tsv", "m.bin", "t.bin", "cnt.tsv", "spec.json",
+           "sheet.tsv", "e.tsv", "lm.bin"}
+_MISSING_INPUT = {f"{words[0]} {flag}": words for words in map(str.split, _READERS)
+                  for flag, path in zip(words, words[1:]) if path in _INPUTS}
+
+
+@pytest.mark.parametrize("case", list(_MISSING_INPUT))
+def test_a_missing_input_is_a_clean_exit(workdir, capsys, case):
+    """An input path that does not exist ends in exit 1 and one line naming
+    it, from the reader's own OSError: no traceback, no output file and no
+    run-log line."""
+    _counts(workdir)
+    n = len(Vocabulary.load("v.tsv"))
+    _model_files(n)
+    causal.InterventionTable(np.full((n, n), 1.0 / n)).save("t.bin")
+    synth.build_fixture("F-DET").save("spec.json")
+    (workdir / "sheet.tsv").write_text(
+        "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscore\n"
+        "0\tstep1:nsubj\tstep0:nsubj\tlm\t50\n")
+    (workdir / "e.tsv").write_text("s\tstep0:nsubj\n")
+    log = (workdir / "runs.log").read_text()
+    argv = list(_MISSING_INPUT[case])
+    argv[argv.index(case.split()[1]) + 1] = "nosuch"
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *argv) == 1
+    assert capsys.readouterr() == ("", "error: No such file or directory: nosuch\n")
+    assert not any(os.path.exists(f) for f in ("out", "out2", "out3"))
+    assert (workdir / "runs.log").read_text() == log
+
+
+@pytest.mark.parametrize("name", ["m\nx.bin", "m\udcffx.bin"],
+                         ids=["newline", "not-utf8"])
+def test_a_model_id_the_table_header_cannot_hold_exit_code(workdir, capsys, name):
+    """The table header records the model file's name as one line of UTF-8
+    text; a name that is not one is refused before any table is written."""
+    _model_files(_pipeline_inputs())
+    os.rename("m.bin", name)
+    capsys.readouterr()
+    assert run("--config", "cfg.json", "estimate-do", "--model", name,
+               "--corpus", "c.jsonl", "--vocab", "v.tsv", "--output", "t.bin",
+               "--tsv", "t.tsv") == 1
+    assert capsys.readouterr().err == (f"error: model id {name!r} is not one line "
+                                       "of UTF-8 text\n")
+    assert not any(os.path.exists(f) for f in ("t.bin", "t.tsv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--cbn", "spec.json", "--output", "out"],
+    ["synth", "--cbn", "spec.json", "--n", "2", "--output", "out"],
+    ["synth", "--cbn", "spec.json", "--n", "2", "--annotate", "--output", "out"],
+], ids=["oracle-event-key", "synth-event-key", "synth-scenario-name"])
+def test_a_cbn_key_no_chain_file_can_hold_exit_code(workdir, capsys, argv):
+    """An event key or scenario name that a chain file cannot hold makes
+    the spec malformed: exit 2 naming the file, and no output."""
+    spec = json.dumps(synth.build_fixture("F-DET").to_dict())
+    if "--annotate" in argv:
+        spec = spec.replace('"cycle"', '"sad film"')
+    else:
+        spec = spec.replace('"step0:nsubj"', json.dumps("bad\tkey:nsubj"))
+    (workdir / "spec.json").write_text(spec)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: spec.json: malformed CBN spec: event ")
+    assert err.endswith(" contains whitespace\n") and err.count("\n") == 1
+    assert not os.path.exists("out")
