@@ -17,7 +17,7 @@ import numpy as np
 from . import config as C
 from . import kernel as K
 from .corpus import ChainCorpus
-from .errors import ConfigError, DataFormatError, open_input
+from .errors import ConfigError, DataFormatError, open_input, open_output
 from .events import END_ID, START_ID, Vocabulary, int_fields
 
 NEG_INF = float("-inf")
@@ -56,7 +56,7 @@ def count_skip_bigrams(corpus: ChainCorpus, vocab: Vocabulary,
 def save_counts(counts: OrderedCounts, vocab: Vocabulary, path):
     """One line per nonzero pair, in ascending (e1, e2) order."""
     e1, e2 = np.nonzero(counts.pairs)
-    with open(path, "w", encoding="utf-8") as f:
+    with open_output(path) as f:
         f.write(f"{_COUNTS_HEADER_TAG}\t{counts.window}\t{counts.pairs.sum()}\n")
         f.writelines(f"{vocab.key_of(a)}\t{vocab.key_of(b)}\t{c}\n" for a, b, c in
                      zip(e1.tolist(), e2.tolist(), counts.pairs[e1, e2].tolist()))

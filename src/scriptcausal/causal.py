@@ -23,7 +23,6 @@ lengths.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +30,8 @@ import numpy as np
 from . import config as C
 from . import kernel as K
 from .corpus import ChainCorpus
-from .errors import ConfigError, DataFormatError, NumericalError, open_input
+from .errors import (ConfigError, DataFormatError, NumericalError, open_input,
+                     open_output)
 from .events import Vocabulary, int_fields, ranked_ids
 
 # the run keys the model records, under the same names
@@ -265,9 +265,9 @@ class InterventionTable:
     seed: int = 0
     n_samples: int = 0
 
-    def save(self, path):
-        """Write the table to ``path``, refusing first a model id that is
-        not one line of UTF-8 text, which ``load`` could not read back."""
+    def header(self) -> bytes:
+        """The file's header line; a ConfigError for a model id that is not
+        one line of UTF-8 text, which ``load`` could not read back."""
         try:
             header = (f"{_ITABLE_HEADER_TAG} {self.effect.shape[0]} {self.n_samples} "
                       f"{self.seed} {self.model_id}\n").encode()
@@ -276,7 +276,12 @@ class InterventionTable:
         if header.count(b"\n") != 1:
             raise ConfigError(f"model id {self.model_id!r} is not one line of "
                               "UTF-8 text")
-        with open(path, "wb") as f:
+        return header
+
+    def save(self, path):
+        """Write the table to ``path``, after ``header`` checks the model id."""
+        header = self.header()
+        with open_output(path, "wb") as f:
             f.write(header)
             f.write(np.ascontiguousarray(self.effect, dtype="<f8").tobytes())
 
@@ -307,7 +312,7 @@ class InterventionTable:
 
     def export_tsv(self, path, keys):
         """The do-rows as TSV, headed and keyed by the event ``keys``."""
-        with open(path, "w", encoding="utf-8") as f:
+        with open_output(path) as f:
             f.write("do_event\t" + "\t".join(keys) + "\n")
             for key, row in zip(keys, self.effect):
                 f.write(key + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
@@ -320,24 +325,18 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def blas_threads() -> int:
-    """The threads OpenBLAS runs one GEMM on: the first of its thread
-    variables that the environment sets to a positive count, else one per
-    usable CPU, and never more than that."""
-    cpus = usable_cpus()
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cpus)
-    return cpus
-
-
 def worker_count(tasks: int) -> int:
     """Worker threads for ``tasks`` independent tasks that call BLAS: one
     per usable CPU that BLAS's own threads leave free, at most one per task
-    and at least one. Unpinned BLAS already spreads each GEMM over every
-    CPU, and more workers would only compete with its threads."""
-    return max(1, min(tasks, usable_cpus() // blas_threads()))
+    and at least one. OpenBLAS runs a GEMM on the first of its thread
+    variables set to a positive count, else on every usable CPU."""
+    cpus = blas = usable_cpus()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(tasks, cpus // blas))
 
 
 def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
@@ -363,15 +362,19 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     of every softmax above exp(-600) and needs no max pass. A model whose
     span 2 max_l ||A_l||_1 exceeds 600 takes each row's own max instead.
 
-    Per block, the V do-values are handed out one at a time to a pool of
-    ``worker_count(V)`` threads. Each row sums the blocks in block order,
-    so the table is the same bit for bit for every worker count. A
-    non-finite shared array or table raises a NumericalError.
+    Per block, each of ``worker_count(V)`` threads sweeps its own fixed,
+    contiguous share of the V do-values, which all cost the same work. So
+    each row is summed by one worker over the blocks in block order, and
+    the table is the same bit for bit for every worker count. A model id
+    the table header cannot hold is refused first, and a non-finite shared
+    array or table raises a NumericalError.
     """
-    if not len(contexts):
-        raise ConfigError("adjustment set must contain at least one context")
     params, cfg = model.params, model.config
     V, h_dim = cfg["vocab_size"], cfg["hidden_dim"]
+    table = InterventionTable(np.zeros((V, V)), model_id, n_samples=len(contexts))
+    table.header()
+    if not len(contexts):
+        raise ConfigError("adjustment set must contain at least one context")
 
     # distinct contexts: the history (the sequence minus its prev event),
     # text and out-of-text ids of a sampled row, -1-padded into one key row
@@ -397,27 +400,19 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     # exp(-600) is far above float64's smallest normal number
     per_row_max = 2 * a_norm.max() > 600
 
-    effect = np.zeros((V, V))
-    lock = threading.Lock()
+    effect = table.effect
     ones = np.ones(V)
 
-    def sweep(todo, block, zr_buf, rh_buf, h_buf, logits_buf, max_buf, sum_buf):
+    def sweep(share, block, buffers):
         h_hist, hu_zr, const, weight = block
-        m = len(weight)
-        zr, rh, h = zr_buf[:m], rh_buf[:m], h_buf[:m]
-        logits, rmax, rsum = logits_buf[:m], max_buf[:m], sum_buf[:m]
-        while True:
-            with lock:
-                k = next(todo, None)
-            if k is None:
-                return
+        zr, rh, h, logits, rsum = (buf[:len(weight)] for buf in buffers)
+        for k in share:
             np.add(hu_zr, x_proj[k, :2 * h_dim], out=zr)
             K.gru_cell(zr, x_proj[k, 2 * h_dim:], h_hist, Uh, zr, h, h, rh)
             np.matmul(h, A.T, out=logits)
             logits += const
             if per_row_max:
-                np.max(logits, axis=1, keepdims=True, out=rmax)
-                logits -= rmax
+                logits -= logits.max(axis=1, keepdims=True)
             np.exp(logits, out=logits)
             np.matmul(logits, ones, out=rsum)
             np.divide(weight, rsum, out=rsum)
@@ -426,6 +421,7 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
     # imported here: it adds about 0.4 MB to every process that loads it
     from concurrent.futures import ThreadPoolExecutor
     workers, scratch = worker_count(V), None
+    shares = np.array_split(np.arange(V), workers)
     with ThreadPoolExecutor(workers) as pool:
         for start in range(0, D, step):
             blk = slice(start, start + step)
@@ -439,7 +435,7 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
                 ctx_buf = np.empty((step, V))
                 scratch = [(np.empty((step, 2 * h_dim)), np.empty((step, h_dim)),
                             np.empty((step, h_dim)), np.empty((step, V)),
-                            np.empty((step, 1)), np.empty(step))
+                            np.empty(step))
                            for _ in range(workers)]
             const = ctx_buf[:len(h_hist)]
             model._context_logits(params, distinct.take(blk), out=const)
@@ -449,14 +445,11 @@ def estimate_interventions(model: ConditionalModel, contexts: PackedInstances,
             if not per_row_max:
                 const -= (const + a_norm).max(axis=1, keepdims=True)
             block = (h_hist, h_hist @ U_zr.T, const, counts[blk])
-            todo = iter(range(V))
-            for done in [pool.submit(sweep, todo, block, *buffers)
-                         for buffers in scratch]:
-                done.result()
+            list(pool.map(sweep, shares, [block] * workers, scratch))
     effect /= len(contexts)
     if not np.isfinite(effect).all():
         raise NumericalError("the estimated intervention table is not finite")
-    return InterventionTable(effect, model_id=model_id, n_samples=len(contexts))
+    return table
 
 
 # ---------------------------------------------------------------------------

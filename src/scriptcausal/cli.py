@@ -25,7 +25,8 @@ import numpy as np
 from .config import RUN_KEYS, TABLE, RunConfig, same
 from .corpus import (build_token_vocab, build_vocab_from, load_chains,
                      split_corpus, write_chains)
-from .errors import ConfigError, DataFormatError, NumericalError, open_input
+from .errors import (ConfigError, DataFormatError, NumericalError, open_input,
+                     open_output)
 from .events import NUM_SPECIALS, Vocabulary, frequency_rank
 
 
@@ -33,7 +34,7 @@ def _write_manifest(cfg: RunConfig, command: str, outputs):
     line = json.dumps({"command": command, "config_hash": cfg.hash(),
                        "seed": cfg["seed"], "outputs": list(outputs)},
                       sort_keys=True, separators=(",", ":"))
-    with open(cfg["run_log"], "a", encoding="utf-8") as f:
+    with open_output(cfg["run_log"], "a") as f:
         f.write(line + "\n")
 
 
@@ -43,7 +44,7 @@ def _emit(text, output):
     if output is None:
         sys.stdout.write(text)
         return []
-    with open(output, "w", encoding="utf-8") as f:
+    with open_output(output) as f:
         f.write(text)
     return [output]
 

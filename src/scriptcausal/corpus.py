@@ -26,7 +26,7 @@ from json.decoder import scanstring
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, open_input
+from .errors import ConfigError, DataFormatError, open_input, open_output
 from .events import SPECIAL_KEYS, EventType, Vocabulary
 
 
@@ -260,7 +260,7 @@ def chain_lines(corpus: ChainCorpus):
 
 def write_chains(corpus: ChainCorpus, path):
     """Canonical writer: fixed key order, compact separators, one chain/line."""
-    with open(path, "w", encoding="utf-8") as f:
+    with open_output(path) as f:
         f.writelines(chain_lines(corpus))
 
 

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the input readers that
-map undecodable or malformed text onto it.
+"""Exception taxonomy shared across the package, the input readers that
+map undecodable or malformed text onto it, and the writers' file opener.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataFormatError -> 2,
 NumericalError -> 3.
@@ -39,6 +39,20 @@ def open_input(path, mode="r"):
         if str(path) in str(e):
             raise
         raise DataFormatError(f"{path}: {e}") from e
+
+
+@contextmanager
+def open_output(path, mode="w"):
+    """``path`` opened for writing, as UTF-8 text unless ``mode`` is "wb".
+    An OSError that names no file, as a write or the flush at close raises
+    on a full disk, is raised again naming ``path``."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+    except OSError as e:
+        if e.filename is None:
+            e.filename = path
+        raise
 
 
 def read_json(path, what, build=lambda value: value):

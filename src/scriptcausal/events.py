@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, open_input
+from .errors import ConfigError, DataFormatError, open_input, open_output
 
 UNK_ID = 0
 START_ID = 1
@@ -120,7 +120,7 @@ class Vocabulary:
         return "\n".join(lines) + "\n"
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with open_output(path) as f:
             f.write(self.to_tsv())
 
     @staticmethod

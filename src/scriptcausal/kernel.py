@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as C
-from .errors import ConfigError, DataFormatError, NumericalError, open_input
+from .errors import (ConfigError, DataFormatError, NumericalError, open_input,
+                     open_output)
 
 GATES = ("z", "r", "h")
 
@@ -526,7 +527,7 @@ def finite_diff_check(loss_fn, params, eps=1e-5, max_coords=20, rng=None):
 def save_model(path, kind, config, params):
     """Binary model file: text header + little-endian named array blocks."""
     header = f"{_MODEL_HEADER_TAG} {kind} {json.dumps(config, separators=(',', ':'), sort_keys=True)}\n"
-    with open(path, "wb") as f:
+    with open_output(path, "wb") as f:
         f.write(header.encode("utf-8"))
         for name in sorted(params):
             arr = np.ascontiguousarray(params[name], dtype="<f8")

@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .corpus import ChainCorpus
-from .errors import ConfigError, DataFormatError, read_json
+from .errors import ConfigError, DataFormatError, open_output, read_json
 from .events import EventType
 
 _FIXTURE_FILES = {
@@ -188,7 +188,7 @@ class SyntheticCBN:
             raise DataFormatError(f"malformed CBN spec: {e}") from e
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with open_output(path) as f:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
             f.write("\n")
 

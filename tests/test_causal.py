@@ -544,13 +544,18 @@ def test_table_is_the_same_for_every_worker_count():
     """Each do-row is summed by one worker in a fixed order, so the table is
     the same bit for bit for 1, 2, 3 and 6 workers (by a patched CPU count),
     even when the workers switch every microsecond, where a row skipped or
-    summed twice would show."""
+    summed twice would show; with each row's own max too."""
     rng = np.random.default_rng(21)
     # blocks of at most batch_size = 16 rows; and of at most 2**16 // V = 93
-    # rows, fewer than the distinct contexts
-    for V, batch_size, count in ((40, 16, 90), (700, 512, 150)):
+    # rows, fewer than the distinct contexts; the last model's logit span
+    # 2 * 1,500 takes each row's own max
+    for V, batch_size, count, a_norm in ((40, 16, 90, None), (700, 512, 150, None),
+                                         (40, 16, 90, 1500.0)):
         n_tokens = 6
         model = _formula_model(rng, V, n_tokens, batch_size=batch_size)
+        if a_norm:
+            A = model.params["A"]
+            A[4] *= a_norm / np.abs(A[4]).sum()
         adjustment = _pack(_random_contexts(rng, V, n_tokens, count))
 
         tables = []

@@ -1370,11 +1370,18 @@ def test_a_missing_input_is_a_clean_exit(workdir, capsys, case):
 
 @pytest.mark.parametrize("name", ["m\nx.bin", "m\udcffx.bin"],
                          ids=["newline", "not-utf8"])
-def test_a_model_id_the_table_header_cannot_hold_exit_code(workdir, capsys, name):
+def test_a_model_id_the_table_header_cannot_hold_exit_code(workdir, capsys,
+                                                           monkeypatch, name):
     """The table header records the model file's name as one line of UTF-8
-    text; a name that is not one is refused before any table is written."""
+    text; a name that is not one is refused before any GRU step runs, and
+    so before any table is written."""
     _model_files(_pipeline_inputs())
     os.rename("m.bin", name)
+
+    def no_gru_step(*args):
+        raise AssertionError("a GRU step ran before the model id was checked")
+
+    monkeypatch.setattr(causal.K, "gru_cell", no_gru_step)
     capsys.readouterr()
     assert run("--config", "cfg.json", "estimate-do", "--model", name,
                "--corpus", "c.jsonl", "--vocab", "v.tsv", "--output", "t.bin",
@@ -1382,6 +1389,44 @@ def test_a_model_id_the_table_header_cannot_hold_exit_code(workdir, capsys, name
     assert capsys.readouterr().err == (f"error: model id {name!r} is not one line "
                                        "of UTF-8 text\n")
     assert not any(os.path.exists(f) for f in ("t.bin", "t.tsv"))
+
+
+# one stage per writer, each writing to a full device
+_FULL_WRITES = {
+    "emit": "diversity --input e.tsv --output /dev/full",
+    "oracle": "oracle --fixture F-DET --output /dev/full",
+    "write_chains": "synth --fixture F-DET --n 5 --output /dev/full",
+    "vocab-save": "vocab --input c.jsonl --output /dev/full",
+    "save_counts": "count-pmi --input c.jsonl --vocab v.tsv --output /dev/full",
+    "save_model": "train-cond --train c.jsonl --dev c.jsonl --vocab v.tsv "
+                  "--output /dev/full",
+    "table-save": "estimate-do --model m.bin --corpus c.jsonl --vocab v.tsv "
+                  "--output /dev/full",
+    "export_tsv": "estimate-do --model m.bin --corpus c.jsonl --vocab v.tsv "
+                  "--output out --tsv /dev/full",
+    "run_log": "oracle --fixture F-DET --output out",
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("case", list(_FULL_WRITES))
+def test_a_failed_write_names_its_file(workdir, capsys, case):
+    """A write that fails for want of space, in the write or in the flush
+    at close, ends in exit 1 and one error line naming the file: no
+    traceback and no run-log line."""
+    _counts(workdir)
+    _model_files(len(Vocabulary.load("v.tsv")))
+    (workdir / "e.tsv").write_text("s\ta\n")
+    log = (workdir / "runs.log").read_text()
+    if case == "run_log":
+        (workdir / "cfg.json").write_text(json.dumps({**TINY_CFG,
+                                                      "run_log": "/dev/full"}))
+    capsys.readouterr()
+    assert run("--config", "cfg.json", *_FULL_WRITES[case].split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: No space left on device: /dev/full"
+    assert len(err) == 1 or case == "save_model"   # after train-cond's epoch log
+    assert (workdir / "runs.log").read_text() == log
 
 
 @pytest.mark.parametrize("argv", [

@@ -183,6 +183,14 @@ def test_json_round_trip(popcorn, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_a_failed_spec_write_names_its_file(popcorn):
+    """The flush at close fails on a full device; the error names the file."""
+    with pytest.raises(OSError) as failed:
+        popcorn.save("/dev/full")
+    assert failed.value.filename == "/dev/full"
+
+
 def test_invalid_kernels_rejected():
     with pytest.raises(ConfigError):
         synth.SyntheticCBN("BAD", ["a:x", "b:x"], ["s"], np.array([1.0]),
