@@ -290,11 +290,15 @@ def cmd_sheet(cfg, args):
     return _emit(evaluation.sheet_to_tsv(rows), args.output)
 
 
+def _read_sheet(path):
+    from . import evaluation
+    with open_input(path) as f:
+        return evaluation.parse_sheet_tsv(f.read())
+
+
 def cmd_score_summary(cfg, args):
     from . import evaluation
-    with open_input(args.input) as f:
-        rows = evaluation.parse_sheet_tsv(f.read())
-    summary = evaluation.score_summary(rows)
+    summary = evaluation.score_summary(_read_sheet(args.input))
     lines = ["system\tavg_score\tavg_rank\tcount"]
     for system in sorted(summary):
         s = summary[system]
@@ -306,18 +310,11 @@ def cmd_score_summary(cfg, args):
 
 def cmd_diversity(cfg, args):
     from . import evaluation
-    emissions = {}
-    with open_input(args.input) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(
-                    f"emissions line {lineno}: expected 'system\\tevent'")
-            emissions.setdefault(parts[0], []).append(parts[1])
-    report = evaluation.diversity_report(emissions)
+    picks = {}
+    for r in _read_sheet(args.input):
+        if r["candidate_event"] != evaluation.SHORT_MARK:
+            picks.setdefault(r["hidden_system_key"], []).append(r["candidate_event"])
+    report = evaluation.diversity_report(picks)
     lines = ["system\ttotal\tdistinct\tpct_new\ttop1\ttop1_pct\ttop2\ttop2_pct"]
     for system in sorted(report):
         st = report[system]
@@ -432,9 +429,7 @@ def build_parser():
     add("sheet", "pairwise abductive task sheet", "vocab output", "lm itable counts",
         "sheet_targets exclude_top")
     add("score-summary", "aggregate a filled-in sheet", "input", "output")
-    p = add("diversity", "output-diversity statistics", optional="output")
-    p.add_argument("--input", required=True,
-                   help="TSV of system<TAB>event lines in emission order")
+    add("diversity", "output-diversity statistics of a sheet", "input", "output")
     add("gradcheck", "finite-difference certification of all gradients")
     return parser
 

@@ -222,8 +222,8 @@ class DiversityStats:
 def diversity_report(emissions: dict[str, list]) -> dict[str, DiversityStats]:
     """%-new-output rate and top-2 most-emitted events per system.
 
-    ``emissions`` maps system name -> the chronological sequence of emitted
-    events (ids or keys)."""
+    ``emissions`` maps system name -> the events it emitted (ids or keys),
+    such as a sheet's picks; their order does not matter."""
     report = {}
     for system, seq in emissions.items():
         if not seq:

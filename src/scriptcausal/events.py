@@ -86,7 +86,7 @@ class Vocabulary:
     def __init__(self, keys, counts, min_count: int = 1):
         self._id_to_key = list(keys)
         self._key_to_id = {k: i for i, k in enumerate(self._id_to_key)}
-        self._counts = list(counts)
+        self.counts = list(counts)
         self.min_count = min_count
 
     def __len__(self):
@@ -108,15 +108,12 @@ class Vocabulary:
     def key_of(self, idx: int) -> str:
         return self._id_to_key[idx]
 
-    def count_of(self, idx: int) -> int:
-        return self._counts[idx]
-
     # -- serialization ----------------------------------------------------
 
     def to_tsv(self) -> str:
         lines = [f"{_VOCAB_HEADER_TAG}\t{self.num_events}\t{self.min_count}"]
         for idx, key in enumerate(self._id_to_key):
-            lines.append(f"{key}\t{idx}\t{self._counts[idx]}")
+            lines.append(f"{key}\t{idx}\t{self.counts[idx]}")
         return "\n".join(lines) + "\n"
 
     def save(self, path):
@@ -174,4 +171,4 @@ def ranked_ids(scores, excluded=()) -> list[int]:
 
 def frequency_rank(vocab: Vocabulary) -> list[int]:
     """Non-special ids sorted by descending count, ties by ascending id."""
-    return ranked_ids(vocab._counts)
+    return ranked_ids(vocab.counts)

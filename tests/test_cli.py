@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scriptcausal import baselines, causal, cli, config, synth
+from scriptcausal import baselines, causal, cli, config, evaluation, synth
 from scriptcausal.errors import DataFormatError
 from scriptcausal.events import NUM_SPECIALS, Vocabulary
 
@@ -198,10 +198,78 @@ def test_cli_flag_overrides_config(workdir):
 
 
 def test_diversity_command(workdir, capsys):
-    (workdir / "e.tsv").write_text("s\ta\ns\tb\ns\ta\ns\tc\n")
-    assert run("diversity", "--input", "e.tsv") == 0
+    (workdir / "sheet.tsv").write_text(_SHEET_HEADER + "".join(
+        f"{i}\tt:x\t{e}\ts\t\n" for i, e in enumerate(["a:x", "b:x", "a:x", "c:x"])))
+    assert run("diversity", "--input", "sheet.tsv") == 0
     out = capsys.readouterr().out
     assert "\t75.0\t" in out
+
+
+def _sheet(workdir):
+    """Run ``sheet`` over F-DET's 8 events, every one a target, with an
+    untrained LM, a seeded random itable and the corpus's PMI counts. Each
+    system picks 4 of the 4 events left after the 4 most frequent, so a task
+    whose target is one of those has a <short> row per system. Returns the
+    sheet's rows."""
+    _counts(workdir)
+    n = len(Vocabulary.load("v.tsv"))
+    _model_files(n)
+    table = np.random.default_rng(0).dirichlet(np.ones(n), size=n)
+    causal.InterventionTable(table).save("t.bin")
+    (workdir / "cfg.json").write_text(json.dumps(
+        {**TINY_CFG, "sheet_targets": 8, "exclude_top": 4, "per_system": 4}))
+    assert run("--config", "cfg.json", "sheet", "--vocab", "v.tsv", "--lm", "lm.bin",
+               "--itable", "t.bin", "--counts", "cnt.tsv", "--output", "sheet.tsv") == 0
+    rows = evaluation.parse_sheet_tsv((workdir / "sheet.tsv").read_text())
+    assert {r["hidden_system_key"] for r in rows if r["candidate_event"]
+            == evaluation.SHORT_MARK} == {"lm", "causal", "pmi"}
+    return rows
+
+
+def _picks(rows):
+    """System -> the candidate events of its rows that are not <short>."""
+    picks = {}
+    for r in rows:
+        if r["candidate_event"] != evaluation.SHORT_MARK:
+            picks.setdefault(r["hidden_system_key"], []).append(r["candidate_event"])
+    return picks
+
+
+def test_diversity_of_a_written_sheet_is_the_report_of_its_picks(workdir, capsys):
+    report = evaluation.diversity_report(_picks(_sheet(workdir)))
+    capsys.readouterr()
+    assert run("diversity", "--input", "sheet.tsv") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "system\ttotal\tdistinct\tpct_new\ttop1\ttop1_pct\ttop2\ttop2_pct"
+    assert [line.split("\t")[0] for line in out[1:]] == ["causal", "lm", "pmi"]
+    for line in out[1:]:
+        system, total, distinct, pct_new, *tops = line.split("\t")
+        st = report[system]
+        assert len(st.top2) == 2
+        assert [int(total), int(distinct), pct_new] == [st.total, st.distinct,
+                                                        f"{st.pct_new:.1f}"]
+        assert tops == [f for e, p in st.top2 for f in (e, f"{p:.1f}")]
+
+
+def test_one_filled_sheet_feeds_diversity_and_score_summary(workdir, capsys):
+    """Scores do not change the picks, and a <short> row is no pick: both
+    commands count, per system, the sheet's rows that are not <short>."""
+    rows = _sheet(workdir)
+    capsys.readouterr()
+    assert run("diversity", "--input", "sheet.tsv") == 0
+    blank = capsys.readouterr().out
+    for i, r in enumerate(rows):
+        r["score"] = str(i * 37 % 101)
+    (workdir / "filled.tsv").write_text(evaluation.sheet_to_tsv(rows))
+    assert run("diversity", "--input", "filled.tsv") == 0
+    assert capsys.readouterr().out == blank
+    assert run("score-summary", "--input", "filled.tsv") == 0
+    summary = capsys.readouterr().out.splitlines()[1:]
+    picks = {system: len(events) for system, events in _picks(rows).items()}
+    assert sum(picks.values()) < len(rows)
+    assert {line.split("\t")[0]: int(line.split("\t")[3]) for line in summary} == picks
+    assert {line.split("\t")[0]: int(line.split("\t")[1])
+            for line in blank.splitlines()[1:]} == picks
 
 
 def test_config_lr_schedule_runs_every_stage(workdir, capsys):
@@ -814,7 +882,7 @@ def _non_utf8(path, at):
 
 @pytest.mark.parametrize("what", ["model header", "vocabulary", "itable header",
                                   "counts", "config", "cbn spec", "sheet",
-                                  "emissions"])
+                                  "diversity sheet"])
 def test_non_utf8_input_exit_code(workdir, capsys, what):
     _counts(workdir)
     n = len(Vocabulary.load("v.tsv"))
@@ -824,7 +892,6 @@ def test_non_utf8_input_exit_code(workdir, capsys, what):
     (workdir / "sheet.tsv").write_text(
         "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscore\n"
         "0\te1:x\te2:x\tlm\t50\n")
-    (workdir / "e.tsv").write_text("s\te1:x\ns\te2:x\n")
     path, argv = {
         "model header": ("m.bin", _loading_stage("conditional", "m.bin")),
         "vocabulary": ("v.tsv", ["count-pmi", "--input", "c.jsonl", "--vocab",
@@ -838,7 +905,7 @@ def test_non_utf8_input_exit_code(workdir, capsys, what):
         "cbn spec": ("spec.json", ["synth", "--cbn", "spec.json", "--n", "2",
                                    "--output", "out.jsonl"]),
         "sheet": ("sheet.tsv", ["score-summary", "--input", "sheet.tsv"]),
-        "emissions": ("e.tsv", ["diversity", "--input", "e.tsv"]),
+        "diversity sheet": ("sheet.tsv", ["diversity", "--input", "sheet.tsv"]),
     }[what]
     _non_utf8(path, os.path.getsize(path) // 2 if path.endswith(".tsv")
               else len(open(path, "rb").readline()) // 2)
@@ -1284,8 +1351,10 @@ _SHEET_HEADER = "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscor
      "bad: missing or malformed sheet header"),
     ({"bad": _SHEET_HEADER + "1\ta:x\ta:x\tlm\n"}, ["score-summary", "--input", "bad"],
      2, "bad: sheet line 2: wrong column count"),
-    ({"bad": "lm\ta:x\nlm\n"}, ["diversity", "--input", "bad"], 2,
-     "bad: emissions line 2: expected 'system\\tevent'"),
+    ({"bad": "task_id\tscore\n"}, ["diversity", "--input", "bad"], 2,
+     "bad: missing or malformed sheet header"),
+    ({"bad": _SHEET_HEADER + "1\ta:x\ta:x\tlm\n"}, ["diversity", "--input", "bad"],
+     2, "bad: sheet line 2: wrong column count"),
     ({"v.tsv": _ONE_EVENT_VOCAB, "bad": "#scriptcausal-itable v1 4 0 0\n"},
      ["score", "--itable", "bad", "--vocab", "v.tsv", "--target", "a:x"], 2,
      "bad: malformed intervention table header"),
@@ -1302,8 +1371,9 @@ _SHEET_HEADER = "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscor
       "--counts", "cnt.tsv", "--output", "out"], 1, "cutoff must be >= 0"),
 ], ids=["events-not-a-list", "no-events", "pred-not-a-string", "rating-7",
         "vocab-header", "vocab-id-gap", "vocab-specials-last", "sheet-header",
-        "sheet-columns", "emissions-line", "itable-header-3-fields",
-        "split-ratio-0", "cloze-no-system", "negative-cutoff"])
+        "sheet-columns", "diversity-sheet-header", "diversity-sheet-columns",
+        "itable-header-3-fields", "split-ratio-0", "cloze-no-system",
+        "negative-cutoff"])
 def test_bad_input_is_a_clean_exit(workdir, capsys, files, argv, code, message):
     """Each malformed input or setting ends in its exit code (1 config, 2
     data) with one message line naming the fault, and no output."""
@@ -1333,13 +1403,13 @@ _READERS = [
     "synth --cbn spec.json --n 2 --output out",
     "oracle --cbn spec.json --output out",
     "score-summary --input sheet.tsv --output out",
-    "diversity --input e.tsv --output out",
+    "diversity --input sheet.tsv --output out",
     "cloze --corpus c.jsonl --vocab v.tsv --lm lm.bin --itable t.bin "
     "--counts cnt.tsv --output out",
     "sheet --vocab v.tsv --lm lm.bin --itable t.bin --counts cnt.tsv --output out",
 ]
 _INPUTS = {"c.jsonl", "v.tsv", "m.bin", "t.bin", "cnt.tsv", "spec.json",
-           "sheet.tsv", "e.tsv", "lm.bin"}
+           "sheet.tsv", "lm.bin"}
 _MISSING_INPUT = {f"{words[0]} {flag}": words for words in map(str.split, _READERS)
                   for flag, path in zip(words, words[1:]) if path in _INPUTS}
 
@@ -1357,7 +1427,6 @@ def test_a_missing_input_is_a_clean_exit(workdir, capsys, case):
     (workdir / "sheet.tsv").write_text(
         "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscore\n"
         "0\tstep1:nsubj\tstep0:nsubj\tlm\t50\n")
-    (workdir / "e.tsv").write_text("s\tstep0:nsubj\n")
     log = (workdir / "runs.log").read_text()
     argv = list(_MISSING_INPUT[case])
     argv[argv.index(case.split()[1]) + 1] = "nosuch"
@@ -1393,7 +1462,7 @@ def test_a_model_id_the_table_header_cannot_hold_exit_code(workdir, capsys,
 
 # one stage per writer, each writing to a full device
 _FULL_WRITES = {
-    "emit": "diversity --input e.tsv --output /dev/full",
+    "emit": "diversity --input sheet.tsv --output /dev/full",
     "oracle": "oracle --fixture F-DET --output /dev/full",
     "write_chains": "synth --fixture F-DET --n 5 --output /dev/full",
     "vocab-save": "vocab --input c.jsonl --output /dev/full",
@@ -1416,7 +1485,7 @@ def test_a_failed_write_names_its_file(workdir, capsys, case):
     traceback and no run-log line."""
     _counts(workdir)
     _model_files(len(Vocabulary.load("v.tsv")))
-    (workdir / "e.tsv").write_text("s\ta\n")
+    (workdir / "sheet.tsv").write_text(_SHEET_HEADER + "0\ta:x\tb:x\tlm\t\n")
     log = (workdir / "runs.log").read_text()
     if case == "run_log":
         (workdir / "cfg.json").write_text(json.dumps({**TINY_CFG,

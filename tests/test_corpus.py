@@ -192,9 +192,9 @@ def test_build_vocab_equals_a_fold_over_events_and_oot_keys(chains, min_count):
     assert [vocab.key_of(i) for i in range(len(vocab))] == [*SPECIAL_KEYS, *kept]
     assert [vocab.id_of(k) for k in kept] == \
         list(range(NUM_SPECIALS, NUM_SPECIALS + len(kept)))
-    assert [vocab.count_of(vocab.id_of(k)) for k in kept] == [counts[k] for k in kept]
-    assert vocab.count_of(UNK_ID) == sum(c for c in counts.values() if c < min_count)
-    assert [vocab.count_of(i) for i in (START_ID, END_ID)] == [0, 0]
+    assert [vocab.counts[vocab.id_of(k)] for k in kept] == [counts[k] for k in kept]
+    assert vocab.counts[UNK_ID] == sum(c for c in counts.values() if c < min_count)
+    assert [vocab.counts[i] for i in (START_ID, END_ID)] == [0, 0]
     assert all(vocab.id_of(k) == UNK_ID for k in counts if k not in kept)
     assert vocab.min_count == min_count
 

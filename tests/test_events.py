@@ -54,7 +54,7 @@ def test_finalize_threshold_filter():
     assert a >= NUM_SPECIALS
     assert v.id_of("b:nsubj") == UNK_ID
     # the rare event's count is absorbed by UNK
-    assert v.count_of(UNK_ID) == 1
+    assert v.counts[UNK_ID] == 1
 
 
 def test_finalize_min_count_one_is_identity():
@@ -110,7 +110,7 @@ def test_tsv_bad_header_rejected():
 def test_interned_counts_match_occurrences(preds):
     v = _vocab([f"{p}:x" for p in preds])
     for p in set(preds):
-        assert v.count_of(v.id_of(f"{p}:x")) == preds.count(p)
+        assert v.counts[v.id_of(f"{p}:x")] == preds.count(p)
 
 
 @given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf]),
