@@ -108,20 +108,22 @@ def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
         ids[at])
 
 
-def _mean_of_sets(emb, sets):
-    """Per-row mean of the embedding rows of ``sets`` (a Windows); zero
-    vector for empty rows."""
+def mean_scores(score_matrix: np.ndarray, contexts: K.Windows) -> np.ndarray:
+    """(n, d): row i is the mean of the rows score_matrix[k] (embeddings, S
+    or dense PMI) over the ids k of row i of ``contexts``, added position by
+    position from zero; a zero row for an empty window."""
+    total = np.zeros((len(contexts), score_matrix.shape[1]))
+    for t in range(contexts.lengths.max(initial=0)):
+        live = np.flatnonzero(contexts.lengths > t)
+        total[live] += score_matrix[contexts.at(live, t)]
+    return total / np.maximum(contexts.lengths, 1)[:, None]
+
+
+def _mean_terms(d_mean, sets):
+    """The (embedding row, gradient row) terms of the gradient ``d_mean``
+    of ``mean_scores`` over the Windows ``sets``."""
     rows, steps = sets.elements()
-    ids = sets.at(rows, steps)
-    safe = np.maximum(sets.lengths, 1)[:, None]
-    vec = K.scatter_rows(rows, emb[ids], len(sets)) / safe
-    return vec, (ids, rows, safe)
-
-
-def _mean_of_sets_backward(d_vec, cache):
-    """The (embedding row, gradient row) terms of a _mean_of_sets pass."""
-    ids, rows, safe = cache
-    return ids, (d_vec / safe)[rows]
+    return sets.at(rows, steps), (d_mean / np.maximum(sets.lengths, 1)[:, None])[rows]
 
 
 class ConditionalModel(K.Model):
@@ -156,38 +158,36 @@ class ConditionalModel(K.Model):
 
     def _context_logits(self, params, batch, out=None):
         """The prev-event-independent logits B v_t + W_O v_o (written into
-        ``out`` when given) and the cache."""
-        v_t, text_cache = _mean_of_sets(params["text_emb"], batch.text)
-        v_o, oot_cache = _mean_of_sets(params["emb"], batch.oot)
+        ``out`` when given), v_t and v_o."""
+        v_t = mean_scores(params["text_emb"], batch.text)
+        v_o = mean_scores(params["emb"], batch.oot)
         logits = np.matmul(v_t, params["B"].T, out=out)
         logits += v_o @ params["W_O"].T      # in place: one (n, V) temporary
-        return logits, (v_t, text_cache, v_o, oot_cache)
+        return logits, v_t, v_o
 
     def _forward(self, params, batch):
         """Logits (B, V) and targets of ``batch``, and the cache."""
         v_e, enc_cache = self._encode(params, batch.seq)
-        const, ctx_cache = self._context_logits(params, batch)
-        return (v_e @ params["A"].T + const, batch.targets,
-                (v_e, enc_cache, ctx_cache))
+        const, v_t, v_o = self._context_logits(params, batch)
+        return v_e @ params["A"].T + const, batch.targets, (v_e, enc_cache, v_t, v_o)
 
     def loss_and_grads(self, batch: PackedInstances, params=None, rng=None):
         """Mean loss and gradients on a batch, at ``params`` (default: the
         model's own). The model draws nothing from ``rng``."""
         params = self.params if params is None else params
-        logits, targets, (v_e, enc_cache, ctx_cache) = self._forward(params, batch)
+        logits, targets, (v_e, enc_cache, v_t, v_o) = self._forward(params, batch)
         B = len(batch)
         loss_sum, dlogits = K.softmax_xent_batch(logits, targets)
         loss = loss_sum / B
         dlogits /= B
         grads = {k: np.zeros_like(v) for k, v in params.items()}
 
-        v_t, text_cache, v_o, oot_cache = ctx_cache
         grads["A"] += dlogits.T @ v_e
         grads["B"] += dlogits.T @ v_t
         grads["W_O"] += dlogits.T @ v_o
         d_ve = dlogits @ params["A"]
-        grads["text_emb"] += K.scatter_rows(*_mean_of_sets_backward(
-            dlogits @ params["B"], text_cache), len(self.config["tokens"]))
+        grads["text_emb"] += K.scatter_rows(*_mean_terms(
+            dlogits @ params["B"], batch.text), len(self.config["tokens"]))
 
         # the gradient enters at each sequence's last row; shared rows add up
         layout, cache = enc_cache
@@ -195,7 +195,7 @@ class ConditionalModel(K.Model):
         dh_out = K.scatter_rows(layout.last[live], d_ve[live], len(layout.steps))
         # embedding-gradient terms: out-of-text ones first, then the GRU's
         grads["emb"] += K.scatter_rows(*map(np.concatenate, zip(
-            _mean_of_sets_backward(dlogits @ params["W_O"], oot_cache),
+            _mean_terms(dlogits @ params["W_O"], batch.oot),
             K.encoder_backward(params, cache, dh_out, grads))),
             self.config["vocab_size"])
         return loss, grads
@@ -480,18 +480,6 @@ def _candidates(scores, exclude_top, rank) -> list[int]:
         raise ConfigError(f"no candidate left after excluding the "
                           f"{exclude_top} most frequent events")
     return ranked
-
-
-def mean_scores(score_matrix: np.ndarray, contexts: K.Windows) -> np.ndarray:
-    """(n, V): row i is the mean of score_matrix[k] (S or dense PMI) over the
-    events k of row i of ``contexts`` (at least one each), added position
-    by position as ``score_matrix[context].mean(axis=0)`` adds them, so the
-    bits agree."""
-    total = score_matrix[contexts.at(slice(None), 0)]
-    for t in range(1, contexts.lengths.max()):
-        live = np.flatnonzero(contexts.lengths > t)
-        total[live] += score_matrix[contexts.at(live, t)]
-    return total / contexts.lengths[:, None]
 
 
 def complete_chain(score_matrix: np.ndarray, context, exclude_top: int = 0,

@@ -312,8 +312,9 @@ def cmd_diversity(cfg, args):
     from . import evaluation
     picks = {}
     for r in _read_sheet(args.input):
+        events = picks.setdefault(r["hidden_system_key"], [])
         if r["candidate_event"] != evaluation.SHORT_MARK:
-            picks.setdefault(r["hidden_system_key"], []).append(r["candidate_event"])
+            events.append(r["candidate_event"])
     report = evaluation.diversity_report(picks)
     lines = ["system\ttotal\tdistinct\tpct_new\ttop1\ttop1_pct\ttop2\ttop2_pct"]
     for system in sorted(report):

@@ -109,16 +109,14 @@ def pairwise_sheet(systems: dict, targets, vocab: Vocabulary, rank,
     out. Rows carry the system identity in a hidden key column. Returns a
     list of row dicts; see ``sheet_to_tsv``.
     """
-    allowed = np.arange(len(vocab)) >= NUM_SPECIALS
-    allowed[rank[:exclude_top]] = False
     rng = np.random.default_rng(seed)
     rows = []
     for task_id, target in enumerate(targets):
         task_rows = []
         for name, column in systems.items():
-            scores = np.where(allowed, column(target), -np.inf)
-            scores[target] = -np.inf
-            unranked = np.flatnonzero(~np.isfinite(scores))
+            scores = column(target)
+            unranked = [target, *rank[:exclude_top],
+                        *np.flatnonzero(~np.isfinite(scores))]
             picks = [vocab.key_of(k)
                      for k in ranked_ids(scores, unranked)[:per_system]]
             picks += [SHORT_MARK] * (per_system - len(picks))
@@ -175,10 +173,12 @@ def score_summary(rows) -> dict[str, dict[str, float]]:
 
     Expects filled-in rows (score column is a number in [0, 100]). Ranks are
     assigned within each task, highest score getting the highest rank; ties
-    share the average of their positions.
+    share the average of their positions. A system whose rows are all
+    <short> has count 0 and NaN averages.
     """
-    tasks = {}
+    tasks, sums = {}, {}
     for r in rows:
+        sums.setdefault(r["hidden_system_key"], {"score": 0.0, "rank": 0.0, "n": 0})
         if r["candidate_event"] == SHORT_MARK:
             continue
         try:
@@ -189,7 +189,6 @@ def score_summary(rows) -> dict[str, dict[str, float]]:
             raise DataFormatError(f"score {r['score']!r} in task {r['task_id']} "
                                   "is not a number in [0, 100]") from e
         tasks.setdefault(r["task_id"], []).append((r["hidden_system_key"], score))
-    sums = {}
     for entries in tasks.values():
         scores = np.array([score for _, score in entries])
         ordered = np.sort(scores)
@@ -197,12 +196,13 @@ def score_summary(rows) -> dict[str, dict[str, float]]:
         ranks = ((np.searchsorted(ordered, scores, "left")
                   + np.searchsorted(ordered, scores, "right") + 1) / 2).tolist()
         for idx, (system, score) in enumerate(entries):
-            agg = sums.setdefault(system, {"score": 0.0, "rank": 0.0, "n": 0})
+            agg = sums[system]
             agg["score"] += score
             agg["rank"] += ranks[idx]
             agg["n"] += 1
-    return {system: {"avg_score": agg["score"] / agg["n"],
-                     "avg_rank": agg["rank"] / agg["n"],
+    nan = float("nan")
+    return {system: {"avg_score": agg["score"] / agg["n"] if agg["n"] else nan,
+                     "avg_rank": agg["rank"] / agg["n"] if agg["n"] else nan,
                      "count": agg["n"]}
             for system, agg in sums.items()}
 
@@ -223,15 +223,14 @@ def diversity_report(emissions: dict[str, list]) -> dict[str, DiversityStats]:
     """%-new-output rate and top-2 most-emitted events per system.
 
     ``emissions`` maps system name -> the events it emitted (ids or keys),
-    such as a sheet's picks; their order does not matter."""
+    such as a sheet's picks; their order does not matter. A system with no
+    emissions has a NaN rate and no top events."""
     report = {}
     for system, seq in emissions.items():
-        if not seq:
-            raise ConfigError(f"system {system!r} has no emissions")
         counts = Counter(seq)   # each event is new once: at its first emission
         top2 = sorted(counts.items(), key=lambda p: (-p[1], str(p[0])))[:2]
         report[system] = DiversityStats(
             total=len(seq), distinct=len(counts),
-            pct_new=100.0 * len(counts) / len(seq),
+            pct_new=100.0 * len(counts) / len(seq) if seq else float("nan"),
             top2=[(str(e), 100.0 * c / len(seq)) for e, c in top2])
     return report

@@ -879,6 +879,15 @@ def test_mean_scores_are_the_per_context_means_bit_for_bit():
         np.testing.assert_array_equal(row, M[np.asarray(context)].mean(axis=0))
 
 
+def test_mean_scores_of_an_empty_window_is_a_zero_row():
+    """An empty window reads no id (not its neighbour's) and divides by no
+    zero length."""
+    M = np.arange(1.0, 26.0).reshape(5, 5)
+    with np.errstate(all="raise"):
+        got = causal.mean_scores(M, K.Windows.of([[3, 4], [], [2]]))
+    np.testing.assert_array_equal(got, [(M[3] + M[4]) / 2, np.zeros(5), M[2]])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 10**6))
 def test_script_columns_always_normalize(V, seed):

@@ -205,6 +205,17 @@ def test_diversity_command(workdir, capsys):
     assert "\t75.0\t" in out
 
 
+def test_a_system_whose_rows_are_all_short_is_reported(workdir, capsys):
+    (workdir / "sheet.tsv").write_text(_SHEET_HEADER + "0\tt:x\ta:x\tlm\t50\n"
+                                       "0\tt:x\t<short>\tpmi\t\n")
+    assert run("diversity", "--input", "sheet.tsv") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "lm\t1\t1\t100.0\ta:x\t100.0\t\t0.0", "pmi\t0\t0\tnan\t\t0.0\t\t0.0"]
+    assert run("score-summary", "--input", "sheet.tsv") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["lm\t50.00\t1.00\t1",
+                                                        "pmi\tnan\tnan\t0"]
+
+
 def _sheet(workdir):
     """Run ``sheet`` over F-DET's 8 events, every one a target, with an
     untrained LM, a seeded random itable and the corpus's PMI counts. Each

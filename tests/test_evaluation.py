@@ -310,6 +310,49 @@ def test_sheet_respects_frequency_exclusion():
         assert r["candidate_event"] not in frequent
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sheet_picks_are_the_filtered_ranking(data):
+    """Per (target, system): the ids >= NUM_SPECIALS other than the target,
+    the ``exclude_top`` most frequent and those with a non-finite score,
+    by (-score, id), cut to ``per_system`` and padded with <short>. The
+    columns themselves are left as they were."""
+    n_events = data.draw(st.integers(1, 9))
+    corpus, vocab = _corpus([[f"e{i}" for i in range(n_events)]])
+    V = len(vocab)
+    value = st.sampled_from([-np.inf, np.nan, 0.0, -0.0, 0.5, 0.5, 1.0, 2.0])
+    columns = {name: np.array(data.draw(st.lists(
+        st.lists(value, min_size=V, max_size=V), min_size=V, max_size=V))).T
+        for name in ("s1", "s2")}
+    before = {name: M.tobytes() for name, M in columns.items()}
+    systems = {name: (lambda M: (lambda l: M[:, l]))(M)
+               for name, M in columns.items()}
+    rank = data.draw(st.permutations(range(NUM_SPECIALS, V)))
+    targets = data.draw(st.lists(st.integers(NUM_SPECIALS, V - 1), max_size=4))
+    exclude_top = data.draw(st.integers(0, V))
+    per_system = data.draw(st.integers(1, 4))
+    rows = evaluation.pairwise_sheet(systems, targets, vocab, rank, per_system,
+                                     exclude_top, seed=5)
+    assert {name: M.tobytes() for name, M in columns.items()} == before
+    rng = np.random.default_rng(5)
+    size = per_system * len(systems)
+    for task_id, target in enumerate(targets):
+        task = [None] * size
+        for at, i in enumerate(rng.permutation(size)):
+            task[i] = rows[task_id * size + at]
+        assert {r["task_id"] for r in task} == {task_id}
+        assert {r["target_event"] for r in task} == {vocab.key_of(target)}
+        for s, (name, M) in enumerate(columns.items()):
+            col = M[:, target]
+            kept = [k for k in range(NUM_SPECIALS, V) if k != target
+                    and k not in rank[:exclude_top] and np.isfinite(col[k])]
+            want = [vocab.key_of(k) for k in sorted(kept, key=lambda k: (-col[k], k))]
+            want = (want + [evaluation.SHORT_MARK] * per_system)[:per_system]
+            picked = task[s * per_system:(s + 1) * per_system]
+            assert [r["candidate_event"] for r in picked] == want
+            assert {r["hidden_system_key"] for r in picked} == {name}
+
+
 def test_sheet_tsv_round_trip():
     systems, targets, vocab, rank = _sheet_setup()
     rows = evaluation.pairwise_sheet(systems, targets, vocab, rank, seed=1,
@@ -372,9 +415,10 @@ def test_diversity_top2():
     assert stats.distinct == 3 and stats.total == 6
 
 
-def test_diversity_empty_rejected():
-    with pytest.raises(ConfigError):
-        evaluation.diversity_report({"s": []})
+def test_diversity_of_no_emissions_is_a_zero_row():
+    stats = evaluation.diversity_report({"s": []})["s"]
+    assert (stats.total, stats.distinct, stats.top2) == (0, 0, [])
+    assert np.isnan(stats.pct_new)
 
 
 @settings(max_examples=50)

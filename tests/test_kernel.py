@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scriptcausal.kernel as K
-from scriptcausal.causal import _mean_of_sets, _mean_of_sets_backward
+from scriptcausal.causal import _mean_terms, mean_scores
 from scriptcausal.errors import DataFormatError, NumericalError
 
 
@@ -124,13 +124,13 @@ def test_encode_sequence_single_step_from_zero_state():
 
 def test_mean_encoder_identical_tokens():
     emb = np.arange(12, dtype=float).reshape(4, 3)
-    vec, _ = _mean_of_sets(emb, K.Windows.of([[2, 2]]))
+    vec = mean_scores(emb, K.Windows.of([[2, 2]]))
     np.testing.assert_array_equal(vec[0], emb[2])
 
 
 def test_mean_encoder_empty_is_zero():
     emb = np.ones((4, 3))
-    vec, _ = _mean_of_sets(emb, K.Windows.of([[]]))
+    vec = mean_scores(emb, K.Windows.of([[]]))
     np.testing.assert_array_equal(vec[0], np.zeros(3))
 
 
@@ -152,10 +152,10 @@ def test_windowed_set_mean_is_the_padded_mean_bit_for_bit():
         mask = np.arange(ids.shape[1]) < lengths[:, None]
         safe = np.maximum(lengths, 1)[:, None]
         d_vec = rng.normal(size=(n, d))
-        vec, cache = _mean_of_sets(emb, K.Windows.of(sets))
+        vec = mean_scores(emb, K.Windows.of(sets))
         assert vec.tobytes() == ((emb[ids] * mask[:, :, None]).sum(axis=1)
                                  / safe).tobytes()
-        got_ids, got_rows = _mean_of_sets_backward(d_vec, cache)
+        got_ids, got_rows = _mean_terms(d_vec, K.Windows.of(sets))
         np.testing.assert_array_equal(got_ids, ids[mask])
         assert got_rows.tobytes() == (d_vec / safe)[np.nonzero(mask)[0]].tobytes()
 
