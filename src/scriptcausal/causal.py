@@ -59,12 +59,18 @@ _pack_sequences = _pack_sets
 @dataclass
 class PackedInstances:
     """Instances as windows of flat id arrays, so that a batch gathers only
-    the windows' starts and lengths."""
+    the windows' starts and lengths. ``chain`` names each instance's chain,
+    by which ``kernel.fit`` shuffles; by default each is its own."""
 
     seq: K.Windows          # [history..., prev_event]
     text: K.Windows         # text token ids
     oot: K.Windows          # out-of-text event ids
     targets: np.ndarray     # (N,)
+    chain: np.ndarray | None = None     # (N,)
+
+    def __post_init__(self):
+        if self.chain is None:
+            self.chain = np.arange(len(self.targets))
 
     def __len__(self):
         return len(self.targets)
@@ -72,14 +78,16 @@ class PackedInstances:
     def take(self, idx) -> "PackedInstances":
         """Rows ``idx`` (an index array or slice)."""
         return PackedInstances(self.seq.take(idx), self.text.take(idx),
-                               self.oot.take(idx), self.targets[idx])
+                               self.oot.take(idx), self.targets[idx],
+                               self.chain[idx])
 
 
 def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
                                tokens: list[str] | None = None,
                                oot_threshold: int = 3,
                                history_window: int = 10) -> PackedInstances:
-    """One instance per chain position i >= 1. Target: event i. Sequence:
+    """One instance per chain position i >= 1, in chain and position order,
+    named by its chain's index. Target: event i. Sequence:
     the up to ``history_window`` events before i - 1, then event i - 1 (the
     prev event). Event i - 1's text as ids into ``tokens`` (unknown tokens
     are id 0, ``<unk>``; no text without ``tokens``) and its out-of-text
@@ -105,7 +113,7 @@ def extract_training_instances(corpus: ChainCorpus, vocab: Vocabulary,
         K.Windows(text, corpus.text_off[prev], text_len),
         K.Windows(corpus.event_ids(vocab, oot=True)[keep],
                   (np.cumsum(oot_len) - oot_len)[prev], oot_len[prev]),
-        ids[at])
+        ids[at], np.repeat(np.arange(len(corpus)), np.diff(off))[at])
 
 
 def mean_scores(score_matrix: np.ndarray, contexts: K.Windows) -> np.ndarray:
@@ -124,6 +132,10 @@ def _mean_terms(d_mean, sets):
     of ``mean_scores`` over the Windows ``sets``."""
     rows, steps = sets.elements()
     return sets.at(rows, steps), (d_mean / np.maximum(sets.lengths, 1)[:, None])[rows]
+
+
+# the context channels: (batch field, embedding, logit weight) of v_t and v_o
+_CHANNELS = (("text", "text_emb", "B"), ("oot", "emb", "W_O"))
 
 
 class ConditionalModel(K.Model):
@@ -158,24 +170,35 @@ class ConditionalModel(K.Model):
 
     def _context_logits(self, params, batch, out=None):
         """The prev-event-independent logits B v_t + W_O v_o (written into
-        ``out`` when given), v_t and v_o."""
-        v_t = mean_scores(params["text_emb"], batch.text)
-        v_o = mean_scores(params["emb"], batch.oot)
-        logits = np.matmul(v_t, params["B"].T, out=out)
-        logits += v_o @ params["W_O"].T      # in place: one (n, V) temporary
-        return logits, v_t, v_o
+        ``out`` when given) and, per channel of ``_CHANNELS``, the rows whose
+        window is non-empty, their windows and their means (v_t, v_o). Only
+        those rows enter a GEMM: the others' means are zero, and so are
+        their logits."""
+        logits = np.empty((len(batch), len(params["B"]))) if out is None else out
+        logits.fill(0.0)
+        channels = []
+        for name, emb, weight in _CHANNELS:
+            sets = getattr(batch, name)
+            live = np.flatnonzero(sets.lengths)
+            at = slice(None) if len(live) == len(sets) else live
+            sets = sets.take(at)
+            v = mean_scores(params[emb], sets)
+            logits[at] += v @ params[weight].T
+            channels.append((at, sets, v))
+        return logits, channels
 
     def _forward(self, params, batch):
         """Logits (B, V) and targets of ``batch``, and the cache."""
         v_e, enc_cache = self._encode(params, batch.seq)
-        const, v_t, v_o = self._context_logits(params, batch)
-        return v_e @ params["A"].T + const, batch.targets, (v_e, enc_cache, v_t, v_o)
+        logits, channels = self._context_logits(params, batch)
+        logits += v_e @ params["A"].T
+        return logits, batch.targets, (v_e, enc_cache, channels)
 
     def loss_and_grads(self, batch: PackedInstances, params=None, rng=None):
         """Mean loss and gradients on a batch, at ``params`` (default: the
         model's own). The model draws nothing from ``rng``."""
         params = self.params if params is None else params
-        logits, targets, (v_e, enc_cache, v_t, v_o) = self._forward(params, batch)
+        logits, targets, (v_e, enc_cache, channels) = self._forward(params, batch)
         B = len(batch)
         loss_sum, dlogits = K.softmax_xent_batch(logits, targets)
         loss = loss_sum / B
@@ -183,11 +206,15 @@ class ConditionalModel(K.Model):
         grads = {k: np.zeros_like(v) for k, v in params.items()}
 
         grads["A"] += dlogits.T @ v_e
-        grads["B"] += dlogits.T @ v_t
-        grads["W_O"] += dlogits.T @ v_o
         d_ve = dlogits @ params["A"]
-        grads["text_emb"] += K.scatter_rows(*_mean_terms(
-            dlogits @ params["B"], batch.text), len(self.config["tokens"]))
+        # (embedding row, gradient row) terms of each channel's mean
+        terms = {}
+        for (_, emb, weight), (at, sets, v) in zip(_CHANNELS, channels):
+            d = dlogits[at]
+            grads[weight] += d.T @ v
+            terms[emb] = _mean_terms(d @ params[weight], sets)
+        grads["text_emb"] += K.scatter_rows(*terms["text_emb"],
+                                            len(self.config["tokens"]))
 
         # the gradient enters at each sequence's last row; shared rows add up
         layout, cache = enc_cache
@@ -195,8 +222,7 @@ class ConditionalModel(K.Model):
         dh_out = K.scatter_rows(layout.last[live], d_ve[live], len(layout.steps))
         # embedding-gradient terms: out-of-text ones first, then the GRU's
         grads["emb"] += K.scatter_rows(*map(np.concatenate, zip(
-            _mean_terms(dlogits @ params["W_O"], batch.oot),
-            K.encoder_backward(params, cache, dh_out, grads))),
+            terms["emb"], K.encoder_backward(params, cache, dh_out, grads))),
             self.config["vocab_size"])
         return loss, grads
 

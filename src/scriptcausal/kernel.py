@@ -383,10 +383,6 @@ class AdamState:
         self.m, self.v, self.g, self.s = (np.zeros_like(self.flat) for _ in range(4))
 
 
-def global_norm(grads):
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-
-
 def adam_update(state: AdamState, grads):
     """One in-place Adam step over the parameters of ``state`` (the views
     it put into their dict); fails fast on a non-finite gradient."""
@@ -395,7 +391,7 @@ def adam_update(state: AdamState, grads):
     if not np.isfinite(g).all():
         name = next(k for k in state.names if not np.isfinite(grads[k]).all())
         raise NumericalError(f"non-finite gradient for parameter {name!r}")
-    norm = global_norm(grads)
+    norm = float(np.sqrt(g @ g))
     if state.clip_norm and norm > state.clip_norm:
         g *= state.clip_norm / norm
     state.step += 1
@@ -418,16 +414,21 @@ def fit(model, items, rows, dev, lr, label, log=None, max_epochs=None):
     """Adam with early stopping on ``model`` (a ``Model``) in place; returns
     it at its best holdout loss.
 
-    Each epoch permutes the training ``rows`` of ``items`` (a sized set
-    with ``take``) and makes one update per batch of the config's
-    ``batch_size`` from ``model.loss_and_grads(items.take(batch), rng=rng)``.
-    The rng is fresh on every call, from the config's seed + 1: it orders
-    the batches, and the model may draw from it too. The holdout loss is
-    ``mean_loss`` over ``dev``, or over the training rows when ``dev`` is
-    empty, after every epoch; ``log`` gets one line per epoch, headed by
-    ``label``. Training stops after the config's ``patience`` epochs
-    without improvement or after ``max_epochs`` (default: the config's).
-    A non-finite holdout loss raises a NumericalError.
+    Each epoch permutes the chains of the training ``rows`` of ``items``
+    (a sized set with ``take``, whose optional array ``chain`` names each
+    item's chain; without it each item is a chain of its own), lays their
+    rows end to end (``_chains``) and makes one update per batch of the
+    config's ``batch_size`` of them from
+    ``model.loss_and_grads(items.take(batch), rng=rng)``: a batch holds
+    consecutive chains. Chains of one row come in the order
+    ``rows[rng.permutation(len(rows))]``. The rng is fresh on every call,
+    from the config's seed + 1: it orders the chains, and the model may
+    draw from it too. The holdout loss is ``mean_loss`` over ``dev``, or
+    over the training rows when ``dev`` is empty, after every epoch;
+    ``log`` gets one line per epoch, headed by ``label``. Training stops
+    after the config's ``patience`` epochs without improvement or after
+    ``max_epochs`` (default: the config's). A non-finite holdout loss
+    raises a NumericalError.
     """
     if not len(rows):
         raise ConfigError("empty training set")
@@ -439,8 +440,10 @@ def fit(model, items, rows, dev, lr, label, log=None, max_epochs=None):
     best_params = {k: v.copy() for k, v in model.params.items()}
     stale = 0
     batch_size = cfg["batch_size"]
+    chains = _chains(items, rows)
     for epoch in range(cfg["max_epochs"] if max_epochs is None else max_epochs):
-        order = rows[rng.permutation(len(rows))]
+        shuffled = chains.take(rng.permutation(len(chains)))
+        order = shuffled.at(*shuffled.elements())
         for start in range(0, len(order), batch_size):
             adam_update(opt, model.loss_and_grads(
                 items.take(order[start:start + batch_size]), rng=rng)[1])
@@ -459,6 +462,19 @@ def fit(model, items, rows, dev, lr, label, log=None, max_epochs=None):
                 break
     model.params = best_params
     return model
+
+
+def _chains(items, rows) -> Windows:
+    """``rows`` grouped by the chain ``items.chain`` names (each row its own
+    without one): row c holds chain c's rows in the order of ``rows``, and
+    the chains come in the order of their first row there."""
+    chain = getattr(items, "chain", None)
+    _, first, group = np.unique(rows if chain is None else chain[rows],
+                                return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[group]
+    lengths = np.bincount(rank)
+    return Windows(rows[np.argsort(rank, kind="stable")],
+                   np.cumsum(lengths) - lengths, lengths)
 
 
 def mean_loss(model, data):

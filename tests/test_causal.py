@@ -731,6 +731,69 @@ def test_batches_share_the_extracted_ids():
                                     getattr(inst, name).values)
 
 
+def test_training_batches_run_each_chains_states_once():
+    """On F-ZIPF chains of at most history_window + 1 events, a chain's
+    instances read prefixes of one sequence, so a batch of consecutive
+    chains runs no more GRU rows than it holds instances, except that a
+    batch opening on the rest of a chain the previous batch began runs
+    that chain's first events again."""
+    cbn = synth.build_zipf_cbn()
+    inst, vocab, corpus = _instances_for(cbn, 200, seed=5)
+    assert np.diff(corpus.offsets).max() <= TINY["history_window"] + 1
+    model = causal.ConditionalModel(dict(TINY, vocab_size=len(vocab),
+                                         batch_size=256))
+    batches, loss_and_grads = [], model.loss_and_grads
+
+    def recording(batch, rng=None):
+        batches.append(batch)
+        return loss_and_grads(batch, rng=rng)
+    model.loss_and_grads = recording
+    K.fit(model, inst, np.arange(len(inst)), inst.take(np.arange(0)), 0.01,
+          "conditional", max_epochs=2)
+    assert len(batches) == 2 * -(-len(inst) // 256)
+    for batch in batches:
+        # the first instance's sequence holds every event before it
+        rerun = batch.seq.lengths[0] - 1
+        assert len(K.SeqLayout(batch.seq).steps) <= len(batch) + rerun
+
+
+def test_context_logits_overwrite_the_buffer_and_skip_empty_windows():
+    """Written into a buffer of garbage, the context logits are v_t B^T +
+    v_o W_O^T exactly, with exact zeros on the rows whose windows are both
+    empty."""
+    rng = np.random.default_rng(12)
+    V, n_tokens = 11, 6
+    model = _formula_model(rng, V, n_tokens, batch_size=64)
+    contexts = _random_contexts(rng, V, n_tokens, 40)
+    contexts += [(3, [4], [], []), (5, [], [2], []), (6, [7, 8], [], [9])]
+    batch = _pack(contexts)
+    out = rng.normal(size=(len(batch), V)) * 1e6
+    got, _ = model._context_logits(model.params, batch, out=out)
+    p = model.params
+    want = (causal.mean_scores(p["text_emb"], batch.text) @ p["B"].T
+            + causal.mean_scores(p["emb"], batch.oot) @ p["W_O"].T)
+    assert got is out
+    np.testing.assert_array_equal(out, want)
+    empty = (batch.text.lengths == 0) & (batch.oot.lengths == 0)
+    assert empty.any() and not out[empty].any()
+    np.testing.assert_array_equal(model._context_logits(p, batch)[0], want)
+
+
+def test_estimator_blocks_mixing_text_and_text_free_contexts():
+    """Estimator blocks of four contexts, some without text or out-of-text
+    ids, reuse one context-logits buffer; every do-row still equals the
+    per-row formula."""
+    rng = np.random.default_rng(13)
+    V, n_tokens = 11, 6
+    model = _formula_model(rng, V, n_tokens, batch_size=4)
+    contexts = [(prev, hist, text if i % 3 else [], oot if i % 4 else [])
+                for i, (prev, hist, text, oot)
+                in enumerate(_random_contexts(rng, V, n_tokens, 30))]
+    table = causal.estimate_interventions(model, _pack(contexts))
+    np.testing.assert_allclose(table.effect, _per_context_rows(model, contexts),
+                               rtol=0, atol=1e-12)
+
+
 def test_intervention_rows_are_distributions():
     cbn = synth.build_fixture("F-UNIFORM")
     inst, vocab, _ = _instances_for(cbn, 40, seed=4)

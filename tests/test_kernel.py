@@ -251,7 +251,8 @@ def _adam_per_array(params, grads_seq, lr, clip_norm, b1=0.9, b2=0.999,
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     for t, grads in enumerate(grads_seq, start=1):
-        norm = K.global_norm(grads)
+        flat = np.concatenate([grads[name].ravel() for name in params])
+        norm = np.sqrt(flat @ flat)
         scale = clip_norm / norm if norm > clip_norm else 1.0
         for name, p in params.items():
             g = grads[name] * scale
@@ -338,6 +339,58 @@ def test_fit_batches_every_item_once_per_epoch_up_to_max_epochs():
     K.fit(model, _Items(range(8)), rows, _Items([0]), 0.1, "pull", max_epochs=2)
     assert [len(b) for b in model.batches] == [2, 2, 1] * 2
     assert sorted(sum(model.batches[:3], [])) == rows.tolist()
+
+
+class _Chained(_Items):
+    """_Items that name each item's chain in ``chain``."""
+
+    def __init__(self, ids, chain):
+        super().__init__(ids)
+        self.chain = np.asarray(chain)
+
+    def take(self, idx):
+        return _Chained(self.ids[idx], self.chain[idx])
+
+
+class _Ordered(_Pull):
+    """_Pull that records the items of each batch in batch order."""
+
+    def loss_and_grads(self, batch, rng=None):
+        self.batches.append(batch.ids.tolist())
+        return 0.0, {"w": 2.0 * (self.params["w"] - 1.0)}
+
+
+def _epochs(model, per_epoch):
+    """The item order of each epoch of ``model``'s recorded batches."""
+    flat = sum(model.batches, [])
+    return [flat[i:i + per_epoch] for i in range(0, len(flat), per_epoch)]
+
+
+def test_fit_shuffles_whole_chains_in_order():
+    """Each epoch lays out a permutation of the chains: a chain's rows stay
+    together and in the order of ``rows``, and batches cut across chains."""
+    chain = np.repeat([7, 2, 5, 0, 9], [3, 1, 4, 2, 2])
+    rows = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11])   # item 9 is held out
+    model = _Ordered(lambda w: -w, batch_size=3)
+    K.fit(model, _Chained(np.arange(12), chain), rows, _Items([0]), 0.1, "pull",
+          max_epochs=3)
+    assert [len(b) for b in model.batches] == [3, 3, 3, 2] * 3
+    groups = [rows[chain[rows] == c] for c in (7, 2, 5, 0, 9)]
+    rng = np.random.default_rng(model.config["seed"] + 1)
+    for order in _epochs(model, len(rows)):
+        want = np.concatenate([groups[i] for i in rng.permutation(len(groups))])
+        assert order == want.tolist()
+
+
+def test_fit_with_one_row_chains_orders_rows_as_a_row_permutation():
+    """Items without chains are chains of one row each: every epoch orders
+    the rows as rows[permutation(len(rows))] of the rng from seed + 1."""
+    rows = np.array([6, 1, 4, 3, 7])
+    model = _Ordered(lambda w: -w, batch_size=2)
+    K.fit(model, _Items(range(8)), rows, _Items([0]), 0.1, "pull", max_epochs=3)
+    rng = np.random.default_rng(model.config["seed"] + 1)
+    for order in _epochs(model, len(rows)):
+        assert order == rows[rng.permutation(len(rows))].tolist()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
