@@ -108,15 +108,64 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
     from 1, blank ones skipped); a fault raises DataFormatError naming its
     line. ``factual_only`` drops events whose factuality != pos.
 
-    A line in the canonical writer's form is cut at ``},{``; when the memo
-    holds every piece, the events come from it. Other lines are decoded and
-    checked whole; in a canonical one whose events' text has no brace but
-    those of its cuts, each piece is one whole event, and the memo takes
-    the pieces (at most _MEMO_SIZE texts, all checked)."""
+    A line in the canonical writer's form is cut at ``},{``, and each piece
+    the memo lacks is decoded alone as ``{piece}``. A piece that decodes is
+    one whole JSON object, so when every piece does, the line holds exactly
+    those events and reads as it would decoded whole. The memo keeps each
+    piece's checked event, up to _MEMO_SIZE pieces. Other lines, and every
+    line once the memo is full, are decoded whole."""
     types, table, tokens, keys = {}, [], {}, {}   # value -> table id
     chain_ids, seen, lengths, text_ids, oot_pairs = [], set(), [], [], []
     rows = []    # 3 per kept event: type id, text length, oot length
-    memo = {}    # event text -> its (row, text ids, oot pairs) or three ()
+    memo = {}    # event text -> its checked event, as event() returns it
+
+    def event(ev, lineno):
+        """The decoded event ``ev`` checked: its row, text ids and oot
+        pairs, or three () when ``factual_only`` drops it."""
+        try:
+            t = types[ev["pred"], ev["dep"], ev.get("fact", "pos")]
+        except (KeyError, TypeError, AttributeError):
+            # a (pred, dep, fact) triple not seen before: validate it
+            if not isinstance(ev, dict) or "pred" not in ev or "dep" not in ev:
+                raise DataFormatError(f"line {lineno}: event missing pred/dep")
+            triple = (ev["pred"], ev["dep"], ev.get("fact", "pos"))
+            if not all(isinstance(v, str) for v in triple):
+                raise DataFormatError(
+                    f"line {lineno}: pred, dep and fact must be strings")
+            try:
+                table.append(EventType(*triple))
+            except ConfigError as e:
+                raise DataFormatError(f"line {lineno}: {e}") from e
+            t = types[triple] = len(table) - 1
+        text = ev.get("text")
+        if text is not None and not (type(text) is list and text and all(
+                [type(x) is str for x in text])):
+            raise DataFormatError(
+                f"line {lineno}: text must be a non-empty list of strings")
+        oot = ev.get("oot")
+        if oot is not None:
+            if not (type(oot) is list and all(
+                    [type(p) is list and len(p) == 2 and type(p[0]) is str
+                     and type(p[1]) is int for p in oot])):
+                raise DataFormatError(f"line {lineno}: oot must be a list "
+                                      "of [key, int rating] pairs")
+            for key, rating in oot:
+                if not 0 <= rating <= 4:
+                    raise DataFormatError(
+                        f"line {lineno}: out-of-text rating {rating} for "
+                        f"{key!r} outside [0, 4]")
+                if key not in keys:
+                    try:
+                        EventType.from_key(key)
+                    except (ConfigError, DataFormatError) as e:
+                        raise DataFormatError(f"line {lineno}: {e}") from e
+                    keys[key] = len(keys)
+        if factual_only and table[t].factuality != "pos":
+            return (), (), ()
+        return ((t, len(text) if text else 0, len(oot) if oot else 0),
+                [tokens.setdefault(x, len(tokens)) for x in text] if text else (),
+                [v for key, r in oot for v in (keys[key], r)] if oot else ())
+
     for lineno, line in enumerate(lines, start=1):
         try:
             line = (line.decode("utf-8") if isinstance(line, bytes)
@@ -125,24 +174,26 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
             raise DataFormatError(f"line {lineno}: not UTF-8 ({e.reason})") from e
         if not line:
             continue
-        start, n_text, n_oot = len(rows), len(text_ids), len(oot_pairs)
-        pieces = None
+        checked = new = None   # the line's events, as event() returns them
         if (len(memo) < _MEMO_SIZE and line.startswith(_HEAD)
                 and line.endswith("}]}")):
             try:
                 chain_id, end = scanstring(line, len(_HEAD))
                 if line.startswith(_EVENTS, end):
-                    inner = line[end + len(_EVENTS):-3]   # [{inner}]}
-                    pieces = inner.split("},{")
-            except ValueError:   # json.loads below names the fault
-                pass
-        hits = pieces and [memo.get(p) for p in pieces]
-        if hits and None not in hits:
-            for row, ids, pairs in hits:
-                rows += row
-                text_ids += ids
-                oot_pairs += pairs
-        else:
+                    pieces = line[end + len(_EVENTS):-3].split("},{")   # [{...}]}
+                    checked = [memo.get(p) for p in pieces]
+                    if None in checked:   # each piece the memo lacks, decoded once
+                        new = {p: json.loads("{" + p + "}")
+                               for p in dict.fromkeys(pieces) if p not in memo}
+            except ValueError:   # decoding the line whole names the fault
+                checked = None
+        if new:
+            for p, ev in new.items():   # in order, so a fault is the line's first
+                new[p] = event(ev, lineno)
+                if len(memo) < _MEMO_SIZE:
+                    memo[p] = new[p]
+            checked = [c or new[p] for c, p in zip(checked, pieces)]
+        elif checked is None:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
@@ -156,70 +207,20 @@ def parse_chains(lines, factual_only: bool = False) -> ChainCorpus:
                 raise DataFormatError(f"line {lineno}: events must be a list")
             if not events:
                 raise DataFormatError(f"line {lineno}: chain has no events")
-            for ev in events:
-                try:
-                    t = types[ev["pred"], ev["dep"], ev.get("fact", "pos")]
-                except (KeyError, TypeError, AttributeError):
-                    # a (pred, dep, fact) triple not seen before: validate it
-                    if not isinstance(ev, dict) or "pred" not in ev or "dep" not in ev:
-                        raise DataFormatError(f"line {lineno}: event missing pred/dep")
-                    triple = (ev["pred"], ev["dep"], ev.get("fact", "pos"))
-                    if not all(isinstance(v, str) for v in triple):
-                        raise DataFormatError(
-                            f"line {lineno}: pred, dep and fact must be strings")
-                    try:
-                        table.append(EventType(*triple))
-                    except ConfigError as e:
-                        raise DataFormatError(f"line {lineno}: {e}") from e
-                    t = types[triple] = len(table) - 1
-                text = ev.get("text")
-                if text is not None and not (type(text) is list and text and all(
-                        [type(x) is str for x in text])):
-                    raise DataFormatError(
-                        f"line {lineno}: text must be a non-empty list of strings")
-                oot = ev.get("oot")
-                if oot is not None:
-                    if not (type(oot) is list and all(
-                            [type(p) is list and len(p) == 2 and type(p[0]) is str
-                             and type(p[1]) is int for p in oot])):
-                        raise DataFormatError(f"line {lineno}: oot must be a list "
-                                              "of [key, int rating] pairs")
-                    for key, rating in oot:
-                        if not 0 <= rating <= 4:
-                            raise DataFormatError(
-                                f"line {lineno}: out-of-text rating {rating} for "
-                                f"{key!r} outside [0, 4]")
-                        if key not in keys:
-                            try:
-                                EventType.from_key(key)
-                            except (ConfigError, DataFormatError) as e:
-                                raise DataFormatError(f"line {lineno}: {e}") from e
-                            keys[key] = len(keys)
-                if factual_only and table[t].factuality != "pos":
-                    continue
-                rows += (t, len(text) if text else 0, len(oot) if oot else 0)
-                if text:
-                    text_ids += [tokens.setdefault(x, len(tokens)) for x in text]
-                if oot:
-                    oot_pairs += [v for key, r in oot for v in (keys[key], r)]
+            checked = [event(ev, lineno) for ev in events]
             chain_id = obj["chain_id"]
             if type(chain_id) not in (str, int):
                 raise DataFormatError(
                     f"line {lineno}: chain_id must be a string or an integer")
             chain_id = str(chain_id)
-            if (pieces and len(pieces) == len(events)
-                    and inner.count("{") == inner.count("}") == len(events) - 1):
-                r, x, o = start, n_text, n_oot   # the pieces are the events' texts
-                for piece, ev in zip(pieces[:_MEMO_SIZE - len(memo)], events):
-                    if factual_only and ev.get("fact", "pos") != "pos":
-                        memo[piece] = (), (), ()   # dropped
-                        continue
-                    nx, no = rows[r + 1], 2 * rows[r + 2]
-                    memo[piece] = rows[r:r + 3], text_ids[x:x + nx], oot_pairs[o:o + no]
-                    r, x, o = r + 3, x + nx, o + no
         if chain_id in seen:
             raise DataFormatError(f"line {lineno}: duplicate chain_id {chain_id!r}")
         seen.add(chain_id)
+        start = len(rows)
+        for row, ids, pairs in checked:
+            rows += row
+            text_ids += ids
+            oot_pairs += pairs
         if len(rows) > start:
             chain_ids.append(chain_id)
             lengths.append((len(rows) - start) // 3)

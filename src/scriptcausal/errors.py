@@ -36,8 +36,6 @@ def open_input(path, mode="r"):
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from e
     except DataFormatError as e:
-        if str(path) in str(e):
-            raise
         raise DataFormatError(f"{path}: {e}") from e
 
 

@@ -70,11 +70,11 @@ class EventType:
         return self.predicate + ":" + self.relation
 
     @staticmethod
-    def from_key(key: str, factuality: str = "pos") -> "EventType":
+    def from_key(key: str) -> "EventType":
         parts = key.split(":")
         if len(parts) != 2:
             raise DataFormatError(f"malformed event key {key!r}")
-        return EventType(parts[0], parts[1], factuality)
+        return EventType(parts[0], parts[1])
 
 
 class Vocabulary:

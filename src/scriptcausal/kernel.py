@@ -594,15 +594,15 @@ def load_model(path, kind, keys, build):
                 raise DataFormatError(f"model parameter {name!r}: {e}") from e
             if not np.isfinite(params[name]).all():
                 raise DataFormatError(f"model parameter {name!r} is not finite")
-    C.check(config, keys, DataFormatError, f"{path}: model header key")
-    model = build(config, params)
-    expected = model._init_params(SHAPES_ONLY)
-    for name in sorted(params.keys() | expected.keys()):
-        got, want = (p[name].shape if name in p else "absent"
-                     for p in (params, expected))
-        if got != want:
-            raise DataFormatError(f"{path}: model parameter {name!r} is {got} in "
-                                  f"the file but {want} by its header")
+        C.check(config, keys, DataFormatError, "model header key")
+        model = build(config, params)
+        expected = model._init_params(SHAPES_ONLY)
+        for name in sorted(params.keys() | expected.keys()):
+            got, want = (p[name].shape if name in p else "absent"
+                         for p in (params, expected))
+            if got != want:
+                raise DataFormatError(f"model parameter {name!r} is {got} in "
+                                      f"the file but {want} by its header")
     return model
 
 

@@ -1354,6 +1354,9 @@ _SHEET_HEADER = "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscor
      _VOCAB_OF_BAD, 2, "bad: line 1: out-of-text rating 7 for 'a:x' outside [0, 4]"),
     ({"bad": "#scriptcausal-vocab v1\t1\n"}, _SCORE_BAD_VOCAB, 2,
      "bad: malformed vocabulary header"),
+    # a name that occurs in the message is still named
+    ({"v": "junk\n"}, ["score", "--itable", "t.bin", "--vocab", "v", "--target",
+                       "a:x"], 2, "v: missing vocabulary header"),
     ({"bad": _ONE_EVENT_VOCAB.replace("a:x\t3", "a:x\t4")}, _SCORE_BAD_VOCAB, 2,
      "bad: vocabulary line 5: non-dense id 4"),
     ({"bad": _ONE_EVENT_VOCAB.replace("<unk>", "b:x")}, _SCORE_BAD_VOCAB, 2,
@@ -1381,8 +1384,9 @@ _SHEET_HEADER = "task_id\ttarget_event\tcandidate_event\thidden_system_key\tscor
      ["--config", "cfg.json", "cloze", "--corpus", "c.jsonl", "--vocab", "v.tsv",
       "--counts", "cnt.tsv", "--output", "out"], 1, "cutoff must be >= 0"),
 ], ids=["events-not-a-list", "no-events", "pred-not-a-string", "rating-7",
-        "vocab-header", "vocab-id-gap", "vocab-specials-last", "sheet-header",
-        "sheet-columns", "diversity-sheet-header", "diversity-sheet-columns",
+        "vocab-header", "vocab-one-letter-name", "vocab-id-gap",
+        "vocab-specials-last", "sheet-header", "sheet-columns",
+        "diversity-sheet-header", "diversity-sheet-columns",
         "itable-header-3-fields", "split-ratio-0", "cloze-no-system",
         "negative-cutoff"])
 def test_bad_input_is_a_clean_exit(workdir, capsys, files, argv, code, message):

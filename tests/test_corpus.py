@@ -403,10 +403,13 @@ def test_memo_takes_only_pieces_that_are_whole_events():
 
 
 def test_memo_answers_repeated_events_up_to_its_bound(monkeypatch):
-    """A canonical file decodes only the lines that bring an event text the
-    memo lacks. A file of more distinct events than the memo holds loads as
-    its default form does, and once the memo is full every line is decoded,
-    repeated or not."""
+    """A canonical file decodes each event text the memo lacks once, on its
+    own, and no line whole. A file of more distinct events than the memo
+    holds loads as its default form does: its first _MEMO_SIZE pieces are
+    decoded one by one, and once the memo is full every line is decoded
+    whole, repeated or not."""
+    lines = list(chain_lines(build_fixture("F-POPCORN").sample_chains(
+        300, 1, annotate_scenario=True)))
     decoded = []
 
     def loads(line, **kw):
@@ -415,10 +418,9 @@ def test_memo_answers_repeated_events_up_to_its_bound(monkeypatch):
 
     json_loads = json.loads
     monkeypatch.setattr(corpus_module.json, "loads", loads)
-    lines = list(chain_lines(build_fixture("F-POPCORN").sample_chains(
-        300, 1, annotate_scenario=True)))
     parse_chains(lines)
-    assert 0 < len(decoded) <= 16 < len(lines)   # 8 events x 2 scenarios
+    assert len(set(decoded)) == len(decoded) == 16 < len(lines)   # 8 events x 2 scenarios
+    assert all(d.startswith('{"pred":') for d in decoded)
 
     size = corpus_module._MEMO_SIZE
     chains = [[{"pred": f"p{j}", "dep": "nsubj", "fact": "pos"}
@@ -426,7 +428,9 @@ def test_memo_answers_repeated_events_up_to_its_bound(monkeypatch):
     canonical, default = _both_forms(chains)
     decoded.clear()
     assert _outcome(canonical) == _outcome(default)
-    assert len(decoded) == len(canonical) * 2   # the default form's too
+    # size pieces on size // 4 lines, then each later line whole; the
+    # default form's lines are all decoded whole
+    assert len(decoded) == size + len(canonical) - size // 4 + len(default)
 
 
 def test_an_empty_oot_list_is_no_annotation():
